@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness
 from .ensemble import RngStream, dump_matrix, load_matrix, parse_distribution, sample_matrix, EnsembleParams
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, NumericalError, ParameterError
 from .spectra import spectral_summary
 from .structure import StructureConstants, classify_vector, lcd
 
@@ -201,6 +201,9 @@ def main(argv=None) -> int:
     except (ParameterError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

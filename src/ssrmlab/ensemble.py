@@ -208,8 +208,10 @@ class SparseSymmetricMatrix:
                 raise ParameterError("entries must satisfy i <= j (upper triangle)")
             if np.any(val == 0.0):
                 raise ParameterError("stored values must be nonzero")
+            # Sampler output is in row-major order, so the O(nnz) strictly-
+            # increasing test settles it; other orders fall back to a sort.
             keys = row * self.n + col
-            if np.unique(keys).size != keys.size:
+            if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size != keys.size:
                 raise ParameterError("duplicate (i, j) entry")
         for arr, name in ((row, "row"), (col, "col"), (val, "val")):
             arr.flags.writeable = False

@@ -20,14 +20,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .ensemble import EnsembleParams, EntryDistribution, RngStream, parse_distribution, sample_matrix
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError
 from .spectra import DENSE_CAP, _SINGULAR_FLOOR, full_symmetric_spectrum, smallest_singular_value, spectral_norm
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -595,6 +595,9 @@ def run(
     except ParameterError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ssrmlab import spectra
 from ssrmlab.cli import main
 from ssrmlab.ensemble import load_matrix
 
@@ -95,3 +96,49 @@ def test_bad_distribution_is_parameter_error(capsys):
 
 def test_missing_vector_file(tmp_path, capsys):
     assert main(["lcd", "--vector", str(tmp_path / "nope.txt")]) == 1
+
+
+@pytest.fixture
+def failing_certificate(monkeypatch):
+    """Shift the smallest-magnitude eigenvalue so its residual check fails."""
+    real_dsterf = spectra.dsterf
+
+    def shifted(d, e):
+        evals, info = real_dsterf(d, e)
+        evals[np.argmin(np.abs(evals))] += 1e-6 * np.abs(evals).max()
+        return evals, info
+
+    monkeypatch.setattr(spectra, "dsterf", shifted)
+
+
+def _one_line_numerical_error(err: str) -> bool:
+    return err.startswith("numerical error: ") and err.count("\n") == 1
+
+
+def test_certificate_failure_in_sweep(tmp_path, capsys, failing_certificate):
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG_TEXT.format(out=out))
+    assert main(["tail-sweep", "--config", str(cfg), "--workers", "1"]) == 1
+    assert _one_line_numerical_error(capsys.readouterr().err)
+    assert not out.exists()
+    assert not (tmp_path / "r.csv.meta.json").exists()
+
+
+def test_certificate_failure_in_spectra(tmp_path, capsys, failing_certificate):
+    out = tmp_path / "m.txt"
+    main(["generate", "-n", "12", "-p", "0.8", "--dist", "gaussian", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["spectra", "--matrix", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line_numerical_error(captured.err)
+
+
+def test_spectra_non_finite_matrix_rejected(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("3 0.5 1 0\n0 0 1.0\n0 1 nan\n2 2 2.0\n")
+    assert main(["spectra", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err

@@ -166,8 +166,22 @@ class TestTwoSidedTail:
 
 class TestSparseSymmetricMatrix:
     def test_duplicate_entry_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="duplicate"):
             SparseSymmetricMatrix(3, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
+        # Out of order, so the strictly-increasing shortcut does not apply.
+        with pytest.raises(ParameterError, match="duplicate"):
+            SparseSymmetricMatrix(3, np.array([1, 0, 1]), np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
+
+    def test_unsorted_entries_accepted(self):
+        A = sample_matrix(EnsembleParams(12, 0.5, GAUSS), RngStream(22, 0))
+        buf = io.StringIO()
+        dump_matrix(buf, A, p=0.5, seed=22, stream_id=0)
+        head, *lines = buf.getvalue().splitlines()
+        order = np.random.default_rng(0).permutation(len(lines))
+        shuffled = "\n".join([head] + [lines[k] for k in order]) + "\n"
+        B, _ = load_matrix(io.StringIO(shuffled))
+        assert not np.all(np.diff(B.row * B.n + B.col) > 0)
+        assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_lower_triangle_rejected(self):
         with pytest.raises(ParameterError):

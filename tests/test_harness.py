@@ -1,11 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssrmlab
 from ssrmlab.ensemble import EntryDistribution
 from ssrmlab.errors import ConfigError, ParameterError
 from ssrmlab.harness import (
+    ARTIFACT_VERSION,
     ExperimentConfig,
     TailEstimate,
     config_from_text,
@@ -57,6 +61,12 @@ n = 24
 p = 0.5
 eps = 0.001,0.01,0.1
 """
+
+
+def test_versions_agree():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    assert ssrmlab.__version__ == ARTIFACT_VERSION == declared
 
 
 class TestWilson:
@@ -248,10 +258,11 @@ class TestRun:
         assert meta["structure_constants"]["c_s"] == 0.1
         assert meta["artifact"].startswith("ssrmlab-")
 
-    def test_worker_count_does_not_change_csv(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["tail-sweep", "scaling"])
+    def test_worker_count_does_not_change_csv(self, tmp_path, kind):
         out1 = tmp_path / "w1.csv"
         out8 = tmp_path / "w8.csv"
-        path = self._write_config(tmp_path, CONFIG_TEXT)
+        path = self._write_config(tmp_path, CONFIG_TEXT.replace("tail-sweep", kind))
         assert run(path, out=str(out1), workers=1) == 0
         assert run(path, out=str(out8), workers=8) == 0
         assert out1.read_bytes() == out8.read_bytes()

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ssrmlab import spectra
 from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix
-from ssrmlab.errors import CapabilityError, ParameterError
+from ssrmlab.errors import CapabilityError, NumericalError, ParameterError
 from ssrmlab.spectra import (
     MaskProfile,
     bvh_bound,
@@ -50,10 +51,55 @@ class TestFullSymmetricSpectrum:
         with pytest.raises(CapabilityError):
             full_symmetric_spectrum(np.eye(5), cap=4)
 
+    def test_non_finite_rejected(self):
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="finite"):
+            full_symmetric_spectrum(A)
+
     def test_sorted_ascending(self):
         A = sample_matrix(EnsembleParams(20, 0.5, RAD), RngStream(1, 1))
         ev = full_symmetric_spectrum(A)
         assert np.all(np.diff(ev) >= 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    def test_matches_eigvalsh(self, n):
+        A = sample_matrix(EnsembleParams(max(n, 2), 0.5, GAUSS), RngStream(110, n)).to_dense()[:n, :n]
+        ref = np.linalg.eigvalsh(A)
+        ev = full_symmetric_spectrum(A)
+        assert ev.dtype == np.float64 and ev.shape == (n,)
+        assert np.abs(ev - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "A,expected",
+        [
+            (np.zeros((6, 6)), np.zeros(6)),
+            (np.eye(40), np.ones(40)),
+            (np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]), np.array([0.0, 0.0, 9.0])),
+        ],
+        ids=["zero", "identity", "rank-one"],
+    )
+    def test_structured_matrices(self, A, expected):
+        assert np.allclose(full_symmetric_spectrum(A), expected, rtol=0, atol=1e-13 * max(1.0, expected.max()))
+
+    @pytest.mark.parametrize("which", ["smallest", "largest"])
+    def test_certificate_rejects_shifted_eigenvalue(self, monkeypatch, which):
+        # The certificate is live: moving one certified value by 1e-6 |A|
+        # while its eigenvector stays put must break the residual bound.
+        real_dsterf = spectra.dsterf
+
+        def shifted(d, e):
+            evals, info = real_dsterf(d, e)
+            norm = np.abs(evals).max()
+            k = np.argmin(np.abs(evals)) if which == "smallest" else np.argmax(np.abs(evals))
+            evals[k] += 1e-6 * norm
+            return evals, info
+
+        A = sample_matrix(EnsembleParams(60, 0.5, GAUSS), RngStream(111, 0))
+        full_symmetric_spectrum(A)
+        monkeypatch.setattr(spectra, "dsterf", shifted)
+        with pytest.raises(NumericalError, match="residual"):
+            full_symmetric_spectrum(A)
 
 
 class TestSmallestSingularValue:

@@ -2,16 +2,23 @@
 
 Matrices have entries a_ij = delta_ij * xi_ij on the upper triangle
 (diagonal included), mirrored below, where delta_ij is Bernoulli(p) and
-xi_ij is a centered unit-variance law with finite fourth moment.  All
-randomness flows through counter-based streams so that parallel trial
-execution is order-independent.
+xi_ij is a centered unit-variance law with finite fourth moment.
+
+Randomness flows through Philox streams keyed by ``(seed, stream_id)``.
+Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``:
+lane = cell index for trial t's matrix (single-cell experiments are cell
+0), lane 1 for trial t's auxiliary draw (comparison matrix, vector X,
+regularized-LCD sampler), lane 2 at index t * x_draws + k for the k-th
+of x_draws vectors.  :func:`run_trials`, the one trial engine, keys every
+trial by its (cell, trial), so its records are the same at any worker count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -180,6 +187,31 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def trial_stream(seed: int, lane: int, index: int) -> RngStream:
+    """The stream of draw ``index`` in ``lane``: id ``(lane << 32) | index``."""
+    if not 0 <= index < 1 << 32:
+        raise ParameterError(f"stream index {index} outside [0, 2**32)")
+    return RngStream(seed, (lane << 32) | index)
+
+
+def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1) -> list[list]:
+    """``kernel(cell, c, t)`` for every cell c and trial t; per cell, records in trial order.
+
+    With more than one worker and task, a pool of at most one process per
+    task runs the (cell, trial) tasks in grid order, in chunks of
+    ceil(trials / (4 workers)) consecutive tasks; the kernel must pickle
+    (a module-level function or a partial of one).
+    """
+    tasks = [(cell, c, t) for c, cell in enumerate(cells) for t in range(trials)]
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        records = [kernel(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(kernel, *zip(*tasks), chunksize=max(1, -(-trials // (4 * workers)))))
+    return [records[c * trials : (c + 1) * trials] for c in range(len(cells))]
+
+
 @dataclass(frozen=True)
 class SparseSymmetricMatrix:
     """Upper-triangle coordinate storage of an exactly symmetric matrix.
@@ -208,6 +240,8 @@ class SparseSymmetricMatrix:
                 raise ParameterError("entries must satisfy i <= j (upper triangle)")
             if np.any(val == 0.0):
                 raise ParameterError("stored values must be nonzero")
+            if not np.isfinite(val).all():
+                raise ParameterError("stored values must be finite")
             # Sampler output is in row-major order, so the O(nnz) strictly-
             # increasing test settles it; other orders fall back to a sort.
             keys = row * self.n + col

@@ -1,10 +1,12 @@
 """Experiment orchestration: config files, deterministic Monte Carlo sweeps,
 CSV emission with a JSON metadata sidecar.
 
-Determinism contract: every output is a pure function of (config, master
-seed).  Trials are keyed by (cell index, trial index) streams, results
-are folded in grid order, and float formatting is fixed, so the CSV is
-byte-identical at any worker count.
+Determinism contract: every CSV is a pure function of (config, master
+seed) at a fixed BLAS thread count, for every experiment kind.  All
+trials run through ``ensemble.run_trials``: each draws only from the
+``trial_stream`` keyed by its (cell, trial) (see ``ssrmlab.ensemble`` for
+the lanes), records are folded in grid order, and float formatting is
+fixed, so the CSV is byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -14,14 +16,22 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .ensemble import EnsembleParams, EntryDistribution, RngStream, parse_distribution, sample_matrix
+from .ensemble import (
+    EnsembleParams,
+    EntryDistribution,
+    parse_distribution,
+    run_trials,
+    sample_matrix,
+    sample_sparse_vector,
+    trial_stream,
+)
 from .errors import ConfigError, NumericalError, ParameterError
-from .spectra import DENSE_CAP, _SINGULAR_FLOOR, full_symmetric_spectrum, smallest_singular_value, spectral_norm
+from .spectra import DENSE_CAP, full_symmetric_spectrum, is_singular, smallest_singular_value, spectral_norm
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants
 
@@ -37,6 +47,36 @@ EXPERIMENT_KINDS = (
     "smallball",
     "quadratic",
 )
+
+# Kinds that run the first (n, p) cell only, so their grids hold one point.
+SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
+
+# [structure] keys and the StructureConstants fields they set.
+_STRUCTURE_KEYS = {
+    "c_s": "c_s", "c_d": "c_d", "c_oo": "c_oo", "lambda": "lam", "l": "L", "delta0": "delta0", "c_p": "c_p"
+}
+
+# The keys each section admits; [params] keys depend on the kind.
+_SECTION_KEYS = {
+    "experiment": ("kind", "trials", "seed", "workers", "out"),
+    "ensemble": ("dist", "c_op"),
+    "grid": ("n", "p", "eps"),
+    "structure": tuple(_STRUCTURE_KEYS),
+}
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+# [params] keys each kind reads, with their parsers; other kinds take none.
+_PARAMS = {
+    "norm-check": {"cbar": _finite, "bvh_eps": _finite},
+    "distance-check": {"eps": _finite, "m": int, "rho": _finite},
+}
 
 
 @dataclass(frozen=True)
@@ -88,9 +128,23 @@ class ExperimentConfig:
             raise ConfigError("experiment.trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be >= 1")
+        if self.kind in SINGLE_CELL_KINDS and self.cell_count() > 1:
+            raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
+        for key in self.extras:
+            self.param(key)
 
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
+
+    def param(self, key: str, default=None):
+        """[params] value ``key`` parsed for this kind, or ``default`` when unset."""
+        parse = _PARAMS.get(self.kind, {}).get(key)
+        if parse is None:
+            raise ConfigError(f"unknown config key params.{key} for kind {self.kind}")
+        try:
+            return parse(self.extras[key]) if key in self.extras else default
+        except ValueError:
+            raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
 
     def params_for(self, n: int, p: float) -> EnsembleParams:
         return EnsembleParams(n=n, p=p, dist=self.dist, c_op=self.c_op)
@@ -146,7 +200,7 @@ def _get(cp: configparser.ConfigParser, section: str, key: str, default: str | N
 
 def _parse_floats(text: str, where: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        return tuple(_finite(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad numeric list at {where}: {text!r}") from exc
 
@@ -157,6 +211,14 @@ def config_from_text(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
+    for section in cp.sections():
+        if section == "params":
+            continue  # checked against the kind by ExperimentConfig
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in cp[section]:
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError(f"unknown config key {section}.{key}")
     kind = _get(cp, "experiment", "kind")
 
     def _int(section: str, key: str, default: str) -> int:
@@ -175,28 +237,21 @@ def config_from_text(text: str) -> ExperimentConfig:
     except ParameterError as exc:
         raise ConfigError(f"bad value at ensemble.dist: {exc}") from exc
     try:
-        c_op = float(_get(cp, "ensemble", "c_op", "3.0"))
+        c_op = _finite(_get(cp, "ensemble", "c_op", "3.0"))
     except ValueError as exc:
         raise ConfigError("bad float at ensemble.c_op") from exc
     n_grid_f = _parse_floats(_get(cp, "grid", "n", ""), "grid.n")
+    if not all(v.is_integer() for v in n_grid_f):
+        raise ConfigError(f"grid.n must hold integers: {cp['grid']['n']!r}")
     n_grid = tuple(int(v) for v in n_grid_f)
     p_grid = _parse_floats(_get(cp, "grid", "p", ""), "grid.p")
     eps_grid = _parse_floats(_get(cp, "grid", "eps", "0.001"), "grid.eps")
     kwargs = {}
     if cp.has_section("structure"):
-        mapping = {
-            "c_s": "c_s",
-            "c_d": "c_d",
-            "c_oo": "c_oo",
-            "lambda": "lam",
-            "l": "L",
-            "delta0": "delta0",
-            "c_p": "c_p",
-        }
-        for key, attr in mapping.items():
+        for key, attr in _STRUCTURE_KEYS.items():
             if cp.has_option("structure", key):
                 try:
-                    kwargs[attr] = float(cp["structure"][key])
+                    kwargs[attr] = _finite(cp["structure"][key])
                 except ValueError as exc:
                     raise ConfigError(f"bad float at structure.{key}") from exc
     try:
@@ -229,45 +284,25 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Trial workers (module level so they pickle for process pools).
+# Trial kernels for ensemble.run_trials (module level so they pickle).
 
-def _extreme_values_for_trial(args) -> tuple[int, int, float, float]:
-    """(cell, trial) -> (cell, trial, s_min, s_max) for one realization."""
-    seed, cell, trial, n, p, dist_text, c_op = args
-    params = EnsembleParams(n=n, p=p, dist=parse_distribution(dist_text), c_op=c_op)
-    A = sample_matrix(params, RngStream(seed, (cell << 32) | trial))
-    dense = A.to_dense()
-    if n <= DENSE_CAP:
-        evals = full_symmetric_spectrum(dense)
-        smin = float(np.abs(evals).min())
-        smax = float(np.abs(evals).max())
-        if smin < _SINGULAR_FLOOR * max(smax, 1e-300):
-            smin = 0.0
-    else:
-        smin = smallest_singular_value(dense)
-        smax = spectral_norm(dense)
-    return cell, trial, smin, smax
+def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, t: int) -> tuple[float, float]:
+    """(s_min, s_max) of the realization of trial t in cell c."""
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    if params.n <= DENSE_CAP:
+        evals = np.abs(full_symmetric_spectrum(dense))
+        smin, smax = float(evals.min()), float(evals.max())
+        return (0.0 if is_singular(smin, smax) else smin), smax
+    return smallest_singular_value(dense), spectral_norm(dense)
 
 
-def _run_cells(cfg: ExperimentConfig, cells: list[tuple[int, int, float]]):
-    """Run all trials for the given (cell_index, n, p) list, deterministic order.
+def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:
+    params = [cfg.params_for(n, p) for n, p in cells]
+    return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
 
-    Returns {cell_index: [(s_min, s_max), ...]} with trials in index order.
-    """
-    tasks = [
-        (cfg.master_seed, cell, t, n, p, _dist_to_text(cfg.dist), cfg.c_op)
-        for cell, n, p in cells
-        for t in range(cfg.trials)
-    ]
-    if cfg.workers == 1:
-        results = [_extreme_values_for_trial(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_extreme_values_for_trial, tasks, chunksize=8))
-    out: dict[int, list[tuple[float, float]]] = {cell: [None] * cfg.trials for cell, _, _ in cells}
-    for cell, trial, smin, smax in results:
-        out[cell][trial] = (smin, smax)
-    return out
+
+def _smallball_sum(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:
+    return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, c, t)))
 
 
 def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
@@ -277,20 +312,12 @@ def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
     success counts are exactly nondecreasing in eps within a cell.
     Infeasible cells with p < 1/n are rejected up front.
     """
-    cells = []
-    idx = 0
-    for n in cfg.n_grid:
-        for p in cfg.p_grid:
-            if p < 1.0 / n:
-                raise ParameterError(
-                    f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows"
-                )
-            cells.append((idx, n, p))
-            idx += 1
-    per_cell = _run_cells(cfg, cells)
+    cells = [(n, p) for n in cfg.n_grid for p in cfg.p_grid]
+    for n, p in cells:
+        if p < 1.0 / n:
+            raise ParameterError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
     rows: list[TailEstimate] = []
-    for cell, n, p in cells:
-        vals = per_cell[cell]
+    for (n, p), vals in zip(cells, _extreme_values(cfg, cells)):
         op_thr = cfg.c_op * math.sqrt(p * n)
         for eps in cfg.eps_grid:
             thr = eps * math.sqrt(p / n)
@@ -323,17 +350,10 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
     """
     if len(cfg.n_grid) < 1:
         raise ParameterError("scaling needs a nonempty n grid")
-    cells = []
-    idx = 0
-    for p in cfg.p_grid:
-        for n in cfg.n_grid:
-            cells.append((idx, n, p))
-            idx += 1
-    per_cell = _run_cells(cfg, cells)
+    cells = [(n, p) for p in cfg.p_grid for n in cfg.n_grid]
     out = []
     prev_by_p: dict[float, float] = {}
-    for cell, n, p in cells:
-        vals = per_cell[cell]
+    for (n, p), vals in zip(cells, _extreme_values(cfg, cells)):
         smins = np.array([v[0] for v in vals])
         smaxs = np.array([v[1] for v in vals])
         nonsing = smins > 0
@@ -449,10 +469,9 @@ def _run_scaling(cfg: ExperimentConfig) -> dict:
 def _run_norm_check(cfg: ExperimentConfig) -> dict:
     from .spectra import norm_bound_experiment
 
-    cbar = float(cfg.extras.get("cbar", "2.0"))
-    eps = float(cfg.extras.get("bvh_eps", "0.5"))
     n, p = cfg.n_grid[0], cfg.p_grid[0]
-    rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar=cbar, eps=eps)
+    cbar, eps = cfg.param("cbar", 2.0), cfg.param("bvh_eps", 0.5)
+    rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar, eps, workers=cfg.workers)
     write_csv(
         cfg.out,
         "norm-check",
@@ -472,13 +491,10 @@ def _run_norm_check(cfg: ExperimentConfig) -> dict:
 def _run_distance_check(cfg: ExperimentConfig) -> dict:
     from .inverse_geometry import invertibility_via_distance_experiment
 
-    n = cfg.n_grid[0]
-    p = cfg.p_grid[0]
-    eps = float(cfg.extras.get("eps", str(cfg.eps_grid[0])))
-    M = int(cfg.extras.get("m", str(n // 2)))
-    rho = float(cfg.extras.get("rho", str(cfg.constants.c_d)))
+    n, p = cfg.n_grid[0], cfg.p_grid[0]
+    eps, M, rho = cfg.param("eps", cfg.eps_grid[0]), cfg.param("m", n // 2), cfg.param("rho", cfg.constants.c_d)
     rep = invertibility_via_distance_experiment(
-        cfg.params_for(n, p), eps, M, rho, cfg.trials, cfg.master_seed
+        cfg.params_for(n, p), eps, M, rho, cfg.trials, cfg.master_seed, workers=cfg.workers
     )
     write_csv(
         cfg.out,
@@ -496,21 +512,15 @@ def _run_distance_check(cfg: ExperimentConfig) -> dict:
 
 
 def _run_smallball(cfg: ExperimentConfig) -> dict:
-    from .ensemble import sample_sparse_vector
     from .smallball import lcd_smallball_bound, levy_concentration_scalar
     from .structure import lcd
 
-    n = cfg.n_grid[0]
-    p = cfg.p_grid[0]
+    n, p = cfg.n_grid[0], cfg.p_grid[0]
     x = np.full(n, 1.0 / math.sqrt(n))
     d = lcd(x, cfg.constants.L)
     # One sample set serves the whole eps grid (monotone estimates).
-    sums = np.array(
-        [
-            float(x @ sample_sparse_vector(n, p, cfg.dist, RngStream(cfg.master_seed, t)))
-            for t in range(cfg.trials)
-        ]
-    )
+    kernel = partial(_smallball_sum, cfg.master_seed, p, cfg.dist)
+    sums = np.array(run_trials(kernel, [x], cfg.trials, cfg.workers)[0])
     rows = []
     ratios = []
     for eps in cfg.eps_grid:
@@ -528,9 +538,8 @@ def _run_smallball(cfg: ExperimentConfig) -> dict:
 def _run_quadratic(cfg: ExperimentConfig) -> dict:
     from .inverse_geometry import quadratic_smallball_experiment
 
-    n = cfg.n_grid[0]
-    p = cfg.p_grid[0]
-    rep = quadratic_smallball_experiment(cfg.params_for(n, p), cfg.eps_grid, cfg.trials, cfg.master_seed)
+    n, p = cfg.n_grid[0], cfg.p_grid[0]
+    rep = quadratic_smallball_experiment(cfg.params_for(n, p), cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers)
     rows = []
     for eps, pz, pm in zip(rep.eps_grid, rep.p_hat_zero, rep.p_hat_median):
         rows.append([eps, pz, pm])

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 
-from .ensemble import EnsembleParams, RngStream, sample_matrix, sample_sparse_vector
+from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import ParameterError
-from .spectra import _SINGULAR_FLOOR, _as_dense
+from .spectra import _as_dense, is_singular
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants, regularized_lcd, sparse_tail_distance, spread_set
 
@@ -37,11 +38,8 @@ class InverseImageStats:
 
 
 def _symmetric_near_singular(dense: np.ndarray) -> bool:
-    evals = np.linalg.eigvalsh(dense)
-    top = float(np.abs(evals).max())
-    if top == 0.0:
-        return True
-    return float(np.abs(evals).min()) < _SINGULAR_FLOOR * top
+    mags = np.abs(np.linalg.eigvalsh(dense))
+    return is_singular(float(mags.min()), float(mags.max()))
 
 
 def distance_to_complement_span(A, j: int) -> float:
@@ -134,6 +132,17 @@ class InverseImageReport:
     c_bound: float
 
 
+def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
+    """(|A^-1 X_k| over the draws, |A^-1|_HS), or None for a singular A."""
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    if _symmetric_near_singular(dense):
+        return None
+    inv = np.linalg.inv(dense)
+    streams = [trial_stream(master_seed, 2, t * x_draws + k) for k in range(x_draws)]
+    Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
+    return np.linalg.norm(inv @ Xs, axis=0), np.linalg.norm(inv)
+
+
 def inverse_image_experiment(
     params: EnsembleParams,
     eps: float,
@@ -154,41 +163,21 @@ def inverse_image_experiment(
         raise ParameterError("eps must lie in (0, 1)")
     if matrices < 1 or x_draws < 1:
         raise ParameterError("need at least one matrix and one draw")
-    n, p = params.n, params.p
-    excluded = 0
-    ratios_sq = []
-    lower_abs = []
-    markov = []
-    hs_lower = []
-    for t in range(matrices):
-        A = sample_matrix(params, RngStream(master_seed, t))
-        dense = A.to_dense()
-        if _symmetric_near_singular(dense):
-            excluded += 1
-            continue
-        inv = np.linalg.inv(dense)
-        hs = np.linalg.norm(inv)
-        Xs = np.column_stack(
-            [
-                sample_sparse_vector(n, p, params.dist, RngStream(master_seed, (2 << 32) + t * x_draws + k))
-                for k in range(x_draws)
-            ]
-        )
-        imgs = np.linalg.norm(inv @ Xs, axis=0)
-        ratios_sq.extend((imgs**2 / (p * hs * hs)).tolist())
-        lower_abs.extend((imgs >= 1.0 / c_bound).tolist())
-        markov.extend((imgs <= math.sqrt(p) * eps**-0.5 * hs).tolist())
-        hs_lower.extend((imgs >= math.sqrt(p) * eps * hs).tolist())
-    if not ratios_sq:
+    records = run_trials(partial(_inverse_image_trial, master_seed, x_draws), [params], matrices)[0]
+    kept = [r for r in records if r is not None]
+    if not kept:
         raise ParameterError("all sampled matrices were singular")
+    imgs = np.concatenate([img for img, _ in kept])
+    hs = np.repeat([h for _, h in kept], x_draws)
+    p = params.p
     return InverseImageReport(
         matrices=matrices,
         x_draws=x_draws,
-        excluded_singular=excluded,
-        identity_mean=float(np.mean(ratios_sq)),
-        freq_lower_abs=float(np.mean(lower_abs)),
-        freq_markov_upper=float(np.mean(markov)),
-        freq_hs_lower=float(np.mean(hs_lower)),
+        excluded_singular=matrices - len(kept),
+        identity_mean=float(np.mean(imgs**2 / (p * hs * hs))),
+        freq_lower_abs=float(np.mean(imgs >= 1.0 / c_bound)),
+        freq_markov_upper=float(np.mean(imgs <= math.sqrt(p) * eps**-0.5 * hs)),
+        freq_hs_lower=float(np.mean(imgs >= math.sqrt(p) * eps * hs)),
         eps=eps,
         c_bound=c_bound,
     )
@@ -216,6 +205,24 @@ class DistanceExperimentReport:
     holds_within_slack: bool
 
 
+def _distance_trial(
+    master_seed: int, eps: float, M: int, rho: float, params: EnsembleParams, c: int, t: int
+) -> DistanceExperimentRow:
+    n, p = params.n, params.p
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    evals, evecs = np.linalg.eigh(dense)
+    k = int(np.argmin(np.abs(evals)))
+    smin = abs(float(evals[k]))
+    v = evecs[:, k]
+    v = v / np.linalg.norm(v)
+    dist, _ = sparse_tail_distance(v, M)
+    incomp = dist > rho
+    lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
+    dists = all_column_distances(dense)
+    rhs_value = float(np.sum(dists <= math.sqrt(p) * eps)) / M
+    return DistanceExperimentRow(t, smin, incomp, lhs_event, rhs_value)
+
+
 def invertibility_via_distance_experiment(
     params: EnsembleParams,
     eps: float,
@@ -223,6 +230,7 @@ def invertibility_via_distance_experiment(
     rho: float,
     trials: int,
     master_seed: int = 0,
+    workers: int = 1,
 ) -> DistanceExperimentReport:
     """Monte Carlo check of the invertibility-via-distance inequality.
 
@@ -231,39 +239,19 @@ def invertibility_via_distance_experiment(
     over trials of (1/M) #{j : dist(A_j, H_j) <= sqrt(p) eps}.  The
     certified comparison allows one-sided CI slack on both estimates.
     """
-    n, p = params.n, params.p
-    if not 1 <= M < n:
+    if not 1 <= M < params.n:
         raise ParameterError("need 1 <= M < n")
     if eps < 0 or rho <= 0:
         raise ParameterError("need eps >= 0 and rho > 0")
     if trials < 0:
         raise ParameterError("trials must be nonnegative")
-    thr_lhs = eps * math.sqrt(p / n)
-    thr_rhs = math.sqrt(p) * eps
-    rows = []
-    rhs_vals = []
-    lhs_hits = 0
-    for t in range(trials):
-        A = sample_matrix(params, RngStream(master_seed, t))
-        dense = A.to_dense()
-        evals, evecs = np.linalg.eigh(dense)
-        k = int(np.argmin(np.abs(evals)))
-        smin = abs(float(evals[k]))
-        v = evecs[:, k]
-        v = v / np.linalg.norm(v)
-        dist, _ = sparse_tail_distance(v, M)
-        incomp = dist > rho
-        lhs_event = (smin <= thr_lhs) and incomp
-        dists = all_column_distances(dense)
-        rhs_value = float(np.sum(dists <= thr_rhs)) / M
-        lhs_hits += lhs_event
-        rhs_vals.append(rhs_value)
-        rows.append(DistanceExperimentRow(t, smin, incomp, lhs_event, rhs_value))
+    rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
     if trials == 0:
         return DistanceExperimentReport((), eps, M, rho, math.nan, (0.0, 1.0), math.nan, math.nan, True)
+    lhs_hits = sum(r.lhs_event for r in rows)
     lhs_hat = lhs_hits / trials
     lhs_ci = wilson_interval(lhs_hits, trials)
-    rhs_arr = np.asarray(rhs_vals)
+    rhs_arr = np.asarray([r.rhs_value for r in rows])
     rhs_hat = float(rhs_arr.mean())
     rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     holds = lhs_ci[0] <= rhs_hat + rhs_halfwidth
@@ -282,6 +270,23 @@ class StructureTheoremReport:
     survival_fractions: tuple[float, ...]
     rlcd_values: tuple[float, ...]
     constants: StructureConstants
+
+
+def _structure_trial(
+    master_seed: int, u: np.ndarray, consts: StructureConstants, budget: int, params: EnsembleParams, c: int, t: int
+):
+    """None for a singular A, else (incompressible, regularized LCD or None)."""
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    if _symmetric_near_singular(dense):
+        return None
+    x0 = np.linalg.solve(dense, u)
+    x0 = x0 / np.linalg.norm(x0)
+    dist, _ = sparse_tail_distance(x0, consts.sparsity_budget(params.n))
+    if dist <= consts.c_d:
+        return False, None
+    if spread_set(x0, consts) is None:
+        return True, None
+    return True, regularized_lcd(x0, consts, budget, trial_stream(master_seed, 1, t)).lower_bound
 
 
 def structure_theorem_experiment(
@@ -311,37 +316,19 @@ def structure_theorem_experiment(
     if thresholds is None:
         base = math.sqrt(consts.lam * n)
         thresholds = tuple(base * 2.0**k for k in range(7))
-    excluded = 0
-    incomp_hits = 0
-    spread_undef = 0
-    rlcd_values = []
-    m = consts.sparsity_budget(n)
-    for t in range(trials):
-        A = sample_matrix(params, RngStream(master_seed, t))
-        dense = A.to_dense()
-        if _symmetric_near_singular(dense):
-            excluded += 1
-            continue
-        x0 = np.linalg.solve(dense, u)
-        x0 = x0 / np.linalg.norm(x0)
-        dist, _ = sparse_tail_distance(x0, m)
-        if dist <= consts.c_d:
-            continue
-        incomp_hits += 1
-        if spread_set(x0, consts) is None:
-            spread_undef += 1
-            continue
-        res = regularized_lcd(x0, consts, budget, RngStream(master_seed, (1 << 32) + t))
-        rlcd_values.append(res.lower_bound)
-    effective = trials - excluded
-    incomp_fraction = incomp_hits / effective if effective else math.nan
+    records = run_trials(partial(_structure_trial, master_seed, u, consts, budget), [params], trials)[0]
+    kept = [r for r in records if r is not None]
+    incomp_hits = sum(incomp for incomp, _ in kept)
+    spread_undef = sum(incomp and value is None for incomp, value in kept)
+    rlcd_values = [value for _, value in kept if value is not None]
+    incomp_fraction = incomp_hits / len(kept) if kept else math.nan
     vals = np.asarray(rlcd_values)
     survival = tuple(
         float(np.mean(vals > thr)) if vals.size else math.nan for thr in thresholds
     )
     return StructureTheoremReport(
         trials=trials,
-        excluded_singular=excluded,
+        excluded_singular=trials - len(kept),
         incompressible_fraction=incomp_fraction,
         spread_undefined=spread_undef,
         thresholds=tuple(thresholds),
@@ -362,11 +349,24 @@ class QuadraticSmallballReport:
     slope_median: SlopeFit | None
 
 
+def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
+    """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_op sqrt(pn)), or None for a singular A."""
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    mags = np.abs(np.linalg.eigvalsh(dense))
+    top = float(mags.max())
+    if is_singular(float(mags.min()), top):
+        return None
+    X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
+    y = np.linalg.solve(dense, X)
+    return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= params.c_op * math.sqrt(params.p * params.n)
+
+
 def quadratic_smallball_experiment(
     params: EnsembleParams,
     eps_grid,
     trials: int,
     master_seed: int = 0,
+    workers: int = 1,
 ) -> QuadraticSmallballReport:
     """Tail curve of the self-normalized quadratic form of the inverse.
 
@@ -383,29 +383,12 @@ def quadratic_smallball_experiment(
         raise ParameterError("eps grid must be sorted ascending")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    n, p = params.n, params.p
-    op_thr = params.c_op * math.sqrt(p * n)
-    qs, dens, eops = [], [], []
-    excluded = 0
-    for t in range(trials):
-        A = sample_matrix(params, RngStream(master_seed, t))
-        dense = A.to_dense()
-        evals = np.linalg.eigvalsh(dense)
-        top = float(np.abs(evals).max())
-        if top == 0.0 or float(np.abs(evals).min()) < _SINGULAR_FLOOR * top:
-            excluded += 1
-            continue
-        X = sample_sparse_vector(n, p, params.dist, RngStream(master_seed, (1 << 32) + t))
-        y = np.linalg.solve(dense, X)
-        qs.append(float(y @ X))
-        dens.append(math.sqrt(1.0 + float(y @ y)))
-        eops.append(top <= op_thr)
-    if not qs:
+    records = run_trials(partial(_quadratic_trial, master_seed), [params], trials, workers)[0]
+    kept = [r for r in records if r is not None]
+    if not kept:
         raise ParameterError("all sampled matrices were singular")
-    qs_arr = np.asarray(qs)
-    dens_arr = np.asarray(dens)
-    eops_arr = np.asarray(eops)
-    sqrt_p = math.sqrt(p)
+    qs_arr, dens_arr, eops_arr = (np.asarray(col) for col in zip(*kept))
+    sqrt_p = math.sqrt(params.p)
 
     def curve(center: float) -> tuple[float, ...]:
         stat = np.abs(qs_arr - center) / dens_arr
@@ -426,7 +409,7 @@ def quadratic_smallball_experiment(
         p_hat_zero=p_zero,
         p_hat_median=p_med,
         trials=trials,
-        excluded_singular=excluded,
+        excluded_singular=trials - len(kept),
         slope_zero=try_fit(p_zero),
         slope_median=try_fit(p_med),
     )

@@ -13,18 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dormqr, dsterf, dsytrd, dsytrd_lwork
 
-from .ensemble import EnsembleParams, RngStream, SparseSymmetricMatrix, sample_matrix
+from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import CapabilityError, NumericalError, ParameterError
 
 DENSE_CAP = 2048
 
 # s_min below this multiple of eps * |A| is reported as exactly 0.
 _SINGULAR_FLOOR = 1e3 * np.finfo(np.float64).eps
+
+
+def is_singular(smin: float, smax: float) -> bool:
+    """The singular rule: s_min below the floor times s_max, or A = 0."""
+    return smin < _SINGULAR_FLOOR * smax or smax == 0.0
 
 
 def _as_dense(A) -> np.ndarray:
@@ -257,7 +263,7 @@ def spectral_summary(A, tol: float = 1e-10, cap: int = DENSE_CAP) -> SpectralSum
         evals = full_symmetric_spectrum(dense, cap=cap)
         smin = float(np.abs(evals).min())
         smax = float(np.abs(evals).max())
-        if smin < _SINGULAR_FLOOR * max(smax, 1e-300):
+        if is_singular(smin, smax):
             smin = 0.0
         method = "dense-oracle"
         residual = float(np.finfo(np.float64).eps * max(smax, 1.0) * n)
@@ -326,6 +332,25 @@ class NormBoundReport:
         return float(np.mean([r.bvh_satisfied for r in self.rows])) if self.rows else math.nan
 
 
+def _norm_bound_trial(
+    master_seed: int, cbar: float, eps: float, norm_tol: float, params: EnsembleParams, c: int, t: int
+) -> NormBoundRow:
+    n, p = params.n, params.p
+    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    norm = spectral_norm(dense, tol=norm_tol)
+    mask = (dense != 0.0).astype(np.float64)
+    row_counts = mask.sum(axis=1)
+    omega = bool(row_counts.max(initial=0.0) <= cbar * p * n)
+    # Gaussian comparison on the same realized mask.
+    g = trial_stream(master_seed, 1, t).generator().standard_normal((n, n))
+    g = np.triu(g) + np.triu(g, k=1).T
+    W = mask * g
+    wnorm = spectral_norm(W, tol=norm_tol) if np.any(W) else 0.0
+    bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
+    scale = math.sqrt(p * n) if p > 0 else 1.0
+    return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
+
+
 def norm_bound_experiment(
     params: EnsembleParams,
     trials: int,
@@ -333,6 +358,7 @@ def norm_bound_experiment(
     cbar: float = 2.0,
     eps: float = 0.5,
     norm_tol: float = 1e-7,
+    workers: int = 1,
 ) -> NormBoundReport:
     """Per-trial spectral norms plus the Gaussian comparison check.
 
@@ -345,32 +371,6 @@ def norm_bound_experiment(
         raise CapabilityError("norm bound experiment requires a sub-gaussian entry law")
     if trials < 0:
         raise ParameterError("trials must be nonnegative")
-    n, p = params.n, params.p
-    scale = math.sqrt(p * n) if p > 0 else 1.0
-    rows = []
-    for t in range(trials):
-        stream = RngStream(master_seed, t)
-        A = sample_matrix(params, stream)
-        dense = A.to_dense()
-        norm = spectral_norm(dense, tol=norm_tol)
-        mask = (dense != 0.0).astype(np.float64)
-        row_counts = mask.sum(axis=1)
-        omega = bool(row_counts.max(initial=0.0) <= cbar * p * n)
-        # Gaussian comparison on the same realized mask.
-        g_rng = RngStream(master_seed, (1 << 32) + t).generator()
-        g = g_rng.standard_normal((n, n))
-        g = np.triu(g) + np.triu(g, k=1).T
-        W = mask * g
-        wnorm = spectral_norm(W, tol=norm_tol) if np.any(W) else 0.0
-        bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
-        rows.append(
-            NormBoundRow(
-                trial=t,
-                norm=norm,
-                norm_over_sqrt_pn=norm / scale,
-                omega_event=omega,
-                bvh_bound=bound,
-                bvh_satisfied=wnorm <= bound,
-            )
-        )
+    kernel = partial(_norm_bound_trial, master_seed, cbar, eps, norm_tol)
+    rows = run_trials(kernel, [params], trials, workers)[0]
     return NormBoundReport(tuple(rows), cbar, eps, params.c_op)

@@ -142,3 +142,17 @@ def test_spectra_non_finite_matrix_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, value):
+    def never(*args, **kwargs):
+        raise AssertionError("spectra ran on a matrix that should not have loaded")
+
+    monkeypatch.setattr("ssrmlab.cli.spectral_summary", never)
+    path = tmp_path / "m.txt"
+    path.write_text(f"3 0.5 1 0\n0 0 1.0\n0 1 {value}\n2 2 2.0\n")
+    assert main(["spectra", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stored values must be finite\n"

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -15,8 +16,10 @@ from ssrmlab.ensemble import (
     load_matrix,
     parse_distribution,
     row_witness_sets,
+    run_trials,
     sample_matrix,
     sample_sparse_vector,
+    trial_stream,
     two_sided_tail_estimate,
 )
 from ssrmlab.errors import ParameterError
@@ -269,3 +272,54 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ParameterError):
             load_matrix(io.StringIO("3 0.5\n"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ParameterError, match="finite"):
+            load_matrix(io.StringIO(f"3 0.5 1 0\n0 0 1.0\n0 1 {value}\n2 2 2.0\n"))
+        with pytest.raises(ParameterError, match="finite"):
+            SparseSymmetricMatrix(2, [0], [1], [float(value)])
+
+
+def _draw(seed: int, cell: str, c: int, t: int) -> tuple:
+    return cell, c, t, float(trial_stream(seed, c, t).generator().random())
+
+
+class TestTrialStream:
+    def test_reproduces_legacy_ids(self):
+        seed, t, k, x_draws = 9, 5, 3, 7
+        for cell in (0, 1, 6):
+            assert trial_stream(seed, cell, t) == RngStream(seed, (cell << 32) | t)
+        assert trial_stream(seed, 1, t) == RngStream(seed, (1 << 32) + t)
+        assert trial_stream(seed, 2, t * x_draws + k) == RngStream(seed, (2 << 32) + t * x_draws + k)
+        assert trial_stream(seed, 0, t) == RngStream(seed, t)
+        assert trial_stream(seed, 0, 2**32 - 1).stream_id == 2**32 - 1
+
+    @pytest.mark.parametrize("index", [2**32, -1])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ParameterError, match="index"):
+            trial_stream(1, 0, index)
+
+
+class TestRunTrials:
+    CELLS = ("a", "b", "c")
+
+    def test_grid_order(self):
+        out = run_trials(functools.partial(_draw, 4), self.CELLS, 5)
+        assert [[r[:3] for r in recs] for recs in out] == [
+            [(cell, c, t) for t in range(5)] for c, cell in enumerate(self.CELLS)
+        ]
+
+    def test_workers_do_not_change_records(self):
+        # 13 trials at 3 workers run in chunks of 2 tasks, some straddling two cells.
+        kernel = functools.partial(_draw, 4)
+        assert run_trials(kernel, self.CELLS, 13, 3) == run_trials(kernel, self.CELLS, 13, 1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_zero_trials(self, workers):
+        assert run_trials(functools.partial(_draw, 4), self.CELLS, 0, workers) == [[], [], []]
+
+    def test_single_task_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr("ssrmlab.ensemble.ProcessPoolExecutor", None)
+        kernel = functools.partial(_draw, 4)
+        assert run_trials(kernel, ["a"], 1, 3) == run_trials(kernel, ["a"], 1)

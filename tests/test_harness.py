@@ -63,6 +63,14 @@ eps = 0.001,0.01,0.1
 """
 
 
+def _kind_config(kind: str) -> str:
+    """CONFIG_TEXT run as ``kind``; quadratic needs eps points its tail curve reaches."""
+    text = CONFIG_TEXT.replace("tail-sweep", kind)
+    if kind == "quadratic":
+        text = text.replace("eps = 0.001,0.01,0.1", "eps = 0.01,0.1,1.0,3.0,10.0")
+    return text
+
+
 def test_versions_agree():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
@@ -109,7 +117,7 @@ class TestTailEstimate:
 
 class TestConfig:
     def test_round_trip_lossless(self):
-        cfg = _config(extras={"eps": "0.25", "m": "12"})
+        cfg = _config(kind="distance-check", extras={"eps": "0.25", "m": "12"})
         assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_parse_reference_text(self):
@@ -258,11 +266,11 @@ class TestRun:
         assert meta["structure_constants"]["c_s"] == 0.1
         assert meta["artifact"].startswith("ssrmlab-")
 
-    @pytest.mark.parametrize("kind", ["tail-sweep", "scaling"])
+    @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
     def test_worker_count_does_not_change_csv(self, tmp_path, kind):
         out1 = tmp_path / "w1.csv"
         out8 = tmp_path / "w8.csv"
-        path = self._write_config(tmp_path, CONFIG_TEXT.replace("tail-sweep", kind))
+        path = self._write_config(tmp_path, _kind_config(kind))
         assert run(path, out=str(out1), workers=1) == 0
         assert run(path, out=str(out8), workers=8) == 0
         assert out1.read_bytes() == out8.read_bytes()
@@ -283,13 +291,63 @@ class TestRun:
     )
     def test_every_runner_emits_csv_and_sidecar(self, tmp_path, kind, first_columns):
         out = tmp_path / f"{kind}.csv"
-        text = CONFIG_TEXT.replace("tail-sweep", kind).replace("out.csv", str(out))
-        if kind == "quadratic":
-            text = text.replace("eps = 0.001,0.01,0.1", "eps = 0.01,0.1,1.0,3.0,10.0")
-        path = self._write_config(tmp_path, text)
+        path = self._write_config(tmp_path, _kind_config(kind).replace("out.csv", str(out)))
         assert run(path) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == f"# ssrmlab {kind} v1"
         assert lines[1].startswith(first_columns)
         assert len(lines) > 2
         assert (tmp_path / f"{kind}.csv.meta.json").exists()
+
+
+class TestConfigRejected:
+    """Each bad config ends in exit 2, one stderr line and no output, under --dry-run too."""
+
+    def _assert_rejected(self, tmp_path, capsys, text, needle):
+        out = tmp_path / "r.csv"
+        path = tmp_path / "cfg.ini"
+        path.write_text(text.replace("out.csv", str(out)))
+        for dry_run in (True, False):
+            assert run(str(path), dry_run=dry_run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and needle in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["norm-check", "distance-check", "smallball", "quadratic"])
+    @pytest.mark.parametrize("grid", [("n = 24", "n = 24,32"), ("p = 0.5", "p = 0.5,0.2")])
+    def test_single_cell_kind_rejects_grid(self, tmp_path, capsys, kind, grid):
+        self._assert_rejected(tmp_path, capsys, _kind_config(kind).replace(*grid), "one (n, p) cell")
+
+    def test_cbar_not_a_number(self, tmp_path, capsys):
+        text = _kind_config("norm-check") + "\n[params]\ncbar = two\n"
+        self._assert_rejected(tmp_path, capsys, text, "params.cbar")
+
+    def test_m_not_an_integer(self, tmp_path, capsys):
+        text = _kind_config("distance-check") + "\n[params]\nm = 1.5\n"
+        self._assert_rejected(tmp_path, capsys, text, "params.m")
+
+    def test_param_of_another_kind(self, tmp_path, capsys):
+        text = _kind_config("distance-check") + "\n[params]\ncbar = 2.0\n"
+        self._assert_rejected(tmp_path, capsys, text, "params.cbar")
+
+    def test_fractional_n(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("n = 24", "n = 50.9"), "grid.n")
+
+    def test_misspelled_key(self, tmp_path, capsys):
+        text = CONFIG_TEXT.replace("trials = 16", "trails = 2000")
+        self._assert_rejected(tmp_path, capsys, text, "experiment.trails")
+
+    def test_unknown_section(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("[grid]", "[gird]"), "[gird]")
+
+    def test_non_finite_value(self, tmp_path, capsys):
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("c_op = 3.0", "c_op = nan"), "ensemble.c_op")
+
+    def test_kind_override_rechecks_params(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(_kind_config("norm-check") + "\n[params]\ncbar = 2.0\n")
+        assert run(str(path), dry_run=True) == 0
+        capsys.readouterr()
+        assert run(str(path), dry_run=True, kind="distance-check") == 2
+        assert "params.cbar" in capsys.readouterr().err

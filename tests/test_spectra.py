@@ -10,6 +10,7 @@ from ssrmlab.spectra import (
     MaskProfile,
     bvh_bound,
     full_symmetric_spectrum,
+    is_singular,
     norm_bound_experiment,
     operator_norm_event,
     smallest_singular_value,
@@ -234,6 +235,18 @@ class TestNormBoundExperiment:
     def test_gaussian_comparison_bound_holds(self):
         report = norm_bound_experiment(EnsembleParams(200, 0.5, GAUSS), 10, master_seed=3)
         assert report.bvh_fraction >= 0.9
+
+
+class TestIsSingular:
+    @pytest.mark.parametrize("smax", [1e-3, 1.0, 1e6])
+    def test_floor_is_1e3_eps_relative(self, smax):
+        floor = 1e3 * np.finfo(np.float64).eps * smax
+        assert is_singular(0.0, smax)
+        assert is_singular(0.99 * floor, smax)
+        assert not is_singular(1.01 * floor, smax)
+
+    def test_zero_matrix_is_singular(self):
+        assert is_singular(0.0, 0.0)
 
 
 class TestSpectralSummary:

@@ -39,7 +39,7 @@ from .structure import (
     spread_set,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CapabilityError",

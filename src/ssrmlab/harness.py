@@ -37,7 +37,7 @@ from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -406,7 +406,9 @@ def write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> No
 
 
 def artifact_version_string(cfg: ExperimentConfig) -> str:
-    digest = hashlib.sha1(config_to_text(cfg).encode()).hexdigest()[:12]
+    """Name, version and a hash of the config.  The output path and the
+    worker count are left out of the hash: neither changes the CSV."""
+    digest = hashlib.sha1(config_to_text(replace(cfg, out="", workers=1)).encode()).hexdigest()[:12]
     return f"{ARTIFACT_NAME}-{ARTIFACT_VERSION}+cfg.{digest}"
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .ensemble import EntryDistribution, RngStream
 from .errors import CapabilityError, ParameterError
@@ -134,6 +133,8 @@ def levy_concentration_vector(
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != d:
             raise ParameterError("centers dimension mismatch")
+    # Imported here, so that importing ssrmlab (every CLI process) skips scipy.spatial.
+    from scipy.spatial import cKDTree
     tree = cKDTree(pts)
     counts = tree.query_ball_point(centers, r=eps, return_length=True)
     best = int(np.max(counts))

@@ -1,23 +1,24 @@
 """Eigenvalues, extreme singular values, and operator-norm experiments.
 
-The dense oracle is one LAPACK tridiagonalization (dsytrd) followed by
-dsterf for every eigenvalue, with a residual certificate on the two
-eigenpairs callers read: the smallest and the largest in magnitude.  The
-iterative paths (Python Householder reduction with Sturm-count bisection
-for the smallest singular value, power iteration for the spectral norm)
-are independent implementations so the two routes can cross-check each
-other.
+Every spectrum starts from one kernel, the LAPACK tridiagonalization
+T = Q^T A Q (dsytrd, blocked).  The dense oracle follows it with dsterf
+for every eigenvalue (implicit QL/QR) and a residual certificate on the
+two eigenpairs callers read, the smallest and the largest in magnitude.
+The extreme values alone (``spectral_norm``, ``smallest_singular_value``)
+come from dstebz bisection on T for single eigenvalues, a different
+eigenvalue algorithm, so the two routes still cross-check each other.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dormqr, dsterf, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dormqr, dstebz, dsterf, dsytrd, dsytrd_lwork
 
 from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import CapabilityError, NumericalError, ParameterError
@@ -26,6 +27,9 @@ DENSE_CAP = 2048
 
 # s_min below this multiple of eps * |A| is reported as exactly 0.
 _SINGULAR_FLOOR = 1e3 * np.finfo(np.float64).eps
+
+# dstebz's most accurate absolute tolerance (twice the underflow threshold).
+_STEBZ_ABSTOL = 2.0 * np.finfo(np.float64).tiny
 
 
 def is_singular(smin: float, smax: float) -> bool:
@@ -73,28 +77,25 @@ class SpectralSummary:
     residual: float
 
 
-def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
-    """All eigenvalues, ascending, via the dense oracle.
+def _tridiagonal(dense: np.ndarray):
+    """dsytrd on the lower triangle: (reflectors, diagonal, off-diagonal, tau)."""
+    # The queried workspace enables the blocked reduction; the default
+    # lwork=n runs the unblocked one at about half the speed.
+    lwork = int(dsytrd_lwork(dense.shape[0], lower=1)[0])
+    reflectors, diag, off, tau, info = dsytrd(dense, lower=1, lwork=lwork)
+    if info != 0:
+        raise NumericalError(f"dsytrd failed with info={info}")
+    return reflectors, diag, off, tau
 
-    dsytrd reduces the lower triangle to T = Q^T A Q and dsterf returns
-    every eigenvalue of T.  Before returning, the eigenvalues of smallest
-    and largest magnitude are certified: each gets an eigenvector z of T
-    by inverse iteration, v = Q z, and ||Av - lambda v|| / ||v|| must stay
-    within the contract 1e-10 * |A| * n.  By the residual theorem each of
-    the two then lies within its residual of an eigenvalue of A.
-    """
-    dense = _as_dense(A)
+
+def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float]:
+    """(ascending eigenvalues, worst residual of the two certified eigenpairs)."""
     n = dense.shape[0]
     if n > cap:
         raise CapabilityError(f"dense oracle capped at n={cap}, got n={n}")
     if n <= 1:
-        return dense.diagonal().copy()
-    # The queried workspace enables the blocked reduction; the default
-    # lwork=n runs the unblocked one at about half the speed.
-    lwork = int(dsytrd_lwork(n, lower=1)[0])
-    reflectors, diag, off, tau, info = dsytrd(dense, lower=1, lwork=lwork)
-    if info != 0:
-        raise NumericalError(f"dsytrd failed with info={info}")
+        return dense.diagonal().copy(), 0.0
+    reflectors, diag, off, tau = _tridiagonal(dense)
     evals, info = dsterf(diag, off)
     if info != 0:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
@@ -116,64 +117,37 @@ def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
     worst = float(residuals.max())
     if norm > 0 and not worst <= 1e-10 * norm * n:
         raise NumericalError(f"eigenpair residual {worst:g} out of contract")
-    return evals
+    return evals, worst
 
 
-def _tridiagonalize(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a symmetric matrix to tridiagonal form.
+def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
+    """All eigenvalues, ascending, via the dense oracle.
 
-    Returns (diagonal, off-diagonal).  Only the lower triangle of the
-    working copy is referenced through symmetric updates.
+    dsytrd reduces the lower triangle to T = Q^T A Q and dsterf returns
+    every eigenvalue of T.  Before returning, the eigenvalues of smallest
+    and largest magnitude are certified: each gets an eigenvector z of T
+    by inverse iteration, v = Q z, and ||Av - lambda v|| / ||v|| must stay
+    within the contract 1e-10 * |A| * n.  By the residual theorem each of
+    the two then lies within its residual of an eigenvalue of A.
     """
-    T = np.array(dense, dtype=np.float64, copy=True)
-    n = T.shape[0]
-    for k in range(n - 2):
-        x = T[k + 1 :, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        alpha = -math.copysign(nx, x[0] if x[0] != 0.0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        sub = T[k + 1 :, k + 1 :]
-        u = sub @ v
-        w = u - (v @ u) * v
-        sub -= 2.0 * np.outer(v, w)
-        sub -= 2.0 * np.outer(w, v)
-        T[k + 1 :, k + 1 :] = sub
-        T[k + 1, k] = T[k, k + 1] = alpha
-        T[k + 2 :, k] = 0.0
-        T[k, k + 2 :] = 0.0
-    diag = np.diag(T).copy()
-    off = np.diag(T, k=-1).copy() if n > 1 else np.zeros(0)
-    return diag, off
+    return _certified_spectrum(_as_dense(A), cap)[0]
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, t: float) -> int:
-    """Sturm count: number of eigenvalues of the tridiagonal matrix < t."""
-    tiny = np.finfo(np.float64).tiny
-    count = 0
-    d = 1.0
-    for i in range(diag.size):
-        e2 = off[i - 1] * off[i - 1] if i > 0 else 0.0
-        d = diag[i] - t - e2 / d
-        if d == 0.0:
-            d = -tiny
-        if d < 0.0:
-            count += 1
-    return count
+def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
+    """The k-th smallest eigenvalue (1-based) of the tridiagonal (diag, off), by dstebz."""
+    found, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, k, k, _STEBZ_ABSTOL, "E")
+    if info != 0 or found != 1:
+        raise NumericalError(f"dstebz failed with info={info} for eigenvalue {k}")
+    return float(w[0])
 
 
 def smallest_singular_value(A, tol: float = 1e-10) -> float:
-    """min |eigenvalue| by inertia bisection on the tridiagonalized matrix.
+    """min |eigenvalue|, within tol * max(1, |A|), or 0 when A is singular.
 
-    The bracket [lo, hi] shrinks until it is below the hybrid target
-    tol * max(1, |A|) and, away from zero, below ~1e-13 relative.
-    Matrices singular to working precision return 0.
+    One dsytrd, then dstebz bisection for single eigenvalues, run to
+    dstebz's full accuracy, which meets tol for any tol above the
+    reduction's backward error (about n eps |A|).  The result goes through
+    ``is_singular`` against |A| = max(-lambda_1, lambda_n).
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
@@ -181,92 +155,49 @@ def smallest_singular_value(A, tol: float = 1e-10) -> float:
     n = dense.shape[0]
     if n == 1:
         return abs(float(dense[0, 0]))
-    diag, off = _tridiagonalize(dense)
-    hi = float(np.max(np.abs(diag)) + 2.0 * (np.max(np.abs(off)) if off.size else 0.0))
-    if hi == 0.0:
-        return 0.0
-    norm_bound = hi
-
-    def eigs_inside(t: float) -> int:
-        return _count_below(diag, off, t) - _count_below(diag, off, -t)
-
-    lo = 0.0
-    abs_goal = tol * max(1.0, norm_bound)
-    floor_abs = _SINGULAR_FLOOR * norm_bound
-    for _ in range(3000):
-        width = hi - lo
-        if lo == 0.0:
-            # Either the matrix is singular (bracket collapses onto 0) or
-            # the first sub-s_min midpoint has not been probed yet.
-            if hi <= 0.25 * floor_abs:
-                break
-        elif width <= abs_goal and width <= 1e-13 * hi:
-            break
-        if width <= 4.0 * np.finfo(np.float64).eps * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if eigs_inside(mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    result = 0.5 * (lo + hi)
-    if result < floor_abs:
-        return 0.0
-    return result
+    _, diag, off, _ = _tridiagonal(dense)
+    eigenvalue = partial(_eigenvalue, diag, off)
+    # The inertia nu (count of negative eigenvalues) by binary search over
+    # the index; min |lambda| is then -lambda_nu or lambda_{nu+1}.
+    nu = bisect.bisect_left(range(1, n + 1), 0.0, key=eigenvalue)
+    smin = min(abs(eigenvalue(k)) for k in (nu, nu + 1) if 1 <= k <= n)
+    return 0.0 if is_singular(smin, max(-eigenvalue(1), eigenvalue(n))) else smin
 
 
-def spectral_norm(A, tol: float = 1e-9, max_iter: int = 100_000) -> float:
-    """max |eigenvalue| by power iteration on A^2.
+def spectral_norm(A, tol: float = 1e-9) -> float:
+    """max |eigenvalue| = max(-lambda_1, lambda_n), within tol * max(1, |A|).
 
-    Convergence is declared when the geometric-tail error estimate drops
-    below tol * max(1, estimate).
+    One dsytrd and two dstebz bisections at indices 1 and n, run to
+    dstebz's full accuracy, which meets tol for any tol above the
+    reduction's backward error (about n eps |A|).
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     dense = _as_dense(A)
     n = dense.shape[0]
-    if not np.any(dense):
-        return 0.0
-    # Deterministic start vector, keyed by the dimension only.
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xD1CE, n], dtype=np.uint64)))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est_prev = 0.0
-    diff_prev = math.inf
-    for _ in range(max_iter):
-        w = dense @ v
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        v = dense @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return est
-        v /= nv
-        diff = abs(est - est_prev)
-        if diff_prev > 0 and diff_prev < math.inf:
-            ratio = min(diff / diff_prev, 0.999)
-            tail = diff * ratio / (1.0 - ratio)
-        else:
-            tail = diff
-        if diff <= tol * max(1.0, est) and tail <= tol * max(1.0, est):
-            return est
-        est_prev, diff_prev = est, diff
-    raise NumericalError("power iteration did not converge")
+    if n <= 1 or not np.any(dense):
+        return float(np.abs(dense).max(initial=0.0))
+    _, diag, off, _ = _tridiagonal(dense)
+    return max(-_eigenvalue(diag, off, 1), _eigenvalue(diag, off, n))
 
 
 def spectral_summary(A, tol: float = 1e-10, cap: int = DENSE_CAP) -> SpectralSummary:
-    """s_min, s_max and condition number, dense under the cap else iterative."""
+    """s_min, s_max and condition number, dense under the cap else iterative.
+
+    ``residual`` is measured on the dense route: the larger of
+    ||Av - lambda v|| / ||v|| over the two reported eigenpairs.  Above the
+    cap no eigenvector is formed, and it is the bound tol * max(1, s_max)
+    that both extreme values meet.
+    """
     dense = _as_dense(A)
     n = dense.shape[0]
     if n <= cap:
-        evals = full_symmetric_spectrum(dense, cap=cap)
+        evals, residual = _certified_spectrum(dense, cap)
         smin = float(np.abs(evals).min())
         smax = float(np.abs(evals).max())
         if is_singular(smin, smax):
             smin = 0.0
         method = "dense-oracle"
-        residual = float(np.finfo(np.float64).eps * max(smax, 1.0) * n)
     else:
         smin = smallest_singular_value(dense, tol=tol)
         smax = spectral_norm(dense, tol=tol)
@@ -345,7 +276,7 @@ def _norm_bound_trial(
     g = trial_stream(master_seed, 1, t).generator().standard_normal((n, n))
     g = np.triu(g) + np.triu(g, k=1).T
     W = mask * g
-    wnorm = spectral_norm(W, tol=norm_tol) if np.any(W) else 0.0
+    wnorm = spectral_norm(W, tol=norm_tol)
     bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)

@@ -23,6 +23,9 @@ from .errors import CapabilityError, ParameterError
 
 _UNIT_TOL = 1e-9
 
+# Breakpoints generated, sorted and scanned at a time by ``lcd``.
+_LCD_WINDOW = 1 << 16
+
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -175,15 +178,144 @@ def _threshold_sq(theta, L: float):
     return L * L * np.log(np.maximum(theta / L, 1.0))
 
 
+def _rounded_coefficients(mid, x: np.ndarray):
+    """b and c of the intervals around ``mid`` by a direct rounding."""
+    m_round = np.round(np.outer(mid, x))
+    return -2.0 * (m_round @ x), (m_round * m_round).sum(axis=1)
+
+
+def _interval_minima(a: float, L: float, lo, hi, b, c):
+    """Per interval: f(lo), f(hi), the stationary point, whether it lies
+    inside, and min f, for f = a theta^2 + b theta + c - threshold^2."""
+
+    def f_at(theta):
+        return a * theta * theta + b * theta + c - _threshold_sq(theta, L)
+
+    f_lo = f_at(lo)
+    f_hi = f_at(hi)
+    # Interior stationary point of the convex difference:
+    # 2 a theta^2 + b theta - L^2 = 0.
+    disc = np.sqrt(b * b + 8.0 * a * L * L)
+    t_star = (-b + disc) / (4.0 * a)
+    inside = (t_star > lo) & (t_star < hi)
+    f_star = np.where(inside, f_at(np.where(inside, t_star, 0.5 * (lo + hi))), np.inf)
+    return f_lo, f_hi, t_star, inside, np.minimum(np.minimum(f_lo, f_hi), f_star)
+
+
+def _confirm(x: np.ndarray, a: float, L: float, left: float, right: float, tol: float) -> LcdResult | None:
+    """The first crossing in [left, right], with b and c from a direct
+    rounding at the interval's midpoint, or None when none is confirmed."""
+    lo, hi = np.array([left]), np.array([right])
+    b, c = _rounded_coefficients(0.5 * (lo + hi), x)
+    f_lo, f_hi, t_star, inside, f_min = _interval_minima(a, L, lo, hi, b, c)
+    if not f_min[0] < 0.0:
+        return None
+    lsq = L * L
+
+    def f_scalar(theta: float) -> float:
+        mm = np.round(theta * x)
+        d = theta * x - mm
+        return float(d @ d) - lsq * max(math.log(theta / L), 0.0)
+
+    t_min = float(t_star[0]) if inside[0] else (left if f_lo[0] < f_hi[0] else right)
+    if f_scalar(left) < 0.0:
+        root = left
+    else:
+        # Leftmost crossing lies in [left, t_neg] where f(t_neg) < 0.
+        t_neg = t_min
+        if f_scalar(t_neg) >= 0.0:
+            # Convex dip detected vectorized but endpoint noise: probe.
+            probes = np.linspace(left, right, 64)
+            neg = [p for p in probes if f_scalar(float(p)) < 0.0]
+            if not neg:
+                return None
+            t_neg = float(neg[0])
+        a_br, b_br = left, t_neg
+        while b_br - a_br > tol:
+            m_br = 0.5 * (a_br + b_br)
+            if f_scalar(m_br) < 0.0:
+                b_br = m_br
+            else:
+                a_br = m_br
+        root = 0.5 * (a_br + b_br)
+    witness = root + 0.5 * tol
+    if not (witness < right and f_scalar(witness) < 0.0):
+        witness = root
+    return LcdResult(
+        value=float(root),
+        witness_theta=float(witness),
+        witness_dist=_lattice_dist(float(witness), x),
+        capped=False,
+    )
+
+
+def _interval_windows(x: np.ndarray, L: float, theta_cap: float):
+    """Yield (lo, hi, b, c) for the breakpoint intervals of [L, theta_cap],
+    in order, about _LCD_WINDOW intervals at a time (see ``lcd``)."""
+    n = x.size
+    mags, mult = np.unique(np.abs(x[x != 0.0]), return_counts=True)
+    # Per magnitude, the next breakpoint index k to generate and the last.
+    k_next = np.maximum(np.ceil(L * mags - 0.5), 0.0)
+    k_last = np.floor(theta_cap * mags - 0.5)
+    span = _LCD_WINDOW / mags.sum()  # theta range holding about one window
+    edge, reach = L, L
+    while True:
+        reach += span
+        count = (np.minimum(np.floor(reach * mags - 0.5), k_last) - k_next + 1.0).clip(0.0).astype(np.int64)
+        which = np.repeat(np.arange(mags.size), count)
+        k = k_next[which] + (np.arange(which.size) - np.repeat(np.cumsum(count) - count, count))
+        points = (k + 0.5) / mags[which]
+        # Keep the breakpoints below every magnitude's first ungenerated
+        # one; the rest are generated again by the next window.
+        pending = k_next + count
+        open_ = pending <= k_last
+        limit = float(((pending[open_] + 0.5) / mags[open_]).min()) if open_.any() else math.inf
+        order = np.argsort(points, kind="stable")
+        order = order[: np.searchsorted(points[order], limit)]
+        which, k, points = which[order], k[order], points[order]
+        k_next = k_next + np.bincount(which, minlength=mags.size)
+        inner = (points > L) & (points < theta_cap)
+        which, k, points = which[inner], k[inner], points[inner]
+        grid, first = np.unique(points, return_index=True)
+        done = not open_.any()
+        hi = np.r_[grid, theta_cap] if done else grid
+        size = hi.size
+        if size:
+            lo = np.r_[edge, grid][:size]
+            rows = -(-size // n)
+            # Row-major (rows, n): entry j is the step into interval j.
+            b = np.zeros(rows * n)
+            c = np.zeros(rows * n)
+            b[1:size] = np.add.reduceat(-2.0 * mags[which] * mult[which], first)[: size - 1]
+            c[1:size] = np.add.reduceat((2.0 * k + 1.0) * mult[which], first)[: size - 1]
+            b, c = b.reshape(rows, n), c.reshape(rows, n)
+            b[:, 0], c[:, 0] = _rounded_coefficients(0.5 * (lo[::n] + hi[::n]), x)
+            yield lo, hi, b.cumsum(axis=1).ravel()[:size], c.cumsum(axis=1).ravel()[:size]
+            edge = float(hi[-1])
+        if done:
+            return
+
+
 def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdResult:
     """Least common denominator of a unit vector by event-driven scan.
 
     Scans theta in [L, theta_cap]: interval endpoints are the points
     where some theta * x_i crosses a half-integer (plus L itself, where
     the threshold kinks).  Within an interval f(theta) = dist^2 - threshold^2
-    is convex, so its minimum and leftmost root are found in closed form
-    plus a safeguarded bisection.  A capped result certifies
-    D >= theta_cap.
+    = a theta^2 + b theta + c - threshold^2 is convex, so its minimum and
+    leftmost root are found in closed form plus a safeguarded bisection.
+    A capped result certifies D >= theta_cap.
+
+    The filter costs O(1) per breakpoint, not O(n): at the breakpoint
+    (k + 1/2) / |x_i| the rounding r_i of theta |x_i| steps from k to k + 1
+    (for every coordinate of that magnitude), so b = -2 sum |x_i| r_i moves
+    by -2|x_i| and c = sum r_i^2, integer-valued and exact, by 2k + 1.  b
+    and c are re-anchored from a direct rounding at the midpoint of every
+    n-th interval, which keeps b's error within that of one direct
+    rounding's dot product.  Breakpoints are generated, sorted and scanned
+    in windows of a fixed size, so memory does not grow with n.  Each
+    interval the filter flags, within a slack for rounding, is evaluated
+    again from a direct rounding before the scalar confirmation.
 
     Guarantees: an uncapped value exceeds L and is at least
     1/(2||x||_inf) up to tol, since below that each |theta x_i| < 1/2, so
@@ -204,86 +336,19 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
         raise ParameterError("tol must be positive")
 
     a = float(x @ x)  # ~1 for unit input
-    mags = np.abs(x[x != 0.0])
-
-    # Half-integer crossing points of theta * |x_i| inside (L, cap).
-    breakpoints = [np.array([L, theta_cap])]
-    for m in np.unique(mags):
-        k_lo = max(0, math.ceil(L * m - 0.5))
-        k_hi = math.floor(theta_cap * m - 0.5)
-        if k_hi >= k_lo:
-            ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-            breakpoints.append((ks + 0.5) / m)
-    grid = np.unique(np.concatenate(breakpoints))
-    grid = grid[(grid >= L) & (grid <= theta_cap)]
-    if grid[0] > L:
-        grid = np.concatenate([[L], grid])
-    if grid[-1] < theta_cap:
-        grid = np.concatenate([grid, [theta_cap]])
-
-    lsq = L * L
-    chunk = 1 << 16
-    for start in range(0, grid.size - 1, chunk):
-        lo = grid[start : min(start + chunk, grid.size - 1)]
-        hi = grid[start + 1 : min(start + chunk, grid.size - 1) + 1]
-        mid = 0.5 * (lo + hi)
-        m_round = np.round(np.outer(mid, x))
-        b = -2.0 * (m_round @ x)
-        c = (m_round * m_round).sum(axis=1)
-
-        def f_at(theta):
-            return a * theta * theta + b * theta + c - _threshold_sq(theta, L)
-
-        f_lo = f_at(lo)
-        f_hi = f_at(hi)
-        # Interior stationary point of the convex difference:
-        # 2 a theta^2 + b theta - L^2 = 0.
-        disc = np.sqrt(b * b + 8.0 * a * lsq)
-        t_star = (-b + disc) / (4.0 * a)
-        inside = (t_star > lo) & (t_star < hi)
-        f_star = np.where(inside, f_at(np.where(inside, t_star, mid)), np.inf)
-        f_min = np.minimum(np.minimum(f_lo, f_hi), f_star)
-        hits = np.flatnonzero(f_min < 0.0)
-        if hits.size == 0:
-            continue
-        k = int(hits[0])
-
-        def f_scalar(theta: float) -> float:
-            mm = np.round(theta * x)
-            d = theta * x - mm
-            return float(d @ d) - lsq * max(math.log(theta / L), 0.0)
-
-        left, right = float(lo[k]), float(hi[k])
-        t_min = float(t_star[k]) if inside[k] else (left if f_lo[k] < f_hi[k] else right)
-        if f_scalar(left) < 0.0:
-            root = left
-        else:
-            # Leftmost crossing lies in [left, t_neg] where f(t_neg) < 0.
-            t_neg = t_min
-            if f_scalar(t_neg) >= 0.0:
-                # Convex dip detected vectorized but endpoint noise: probe.
-                probes = np.linspace(left, right, 64)
-                neg = [p for p in probes if f_scalar(float(p)) < 0.0]
-                if not neg:
-                    continue
-                t_neg = float(neg[0])
-            a_br, b_br = left, t_neg
-            while b_br - a_br > tol:
-                m_br = 0.5 * (a_br + b_br)
-                if f_scalar(m_br) < 0.0:
-                    b_br = m_br
-                else:
-                    a_br = m_br
-            root = 0.5 * (a_br + b_br)
-        witness = root + 0.5 * tol
-        if not (witness < right and f_scalar(witness) < 0.0):
-            witness = root
-        return LcdResult(
-            value=float(root),
-            witness_theta=float(witness),
-            witness_dist=_lattice_dist(float(witness), x),
-            capped=False,
-        )
+    eps = np.finfo(np.float64).eps
+    for lo, hi, b, c in _interval_windows(x, L, theta_cap):
+        f_min = _interval_minima(a, L, lo, hi, b, c)[-1]
+        # c is exact.  b carries fewer than n roundings of eps |b| past its
+        # anchor, and each direct rounding's dot product at most n more, so
+        # with |b| <= 2 theta + sqrt(n), b theta may differ from a direct
+        # evaluation by 6 n eps (theta + sqrt(n))^2: the slack is twice that
+        # plus the rounding of the evaluation itself.
+        slack = (16.0 * n + 64.0) * eps * (hi + math.sqrt(n)) ** 2
+        for j in np.flatnonzero(f_min < slack):
+            hit = _confirm(x, a, L, float(lo[j]), float(hi[j]), tol)
+            if hit is not None:
+                return hit
     return LcdResult(
         value=float(theta_cap),
         witness_theta=math.nan,

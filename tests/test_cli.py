@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssrmlab
 from ssrmlab import spectra
 from ssrmlab.cli import main
 from ssrmlab.ensemble import load_matrix
@@ -156,3 +160,13 @@ def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, va
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: stored values must be finite\n"
+
+
+def test_cli_import_skips_scipy_spatial():
+    # Every CLI process imports ssrmlab.cli; only the vector concentration
+    # estimator needs scipy.spatial.
+    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ssrmlab.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

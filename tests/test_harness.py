@@ -275,6 +275,17 @@ class TestRun:
         assert run(path, out=str(out8), workers=8) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    def test_artifact_id_ignores_output_and_workers(self, tmp_path):
+        def artifact(sub, workers, text=CONFIG_TEXT):
+            (tmp_path / sub).mkdir()
+            out = tmp_path / sub / "r.csv"
+            assert run(self._write_config(tmp_path / sub, text), out=str(out), workers=workers) == 0
+            return json.loads((tmp_path / sub / "r.csv.meta.json").read_text())["artifact"]
+
+        first = artifact("a", 1)
+        assert artifact("b", 2) == first
+        assert artifact("c", 1, CONFIG_TEXT.replace("seed = 7", "seed = 8")) != first
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(str(tmp_path / "missing.ini")) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssrmlab import spectra
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix
+from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import CapabilityError, NumericalError, ParameterError
 from ssrmlab.spectra import (
     MaskProfile,
@@ -134,6 +134,28 @@ class TestSmallestSingularValue:
         with pytest.raises(ParameterError):
             smallest_singular_value(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "A",
+        [np.zeros((5, 5)), np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]), 1e-200 * np.ones((3, 3))],
+        ids=["zero", "rank-one", "scaled-rank-one"],
+    )
+    def test_singular_inputs_return_zero(self, A):
+        assert smallest_singular_value(A) == 0.0
+
+    @pytest.mark.parametrize("factor,singular", [(0.5, True), (2.0, False)])
+    def test_is_singular_floor(self, factor, singular):
+        # Eigenvalues (-3, factor * floor, 7): only the value below the
+        # floor 1e3 eps |A| is reported as 0.
+        floor = 1e3 * np.finfo(np.float64).eps * 7.0
+        Q, _ = np.linalg.qr(np.random.default_rng(202).standard_normal((3, 3)))
+        A = (Q * [-3.0, factor * floor, 7.0]) @ Q.T
+        A = 0.5 * (A + A.T)
+        got = smallest_singular_value(A)
+        if singular:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(factor * floor, rel=1e-3)
+
 
 class TestSpectralNorm:
     def test_zero_matrix(self):
@@ -162,6 +184,19 @@ class TestSpectralNorm:
             A = sample_matrix(EnsembleParams(32, 0.5, GAUSS), RngStream(302, t)).to_dense()
             oracle = float(np.abs(full_symmetric_spectrum(A)).max())
             assert spectral_norm(A, tol=1e-10) == pytest.approx(oracle, rel=1e-8)
+
+    def test_meets_tol_on_norm_check_matrix(self):
+        # norm-check, seed 1, cell 0, trial 2 (n=500, p=0.1, rademacher).
+        # A power iteration on A^2 stopped 3.2e-6 short of |A| here, past
+        # the 1.4e-6 that tol=1e-7 allows.
+        A = sample_matrix(EnsembleParams(500, 0.1, RAD), trial_stream(1, 0, 2)).to_dense()
+        ref = float(np.abs(np.linalg.eigvalsh(A)).max())
+        tol = 1e-7
+        assert abs(spectral_norm(A, tol=tol) - ref) <= tol * max(1.0, ref)
+
+    def test_bad_tol(self):
+        with pytest.raises(ParameterError):
+            spectral_norm(np.eye(2), tol=-1.0)
 
 
 class TestOperatorNormEvent:
@@ -267,3 +302,27 @@ class TestSpectralSummary:
         assert iterative.method == "iterative"
         assert iterative.s_min == pytest.approx(dense.s_min, rel=1e-7)
         assert iterative.s_max == pytest.approx(dense.s_max, rel=1e-7)
+        assert iterative.residual == 1e-10 * max(1.0, iterative.s_max)
+
+    def test_dense_residual_is_measured(self, monkeypatch):
+        # Shift the smallest-magnitude eigenvalue by delta, far above the
+        # rounding noise and inside the certificate's bound: the reported
+        # residual must be ||Av - lambda v|| / ||v|| for the shifted lambda.
+        A = sample_matrix(EnsembleParams(40, 0.5, GAUSS), RngStream(306, 0)).to_dense()
+        evals, vecs = np.linalg.eigh(A)
+        k = int(np.argmin(np.abs(evals)))
+        delta = 1e-9 * np.abs(evals).max()
+        real_dsterf = spectra.dsterf
+
+        def shifted(d, e):
+            w, info = real_dsterf(d, e)
+            w[np.argmin(np.abs(w))] += delta
+            return w, info
+
+        monkeypatch.setattr(spectra, "dsterf", shifted)
+        summary = spectral_summary(A)
+        v = vecs[:, k]
+        lam = evals[k] + delta
+        expected = np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v)
+        assert summary.s_min == pytest.approx(abs(lam), rel=1e-9)
+        assert summary.residual == pytest.approx(expected, rel=1e-3)

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssrmlab import structure
 from ssrmlab.ensemble import RngStream
 from ssrmlab.errors import CapabilityError, ParameterError
 from ssrmlab.structure import (
@@ -42,6 +44,114 @@ def _lcd_grid_oracle(x, L, theta_max, step=1e-5):
             return float(grid[hits[0]])
         theta = hi
     return None
+
+
+def _lcd_interval_scan(x, L, theta_cap=None, tol=1e-9):
+    """Reference LCD scan: b and c of every interval by a direct rounding,
+    O(intervals * n) work.  Returns (value, capped)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    if theta_cap is None:
+        theta_cap = 10.0 * n * math.sqrt(n)
+        theta_cap = max(theta_cap, 2.0 * L)
+
+    def _threshold_sq(theta, L):
+        return L * L * np.log(np.maximum(theta / L, 1.0))
+
+    a = float(x @ x)  # ~1 for unit input
+    mags = np.abs(x[x != 0.0])
+
+    # Half-integer crossing points of theta * |x_i| inside (L, cap).
+    breakpoints = [np.array([L, theta_cap])]
+    for m in np.unique(mags):
+        k_lo = max(0, math.ceil(L * m - 0.5))
+        k_hi = math.floor(theta_cap * m - 0.5)
+        if k_hi >= k_lo:
+            ks = np.arange(k_lo, k_hi + 1, dtype=np.float64)
+            breakpoints.append((ks + 0.5) / m)
+    grid = np.unique(np.concatenate(breakpoints))
+    grid = grid[(grid >= L) & (grid <= theta_cap)]
+    if grid[0] > L:
+        grid = np.concatenate([[L], grid])
+    if grid[-1] < theta_cap:
+        grid = np.concatenate([grid, [theta_cap]])
+
+    lsq = L * L
+    chunk = 1 << 16
+    for start in range(0, grid.size - 1, chunk):
+        lo = grid[start : min(start + chunk, grid.size - 1)]
+        hi = grid[start + 1 : min(start + chunk, grid.size - 1) + 1]
+        mid = 0.5 * (lo + hi)
+        m_round = np.round(np.outer(mid, x))
+        b = -2.0 * (m_round @ x)
+        c = (m_round * m_round).sum(axis=1)
+
+        def f_at(theta):
+            return a * theta * theta + b * theta + c - _threshold_sq(theta, L)
+
+        f_lo = f_at(lo)
+        f_hi = f_at(hi)
+        # Interior stationary point of the convex difference:
+        # 2 a theta^2 + b theta - L^2 = 0.
+        disc = np.sqrt(b * b + 8.0 * a * lsq)
+        t_star = (-b + disc) / (4.0 * a)
+        inside = (t_star > lo) & (t_star < hi)
+        f_star = np.where(inside, f_at(np.where(inside, t_star, mid)), np.inf)
+        f_min = np.minimum(np.minimum(f_lo, f_hi), f_star)
+        hits = np.flatnonzero(f_min < 0.0)
+        if hits.size == 0:
+            continue
+        k = int(hits[0])
+
+        def f_scalar(theta: float) -> float:
+            mm = np.round(theta * x)
+            d = theta * x - mm
+            return float(d @ d) - lsq * max(math.log(theta / L), 0.0)
+
+        left, right = float(lo[k]), float(hi[k])
+        t_min = float(t_star[k]) if inside[k] else (left if f_lo[k] < f_hi[k] else right)
+        if f_scalar(left) < 0.0:
+            root = left
+        else:
+            # Leftmost crossing lies in [left, t_neg] where f(t_neg) < 0.
+            t_neg = t_min
+            if f_scalar(t_neg) >= 0.0:
+                # Convex dip detected vectorized but endpoint noise: probe.
+                probes = np.linspace(left, right, 64)
+                neg = [p for p in probes if f_scalar(float(p)) < 0.0]
+                if not neg:
+                    continue
+                t_neg = float(neg[0])
+            a_br, b_br = left, t_neg
+            while b_br - a_br > tol:
+                m_br = 0.5 * (a_br + b_br)
+                if f_scalar(m_br) < 0.0:
+                    b_br = m_br
+                else:
+                    a_br = m_br
+            root = 0.5 * (a_br + b_br)
+        return float(root), False
+    return float(theta_cap), True
+
+
+def _lcd_test_vectors(count, seed):
+    """(x, L, theta_cap): unit vectors with n <= 60, Gaussian, sparse, and
+    lattice-like ones whose magnitudes tie (small integers, some of them
+    repeated); every fourth gets a low cap that most scans reach."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(1, 61))
+        kind = t % 3
+        if kind == 0:
+            x = rng.standard_normal(n)
+        elif kind == 1:
+            x = rng.standard_normal(n) * (rng.random(n) < 0.3)
+            x[int(rng.integers(n))] = 1.0
+        else:
+            x = rng.integers(-3, 4, size=n).astype(np.float64)
+            x[int(rng.integers(n))] = 2.0
+        L = 1.0 + t % 3
+        yield x / np.linalg.norm(x), L, (L + 5.0 if t % 4 == 3 else None)
 
 
 # Constants sized so that n=24 vectors have a 6-element spread set and
@@ -249,6 +359,57 @@ class TestLcd:
     def test_zero_vector_rejected(self):
         with pytest.raises(ParameterError):
             lcd(np.zeros(4), 1.0)
+
+    def test_agrees_with_interval_scan(self):
+        tol = 1e-9
+        for x, L, cap in _lcd_test_vectors(300, seed=15):
+            res = lcd(x, L, theta_cap=cap, tol=tol)
+            value, capped = _lcd_interval_scan(x, L, theta_cap=cap, tol=tol)
+            assert res.capped == capped
+            assert abs(res.value - value) <= tol
+
+    @staticmethod
+    def _check_windows(x, L, cap):
+        """The windows tile [L, cap] with the breakpoint grid; c equals a
+        direct rounding's exactly and b within the running sum's bound."""
+        n = x.size
+        eps = np.finfo(np.float64).eps
+        mags = np.unique(np.abs(x[x != 0.0]))
+        steps = [(np.arange(max(0, math.ceil(L * m - 0.5)), math.floor(cap * m - 0.5) + 1) + 0.5) / m for m in mags]
+        grid = np.unique(np.concatenate([[L, cap], *steps]))
+        grid = grid[(grid >= L) & (grid <= cap)]
+        lo, hi, b, c = map(np.concatenate, zip(*structure._interval_windows(x, L, cap)))
+        assert np.array_equal(lo, grid[:-1]) and np.array_equal(hi, grid[1:])
+        # Tied breakpoints can land a few ulps apart; at the midpoint of
+        # such an interval a direct rounding is itself ambiguous.
+        wide = hi - lo > 1e-9 * hi
+        lo, hi, b, c = lo[wide], hi[wide], b[wide], c[wide]
+        m_round = np.round(np.outer(0.5 * (lo + hi), x))
+        assert np.array_equal(c, (m_round * m_round).sum(axis=1))
+        assert np.all(np.abs(b + 2.0 * (m_round @ x)) <= 3.0 * n * eps * (2.0 * hi + math.sqrt(n)))
+
+    @pytest.mark.parametrize("window", [5, 64, 1 << 16])
+    def test_running_sums_match_direct_rounding(self, monkeypatch, window):
+        monkeypatch.setattr(structure, "_LCD_WINDOW", window)
+        for x, L, cap in _lcd_test_vectors(40, seed=17):
+            self._check_windows(x, L, cap or 20.0 * L)
+
+    def test_running_sums_reanchored(self):
+        # n=2 and 2.8e5 intervals: b's steps repeat, so without a
+        # re-anchor every n intervals its rounding error grows linearly.
+        self._check_windows(np.array([0.6, 0.8]), 1.0, 2e5)
+
+    def test_memory_does_not_grow_with_breakpoints(self):
+        # n=250 has about 5e5 breakpoints below the default cap; scanning
+        # them all at once takes about 400 MB.
+        x = _unit(np.random.default_rng(16), 250)
+        tracemalloc.start()
+        try:
+            lcd(x, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_bad_cap(self):
         e1 = np.zeros(4)

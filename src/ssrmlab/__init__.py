@@ -7,71 +7,63 @@ and LCD search in :mod:`ssrmlab.structure`; concentration estimators in
 :mod:`ssrmlab.smallball`; distance identities and inverse-based
 experiments in :mod:`ssrmlab.inverse_geometry`; sweeps, config files and
 CSV emission in :mod:`ssrmlab.harness`.
+
+The names below are imported from their submodules on first access
+(PEP 562), so ``import ssrmlab`` loads no submodule and a CLI process
+loads scipy only when its subcommand runs a LAPACK kernel.
 """
 
-from .ensemble import (
-    EnsembleParams,
-    EntryDistribution,
-    RngStream,
-    SparseSymmetricMatrix,
-    sample_matrix,
-    sample_sparse_vector,
-)
-from .errors import CapabilityError, ConfigError, NumericalError, ParameterError
-from .harness import ExperimentConfig, TailEstimate, exponent_fit, run, tail_sweep
-from .smallball import ConcentrationEstimate, levy_concentration_scalar, levy_concentration_vector
-from .spectra import (
-    MaskProfile,
-    SpectralSummary,
-    bvh_bound,
-    full_symmetric_spectrum,
-    operator_norm_event,
-    smallest_singular_value,
-    spectral_norm,
-)
-from .structure import (
-    LcdResult,
-    RegularizedLcdResult,
-    StructureConstants,
-    StructureReport,
-    lcd,
-    regularized_lcd,
-    spread_set,
-)
+import importlib
 
 __version__ = "0.3.0"
 
-__all__ = [
-    "CapabilityError",
-    "ConcentrationEstimate",
-    "ConfigError",
-    "EnsembleParams",
-    "EntryDistribution",
-    "ExperimentConfig",
-    "LcdResult",
-    "MaskProfile",
-    "NumericalError",
-    "ParameterError",
-    "RegularizedLcdResult",
-    "RngStream",
-    "SparseSymmetricMatrix",
-    "SpectralSummary",
-    "StructureConstants",
-    "StructureReport",
-    "TailEstimate",
-    "bvh_bound",
-    "exponent_fit",
-    "full_symmetric_spectrum",
-    "lcd",
-    "levy_concentration_scalar",
-    "levy_concentration_vector",
-    "operator_norm_event",
-    "regularized_lcd",
-    "run",
-    "sample_matrix",
-    "sample_sparse_vector",
-    "smallest_singular_value",
-    "spectral_norm",
-    "spread_set",
-    "tail_sweep",
-]
+# Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "EnsembleParams": "ensemble",
+    "EntryDistribution": "ensemble",
+    "RngStream": "ensemble",
+    "SparseSymmetricMatrix": "ensemble",
+    "sample_matrix": "ensemble",
+    "sample_sparse_vector": "ensemble",
+    "CapabilityError": "errors",
+    "ConfigError": "errors",
+    "NumericalError": "errors",
+    "ParameterError": "errors",
+    "ExperimentConfig": "harness",
+    "TailEstimate": "harness",
+    "exponent_fit": "harness",
+    "run": "harness",
+    "tail_sweep": "harness",
+    "ConcentrationEstimate": "smallball",
+    "levy_concentration_scalar": "smallball",
+    "levy_concentration_vector": "smallball",
+    "MaskProfile": "spectra",
+    "SpectralSummary": "spectra",
+    "bvh_bound": "spectra",
+    "full_symmetric_spectrum": "spectra",
+    "operator_norm_event": "spectra",
+    "smallest_singular_value": "spectra",
+    "spectral_norm": "spectra",
+    "LcdResult": "structure",
+    "RegularizedLcdResult": "structure",
+    "StructureConstants": "structure",
+    "StructureReport": "structure",
+    "lcd": "structure",
+    "regularized_lcd": "structure",
+    "spread_set": "structure",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

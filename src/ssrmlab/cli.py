@@ -18,7 +18,6 @@ import numpy as np
 from . import harness
 from .ensemble import RngStream, dump_matrix, load_matrix, parse_distribution, sample_matrix, EnsembleParams
 from .errors import CapabilityError, NumericalError, ParameterError
-from .spectra import spectral_summary
 from .structure import StructureConstants, classify_vector, lcd
 
 
@@ -34,31 +33,19 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
+# CLI flag of a [structure] config key, where it is not the key itself.
+_CONSTANT_FLAGS = {"l": "scale-l"}
+
+
 def _constants_from_args(args) -> StructureConstants:
-    kwargs = {}
-    for attr, name in (
-        ("c_s", "c_s"),
-        ("c_d", "c_d"),
-        ("c_oo", "c_oo"),
-        ("lam", "lam"),
-        ("L", "scale_l"),
-        ("delta0", "delta0"),
-        ("c_p", "c_p"),
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[attr] = value
-    return StructureConstants(**kwargs)
+    values = {attr: getattr(args, attr) for attr in harness.STRUCTURE_KEYS.values()}
+    return StructureConstants(**{attr: v for attr, v in values.items() if v is not None})
 
 
 def _add_constants_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c-s", dest="c_s", type=float, default=None)
-    parser.add_argument("--c-d", dest="c_d", type=float, default=None)
-    parser.add_argument("--c-oo", dest="c_oo", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--scale-l", dest="scale_l", type=float, default=None)
-    parser.add_argument("--delta0", dest="delta0", type=float, default=None)
-    parser.add_argument("--c-p", dest="c_p", type=float, default=None)
+    for key, attr in harness.STRUCTURE_KEYS.items():
+        flag = _CONSTANT_FLAGS.get(key, key.replace("_", "-"))
+        parser.add_argument(f"--{flag}", dest=attr, type=float, default=None)
 
 
 def _cmd_generate(args) -> int:
@@ -73,6 +60,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    from .spectra import spectral_summary  # loads scipy; imported here so other subcommands skip it
+
     A, header = load_matrix(args.matrix)
     summary = spectral_summary(A, tol=args.tol)
     _emit(

@@ -99,6 +99,8 @@ class EntryDistribution:
         a = math.sqrt((1.0 - prob) / prob)
         q = 1.0 - prob
         m4 = q * q / prob + prob * prob / q
+        if not math.isfinite(m4):
+            raise ParameterError(f"two-point prob {prob!r} gives an infinite fourth moment")
         return cls("two-point-general", fourth_moment=m4, a=a, prob=prob)
 
     @property

@@ -12,10 +12,13 @@ fixed, so the CSV is byte-identical at any worker count.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -31,7 +34,6 @@ from .ensemble import (
     trial_stream,
 )
 from .errors import ConfigError, NumericalError, ParameterError
-from .spectra import DENSE_CAP, full_symmetric_spectrum, is_singular, smallest_singular_value, spectral_norm
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants
 
@@ -52,7 +54,7 @@ EXPERIMENT_KINDS = (
 SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
 
 # [structure] keys and the StructureConstants fields they set.
-_STRUCTURE_KEYS = {
+STRUCTURE_KEYS = {
     "c_s": "c_s", "c_d": "c_d", "c_oo": "c_oo", "lambda": "lam", "l": "L", "delta0": "delta0", "c_p": "c_p"
 }
 
@@ -61,7 +63,7 @@ _SECTION_KEYS = {
     "experiment": ("kind", "trials", "seed", "workers", "out"),
     "ensemble": ("dist", "c_op"),
     "grid": ("n", "p", "eps"),
-    "structure": tuple(_STRUCTURE_KEYS),
+    "structure": tuple(STRUCTURE_KEYS),
 }
 
 
@@ -132,6 +134,19 @@ class ExperimentConfig:
             raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
         for key in self.extras:
             self.param(key)
+        if self.kind != "smallball":  # every other kind samples matrices
+            for n in self.n_grid:
+                for p in self.p_grid:
+                    try:
+                        self.params_for(n, p)
+                    except ParameterError as exc:
+                        raise ConfigError(f"bad cell n={n}, p={p:g} (section [grid]): {exc}") from None
+                    if p < 1.0 / n:
+                        raise ConfigError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
+        if self.kind == "distance-check":
+            n, m = self.n_grid[0], self.param("m", self.n_grid[0] // 2)
+            if not 1 <= m < n:
+                raise ConfigError(f"distance-check needs 1 <= params.m < n, got m={m}, n={n}")
 
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
@@ -158,7 +173,7 @@ def _dist_to_text(dist: EntryDistribution) -> str:
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config to the flat key-value format (lossless round-trip)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["experiment"] = {
         "kind": cfg.kind,
         "trials": str(cfg.trials),
@@ -206,7 +221,7 @@ def _parse_floats(text: str, where: str) -> tuple[float, ...]:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -248,7 +263,7 @@ def config_from_text(text: str) -> ExperimentConfig:
     eps_grid = _parse_floats(_get(cp, "grid", "eps", "0.001"), "grid.eps")
     kwargs = {}
     if cp.has_section("structure"):
-        for key, attr in _STRUCTURE_KEYS.items():
+        for key, attr in STRUCTURE_KEYS.items():
             if cp.has_option("structure", key):
                 try:
                     kwargs[attr] = _finite(cp["structure"][key])
@@ -288,6 +303,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, t: int) -> tuple[float, float]:
     """(s_min, s_max) of the realization of trial t in cell c."""
+    from .spectra import DENSE_CAP, full_symmetric_spectrum, is_singular, smallest_singular_value, spectral_norm
+
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
     if params.n <= DENSE_CAP:
         evals = np.abs(full_symmetric_spectrum(dense))
@@ -297,6 +314,10 @@ def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, 
 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:
+    # Imported before run_trials forks its pool, so the workers inherit
+    # spectra and scipy instead of each importing them again.
+    from . import spectra  # noqa: F401
+
     params = [cfg.params_for(n, p) for n, p in cells]
     return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
 
@@ -310,12 +331,9 @@ def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
 
     One realization per (cell, trial) serves the whole eps grid, so
     success counts are exactly nondecreasing in eps within a cell.
-    Infeasible cells with p < 1/n are rejected up front.
+    ``ExperimentConfig`` has already rejected cells with p < 1/n.
     """
     cells = [(n, p) for n in cfg.n_grid for p in cfg.p_grid]
-    for n, p in cells:
-        if p < 1.0 / n:
-            raise ParameterError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
     rows: list[TailEstimate] = []
     for (n, p), vals in zip(cells, _extreme_values(cfg, cells)):
         op_thr = cfg.c_op * math.sqrt(p * n)
@@ -348,8 +366,6 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
     Exactly singular realizations are counted separately, never folded
     into medians.  The ratio column compares consecutive n at fixed p.
     """
-    if len(cfg.n_grid) < 1:
-        raise ParameterError("scaling needs a nonempty n grid")
     cells = [(n, p) for p in cfg.p_grid for n in cfg.n_grid]
     out = []
     prev_by_p: dict[float, float] = {}
@@ -438,59 +454,56 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
 
 
 # ---------------------------------------------------------------------------
-# run(): dispatch a named experiment from a config file.
+# run(): dispatch a named experiment from a config file.  Each runner
+# returns the CSV header, the CSV rows and the sidecar's results block.
 
-def _run_tail_sweep(cfg: ExperimentConfig) -> dict:
+_Table = tuple[list[str], list[list], dict]
+
+
+def _run_tail_sweep(cfg: ExperimentConfig) -> _Table:
     rows = tail_sweep(cfg)
-    write_csv(
-        cfg.out,
-        "tail-sweep",
+    fit = exponent_fit(rows)
+    return (
         ["n", "p", "eps", "successes", "trials", "p_hat", "wilson_lo", "wilson_hi"],
         [[r.n, r.p, r.eps, r.successes, r.trials, r.p_hat, r.wilson_lo, r.wilson_hi] for r in rows],
+        {"exponent_fit": None if fit is None else asdict(fit)},
     )
-    fit = exponent_fit(rows)
-    extra = {"exponent_fit": None if fit is None else asdict(fit)}
-    return extra
 
 
-def _run_scaling(cfg: ExperimentConfig) -> dict:
+def _run_scaling(cfg: ExperimentConfig) -> _Table:
     report = scaling_consistency(cfg)
-    write_csv(
-        cfg.out,
-        "scaling",
+    return (
         ["n", "p", "trials", "median_smin_scaled", "median_cond_over_n", "singular_count", "ratio_to_prev"],
         [
             [c.n, c.p, c.trials, c.median_smin_scaled, c.median_cond_over_n, c.singular_count,
              "" if c.ratio_to_prev is None else _fmt(c.ratio_to_prev)]
             for c in report.cells
         ],
+        {},
     )
-    return {}
 
 
-def _run_norm_check(cfg: ExperimentConfig) -> dict:
+def _run_norm_check(cfg: ExperimentConfig) -> _Table:
     from .spectra import norm_bound_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
     cbar, eps = cfg.param("cbar", 2.0), cfg.param("bvh_eps", 0.5)
     rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar, eps, workers=cfg.workers)
-    write_csv(
-        cfg.out,
-        "norm-check",
+    return (
         ["trial", "norm", "norm_over_sqrt_pn", "omega_event", "bvh_bound", "bvh_satisfied"],
         [[r.trial, r.norm, r.norm_over_sqrt_pn, r.omega_event, r.bvh_bound, r.bvh_satisfied] for r in rep.rows],
+        {
+            "n": n,
+            "p": p,
+            "mean_ratio": rep.mean_ratio,
+            "violation_fraction": rep.violation_fraction,
+            "omega_fraction": rep.omega_fraction,
+            "bvh_fraction": rep.bvh_fraction,
+        },
     )
-    return {
-        "n": n,
-        "p": p,
-        "mean_ratio": rep.mean_ratio,
-        "violation_fraction": rep.violation_fraction,
-        "omega_fraction": rep.omega_fraction,
-        "bvh_fraction": rep.bvh_fraction,
-    }
 
 
-def _run_distance_check(cfg: ExperimentConfig) -> dict:
+def _run_distance_check(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import invertibility_via_distance_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
@@ -498,22 +511,20 @@ def _run_distance_check(cfg: ExperimentConfig) -> dict:
     rep = invertibility_via_distance_experiment(
         cfg.params_for(n, p), eps, M, rho, cfg.trials, cfg.master_seed, workers=cfg.workers
     )
-    write_csv(
-        cfg.out,
-        "distance-check",
+    return (
         ["trial", "s_min", "minimizer_incompressible", "lhs_event", "rhs_value"],
         [[r.trial, r.s_min, r.minimizer_incompressible, r.lhs_event, r.rhs_value] for r in rep.rows],
+        {
+            "lhs_hat": rep.lhs_hat,
+            "lhs_ci": list(rep.lhs_ci),
+            "rhs_hat": rep.rhs_hat,
+            "rhs_halfwidth": rep.rhs_halfwidth,
+            "holds_within_slack": rep.holds_within_slack,
+        },
     )
-    return {
-        "lhs_hat": rep.lhs_hat,
-        "lhs_ci": list(rep.lhs_ci),
-        "rhs_hat": rep.rhs_hat,
-        "rhs_halfwidth": rep.rhs_halfwidth,
-        "holds_within_slack": rep.holds_within_slack,
-    }
 
 
-def _run_smallball(cfg: ExperimentConfig) -> dict:
+def _run_smallball(cfg: ExperimentConfig) -> _Table:
     from .smallball import lcd_smallball_bound, levy_concentration_scalar
     from .structure import lcd
 
@@ -533,24 +544,27 @@ def _run_smallball(cfg: ExperimentConfig) -> dict:
             ratios.append(est.value / bracket)
     c_hat = max(ratios) if ratios else math.nan
     rows = [row + [row[1] <= c_hat * row[3] + 1e-12] for row in rows]
-    write_csv(cfg.out, "smallball", ["eps", "estimate", "ci", "bound_bracket", "pass"], rows)
-    return {"fitted_constant": c_hat, "lcd_value": d.value, "lcd_capped": d.capped}
+    return (
+        ["eps", "estimate", "ci", "bound_bracket", "pass"],
+        rows,
+        {"fitted_constant": c_hat, "lcd_value": d.value, "lcd_capped": d.capped},
+    )
 
 
-def _run_quadratic(cfg: ExperimentConfig) -> dict:
+def _run_quadratic(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import quadratic_smallball_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
     rep = quadratic_smallball_experiment(cfg.params_for(n, p), cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers)
-    rows = []
-    for eps, pz, pm in zip(rep.eps_grid, rep.p_hat_zero, rep.p_hat_median):
-        rows.append([eps, pz, pm])
-    write_csv(cfg.out, "quadratic", ["eps", "p_hat_zero", "p_hat_median"], rows)
-    return {
-        "excluded_singular": rep.excluded_singular,
-        "slope_zero": None if rep.slope_zero is None else asdict(rep.slope_zero),
-        "slope_median": None if rep.slope_median is None else asdict(rep.slope_median),
-    }
+    return (
+        ["eps", "p_hat_zero", "p_hat_median"],
+        [list(row) for row in zip(rep.eps_grid, rep.p_hat_zero, rep.p_hat_median)],
+        {
+            "excluded_singular": rep.excluded_singular,
+            "slope_zero": None if rep.slope_zero is None else asdict(rep.slope_zero),
+            "slope_median": None if rep.slope_median is None else asdict(rep.slope_median),
+        },
+    )
 
 
 _RUNNERS = {
@@ -563,6 +577,22 @@ _RUNNERS = {
 }
 
 
+def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list], extra: dict) -> None:
+    """Write the CSV and its sidecar under temporary names beside
+    ``cfg.out`` and rename both only once both are complete, so a failed
+    write leaves neither file."""
+    stage = f"{cfg.out}.{os.getpid()}.tmp"
+    try:
+        write_csv(stage, cfg.kind, header, rows)
+        write_sidecar(stage, cfg, extra)
+        os.replace(stage + ".meta.json", cfg.out + ".meta.json")
+        os.replace(stage, cfg.out)
+    finally:
+        for path in (stage, stage + ".meta.json"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+
+
 def run(
     config_path: str,
     dry_run: bool = False,
@@ -573,11 +603,10 @@ def run(
 ) -> int:
     """Dispatch the experiment named in the config; returns an exit status.
 
-    Writes the CSV and a JSON sidecar next to it.  On any failed
-    precondition the diagnostic goes to stderr and the status is nonzero.
+    Writes the CSV and a JSON sidecar next to it, both or neither.  On any
+    failed precondition the diagnostic goes to stderr and the status is
+    nonzero.
     """
-    import sys
-
     try:
         cfg = load_config(config_path)
         if seed is not None:
@@ -597,12 +626,8 @@ def run(
             f"trials/cell={cfg.trials} eps points={len(cfg.eps_grid)} -> {cfg.out}"
         )
         return 0
-    runner = _RUNNERS.get(cfg.kind)
-    if runner is None:
-        print(f"unknown experiment kind {cfg.kind!r}", file=sys.stderr)
-        return 2
     try:
-        extra = runner(cfg)
+        _write_outputs(cfg, *_RUNNERS[cfg.kind](cfg))
     except ParameterError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
@@ -612,5 +637,4 @@ def run(
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
-    write_sidecar(cfg.out, cfg, extra)
     return 0

@@ -9,8 +9,9 @@ import pytest
 
 import ssrmlab
 from ssrmlab import spectra
-from ssrmlab.cli import main
+from ssrmlab.cli import _constants_from_args, build_parser, main
 from ssrmlab.ensemble import load_matrix
+from ssrmlab.structure import StructureConstants
 
 CONFIG_TEXT = """
 [experiment]
@@ -73,6 +74,13 @@ def test_structure_subcommand(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["comp_member"] is False
     assert record["spread_set"] == list(range(math.ceil(0.025 * n)))
+
+
+def test_structure_flags_set_every_constant():
+    flags = ["--c-s", "0.2", "--c-d", "0.3", "--c-oo", "0.05", "--lambda", "0.02", "--scale-l", "2", "--delta0", "0.2", "--c-p", "0.5"]
+    args = build_parser().parse_args(["structure", "--vector", "v.txt", *flags])
+    expected = StructureConstants(c_s=0.2, c_d=0.3, c_oo=0.05, lam=0.02, L=2.0, delta0=0.2, c_p=0.5)
+    assert _constants_from_args(args) == expected
 
 
 def test_tail_sweep_dry_run(tmp_path, capsys):
@@ -153,7 +161,7 @@ def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, va
     def never(*args, **kwargs):
         raise AssertionError("spectra ran on a matrix that should not have loaded")
 
-    monkeypatch.setattr("ssrmlab.cli.spectral_summary", never)
+    monkeypatch.setattr("ssrmlab.spectra.spectral_summary", never)
     path = tmp_path / "m.txt"
     path.write_text(f"3 0.5 1 0\n0 0 1.0\n0 1 {value}\n2 2 2.0\n")
     assert main(["spectra", "--matrix", str(path)]) == 2
@@ -162,11 +170,74 @@ def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, va
     assert captured.err == "error: stored values must be finite\n"
 
 
-def test_cli_import_skips_scipy_spatial():
-    # Every CLI process imports ssrmlab.cli; only the vector concentration
-    # estimator needs scipy.spatial.
+def _python(code: str, cwd) -> str:
+    """Last stdout line of ``code`` run in a fresh interpreter that imports ssrmlab from this checkout."""
     src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ssrmlab.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return out.stdout.splitlines()[-1]
+
+
+def _loaded_after_cli(argv: list[str], cwd) -> dict:
+    """Exit status of ``ssrmlab ARGV`` in a fresh process and which heavy modules it loaded."""
+    code = (
+        "import json, sys\n"
+        "from ssrmlab.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(json.dumps({'status': status, 'scipy': 'scipy' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules}))"
+    )
+    return json.loads(_python(code, cwd))
+
+
+def test_cli_import_skips_scipy_spatial(tmp_path):
+    # Every CLI process imports ssrmlab.cli; only the vector concentration
+    # estimator needs scipy.spatial.
+    assert _python("import sys, ssrmlab.cli; print('scipy.spatial' in sys.modules)", tmp_path) == "False"
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    code = "import sys, ssrmlab; print(sorted(m for m in sys.modules if m.startswith('ssrmlab.')))"
+    assert _python(code, tmp_path) == "[]"
+
+
+@pytest.mark.parametrize("module", ["ssrmlab", "ssrmlab.cli"])
+def test_import_skips_scipy(tmp_path, module):
+    assert _python(f"import sys, {module}; print('scipy' in sys.modules)", tmp_path) == "False"
+
+
+def _kind_config(tmp_path, kind: str) -> str:
+    cfg = tmp_path / f"{kind}.ini"
+    cfg.write_text(CONFIG_TEXT.replace("tail-sweep", kind).format(out=tmp_path / f"{kind}.csv"))
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lcd", "--vector", "v.txt"],
+        ["structure", "--vector", "v.txt"],
+        ["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"],
+        ["smallball", "--config", "smallball.ini", "--workers", "1"],
+        ["smallball", "--config", "smallball.ini", "--workers", "2"],
+    ],
+    ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
+)
+def test_subcommand_skips_scipy(tmp_path, argv):
+    (tmp_path / "v.txt").write_text("0.5 0.5 0.5 0.5 0.1 -0.3\n")
+    _kind_config(tmp_path, "smallball")
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "spectra": False}
+
+
+@pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
+def test_dry_run_skips_scipy(tmp_path, kind):
+    argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "spectra": False}
+
+
+def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
+    # The pool workers inherit spectra from the parent instead of each
+    # importing scipy again.
+    argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "spectra": True}

@@ -55,6 +55,11 @@ class TestEntryDistribution:
         with pytest.raises(ParameterError):
             EntryDistribution("two-point-general", fourth_moment=1.0, a=5.0, prob=0.5)
 
+    def test_two_point_infinite_moment_rejected(self):
+        # prob = 1e-320 gives an infinite atom, which no matrix can hold.
+        with pytest.raises(ParameterError, match="infinite"):
+            EntryDistribution.two_point(1e-320)
+
     def test_parse(self):
         assert parse_distribution("gaussian").kind == "standard-gaussian"
         assert parse_distribution("two-point:0.25").prob == 0.25

@@ -1,15 +1,21 @@
 import json
 import re
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ssrmlab
 from ssrmlab.ensemble import EntryDistribution
 from ssrmlab.errors import ConfigError, ParameterError
+from ssrmlab import harness
 from ssrmlab.harness import (
     ARTIFACT_VERSION,
+    EXPERIMENT_KINDS,
+    SINGLE_CELL_KINDS,
     ExperimentConfig,
     TailEstimate,
     config_from_text,
@@ -150,9 +156,9 @@ class TestConfig:
 
 class TestTailSweep:
     def test_infeasible_cell_rejected(self):
-        cfg = _config(n_grid=(10,), p_grid=(0.05,))
+        # The config itself rejects the cell, before any sweep can start.
         with pytest.raises(ParameterError, match="infeasible"):
-            tail_sweep(cfg)
+            tail_sweep(_config(n_grid=(10,), p_grid=(0.05,)))
 
     def test_eps_zero_continuous_never_singular(self):
         cfg = _config(dist=EntryDistribution.standard_gaussian(), eps_grid=(0.0,), trials=20)
@@ -286,6 +292,24 @@ class TestRun:
         assert artifact("b", 2) == first
         assert artifact("c", 1, CONFIG_TEXT.replace("seed = 7", "seed = 8")) != first
 
+    def test_failed_sidecar_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        def failing(csv_path, cfg, extra=None):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "write_sidecar", failing)
+        out = tmp_path / "r.csv"
+        assert run(self._write_config(tmp_path, CONFIG_TEXT), out=str(out)) == 1
+        assert capsys.readouterr().err == "cannot write output: disk full\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
+
+    def test_rerun_replaces_both_outputs(self, tmp_path):
+        out = tmp_path / "r.csv"
+        path = self._write_config(tmp_path, CONFIG_TEXT)
+        assert run(path, out=str(out), seed=1) == 0
+        assert run(path, out=str(out), seed=2) == 0
+        assert json.loads((tmp_path / "r.csv.meta.json").read_text())["config"]["seed"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "r.csv", "r.csv.meta.json"]
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(str(tmp_path / "missing.ini")) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -355,6 +379,38 @@ class TestConfigRejected:
     def test_non_finite_value(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("c_op = 3.0", "c_op = nan"), "ensemble.c_op")
 
+    @pytest.mark.parametrize("m", ["25", "20", "0"])
+    def test_distance_check_m_out_of_range(self, tmp_path, capsys, m):
+        text = _kind_config("distance-check").replace("n = 24", "n = 20") + f"\n[params]\nm = {m}\n"
+        self._assert_rejected(tmp_path, capsys, text, "1 <= params.m < n")
+
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k != "smallball"])
+    def test_sparsity_below_one_over_n(self, tmp_path, capsys, kind):
+        text = _kind_config(kind).replace("n = 24", "n = 20").replace("p = 0.5", "p = 0.01")
+        self._assert_rejected(tmp_path, capsys, text, "infeasible cell n=20, p=0.01")
+
+    def test_sparsity_below_one_over_n_in_second_cell(self, tmp_path, capsys):
+        text = _kind_config("scaling").replace("n = 24", "n = 24,400").replace("p = 0.5", "p = 0.5,0.002")
+        self._assert_rejected(tmp_path, capsys, text, "infeasible cell n=24, p=0.002")
+
+    @pytest.mark.parametrize("grid", [("n = 24", "n = 1"), ("p = 0.5", "p = 1.5")])
+    def test_cell_outside_ensemble(self, tmp_path, capsys, grid):
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace(*grid), "(section [grid])")
+
+    def test_smallball_samples_no_matrix(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        path = tmp_path / "cfg.ini"
+        path.write_text(_kind_config("smallball").replace("n = 24", "n = 20").replace("p = 0.5", "p = 0.01"))
+        assert run(str(path), out=str(out)) == 0
+        assert out.exists()
+
+    def test_percent_sign_in_output_path(self, tmp_path, capsys):
+        out = tmp_path / "100%.csv"
+        path = tmp_path / "cfg.ini"
+        path.write_text(CONFIG_TEXT.replace("out.csv", str(out)))
+        assert run(str(path), dry_run=True) == 0
+        assert capsys.readouterr().out.endswith("-> " + str(out) + "\n")
+
     def test_kind_override_rechecks_params(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(_kind_config("norm-check") + "\n[params]\ncbar = 2.0\n")
@@ -362,3 +418,110 @@ class TestConfigRejected:
         capsys.readouterr()
         assert run(str(path), dry_run=True, kind="distance-check") == 2
         assert "params.cbar" in capsys.readouterr().err
+
+
+def _finite_floats(**kwargs):
+    return st.floats(allow_nan=False, allow_infinity=False, **kwargs)
+
+
+def _open_unit():
+    return _finite_floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _configs(draw) -> ExperimentConfig:
+    kind = draw(st.sampled_from(EXPERIMENT_KINDS))
+    cells = 1 if kind in SINGLE_CELL_KINDS else 3
+    n_grid = tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=cells)))
+    p_grid = tuple(draw(st.lists(_finite_floats(min_value=1.0 / min(n_grid), max_value=1.0), min_size=1, max_size=cells)))
+    dist = draw(
+        st.one_of(
+            st.sampled_from(
+                [EntryDistribution.rademacher(), EntryDistribution.standard_gaussian(), EntryDistribution.uniform_symmetric()]
+            ),
+            _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(EntryDistribution.two_point),
+        )
+    )
+    c_s, c_d = draw(_open_unit()), draw(_open_unit())
+    c_oo = draw(_finite_floats(min_value=max(0.25 * c_s * c_d**2, 1e-6), max_value=0.25))
+    constants = StructureConstants(
+        c_s=c_s,
+        c_d=c_d,
+        c_oo=c_oo,
+        lam=draw(_finite_floats(min_value=0.0, max_value=c_oo, exclude_min=True, exclude_max=True)),
+        L=draw(_finite_floats(min_value=1.0, max_value=1e6)),
+        delta0=draw(_open_unit()),
+        c_p=draw(_open_unit()),
+    )
+    number = _finite_floats().map(repr)
+    if kind == "norm-check":
+        extras = draw(st.dictionaries(st.sampled_from(["cbar", "bvh_eps"]), number))
+    elif kind == "distance-check":
+        extras = draw(st.dictionaries(st.sampled_from(["eps", "rho"]), number))
+        extras.update(draw(st.dictionaries(st.just("m"), st.integers(1, n_grid[0] - 1).map(str))))
+    else:
+        extras = {}
+    return ExperimentConfig(
+        kind=kind,
+        dist=dist,
+        c_op=draw(_finite_floats(min_value=0.0, exclude_min=True)),
+        constants=constants,
+        eps_grid=tuple(draw(st.lists(_finite_floats(), min_size=1, max_size=4))),
+        n_grid=n_grid,
+        p_grid=p_grid,
+        trials=draw(st.integers(1, 10**9)),
+        master_seed=draw(st.integers(-(2**70), 2**70)),
+        workers=draw(st.integers(1, 64)),
+        out=draw(st.text(string.ascii_letters + string.digits + "._-/%", min_size=1)),
+        extras=extras,
+    )
+
+
+# Config text built from the sections and keys a config admits, with
+# values that are right for the key, wrong for it, or arbitrary, plus at
+# most one stray line, so that the fuzz reaches past the first parse error.
+_ADMITTED = {
+    "experiment": {"kind": list(EXPERIMENT_KINDS), "trials": ["8"], "seed": ["3"], "workers": ["2"], "out": ["r.csv"]},
+    "ensemble": {"dist": ["rademacher", "gaussian", "two-point:0.3"], "c_op": ["3.0"]},
+    "grid": {"n": ["24", "24,400"], "p": ["0.5", "0.5,1"], "eps": ["0.01,0.1"]},
+    "structure": {k: ["0.02", "0.5", "2"] for k in ("c_s", "c_d", "c_oo", "lambda", "l", "delta0", "c_p")},
+    "params": {"cbar": ["2"], "bvh_eps": ["0.5"], "eps": ["0.1"], "m": ["12"], "rho": ["0.1"]},
+}
+_WRONG = [
+    "", "0", "-1", "1e-320", "1e400", "nan", "inf", "50.9", "1e300", ",", "x", "%", "%(kind)s", "%%",
+    "two-point:0", "two-point:1e-320", "two-point:x", "cauchy",
+]
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    lines = []
+    for section, keys in _ADMITTED.items():
+        if section != "experiment" and draw(st.integers(0, 3)) == 0:
+            continue
+        lines.append(f"[{section}]")
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True))
+        if section == "experiment" and "kind" not in chosen:
+            chosen.append("kind")
+        for key in chosen:
+            wrong = st.one_of(st.sampled_from(_WRONG), st.text(st.characters(exclude_characters="\r\n")))
+            lines.append(f"{key} = {draw(st.one_of(st.sampled_from(keys[key]), wrong))}")
+    for stray in draw(st.lists(st.sampled_from(["[gird]", "[params]", "trails = 2", "kind = scaling", "= 1", "n"]), max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigHypothesis:
+    @settings(max_examples=200, deadline=None)
+    @given(_configs())
+    def test_text_round_trip(self, cfg):
+        assert config_from_text(config_to_text(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _config_texts()))
+    def test_parses_or_raises_config_error(self, text):
+        try:
+            cfg = config_from_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)

@@ -15,7 +15,7 @@ loads scipy only when its subcommand runs a LAPACK kernel.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {

@@ -21,12 +21,21 @@ from .errors import CapabilityError, NumericalError, ParameterError
 from .structure import StructureConstants, classify_vector, lcd
 
 
-def _read_vector(path: str) -> np.ndarray:
+def _read_unit_vector(path: str) -> np.ndarray:
+    vals = []
     with open(path, "r", encoding="utf-8") as fh:
-        vals = [float(tok) for tok in fh.read().split()]
-    if not vals:
-        raise ParameterError(f"no numbers in {path!r}")
-    return np.asarray(vals)
+        for k, line in enumerate(fh, 1):
+            for tok in line.split():
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    raise ParameterError(f"{path!r} line {k}: {tok!r} is not a number") from None
+    x = np.asarray(vals)
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{path!r}: vector entries must be finite")
+    if not np.any(x):
+        raise ParameterError(f"no nonzero numbers in {path!r}")
+    return x / np.linalg.norm(x)
 
 
 def _emit(record: dict) -> None:
@@ -78,11 +87,7 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_lcd(args) -> int:
-    x = _read_vector(args.vector)
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        raise ParameterError("zero vector")
-    x = x / nrm
+    x = _read_unit_vector(args.vector)
     res = lcd(x, args.scale_l, theta_cap=args.cap, tol=args.tol)
     _emit(
         {
@@ -98,11 +103,7 @@ def _cmd_lcd(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    x = _read_vector(args.vector)
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        raise ParameterError("zero vector")
-    x = x / nrm
+    x = _read_unit_vector(args.vector)
     consts = _constants_from_args(args)
     report = classify_vector(x, consts, alpha=args.alpha)
     _emit(

@@ -390,37 +390,28 @@ def dump_matrix(
 
 
 def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:
-    """Inverse of :func:`dump_matrix`; returns the matrix and header fields."""
+    """Inverse of :func:`dump_matrix`; returns the matrix and header fields.
+    A malformed line raises ParameterError naming the source and the line."""
     if isinstance(source, (str, bytes)):
+        name = source
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
+        name = getattr(source, "name", "<stream>")
         text = source.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
-        raise ParameterError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ParameterError("header must be 'n p seed stream'")
-    n = int(head[0])
-    header = {
-        "n": n,
-        "p": float(head[1]),
-        "seed": int(head[2]),
-        "stream": int(head[3]),
-    }
-    rows, cols, vals = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParameterError(f"bad entry line {ln!r}")
-        rows.append(int(parts[0]))
-        cols.append(int(parts[1]))
-        vals.append(float(parts[2]))
-    A = SparseSymmetricMatrix(
-        n,
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=np.float64),
-    )
-    return A, header
+        raise ParameterError(f"empty matrix file {name!r}")
+
+    def fields(k: int, parts: list[str], types: tuple, form: str) -> list:
+        try:  # a wrong field count is a ValueError from zip(strict=True)
+            return [parse(tok) for parse, tok in zip(types, parts, strict=True)]
+        except ValueError:
+            raise ParameterError(f"{name!r} line {k}: expected {form!r}, got {' '.join(parts)!r}") from None
+
+    (k0, head), *entries = lines
+    n, p, seed, stream = fields(k0, head, (int, float, int, int), "n p seed stream")
+    triples = [fields(k, parts, (int, int, float), "i j value") for k, parts in entries]
+    rows, cols, vals = zip(*triples) if triples else ((), (), ())
+    A = SparseSymmetricMatrix(n, np.array(rows, np.int64), np.array(cols, np.int64), np.array(vals, np.float64))
+    return A, {"n": n, "p": p, "seed": seed, "stream": stream}

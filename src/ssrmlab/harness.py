@@ -39,7 +39,7 @@ from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -144,9 +144,17 @@ class ExperimentConfig:
                     if p < 1.0 / n:
                         raise ConfigError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
         if self.kind == "distance-check":
-            n, m = self.n_grid[0], self.param("m", self.n_grid[0] // 2)
+            n, (eps, m, rho) = self.n_grid[0], self.distance_params()
             if not 1 <= m < n:
                 raise ConfigError(f"distance-check needs 1 <= params.m < n, got m={m}, n={n}")
+            if eps < 0 or rho <= 0:
+                raise ConfigError(f"distance-check needs params.eps >= 0 and params.rho > 0, got eps={eps:g}, rho={rho:g}")
+        if self.kind == "norm-check" and not 0.0 < self.param("bvh_eps", 0.5) <= 0.5:
+            raise ConfigError(f"norm-check needs params.bvh_eps in (0, 1/2], got {self.param('bvh_eps'):g}")
+        if self.kind in ("smallball", "quadratic") and min(self.eps_grid) < 0:
+            raise ConfigError(f"{self.kind} needs grid.eps >= 0, got {min(self.eps_grid):g}")
+        if self.kind == "quadratic" and list(self.eps_grid) != sorted(self.eps_grid):
+            raise ConfigError("quadratic needs grid.eps sorted ascending")
 
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
@@ -160,6 +168,10 @@ class ExperimentConfig:
             return parse(self.extras[key]) if key in self.extras else default
         except ValueError:
             raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
+
+    def distance_params(self) -> tuple[float, int, float]:
+        """distance-check's (eps, m, rho); unset, they are grid.eps[0], n // 2 and structure.c_d."""
+        return self.param("eps", self.eps_grid[0]), self.param("m", self.n_grid[0] // 2), self.param("rho", self.constants.c_d)
 
     def params_for(self, n: int, p: float) -> EnsembleParams:
         return EnsembleParams(n=n, p=p, dist=self.dist, c_op=self.c_op)
@@ -187,16 +199,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "p": ",".join(f"{v:.17g}" for v in cfg.p_grid),
         "eps": ",".join(f"{v:.17g}" for v in cfg.eps_grid),
     }
-    c = cfg.constants
-    cp["structure"] = {
-        "c_s": f"{c.c_s:.17g}",
-        "c_d": f"{c.c_d:.17g}",
-        "c_oo": f"{c.c_oo:.17g}",
-        "lambda": f"{c.lam:.17g}",
-        "l": f"{c.L:.17g}",
-        "delta0": f"{c.delta0:.17g}",
-        "c_p": f"{c.c_p:.17g}",
-    }
+    cp["structure"] = {key: f"{getattr(cfg.constants, attr):.17g}" for key, attr in STRUCTURE_KEYS.items()}
     if cfg.extras:
         cp["params"] = dict(cfg.extras)
     buf = io.StringIO()
@@ -392,10 +395,7 @@ def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
     eps points have p_hat > 0 with a Wilson interval excluding zero.
     """
     usable = [(r.eps, r.p_hat) for r in rows if r.p_hat > 0 and r.wilson_lo > 0 and r.eps > 0]
-    if len(usable) < 4:
-        return None
-    xs, ys = zip(*usable)
-    return fit_loglog_slope(xs, ys)
+    return fit_loglog_slope(*zip(*usable)) if len(usable) >= 4 else None
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def _run_distance_check(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import invertibility_via_distance_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
-    eps, M, rho = cfg.param("eps", cfg.eps_grid[0]), cfg.param("m", n // 2), cfg.param("rho", cfg.constants.c_d)
+    eps, M, rho = cfg.distance_params()
     rep = invertibility_via_distance_experiment(
         cfg.params_for(n, p), eps, M, rho, cfg.trials, cfg.master_seed, workers=cfg.workers
     )
@@ -534,8 +534,7 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
     # One sample set serves the whole eps grid (monotone estimates).
     kernel = partial(_smallball_sum, cfg.master_seed, p, cfg.dist)
     sums = np.array(run_trials(kernel, [x], cfg.trials, cfg.workers)[0])
-    rows = []
-    ratios = []
+    rows, ratios = [], []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))
         bracket = lcd_smallball_bound(x, cfg.constants.L, p, eps, d.value)

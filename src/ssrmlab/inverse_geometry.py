@@ -1,8 +1,11 @@
 """Distance-to-subspace identities and the incompressible-vector experiments.
 
-Everything inverse-based runs dense under the spectra cap; realizations
-singular to working precision are excluded and counted, never silently
-folded into averages.
+Every eigenvalue here comes from the one kernel in ``spectra``: its
+``_extreme_singular_values`` for every singular check and the quadratic
+trial's operator norm, its ``_certified_spectrum`` for the distance-check
+trial's s_min and certified eigenvector.  Realizations singular to
+working precision are excluded and counted, never silently folded into
+averages.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from functools import partial
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesv
 
 from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
-from .errors import ParameterError
-from .spectra import _as_dense, is_singular
+from .errors import NumericalError, ParameterError
+from .spectra import _as_dense, _certified_spectrum, _extreme_singular_values
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants, regularized_lcd, sparse_tail_distance, spread_set
 
@@ -37,9 +41,13 @@ class InverseImageStats:
     singular: bool = False
 
 
-def _symmetric_near_singular(dense: np.ndarray) -> bool:
-    mags = np.abs(np.linalg.eigvalsh(dense))
-    return is_singular(float(mags.min()), float(mags.max()))
+def _solve(dense: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs by LU (dgesv) on scipy's OpenBLAS, the one the spectra kernel uses: trials
+    that alternated with numpy's OpenBLAS, whose idle threads spin, ran 2-5x slower at two."""
+    _, _, x, info = dgesv(dense, rhs)
+    if info != 0:
+        raise NumericalError(f"dgesv met an exactly singular pivot (info={info})")
+    return x
 
 
 def distance_to_complement_span(A, j: int) -> float:
@@ -80,9 +88,9 @@ def quadratic_form_distance(A) -> DistanceRecord:
     B = dense[1:, 1:]
     X = dense[1:, 0]
     a11 = float(dense[0, 0])
-    if _symmetric_near_singular(B):
+    if _extreme_singular_values(B)[0] == 0.0:
         return DistanceRecord(0, geometric, None, True)
-    y = np.linalg.solve(B, X)
+    y = _solve(B, X)
     value = abs(float(y @ X) - a11) / math.sqrt(1.0 + float(y @ y))
     return DistanceRecord(0, geometric, value, False)
 
@@ -96,9 +104,8 @@ def all_column_distances(A) -> np.ndarray:
     """
     dense = _as_dense(A)
     n = dense.shape[0]
-    if not _symmetric_near_singular(dense):
-        inv = np.linalg.inv(dense)
-        return 1.0 / np.linalg.norm(inv, axis=0)
+    if _extreme_singular_values(dense)[0] > 0.0:
+        return 1.0 / np.linalg.norm(_solve(dense, np.eye(n)), axis=0)
     return np.array([distance_to_complement_span(dense, j) for j in range(n)])
 
 
@@ -110,11 +117,11 @@ def inverse_image_stats(A, X, p: float = 1.0) -> InverseImageStats:
         raise ParameterError("X dimension mismatch")
     if not 0.0 < p <= 1.0:
         raise ParameterError("p must lie in (0, 1]")
-    if _symmetric_near_singular(dense):
+    if _extreme_singular_values(dense)[0] == 0.0:
         return InverseImageStats(math.nan, math.nan, math.nan, singular=True)
-    inv = np.linalg.inv(dense)
+    inv = _solve(dense, np.eye(len(dense)))
     hs = float(np.linalg.norm(inv))
-    img = float(np.linalg.norm(np.linalg.solve(dense, X)))
+    img = float(np.linalg.norm(_solve(dense, X)))
     ratio = img / (math.sqrt(p) * hs) if hs > 0 else math.nan
     return InverseImageStats(hs, img, ratio)
 
@@ -135,9 +142,9 @@ class InverseImageReport:
 def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
     """(|A^-1 X_k| over the draws, |A^-1|_HS), or None for a singular A."""
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    if _symmetric_near_singular(dense):
+    if _extreme_singular_values(dense)[0] == 0.0:
         return None
-    inv = np.linalg.inv(dense)
+    inv = _solve(dense, np.eye(len(dense)))
     streams = [trial_stream(master_seed, 2, t * x_draws + k) for k in range(x_draws)]
     Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
     return np.linalg.norm(inv @ Xs, axis=0), np.linalg.norm(inv)
@@ -210,12 +217,9 @@ def _distance_trial(
 ) -> DistanceExperimentRow:
     n, p = params.n, params.p
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    evals, evecs = np.linalg.eigh(dense)
-    k = int(np.argmin(np.abs(evals)))
-    smin = abs(float(evals[k]))
-    v = evecs[:, k]
-    v = v / np.linalg.norm(v)
-    dist, _ = sparse_tail_distance(v, M)
+    evals, _, vectors = _certified_spectrum(dense, cap=n)  # no size cap, unlike the dense oracle
+    smin = float(np.abs(evals).min())
+    dist, _ = sparse_tail_distance(vectors[:, 0], M)
     incomp = dist > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
     dists = all_column_distances(dense)
@@ -255,9 +259,7 @@ def invertibility_via_distance_experiment(
     rhs_hat = float(rhs_arr.mean())
     rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     holds = lhs_ci[0] <= rhs_hat + rhs_halfwidth
-    return DistanceExperimentReport(
-        tuple(rows), eps, M, rho, lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds
-    )
+    return DistanceExperimentReport(tuple(rows), eps, M, rho, lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds)
 
 
 @dataclass(frozen=True)
@@ -277,9 +279,9 @@ def _structure_trial(
 ):
     """None for a singular A, else (incompressible, regularized LCD or None)."""
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    if _symmetric_near_singular(dense):
+    if _extreme_singular_values(dense)[0] == 0.0:
         return None
-    x0 = np.linalg.solve(dense, u)
+    x0 = _solve(dense, u)
     x0 = x0 / np.linalg.norm(x0)
     dist, _ = sparse_tail_distance(x0, consts.sparsity_budget(params.n))
     if dist <= consts.c_d:
@@ -323,9 +325,7 @@ def structure_theorem_experiment(
     rlcd_values = [value for _, value in kept if value is not None]
     incomp_fraction = incomp_hits / len(kept) if kept else math.nan
     vals = np.asarray(rlcd_values)
-    survival = tuple(
-        float(np.mean(vals > thr)) if vals.size else math.nan for thr in thresholds
-    )
+    survival = tuple(float(np.mean(vals > thr)) if vals.size else math.nan for thr in thresholds)
     return StructureTheoremReport(
         trials=trials,
         excluded_singular=trials - len(kept),
@@ -352,12 +352,11 @@ class QuadraticSmallballReport:
 def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
     """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_op sqrt(pn)), or None for a singular A."""
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    mags = np.abs(np.linalg.eigvalsh(dense))
-    top = float(mags.max())
-    if is_singular(float(mags.min()), top):
+    smin, top = _extreme_singular_values(dense)
+    if smin == 0.0:
         return None
     X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
-    y = np.linalg.solve(dense, X)
+    y = _solve(dense, X)
     return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= params.c_op * math.sqrt(params.p * params.n)
 
 
@@ -398,11 +397,8 @@ def quadratic_smallball_experiment(
     p_med = curve(float(np.median(qs_arr)))
 
     def try_fit(phats) -> SlopeFit | None:
-        xs = [e for e, q in zip(eps_grid, phats) if q > 0 and e > 0]
-        ys = [q for e, q in zip(eps_grid, phats) if q > 0 and e > 0]
-        if len(xs) < 4:
-            return None
-        return fit_loglog_slope(xs, ys)
+        points = [(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0]
+        return fit_loglog_slope(*zip(*points)) if len(points) >= 4 else None
 
     return QuadraticSmallballReport(
         eps_grid=eps_grid,

@@ -1,12 +1,16 @@
 """Eigenvalues, extreme singular values, and operator-norm experiments.
 
-Every spectrum starts from one kernel, the LAPACK tridiagonalization
-T = Q^T A Q (dsytrd, blocked).  The dense oracle follows it with dsterf
-for every eigenvalue (implicit QL/QR) and a residual certificate on the
-two eigenpairs callers read, the smallest and the largest in magnitude.
-The extreme values alone (``spectral_norm``, ``smallest_singular_value``)
-come from dstebz bisection on T for single eigenvalues, a different
-eigenvalue algorithm, so the two routes still cross-check each other.
+Every eigenvalue in the package starts from one kernel, the LAPACK
+reduction T = Q^T A Q (dsytrd, ``_tridiagonal``), and takes one of two
+routes.  ``_certified_spectrum``: dsterf for every eigenvalue, plus the
+eigenvectors of the smallest and largest in magnitude, certified by
+their residuals; it serves ``full_symmetric_spectrum``,
+``spectral_summary`` under the cap and the distance-check trial.
+``_extreme_singular_values``: (s_min, s_max) by dstebz bisection at
+single indices, a different eigenvalue algorithm, so the routes
+cross-check each other; it serves ``smallest_singular_value``,
+``spectral_norm``, ``spectral_summary`` above the cap and every singular
+check in ``inverse_geometry``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ _SINGULAR_FLOOR = 1e3 * np.finfo(np.float64).eps
 
 # dstebz's most accurate absolute tolerance (twice the underflow threshold).
 _STEBZ_ABSTOL = 2.0 * np.finfo(np.float64).tiny
+
+# LAPACK dsyevx's safe range for max |a_ij|.  Outside it the squares in
+# dstebz's Sturm counts and in the residual norms under- or overflow.
+_SAFE_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_SAFE_MAX = min(1.0 / _SAFE_MIN, np.finfo(np.float64).tiny ** -0.25)
 
 
 def is_singular(smin: float, smax: float) -> bool:
@@ -77,6 +86,13 @@ class SpectralSummary:
     residual: float
 
 
+def _balanced(dense: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-shift A, shift), an exact scaling; shift = 0 unless max |a_ij| is outside the safe range."""
+    peak = max(float(dense.max()), -float(dense.min()))  # no n x n temporary
+    shift = 0 if peak == 0.0 or _SAFE_MIN <= peak <= _SAFE_MAX else math.frexp(peak)[1]
+    return (np.ldexp(dense, -shift) if shift else dense), shift
+
+
 def _tridiagonal(dense: np.ndarray):
     """dsytrd on the lower triangle: (reflectors, diagonal, off-diagonal, tau)."""
     # The queried workspace enables the blocked reduction; the default
@@ -88,13 +104,15 @@ def _tridiagonal(dense: np.ndarray):
     return reflectors, diag, off, tau
 
 
-def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float]:
-    """(ascending eigenvalues, worst residual of the two certified eigenpairs)."""
+def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """(ascending eigenvalues, worst residual of the two certified eigenpairs,
+    their unit eigenvectors as columns: smallest magnitude first, then largest)."""
     n = dense.shape[0]
     if n > cap:
         raise CapabilityError(f"dense oracle capped at n={cap}, got n={n}")
     if n <= 1:
-        return dense.diagonal().copy(), 0.0
+        return dense.diagonal().copy(), 0.0, np.ones((n, 2))
+    dense, shift = _balanced(dense)
     reflectors, diag, off, tau = _tridiagonal(dense)
     evals, info = dsterf(diag, off)
     if info != 0:
@@ -113,11 +131,11 @@ def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float]
     V[1:], _, info = dormqr("L", "N", reflectors[1:, : n - 1], tau, Z[1:], lwork=2)
     if info != 0:
         raise NumericalError(f"dormqr failed with info={info}")
-    residuals = np.linalg.norm(dense @ V - V * evals[picks], axis=0) / np.linalg.norm(V, axis=0)
-    worst = float(residuals.max())
+    lengths = np.linalg.norm(V, axis=0)
+    worst = float((np.linalg.norm(dense @ V - V * evals[picks], axis=0) / lengths).max())
     if norm > 0 and not worst <= 1e-10 * norm * n:
         raise NumericalError(f"eigenpair residual {worst:g} out of contract")
-    return evals, worst
+    return np.ldexp(evals, shift), math.ldexp(worst, shift), V / lengths
 
 
 def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
@@ -141,44 +159,39 @@ def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
     return float(w[0])
 
 
-def smallest_singular_value(A, tol: float = 1e-10) -> float:
-    """min |eigenvalue|, within tol * max(1, |A|), or 0 when A is singular.
+def _extreme_singular_values(dense: np.ndarray) -> tuple[float, float]:
+    """(s_min, s_max) of a finite symmetric matrix; s_min is 0 when ``is_singular``.
 
-    One dsytrd, then dstebz bisection for single eigenvalues, run to
-    dstebz's full accuracy, which meets tol for any tol above the
-    reduction's backward error (about n eps |A|).  The result goes through
-    ``is_singular`` against |A| = max(-lambda_1, lambda_n).
+    One dsytrd, then dstebz, run to its full accuracy, at indices 1 and n
+    for s_max and at nu and nu + 1 for s_min, nu (the count of negative
+    eigenvalues) found by binary search over the index.  Both values lie
+    within the reduction's backward error, about n eps |A|.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-    dense = _as_dense(A)
     n = dense.shape[0]
-    if n == 1:
-        return abs(float(dense[0, 0]))
+    if n <= 1 or not np.any(dense):
+        smax = float(np.abs(dense).max(initial=0.0))
+        return smax, smax
+    dense, shift = _balanced(dense)
     _, diag, off, _ = _tridiagonal(dense)
     eigenvalue = partial(_eigenvalue, diag, off)
-    # The inertia nu (count of negative eigenvalues) by binary search over
-    # the index; min |lambda| is then -lambda_nu or lambda_{nu+1}.
     nu = bisect.bisect_left(range(1, n + 1), 0.0, key=eigenvalue)
     smin = min(abs(eigenvalue(k)) for k in (nu, nu + 1) if 1 <= k <= n)
-    return 0.0 if is_singular(smin, max(-eigenvalue(1), eigenvalue(n))) else smin
+    smax = max(-eigenvalue(1), eigenvalue(n))
+    return (0.0 if is_singular(smin, smax) else math.ldexp(smin, shift)), math.ldexp(smax, shift)
+
+
+def smallest_singular_value(A, tol: float = 1e-10) -> float:
+    """min |eigenvalue| within tol * max(1, |A|) for any tol above ~n eps |A|; 0 when singular."""
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
+    return _extreme_singular_values(_as_dense(A))[0]
 
 
 def spectral_norm(A, tol: float = 1e-9) -> float:
-    """max |eigenvalue| = max(-lambda_1, lambda_n), within tol * max(1, |A|).
-
-    One dsytrd and two dstebz bisections at indices 1 and n, run to
-    dstebz's full accuracy, which meets tol for any tol above the
-    reduction's backward error (about n eps |A|).
-    """
-    if tol <= 0:
+    """max |eigenvalue| within tol * max(1, |A|), as ``smallest_singular_value``."""
+    if not tol > 0:
         raise ParameterError("tol must be positive")
-    dense = _as_dense(A)
-    n = dense.shape[0]
-    if n <= 1 or not np.any(dense):
-        return float(np.abs(dense).max(initial=0.0))
-    _, diag, off, _ = _tridiagonal(dense)
-    return max(-_eigenvalue(diag, off, 1), _eigenvalue(diag, off, n))
+    return _extreme_singular_values(_as_dense(A))[1]
 
 
 def spectral_summary(A, tol: float = 1e-10, cap: int = DENSE_CAP) -> SpectralSummary:
@@ -187,20 +200,19 @@ def spectral_summary(A, tol: float = 1e-10, cap: int = DENSE_CAP) -> SpectralSum
     ``residual`` is measured on the dense route: the larger of
     ||Av - lambda v|| / ||v|| over the two reported eigenpairs.  Above the
     cap no eigenvector is formed, and it is the bound tol * max(1, s_max)
-    that both extreme values meet.
+    that both extreme values meet.  A tol <= 0 is rejected on both routes.
     """
+    if not tol > 0:
+        raise ParameterError("tol must be positive")
     dense = _as_dense(A)
     n = dense.shape[0]
     if n <= cap:
-        evals, residual = _certified_spectrum(dense, cap)
-        smin = float(np.abs(evals).min())
-        smax = float(np.abs(evals).max())
-        if is_singular(smin, smax):
-            smin = 0.0
+        evals, residual, _ = _certified_spectrum(dense, cap)
+        smin, smax = float(np.abs(evals).min()), float(np.abs(evals).max())
+        smin = 0.0 if is_singular(smin, smax) else smin
         method = "dense-oracle"
     else:
-        smin = smallest_singular_value(dense, tol=tol)
-        smax = spectral_norm(dense, tol=tol)
+        smin, smax = _extreme_singular_values(dense)
         method = "iterative"
         residual = tol * max(1.0, smax)
     cond = smax / smin if smin > 0 else math.inf
@@ -250,9 +262,7 @@ class NormBoundReport:
     @property
     def violation_fraction(self) -> float:
         """Fraction of trials with |A| > C_op sqrt(pn)."""
-        if not self.rows:
-            return math.nan
-        return float(np.mean([r.norm_over_sqrt_pn > self.c_op for r in self.rows]))
+        return float(np.mean([r.norm_over_sqrt_pn > self.c_op for r in self.rows])) if self.rows else math.nan
 
     @property
     def omega_fraction(self) -> float:

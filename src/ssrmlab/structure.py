@@ -101,6 +101,8 @@ def _check_unit(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("expected a nonempty 1-d vector")
+    if not np.isfinite(x).all():
+        raise ParameterError("vector entries must be finite")
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise ParameterError("zero vector")

@@ -106,6 +106,49 @@ def test_bad_distribution_is_parameter_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _one_line_error(captured) -> bool:
+    return captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,text,where",
+    [
+        (["spectra", "--matrix"], "x 0.1 0 0\n0 0 1.0\n", "line 1"),
+        (["spectra", "--matrix"], "3 0.1 0 0\n\n0 0 1.0\n0 a 1\n", "line 4"),
+        (["spectra", "--matrix"], "3 0.1 0 0\n0 0\n", "line 2"),
+        (["lcd", "--vector"], "0.5 0.5\nzz 0.5\n", "line 2"),
+        (["structure", "--vector"], "0.5 0.5\n0.5 zz\n", "line 2"),
+    ],
+)
+def test_malformed_input_file(tmp_path, capsys, argv, text, where):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured)
+    assert str(path) in captured.err and where in captured.err
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning lines on stderr either
+@pytest.mark.parametrize("command", ["lcd", "structure"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_vector_rejected(tmp_path, capsys, command, token):
+    path = tmp_path / "v.txt"
+    path.write_text(f"0.5 {token} 0.5 0.5\n")
+    assert main([command, "--vector", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured) and "finite" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_spectra_bad_tol(tmp_path, capsys, tol):
+    out = tmp_path / "m.txt"
+    main(["generate", "-n", "6", "-p", "0.8", "--out", str(out)])
+    assert main(["spectra", "--matrix", str(out), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured) and "tol" in captured.err
+
+
 def test_missing_vector_file(tmp_path, capsys):
     assert main(["lcd", "--vector", str(tmp_path / "nope.txt")]) == 1
 

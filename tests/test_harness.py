@@ -397,6 +397,31 @@ class TestConfigRejected:
     def test_cell_outside_ensemble(self, tmp_path, capsys, grid):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace(*grid), "(section [grid])")
 
+    @pytest.mark.parametrize("value", ["0.9", "0", "-0.1"])
+    def test_bvh_eps_out_of_range(self, tmp_path, capsys, value):
+        text = _kind_config("norm-check") + f"\n[params]\nbvh_eps = {value}\n"
+        self._assert_rejected(tmp_path, capsys, text, "params.bvh_eps in (0, 1/2]")
+
+    def test_quadratic_eps_not_ascending(self, tmp_path, capsys):
+        text = _kind_config("quadratic").replace("eps = 0.01,0.1,1.0,3.0,10.0", "eps = 1.0,0.1")
+        self._assert_rejected(tmp_path, capsys, text, "grid.eps sorted ascending")
+
+    @pytest.mark.parametrize("kind", ["quadratic", "smallball"])
+    def test_negative_eps(self, tmp_path, capsys, kind):
+        text = _kind_config(kind).replace("eps = 0.001,0.01,0.1", "eps = -0.5,0.1").replace(
+            "eps = 0.01,0.1,1.0,3.0,10.0", "eps = -0.5,0.1"
+        )
+        self._assert_rejected(tmp_path, capsys, text, "grid.eps >= 0")
+
+    @pytest.mark.parametrize("params", ["eps = -1", "rho = 0", "rho = -0.5"])
+    def test_distance_check_eps_rho(self, tmp_path, capsys, params):
+        text = _kind_config("distance-check") + f"\n[params]\n{params}\n"
+        self._assert_rejected(tmp_path, capsys, text, "params.eps >= 0 and params.rho > 0")
+
+    def test_distance_check_default_eps_from_grid(self, tmp_path, capsys):
+        text = _kind_config("distance-check").replace("eps = 0.001,0.01,0.1", "eps = -0.1")
+        self._assert_rejected(tmp_path, capsys, text, "got eps=-0.1")
+
     def test_smallball_samples_no_matrix(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         path = tmp_path / "cfg.ini"
@@ -454,10 +479,17 @@ def _configs(draw) -> ExperimentConfig:
         c_p=draw(_open_unit()),
     )
     number = _finite_floats().map(repr)
+    eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=1, max_size=4)))
+    if kind in ("distance-check", "smallball", "quadratic"):  # these read eps >= 0
+        eps_grid = tuple(abs(e) for e in eps_grid)
+    if kind == "quadratic":
+        eps_grid = tuple(sorted(eps_grid))
     if kind == "norm-check":
-        extras = draw(st.dictionaries(st.sampled_from(["cbar", "bvh_eps"]), number))
+        extras = draw(st.dictionaries(st.just("cbar"), number))
+        extras.update(draw(st.dictionaries(st.just("bvh_eps"), _finite_floats(min_value=0.0, max_value=0.5, exclude_min=True).map(repr))))
     elif kind == "distance-check":
-        extras = draw(st.dictionaries(st.sampled_from(["eps", "rho"]), number))
+        extras = draw(st.dictionaries(st.just("eps"), _finite_floats(min_value=0.0).map(repr)))
+        extras.update(draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True).map(repr))))
         extras.update(draw(st.dictionaries(st.just("m"), st.integers(1, n_grid[0] - 1).map(str))))
     else:
         extras = {}
@@ -466,7 +498,7 @@ def _configs(draw) -> ExperimentConfig:
         dist=dist,
         c_op=draw(_finite_floats(min_value=0.0, exclude_min=True)),
         constants=constants,
-        eps_grid=tuple(draw(st.lists(_finite_floats(), min_size=1, max_size=4))),
+        eps_grid=eps_grid,
         n_grid=n_grid,
         p_grid=p_grid,
         trials=draw(st.integers(1, 10**9)),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix
+from ssrmlab import inverse_geometry
+from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import ParameterError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
@@ -240,3 +241,62 @@ class TestQuadraticSmallball:
     def test_grid_must_be_sorted(self):
         with pytest.raises(ParameterError):
             quadratic_smallball_experiment(EnsembleParams(16, 1.0, GAUSS), (0.5, 0.1), 5)
+
+
+_PARAMS = EnsembleParams(16, 0.5, GAUSS)
+_A = sample_matrix(_PARAMS, RngStream(31, 0)).to_dense()
+
+# Every public entry point, on inputs that reach its spectral checks.
+_ENTRY_POINTS = {
+    "distance_to_complement_span": lambda: distance_to_complement_span(_A, 3),
+    "quadratic_form_distance": lambda: quadratic_form_distance(_A),
+    "quadratic_form_distance_singular": lambda: quadratic_form_distance(np.ones((4, 4))),
+    "all_column_distances": lambda: all_column_distances(_A),
+    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4))),
+    "inverse_image_stats": lambda: inverse_image_stats(_A, np.ones(16)),
+    "inverse_image_experiment": lambda: inverse_image_experiment(_PARAMS, 0.5, 3, 2, master_seed=1),
+    "invertibility_via_distance_experiment": lambda: invertibility_via_distance_experiment(
+        _PARAMS, 0.1, 4, 0.1, 3, master_seed=1
+    ),
+    "structure_theorem_experiment": lambda: structure_theorem_experiment(
+        EnsembleParams(16, 1.0, GAUSS), np.eye(16)[0], StructureConstants(), 10, 3, master_seed=1
+    ),
+    "quadratic_smallball_experiment": lambda: quadratic_smallball_experiment(_PARAMS, (0.1, 1.0), 3, master_seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_runs_without_numpy_eigensolvers(monkeypatch, name):
+    """Every eigenvalue comes from the spectra kernel, never from numpy's eigh/eigvalsh."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy eigensolver called")
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, refuse)
+    _ENTRY_POINTS[name]()
+
+
+def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypatch):
+    calls = []
+    real = inverse_geometry.all_column_distances
+    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A: calls.append(A.shape) or real(A))
+    rep = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
+    assert len(rep.rows) == 5 and calls == [(16, 16)] * 5
+
+
+@pytest.mark.parametrize("t", range(3))
+def test_distance_trial_eigenvector_meets_certificate(monkeypatch, t):
+    seen = []
+    real = inverse_geometry.sparse_tail_distance
+    monkeypatch.setattr(inverse_geometry, "sparse_tail_distance", lambda v, m: seen.append(v.copy()) or real(v, m))
+    params = EnsembleParams(40, 0.3, RAD)
+    row = inverse_geometry._distance_trial(9, 0.1, 10, 0.1, params, 0, t)
+    A = sample_matrix(params, trial_stream(9, 0, t)).to_dense()
+    oracle = np.abs(np.linalg.eigvalsh(A))
+    (v,) = seen
+    lam = float(v @ A @ v)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(A @ v - lam * v) <= 1e-10 * oracle.max() * A.shape[0]
+    assert abs(lam) == pytest.approx(row.s_min, abs=1e-12 * oracle.max())
+    assert row.s_min == pytest.approx(oracle.min(), abs=1e-12 * oracle.max())

@@ -326,3 +326,105 @@ class TestSpectralSummary:
         expected = np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v)
         assert summary.s_min == pytest.approx(abs(lam), rel=1e-9)
         assert summary.residual == pytest.approx(expected, rel=1e-3)
+
+    def test_iterative_route_reduces_once(self, monkeypatch):
+        calls = []
+        real = spectra._tridiagonal
+        monkeypatch.setattr(spectra, "_tridiagonal", lambda dense: calls.append(dense.shape) or real(dense))
+        A = sample_matrix(EnsembleParams(24, 0.6, GAUSS), RngStream(305, 0)).to_dense()
+        assert spectral_summary(A, cap=8).method == "iterative"
+        assert calls == [(24, 24)]
+
+    @pytest.mark.parametrize("cap", [spectra.DENSE_CAP, 2])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tol_rejected_on_both_routes(self, cap, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            spectral_summary(np.eye(4), tol=tol, cap=cap)
+
+
+def _rotated_diagonal(values, seed):
+    """Q diag(values) Q^T for a random orthogonal Q, exactly symmetric."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(values), len(values))))
+    A = (Q * np.asarray(values, dtype=np.float64)) @ Q.T
+    return (A + A.T) / 2
+
+
+class TestExtremeSingularValues:
+    """The one extreme-value route, against numpy's eigvalsh as an independent oracle."""
+
+    @staticmethod
+    def _check(A):
+        mags = np.abs(np.linalg.eigvalsh(A))
+        smin, smax = float(mags.min()), float(mags.max())
+        want = (0.0 if is_singular(smin, smax) else smin, smax)
+        got = spectra._extreme_singular_values(A)
+        scale = max(smax, np.finfo(np.float64).tiny)
+        assert abs(got[0] - want[0]) <= 1e-12 * scale and abs(got[1] - want[1]) <= 1e-12 * scale
+        assert (got[0] == 0.0) == (want[0] == 0.0)
+        return got
+
+    @pytest.mark.parametrize("t", range(10))
+    @pytest.mark.parametrize("params", [EnsembleParams(60, 0.3, GAUSS), EnsembleParams(200, 0.05, RAD)])
+    def test_random_matrices(self, params, t):
+        smin, smax = self._check(sample_matrix(params, RngStream(808, t)).to_dense())
+        assert 0.0 < smin <= smax
+
+    def test_zero_matrix(self):
+        assert self._check(np.zeros((5, 5))) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("value,expected", [(-3.0, (3.0, 3.0)), (0.0, (0.0, 0.0))])
+    def test_one_by_one(self, value, expected):
+        assert self._check(np.array([[value]])) == expected
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_rank_one(self, scale):
+        u = np.random.default_rng(4).standard_normal(7)
+        smin, smax = self._check(scale * np.outer(u, u))
+        assert smin == 0.0
+        assert smax == pytest.approx(scale * float(u @ u), rel=1e-12)
+
+    @pytest.mark.parametrize("factor,singular", [(0.5, True), (2.0, False)])
+    def test_singular_floor(self, factor, singular):
+        floor = spectra._SINGULAR_FLOOR
+        smin, smax = self._check(_rotated_diagonal([1.0, -0.7, factor * floor, 0.4, -0.2], seed=11))
+        assert smax == pytest.approx(1.0, rel=1e-14)
+        if singular:
+            assert smin == 0.0
+        else:
+            assert smin == pytest.approx(factor * floor, rel=1e-2)
+
+    def test_public_wrappers_read_it(self):
+        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(809, 0)).to_dense()
+        assert (smallest_singular_value(A), spectral_norm(A)) == spectra._extreme_singular_values(A)
+
+
+class TestCertifiedEigenvectors:
+    @pytest.mark.parametrize("t", range(3))
+    def test_unit_and_within_contract(self, t):
+        A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, t)).to_dense()
+        evals, worst, V = spectra._certified_spectrum(A, spectra.DENSE_CAP)
+        picks = [int(np.argmin(np.abs(evals))), int(np.argmax(np.abs(evals)))]
+        norm = float(np.abs(evals).max())
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
+        residuals = np.linalg.norm(A @ V - V * evals[picks], axis=0)
+        assert residuals.max() <= 1e-10 * norm * A.shape[0]
+        assert worst == pytest.approx(residuals.max(), rel=1e-6, abs=1e-15 * norm)
+
+    def test_one_by_one(self):
+        evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]), spectra.DENSE_CAP)
+        assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_both_routes_at_extreme_scales(scale):
+    """Far from 1, dstebz's Sturm counts and the residual norms under- or
+    overflow unless the matrix is scaled first: at 1e-160 the extreme values
+    came out 10x off and the certificate failed, at 1e160 dstebz failed."""
+    A = scale * sample_matrix(EnsembleParams(40, 0.3, GAUSS), RngStream(811, 0)).to_dense()
+    oracle = np.linalg.eigvalsh(A)
+    norm = float(np.abs(oracle).max())
+    TestExtremeSingularValues._check(A)
+    assert np.abs(full_symmetric_spectrum(A) - oracle).max() <= 1e-12 * norm
+    summary = spectral_summary(A)
+    assert summary.s_min == pytest.approx(float(np.abs(oracle).min()), rel=1e-9)
+    assert summary.residual <= 1e-10 * norm * A.shape[0]

@@ -521,3 +521,19 @@ class TestClassificationInvariance:
         assert base.comp_member == other.comp_member
         assert base.dom_member == other.dom_member
         assert base.dist_to_sparse == pytest.approx(other.dist_to_sparse, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_vector_rejected(value):
+    # abs(nan - 1) > tol is False, so a norm check alone lets nan through.
+    x = np.full(4, 0.5)
+    x[1] = value
+    for call in (
+        lambda: lcd(x, 1.0),
+        lambda: classify_vector(x, StructureConstants()),
+        lambda: sparse_tail_distance(x, 2),
+        lambda: is_dominated(x, 2, 0.5),
+        lambda: spread_set(x, StructureConstants()),
+    ):
+        with pytest.raises(ParameterError, match="finite"):
+            call()

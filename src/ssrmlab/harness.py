@@ -6,7 +6,9 @@ seed) at a fixed BLAS thread count, for every experiment kind.  All
 trials run through ``ensemble.run_trials``: each draws only from the
 ``trial_stream`` keyed by its (cell, trial) (see ``ssrmlab.ensemble`` for
 the lanes), records are folded in grid order, and float formatting is
-fixed, so the CSV is byte-identical at any worker count.
+fixed, so the CSV is byte-identical at any worker count.  Tail-sweep and
+scaling trials read (s_min, s_max) from the certified spectrum
+(``spectra.full_symmetric_spectrum``), one reduction per trial at any n.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -305,15 +307,11 @@ def load_config(path: str) -> ExperimentConfig:
 # Trial kernels for ensemble.run_trials (module level so they pickle).
 
 def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, t: int) -> tuple[float, float]:
-    """(s_min, s_max) of the realization of trial t in cell c."""
-    from .spectra import DENSE_CAP, full_symmetric_spectrum, is_singular, smallest_singular_value, spectral_norm
+    """(s_min, s_max) of the realization of trial t in cell c, from its certified spectrum."""
+    from .spectra import full_symmetric_spectrum, singular_extremes
 
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    if params.n <= DENSE_CAP:
-        evals = np.abs(full_symmetric_spectrum(dense))
-        smin, smax = float(evals.min()), float(evals.max())
-        return (0.0 if is_singular(smin, smax) else smin), smax
-    return smallest_singular_value(dense), spectral_norm(dense)
+    return singular_extremes(full_symmetric_spectrum(dense))
 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:

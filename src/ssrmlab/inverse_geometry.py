@@ -1,11 +1,11 @@
 """Distance-to-subspace identities and the incompressible-vector experiments.
 
-Every eigenvalue here comes from the one kernel in ``spectra``: its
-``_extreme_singular_values`` for every singular check and the quadratic
-trial's operator norm, its ``_certified_spectrum`` for the distance-check
-trial's s_min and certified eigenvector.  Realizations singular to
-working precision are excluded and counted, never silently folded into
-averages.
+Every eigenvalue here comes from the one kernel in ``spectra``, at any
+n: its ``_extreme_singular_values`` for every singular check and the
+quadratic trial's operator norm, its ``_certified_spectrum`` for the
+distance-check trial's s_min and certified eigenvector.  Realizations
+singular to working precision are excluded and counted, never silently
+folded into averages.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def _distance_trial(
 ) -> DistanceExperimentRow:
     n, p = params.n, params.p
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    evals, _, vectors = _certified_spectrum(dense, cap=n)  # no size cap, unlike the dense oracle
+    evals, _, vectors = _certified_spectrum(dense)
     smin = float(np.abs(evals).min())
     dist, _ = sparse_tail_distance(vectors[:, 0], M)
     incomp = dist > rho

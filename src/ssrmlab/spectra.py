@@ -2,32 +2,31 @@
 
 Every eigenvalue in the package starts from one kernel, the LAPACK
 reduction T = Q^T A Q (dsytrd, ``_tridiagonal``), and takes one of two
-routes.  ``_certified_spectrum``: dsterf for every eigenvalue, plus the
+routes at every n, chosen by what the caller reads.
+``_certified_spectrum``: dsterf for every eigenvalue, plus the
 eigenvectors of the smallest and largest in magnitude, certified by
-their residuals; it serves ``full_symmetric_spectrum``,
-``spectral_summary`` under the cap and the distance-check trial.
-``_extreme_singular_values``: (s_min, s_max) by dstebz bisection at
-single indices, a different eigenvalue algorithm, so the routes
-cross-check each other; it serves ``smallest_singular_value``,
-``spectral_norm``, ``spectral_summary`` above the cap and every singular
-check in ``inverse_geometry``.
+their residuals; it serves ``full_symmetric_spectrum`` (and so every
+tail-sweep and scaling trial), ``spectral_summary`` and the
+distance-check trial.  ``_extreme_singular_values``: (s_min, s_max) by
+dstebz at single indices, a different eigenvalue algorithm, so the
+routes cross-check each other; it serves ``smallest_singular_value``,
+``spectral_norm`` and every singular check in ``inverse_geometry``.
+Both turn eigenvalues into (s_min, s_max) with ``singular_extremes``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dormqr, dstebz, dsterf, dsytrd, dsytrd_lwork
 
 from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import CapabilityError, NumericalError, ParameterError
-
-DENSE_CAP = 2048
 
 # s_min below this multiple of eps * |A| is reported as exactly 0.
 _SINGULAR_FLOOR = 1e3 * np.finfo(np.float64).eps
@@ -44,6 +43,14 @@ _SAFE_MAX = min(1.0 / _SAFE_MIN, np.finfo(np.float64).tiny ** -0.25)
 def is_singular(smin: float, smax: float) -> bool:
     """The singular rule: s_min below the floor times s_max, or A = 0."""
     return smin < _SINGULAR_FLOOR * smax or smax == 0.0
+
+
+def singular_extremes(evals: np.ndarray) -> tuple[float, float]:
+    """(s_min, s_max) from eigenvalues that include the smallest and largest
+    in magnitude; s_min is 0 when ``is_singular``."""
+    mags = np.abs(evals)
+    smin, smax = float(mags.min(initial=math.inf)), float(mags.max(initial=0.0))
+    return (0.0 if is_singular(smin, smax) else smin), smax
 
 
 def _as_dense(A) -> np.ndarray:
@@ -82,7 +89,6 @@ class SpectralSummary:
     s_min: float
     s_max: float
     condition_number: float
-    method: str
     residual: float
 
 
@@ -104,12 +110,10 @@ def _tridiagonal(dense: np.ndarray):
     return reflectors, diag, off, tau
 
 
-def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float, np.ndarray]:
+def _certified_spectrum(dense: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """(ascending eigenvalues, worst residual of the two certified eigenpairs,
     their unit eigenvectors as columns: smallest magnitude first, then largest)."""
     n = dense.shape[0]
-    if n > cap:
-        raise CapabilityError(f"dense oracle capped at n={cap}, got n={n}")
     if n <= 1:
         return dense.diagonal().copy(), 0.0, np.ones((n, 2))
     dense, shift = _balanced(dense)
@@ -132,13 +136,16 @@ def _certified_spectrum(dense: np.ndarray, cap: int) -> tuple[np.ndarray, float,
     if info != 0:
         raise NumericalError(f"dormqr failed with info={info}")
     lengths = np.linalg.norm(V, axis=0)
-    worst = float((np.linalg.norm(dense @ V - V * evals[picks], axis=0) / lengths).max())
+    # A V on scipy's BLAS like dsytrd (numpy's own OpenBLAS pool contends
+    # with scipy's); dense.T is a Fortran-ordered view, so nothing is copied.
+    AV = dgemm(1.0, dense.T, V, trans_a=1)
+    worst = float((np.linalg.norm(AV - V * evals[picks], axis=0) / lengths).max())
     if norm > 0 and not worst <= 1e-10 * norm * n:
         raise NumericalError(f"eigenpair residual {worst:g} out of contract")
     return np.ldexp(evals, shift), math.ldexp(worst, shift), V / lengths
 
 
-def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
+def full_symmetric_spectrum(A) -> np.ndarray:
     """All eigenvalues, ascending, via the dense oracle.
 
     dsytrd reduces the lower triangle to T = Q^T A Q and dsterf returns
@@ -148,7 +155,7 @@ def full_symmetric_spectrum(A, cap: int = DENSE_CAP) -> np.ndarray:
     within the contract 1e-10 * |A| * n.  By the residual theorem each of
     the two then lies within its residual of an eigenvalue of A.
     """
-    return _certified_spectrum(_as_dense(A), cap)[0]
+    return _certified_spectrum(_as_dense(A))[0]
 
 
 def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
@@ -159,69 +166,65 @@ def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
     return float(w[0])
 
 
+def _nonpositive_count(diag: np.ndarray, off: np.ndarray) -> int:
+    """The number of eigenvalues <= 0 of the tridiagonal (diag, off), by one dstebz call.
+
+    dstebz counts the eigenvalues in (-g, 0] by Sturm sequences; g lies
+    above the Gershgorin bound, so the interval holds every eigenvalue
+    <= 0, and an absolute tolerance of g stops it before it refines any
+    interval.
+    """
+    g = 2.0 * (float(np.abs(diag).max()) + 2.0 * float(np.abs(off).max(initial=0.0)))
+    found, _, _, _, info = dstebz(diag, off, 1, -g, 0.0, 0, 0, g, "B")
+    if info != 0:
+        raise NumericalError(f"dstebz failed with info={info} counting eigenvalues <= 0")
+    return int(found)
+
+
 def _extreme_singular_values(dense: np.ndarray) -> tuple[float, float]:
     """(s_min, s_max) of a finite symmetric matrix; s_min is 0 when ``is_singular``.
 
     One dsytrd, then dstebz, run to its full accuracy, at indices 1 and n
-    for s_max and at nu and nu + 1 for s_min, nu (the count of negative
-    eigenvalues) found by binary search over the index.  Both values lie
-    within the reduction's backward error, about n eps |A|.
+    for s_max and at nu and nu + 1 for s_min, nu the count of eigenvalues
+    <= 0.  Both values lie within the reduction's backward error, about
+    n eps |A|.
     """
     n = dense.shape[0]
     if n <= 1 or not np.any(dense):
-        smax = float(np.abs(dense).max(initial=0.0))
-        return smax, smax
+        return singular_extremes(dense.diagonal())
     dense, shift = _balanced(dense)
     _, diag, off, _ = _tridiagonal(dense)
-    eigenvalue = partial(_eigenvalue, diag, off)
-    nu = bisect.bisect_left(range(1, n + 1), 0.0, key=eigenvalue)
-    smin = min(abs(eigenvalue(k)) for k in (nu, nu + 1) if 1 <= k <= n)
-    smax = max(-eigenvalue(1), eigenvalue(n))
-    return (0.0 if is_singular(smin, smax) else math.ldexp(smin, shift)), math.ldexp(smax, shift)
+    nu = _nonpositive_count(diag, off)
+    picks = [k for k in sorted({1, nu, nu + 1, n}) if 1 <= k <= n]
+    smin, smax = singular_extremes(np.array([_eigenvalue(diag, off, k) for k in picks]))
+    return math.ldexp(smin, shift), math.ldexp(smax, shift)
 
 
-def smallest_singular_value(A, tol: float = 1e-10) -> float:
-    """min |eigenvalue| within tol * max(1, |A|) for any tol above ~n eps |A|; 0 when singular."""
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+def smallest_singular_value(A) -> float:
+    """min |eigenvalue|, within about n eps |A|; 0 when singular."""
     return _extreme_singular_values(_as_dense(A))[0]
 
 
-def spectral_norm(A, tol: float = 1e-9) -> float:
-    """max |eigenvalue| within tol * max(1, |A|), as ``smallest_singular_value``."""
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+def spectral_norm(A) -> float:
+    """max |eigenvalue|, within about n eps |A|."""
     return _extreme_singular_values(_as_dense(A))[1]
 
 
-def spectral_summary(A, tol: float = 1e-10, cap: int = DENSE_CAP) -> SpectralSummary:
-    """s_min, s_max and condition number, dense under the cap else iterative.
+def spectral_summary(A) -> SpectralSummary:
+    """s_min, s_max and condition number from the certified spectrum.
 
-    ``residual`` is measured on the dense route: the larger of
-    ||Av - lambda v|| / ||v|| over the two reported eigenpairs.  Above the
-    cap no eigenvector is formed, and it is the bound tol * max(1, s_max)
-    that both extreme values meet.  A tol <= 0 is rejected on both routes.
+    ``residual`` is measured: the larger of ||Av - lambda v|| / ||v|| over
+    the two reported eigenpairs.
     """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    dense = _as_dense(A)
-    n = dense.shape[0]
-    if n <= cap:
-        evals, residual, _ = _certified_spectrum(dense, cap)
-        smin, smax = float(np.abs(evals).min()), float(np.abs(evals).max())
-        smin = 0.0 if is_singular(smin, smax) else smin
-        method = "dense-oracle"
-    else:
-        smin, smax = _extreme_singular_values(dense)
-        method = "iterative"
-        residual = tol * max(1.0, smax)
+    evals, residual, _ = _certified_spectrum(_as_dense(A))
+    smin, smax = singular_extremes(evals)
     cond = smax / smin if smin > 0 else math.inf
-    return SpectralSummary(smin, smax, cond, method, residual)
+    return SpectralSummary(smin, smax, cond, residual)
 
 
-def operator_norm_event(A, params: EnsembleParams, tol: float = 1e-9) -> bool:
+def operator_norm_event(A, params: EnsembleParams) -> bool:
     """True iff |A| <= C_op * sqrt(p n)."""
-    return spectral_norm(A, tol=tol) <= params.c_op * math.sqrt(params.p * params.n)
+    return spectral_norm(A) <= params.c_op * math.sqrt(params.p * params.n)
 
 
 def bvh_bound(profile: MaskProfile, n: int, eps: float) -> float:
@@ -274,11 +277,11 @@ class NormBoundReport:
 
 
 def _norm_bound_trial(
-    master_seed: int, cbar: float, eps: float, norm_tol: float, params: EnsembleParams, c: int, t: int
+    master_seed: int, cbar: float, eps: float, params: EnsembleParams, c: int, t: int
 ) -> NormBoundRow:
     n, p = params.n, params.p
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    norm = spectral_norm(dense, tol=norm_tol)
+    norm = spectral_norm(dense)
     mask = (dense != 0.0).astype(np.float64)
     row_counts = mask.sum(axis=1)
     omega = bool(row_counts.max(initial=0.0) <= cbar * p * n)
@@ -286,7 +289,7 @@ def _norm_bound_trial(
     g = trial_stream(master_seed, 1, t).generator().standard_normal((n, n))
     g = np.triu(g) + np.triu(g, k=1).T
     W = mask * g
-    wnorm = spectral_norm(W, tol=norm_tol)
+    wnorm = spectral_norm(W)
     bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
@@ -298,7 +301,6 @@ def norm_bound_experiment(
     master_seed: int,
     cbar: float = 2.0,
     eps: float = 0.5,
-    norm_tol: float = 1e-7,
     workers: int = 1,
 ) -> NormBoundReport:
     """Per-trial spectral norms plus the Gaussian comparison check.
@@ -312,6 +314,6 @@ def norm_bound_experiment(
         raise CapabilityError("norm bound experiment requires a sub-gaussian entry law")
     if trials < 0:
         raise ParameterError("trials must be nonnegative")
-    kernel = partial(_norm_bound_trial, master_seed, cbar, eps, norm_tol)
+    kernel = partial(_norm_bound_trial, master_seed, cbar, eps)
     rows = run_trials(kernel, [params], trials, workers)[0]
     return NormBoundReport(tuple(rows), cbar, eps, params.c_op)

@@ -55,8 +55,8 @@ class StructureConstants:
             )
         if not 0.0 < self.lam < self.c_oo:
             raise ParameterError("lambda must lie in (0, c_oo)")
-        if self.L < 1.0:
-            raise ParameterError("L must be >= 1")
+        if not 1.0 <= self.L < math.inf:
+            raise ParameterError("L must be finite and >= 1")
         if not 0.0 < self.delta0 < 1.0:
             raise ParameterError("delta0 must lie in (0, 1)")
         if not 0.0 < self.c_p < 1.0:
@@ -327,15 +327,15 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
     """
     x = _check_unit(x, tol=_UNIT_TOL)
     n = x.size
-    if L < 1.0:
-        raise ParameterError("L must be >= 1")
+    if not 1.0 <= L < math.inf:
+        raise ParameterError("L must be finite and >= 1")
     if theta_cap is None:
         theta_cap = 10.0 * n * math.sqrt(n)
         theta_cap = max(theta_cap, 2.0 * L)
-    if theta_cap <= L:
-        raise ParameterError("theta_cap must exceed L")
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not L < theta_cap < math.inf:
+        raise ParameterError("theta_cap must be finite and exceed L")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tol must be finite and positive")
 
     a = float(x @ x)  # ~1 for unit input
     eps = np.finfo(np.float64).eps

@@ -74,7 +74,7 @@ def test_criterion_02_spectral_oracle_equivalence():
         n = int(rng.integers(4, 65))
         A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(1002, t)).to_dense()
         oracle = float(np.abs(np.linalg.eigvalsh(A)).min())
-        got = smallest_singular_value(A, tol=1e-12)
+        got = smallest_singular_value(A)
         rel = abs(got - oracle) / max(oracle, 1e-300)
         worst = max(worst, rel)
     elapsed = time.monotonic() - t0

@@ -52,7 +52,8 @@ def test_spectra_subcommand(tmp_path, capsys):
     capsys.readouterr()
     assert main(["spectra", "--matrix", str(out)]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert record["method"] == "dense-oracle"
+    assert set(record) == {"n", "s_min", "s_max", "condition_number", "residual"}
+    assert 0.0 <= record["residual"] <= 1e-10 * record["s_max"] * 12
     assert record["s_min"] >= 0.0
     assert record["s_max"] >= record["s_min"]
 
@@ -140,13 +141,34 @@ def test_non_finite_vector_rejected(tmp_path, capsys, command, token):
     assert _one_line_error(captured) and "finite" in captured.err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_spectra_bad_tol(tmp_path, capsys, tol):
+def test_spectra_has_no_tol_flag(tmp_path, capsys):
     out = tmp_path / "m.txt"
     main(["generate", "-n", "6", "-p", "0.8", "--out", str(out)])
-    assert main(["spectra", "--matrix", str(out), "--tol", tol]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--matrix", str(out), "--tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,word",
+    [
+        (["lcd", "--cap", "nan"], "theta_cap"),
+        (["lcd", "--cap", "inf"], "theta_cap"),
+        (["lcd", "--scale-l", "nan"], "L must"),
+        (["lcd", "--tol", "nan"], "tol"),
+        (["structure", "--scale-l", "nan"], "L must"),
+        (["structure", "--scale-l", "inf"], "L must"),
+    ],
+)
+def test_non_finite_flag_rejected(tmp_path, capsys, argv, word):
+    # One error line and exit 2, never a scan that runs forever, a
+    # traceback, or a record with NaN or Infinity in it.
+    path = tmp_path / "v.txt"
+    path.write_text(" ".join(["1.0"] * 250) + "\n")
+    assert main([argv[0], "--vector", str(path), *argv[1:]]) == 2
     captured = capsys.readouterr()
-    assert _one_line_error(captured) and "tol" in captured.err
+    assert _one_line_error(captured) and word in captured.err
 
 
 def test_missing_vector_file(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrmlab
-from ssrmlab.ensemble import EntryDistribution
+from ssrmlab import spectra
+from ssrmlab.ensemble import EnsembleParams, EntryDistribution, sample_matrix, trial_stream
 from ssrmlab.errors import ConfigError, ParameterError
 from ssrmlab import harness
 from ssrmlab.harness import (
@@ -232,6 +233,17 @@ class TestScaling:
         assert ratio is not None and 0.05 < ratio < 20
         for cell in rep.cells:
             assert cell.median_cond_over_n > 0
+
+    def test_trial_above_2048_reduces_once(self, monkeypatch):
+        # One dsytrd per trial at every n, and the certified spectrum's extremes.
+        calls = []
+        real = spectra._tridiagonal
+        monkeypatch.setattr(spectra, "_tridiagonal", lambda dense: calls.append(dense.shape) or real(dense))
+        params = EnsembleParams(2049, 0.01, RAD)
+        smin, smax = harness._extreme_values_for_trial(7, params, 0, 0)
+        assert calls == [(2049, 2049)]
+        mags = np.abs(np.linalg.eigvalsh(sample_matrix(params, trial_stream(7, 0, 0)).to_dense()))
+        assert smin == pytest.approx(mags.min(), rel=1e-9) and smax == pytest.approx(mags.max(), rel=1e-12)
 
     def test_dense_regime_p_one(self):
         # p = 1 runs the same pipeline in the dense-matrix regime.

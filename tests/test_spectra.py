@@ -5,7 +5,7 @@ import pytest
 
 from ssrmlab import spectra
 from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
-from ssrmlab.errors import CapabilityError, NumericalError, ParameterError
+from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.spectra import (
     MaskProfile,
     bvh_bound,
@@ -13,6 +13,7 @@ from ssrmlab.spectra import (
     is_singular,
     norm_bound_experiment,
     operator_norm_event,
+    singular_extremes,
     smallest_singular_value,
     spectral_norm,
     spectral_summary,
@@ -20,6 +21,12 @@ from ssrmlab.spectra import (
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
+
+
+@pytest.fixture(scope="module")
+def matrix_2049() -> np.ndarray:
+    """A sparse rademacher matrix above n = 2048: both spectral routes hold at every n."""
+    return sample_matrix(EnsembleParams(2049, 0.01, RAD), RngStream(812, 0)).to_dense()
 
 
 def _charpoly_roots(A):
@@ -48,9 +55,12 @@ class TestFullSymmetricSpectrum:
             A = sample_matrix(EnsembleParams(8, 0.6, GAUSS), RngStream(100, t)).to_dense()
             assert np.allclose(full_symmetric_spectrum(A), _charpoly_roots(A), atol=1e-8)
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapabilityError):
-            full_symmetric_spectrum(np.eye(5), cap=4)
+    def test_returns_above_2048(self, matrix_2049):
+        A = matrix_2049
+        ref = np.linalg.eigvalsh(A)
+        ev = full_symmetric_spectrum(A)
+        assert ev.shape == (2049,)
+        assert np.abs(ev - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_non_finite_rejected(self):
         A = np.eye(3)
@@ -121,7 +131,7 @@ class TestSmallestSingularValue:
             n = 8 + (t * 7) % 57
             A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(200, t)).to_dense()
             oracle = float(np.abs(full_symmetric_spectrum(A)).min())
-            got = smallest_singular_value(A, tol=1e-12)
+            got = smallest_singular_value(A)
             assert got == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
     def test_scaling_equivariance(self):
@@ -129,10 +139,6 @@ class TestSmallestSingularValue:
         s = smallest_singular_value(A)
         for c in (-2.0, 0.5):
             assert smallest_singular_value(c * A) == pytest.approx(abs(c) * s, rel=1e-12)
-
-    def test_bad_tol(self):
-        with pytest.raises(ParameterError):
-            smallest_singular_value(np.eye(2), tol=0.0)
 
     @pytest.mark.parametrize(
         "A",
@@ -169,13 +175,13 @@ class TestSpectralNorm:
         ratios = []
         for t in range(20):
             A = sample_matrix(EnsembleParams(400, 1.0, RAD), RngStream(300, t))
-            ratios.append(spectral_norm(A, tol=1e-6) / math.sqrt(400))
+            ratios.append(spectral_norm(A) / math.sqrt(400))
         assert 1.9 <= np.mean(ratios) <= 2.2
 
     def test_dominates_entries(self):
         A = sample_matrix(EnsembleParams(30, 0.5, GAUSS), RngStream(301, 0))
         dense = A.to_dense()
-        nrm = spectral_norm(dense, tol=1e-10)
+        nrm = spectral_norm(dense)
         assert nrm >= np.abs(np.diag(dense)).max() - 1e-9
         assert nrm >= np.abs(dense).max() - 1e-9
 
@@ -183,20 +189,16 @@ class TestSpectralNorm:
         for t in range(10):
             A = sample_matrix(EnsembleParams(32, 0.5, GAUSS), RngStream(302, t)).to_dense()
             oracle = float(np.abs(full_symmetric_spectrum(A)).max())
-            assert spectral_norm(A, tol=1e-10) == pytest.approx(oracle, rel=1e-8)
+            assert spectral_norm(A) == pytest.approx(oracle, rel=1e-8)
 
     def test_meets_tol_on_norm_check_matrix(self):
         # norm-check, seed 1, cell 0, trial 2 (n=500, p=0.1, rademacher).
         # A power iteration on A^2 stopped 3.2e-6 short of |A| here, past
-        # the 1.4e-6 that tol=1e-7 allows.
+        # the 1.4e-6 that a relative tolerance of 1e-7 allows.
         A = sample_matrix(EnsembleParams(500, 0.1, RAD), trial_stream(1, 0, 2)).to_dense()
         ref = float(np.abs(np.linalg.eigvalsh(A)).max())
         tol = 1e-7
-        assert abs(spectral_norm(A, tol=tol) - ref) <= tol * max(1.0, ref)
-
-    def test_bad_tol(self):
-        with pytest.raises(ParameterError):
-            spectral_norm(np.eye(2), tol=-1.0)
+        assert abs(spectral_norm(A) - ref) <= tol * max(1.0, ref)
 
 
 class TestOperatorNormEvent:
@@ -211,7 +213,7 @@ class TestOperatorNormEvent:
     def test_holds_at_cop_three(self):
         params = EnsembleParams(400, 0.5, RAD, c_op=3.0)
         hits = sum(
-            operator_norm_event(sample_matrix(params, RngStream(303, t)), params, tol=1e-6)
+            operator_norm_event(sample_matrix(params, RngStream(303, t)), params)
             for t in range(30)
         )
         assert hits >= 29
@@ -272,6 +274,15 @@ class TestNormBoundExperiment:
         assert report.bvh_fraction >= 0.9
 
 
+class TestSingularExtremes:
+    def test_magnitudes(self):
+        assert singular_extremes(np.array([-3.0, 0.5, 2.0])) == (0.5, 3.0)
+
+    @pytest.mark.parametrize("evals", [np.zeros(4), np.array([]), np.array([1e-20, -1.0])], ids=["zero", "empty", "below-floor"])
+    def test_singular_reads_zero(self, evals):
+        assert singular_extremes(evals) == (0.0, float(np.abs(evals).max(initial=0.0)))
+
+
 class TestIsSingular:
     @pytest.mark.parametrize("smax", [1e-3, 1.0, 1e6])
     def test_floor_is_1e3_eps_relative(self, smax):
@@ -287,7 +298,6 @@ class TestIsSingular:
 class TestSpectralSummary:
     def test_dense_path(self):
         s = spectral_summary(np.eye(3))
-        assert s.method == "dense-oracle"
         assert s.s_min == 1.0 and s.s_max == 1.0 and s.condition_number == 1.0
 
     def test_singular_condition_number(self):
@@ -295,14 +305,26 @@ class TestSpectralSummary:
         assert s.s_min == 0.0
         assert math.isinf(s.condition_number)
 
-    def test_iterative_path_above_cap(self):
-        A = sample_matrix(EnsembleParams(24, 0.6, GAUSS), RngStream(305, 0)).to_dense()
-        dense = spectral_summary(A)
-        iterative = spectral_summary(A, cap=8)
-        assert iterative.method == "iterative"
-        assert iterative.s_min == pytest.approx(dense.s_min, rel=1e-7)
-        assert iterative.s_max == pytest.approx(dense.s_max, rel=1e-7)
-        assert iterative.residual == 1e-10 * max(1.0, iterative.s_max)
+    def test_measured_residual_above_2048(self, monkeypatch, matrix_2049):
+        # Shifting the smallest-magnitude eigenvalue by delta, far above the
+        # rounding noise and inside the certificate's bound, moves the
+        # residual of its unit eigenvector to delta: it is measured.
+        A = matrix_2049
+        plain = spectral_summary(A)
+        delta = 1e-9 * plain.s_max
+        real_dsterf = spectra.dsterf
+
+        def shifted(d, e):
+            w, info = real_dsterf(d, e)
+            w[np.argmin(np.abs(w))] += delta
+            return w, info
+
+        monkeypatch.setattr(spectra, "dsterf", shifted)
+        summary = spectral_summary(A)
+        assert plain.residual <= 1e-10 * plain.s_max * A.shape[0]
+        assert summary.residual == pytest.approx(delta, rel=1e-3)
+        assert summary.s_max == plain.s_max
+        assert not hasattr(summary, "method")
 
     def test_dense_residual_is_measured(self, monkeypatch):
         # Shift the smallest-magnitude eigenvalue by delta, far above the
@@ -327,19 +349,13 @@ class TestSpectralSummary:
         assert summary.s_min == pytest.approx(abs(lam), rel=1e-9)
         assert summary.residual == pytest.approx(expected, rel=1e-3)
 
-    def test_iterative_route_reduces_once(self, monkeypatch):
+    def test_reduces_once(self, monkeypatch):
         calls = []
         real = spectra._tridiagonal
         monkeypatch.setattr(spectra, "_tridiagonal", lambda dense: calls.append(dense.shape) or real(dense))
         A = sample_matrix(EnsembleParams(24, 0.6, GAUSS), RngStream(305, 0)).to_dense()
-        assert spectral_summary(A, cap=8).method == "iterative"
+        spectral_summary(A)
         assert calls == [(24, 24)]
-
-    @pytest.mark.parametrize("cap", [spectra.DENSE_CAP, 2])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-    def test_bad_tol_rejected_on_both_routes(self, cap, tol):
-        with pytest.raises(ParameterError, match="tol"):
-            spectral_summary(np.eye(4), tol=tol, cap=cap)
 
 
 def _rotated_diagonal(values, seed):
@@ -366,8 +382,11 @@ class TestExtremeSingularValues:
     @pytest.mark.parametrize("t", range(10))
     @pytest.mark.parametrize("params", [EnsembleParams(60, 0.3, GAUSS), EnsembleParams(200, 0.05, RAD)])
     def test_random_matrices(self, params, t):
-        smin, smax = self._check(sample_matrix(params, RngStream(808, t)).to_dense())
+        A = sample_matrix(params, RngStream(808, t)).to_dense()
+        smin, smax = self._check(A)
         assert 0.0 < smin <= smax
+        _, diag, off, _ = spectra._tridiagonal(A)
+        assert spectra._nonpositive_count(diag, off) == int((np.linalg.eigvalsh(A) <= 0).sum())
 
     def test_zero_matrix(self):
         assert self._check(np.zeros((5, 5))) == (0.0, 0.0)
@@ -393,6 +412,19 @@ class TestExtremeSingularValues:
         else:
             assert smin == pytest.approx(factor * floor, rel=1e-2)
 
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.diag([2.0, -1.0, 0.0, 0.5, -3.0]),
+            _rotated_diagonal([2.0, -1.0, 0.0, 0.5, -3.0], seed=12),
+            _rotated_diagonal([0.3, 1.0, 2.5, 4.0], seed=13),
+            _rotated_diagonal([-0.3, -1.0, -2.5, -4.0], seed=14),
+        ],
+        ids=["exact-zero-eigenvalue", "rotated-zero-eigenvalue", "definite", "negative-definite"],
+    )
+    def test_sign_patterns(self, A):
+        self._check(A)
+
     def test_public_wrappers_read_it(self):
         A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(809, 0)).to_dense()
         assert (smallest_singular_value(A), spectral_norm(A)) == spectra._extreme_singular_values(A)
@@ -402,7 +434,7 @@ class TestCertifiedEigenvectors:
     @pytest.mark.parametrize("t", range(3))
     def test_unit_and_within_contract(self, t):
         A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, t)).to_dense()
-        evals, worst, V = spectra._certified_spectrum(A, spectra.DENSE_CAP)
+        evals, worst, V = spectra._certified_spectrum(A)
         picks = [int(np.argmin(np.abs(evals))), int(np.argmax(np.abs(evals)))]
         norm = float(np.abs(evals).max())
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
@@ -410,8 +442,18 @@ class TestCertifiedEigenvectors:
         assert residuals.max() <= 1e-10 * norm * A.shape[0]
         assert worst == pytest.approx(residuals.max(), rel=1e-6, abs=1e-15 * norm)
 
+    def test_residual_product_copies_no_matrix(self, monkeypatch):
+        # A V runs on scipy's dgemm with A's Fortran-ordered transpose view,
+        # which scipy passes to BLAS without an n x n copy.
+        seen = []
+        real = spectra.dgemm
+        monkeypatch.setattr(spectra, "dgemm", lambda alpha, a, b, **kw: seen.append(a) or real(alpha, a, b, **kw))
+        A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, 0)).to_dense()
+        spectra._certified_spectrum(A)
+        assert len(seen) == 1 and seen[0].flags.f_contiguous and np.shares_memory(seen[0], A)
+
     def test_one_by_one(self):
-        evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]), spectra.DENSE_CAP)
+        evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]))
         assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
 
 

@@ -523,6 +523,30 @@ class TestClassificationInvariance:
         assert base.dist_to_sparse == pytest.approx(other.dist_to_sparse, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kwargs,word",
+    [
+        ({"L": math.nan}, "L must"),
+        ({"L": math.inf}, "L must"),
+        ({"theta_cap": math.nan}, "theta_cap"),
+        ({"theta_cap": math.inf}, "theta_cap"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+    ],
+)
+def test_lcd_non_finite_argument_rejected(kwargs, word):
+    # NaN fails every comparison, and a scan to theta_cap = inf never ends.
+    x = np.full(4, 0.5)
+    with pytest.raises(ParameterError, match=word):
+        lcd(x, **{"L": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_structure_constants_non_finite_L_rejected(value):
+    with pytest.raises(ParameterError, match="L must"):
+        StructureConstants(L=value)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_vector_rejected(value):
     # abs(nan - 1) > tol is False, so a norm check alone lets nan through.

@@ -141,11 +141,12 @@ def test_non_finite_vector_rejected(tmp_path, capsys, command, token):
     assert _one_line_error(captured) and "finite" in captured.err
 
 
-def test_spectra_has_no_tol_flag(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_spectra_has_no_tol_flag(tmp_path, capsys, tol):
     out = tmp_path / "m.txt"
     main(["generate", "-n", "6", "-p", "0.8", "--out", str(out)])
     with pytest.raises(SystemExit) as exc:
-        main(["spectra", "--matrix", str(out), "--tol", "1e-10"])
+        main(["spectra", "--matrix", str(out), "--tol", tol])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 

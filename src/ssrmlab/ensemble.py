@@ -246,7 +246,9 @@ class SparseSymmetricMatrix:
                 raise ParameterError("stored values must be finite")
             # Sampler output is in row-major order, so the O(nnz) strictly-
             # increasing test settles it; other orders fall back to a sort.
-            keys = row * self.n + col
+            # keys is built in place: one nnz-sized temporary, not two.
+            keys = row * self.n
+            keys += col
             if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size != keys.size:
                 raise ParameterError("duplicate (i, j) entry")
         for arr, name in ((row, "row"), (col, "col"), (val, "val")):
@@ -281,12 +283,23 @@ def sample_matrix(params: EnsembleParams, stream: RngStream) -> SparseSymmetricM
     present with probability p; present entries take i.i.d. values from
     ``params.dist``.  Pure function of (params, stream).
     """
+    n = params.n
     rng = stream.generator()
-    iu, ju = np.triu_indices(params.n)
-    mask = rng.random(iu.size) < params.p
-    vals = params.dist.sample(rng, int(mask.sum()))
+    # One draw per upper-triangle position, row by row (np.triu_indices order).
+    flat = np.flatnonzero(rng.random(n * (n + 1) // 2) < params.p)
+    vals = params.dist.sample(rng, flat.size)
     keep = vals != 0.0  # continuous laws can emit exact zeros with prob 0
-    return SparseSymmetricMatrix(params.n, iu[mask][keep], ju[mask][keep], vals[keep])
+    if not keep.all():
+        flat, vals = flat[keep], vals[keep]
+    # Row i starts at flat index i n - i (i - 1) / 2, so no n^2 index
+    # arrays; col is formed in flat's own buffer.
+    i = np.arange(n)
+    starts = i * n - i * (i - 1) // 2
+    row = np.searchsorted(starts, flat, side="right") - 1
+    col = flat
+    col -= starts[row]
+    col += row
+    return SparseSymmetricMatrix(n, row, col, vals)
 
 
 def sample_sparse_vector(

@@ -9,6 +9,9 @@ the lanes), records are folded in grid order, and float formatting is
 fixed, so the CSV is byte-identical at any worker count.  Tail-sweep and
 scaling trials read (s_min, s_max) from the certified spectrum
 (``spectra.full_symmetric_spectrum``), one reduction per trial at any n.
+Each such trial holds one n x n array (8 n^2 bytes): it hands spectra its
+sparse realization, which spectra densifies into a buffer of its own and
+reduces in place.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.5.1"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -310,8 +313,9 @@ def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, 
     """(s_min, s_max) of the realization of trial t in cell c, from its certified spectrum."""
     from .spectra import full_symmetric_spectrum, singular_extremes
 
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    return singular_extremes(full_symmetric_spectrum(dense))
+    # The sparse realization goes in whole: spectra densifies it into the one
+    # n x n buffer the trial holds and reduces that buffer in place.
+    return singular_extremes(full_symmetric_spectrum(sample_matrix(params, trial_stream(master_seed, c, t))))
 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:

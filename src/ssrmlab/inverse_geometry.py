@@ -50,6 +50,15 @@ def _solve(dense: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _inverse(dense: np.ndarray) -> np.ndarray:
+    """A^-1 by dgesv, solved into the Fortran-ordered identity allocated here, which
+    dgesv overwrites: one n x n buffer for the inverse, not an identity and a solution."""
+    _, _, inv, info = dgesv(dense, np.eye(len(dense), order="F"), overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"dgesv met an exactly singular pivot (info={info})")
+    return inv
+
+
 def distance_to_complement_span(A, j: int) -> float:
     """Euclidean distance from column j to the span of the other columns.
 
@@ -105,7 +114,7 @@ def all_column_distances(A) -> np.ndarray:
     dense = _as_dense(A)
     n = dense.shape[0]
     if _extreme_singular_values(dense)[0] > 0.0:
-        return 1.0 / np.linalg.norm(_solve(dense, np.eye(n)), axis=0)
+        return 1.0 / np.linalg.norm(_inverse(dense), axis=0)
     return np.array([distance_to_complement_span(dense, j) for j in range(n)])
 
 
@@ -119,8 +128,7 @@ def inverse_image_stats(A, X, p: float = 1.0) -> InverseImageStats:
         raise ParameterError("p must lie in (0, 1]")
     if _extreme_singular_values(dense)[0] == 0.0:
         return InverseImageStats(math.nan, math.nan, math.nan, singular=True)
-    inv = _solve(dense, np.eye(len(dense)))
-    hs = float(np.linalg.norm(inv))
+    hs = float(np.linalg.norm(_inverse(dense)))
     img = float(np.linalg.norm(_solve(dense, X)))
     ratio = img / (math.sqrt(p) * hs) if hs > 0 else math.nan
     return InverseImageStats(hs, img, ratio)
@@ -144,7 +152,7 @@ def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams,
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
     if _extreme_singular_values(dense)[0] == 0.0:
         return None
-    inv = _solve(dense, np.eye(len(dense)))
+    inv = _inverse(dense)
     streams = [trial_stream(master_seed, 2, t * x_draws + k) for k in range(x_draws)]
     Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
     return np.linalg.norm(inv @ Xs, axis=0), np.linalg.norm(inv)

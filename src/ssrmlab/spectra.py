@@ -12,6 +12,14 @@ dstebz at single indices, a different eigenvalue algorithm, so the
 routes cross-check each other; it serves ``smallest_singular_value``,
 ``spectral_norm`` and every singular check in ``inverse_geometry``.
 Both turn eigenvalues into (s_min, s_max) with ``singular_extremes``.
+
+Ownership: both routes take a ``SparseSymmetricMatrix`` or an array and
+never write to the caller's array.  ``_as_dense`` gives each call one
+n x n buffer of its own (the densified matrix, or one Fortran-ordered
+copy of an array), and dsytrd reduces that buffer in place.  So a trial
+that passes its sparse realization holds one n x n array: the certified
+route saves the diagonal, applies Q panel by panel to its two vectors,
+restores the diagonal and forms A V from the untouched upper triangle.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dsymm
 from scipy.linalg.lapack import dormqr, dstebz, dsterf, dsytrd, dsytrd_lwork
 
 from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
@@ -39,6 +47,9 @@ _STEBZ_ABSTOL = 2.0 * np.finfo(np.float64).tiny
 _SAFE_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _SAFE_MAX = min(1.0 / _SAFE_MIN, np.finfo(np.float64).tiny ** -0.25)
 
+# Reflectors per dormqr call when Q is applied to the certified eigenvectors.
+_PANEL = 64
+
 
 def is_singular(smin: float, smax: float) -> bool:
     """The singular rule: s_min below the floor times s_max, or A = 0."""
@@ -54,7 +65,15 @@ def singular_extremes(evals: np.ndarray) -> tuple[float, float]:
 
 
 def _as_dense(A) -> np.ndarray:
-    dense = A.to_dense() if isinstance(A, SparseSymmetricMatrix) else np.asarray(A, dtype=np.float64)
+    """A finite square float64 matrix in a fresh Fortran-ordered buffer the caller owns.
+
+    A ``SparseSymmetricMatrix`` is densified straight into it (the
+    transpose of ``to_dense``'s array, equal by symmetry); an array is
+    copied once, the copy dsytrd would otherwise make itself.
+    """
+    if isinstance(A, SparseSymmetricMatrix):
+        return A.to_dense().T
+    dense = np.array(A, dtype=np.float64, order="F")
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ParameterError("expected a square matrix")
     if not np.isfinite(dense).all():
@@ -92,32 +111,39 @@ class SpectralSummary:
     residual: float
 
 
-def _balanced(dense: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-shift A, shift), an exact scaling; shift = 0 unless max |a_ij| is outside the safe range."""
-    peak = max(float(dense.max()), -float(dense.min()))  # no n x n temporary
+def _balance(work: np.ndarray) -> int:
+    """Scale work by 2^-shift in place, exactly, and return shift; shift = 0
+    unless max |a_ij| is outside the safe range."""
+    peak = max(float(work.max()), -float(work.min()))  # no n x n temporary
     shift = 0 if peak == 0.0 or _SAFE_MIN <= peak <= _SAFE_MAX else math.frexp(peak)[1]
-    return (np.ldexp(dense, -shift) if shift else dense), shift
+    if shift:
+        np.ldexp(work, -shift, out=work)
+    return shift
 
 
-def _tridiagonal(dense: np.ndarray):
-    """dsytrd on the lower triangle: (reflectors, diagonal, off-diagonal, tau)."""
+def _tridiagonal(work: np.ndarray):
+    """dsytrd on the lower triangle of an owned Fortran-ordered buffer, in place:
+    (reflectors, diagonal, off-diagonal, tau).  The diagonal and below are
+    overwritten; the strict upper triangle is not touched."""
     # The queried workspace enables the blocked reduction; the default
     # lwork=n runs the unblocked one at about half the speed.
-    lwork = int(dsytrd_lwork(dense.shape[0], lower=1)[0])
-    reflectors, diag, off, tau, info = dsytrd(dense, lower=1, lwork=lwork)
+    lwork = int(dsytrd_lwork(work.shape[0], lower=1)[0])
+    reflectors, diag, off, tau, info = dsytrd(work, lower=1, lwork=lwork, overwrite_a=1)
     if info != 0:
         raise NumericalError(f"dsytrd failed with info={info}")
     return reflectors, diag, off, tau
 
 
-def _certified_spectrum(dense: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
     """(ascending eigenvalues, worst residual of the two certified eigenpairs,
     their unit eigenvectors as columns: smallest magnitude first, then largest)."""
-    n = dense.shape[0]
+    work = _as_dense(A)
+    n = work.shape[0]
     if n <= 1:
-        return dense.diagonal().copy(), 0.0, np.ones((n, 2))
-    dense, shift = _balanced(dense)
-    reflectors, diag, off, tau = _tridiagonal(dense)
+        return work.diagonal().copy(), 0.0, np.ones((n, 2))
+    shift = _balance(work)
+    saved = work.diagonal().copy()
+    reflectors, diag, off, tau = _tridiagonal(work)
     evals, info = dsterf(diag, off)
     if info != 0:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
@@ -129,16 +155,22 @@ def _certified_spectrum(dense: np.ndarray) -> tuple[np.ndarray, float, np.ndarra
         )
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"tridiagonal eigenvector failed: {exc}") from exc
-    # dormtr for UPLO='L': Q = diag(1, Q'), Q' the QR-form product of the
-    # reflectors stored below the first subdiagonal.
+    # dormtr for UPLO='L': Q = diag(1, Q'), Q' = H_0 ... H_{n-2} the QR-form
+    # product of the reflectors stored below the first subdiagonal.  H_k
+    # touches rows k.. of Q', so each panel of reflectors acts on a tail of
+    # V, last panel first; only the panel, not the (n-1)^2 block, is copied.
     V = Z.copy()
-    V[1:], _, info = dormqr("L", "N", reflectors[1:, : n - 1], tau, Z[1:], lwork=2)
-    if info != 0:
-        raise NumericalError(f"dormqr failed with info={info}")
+    for k in range((n - 2) // _PANEL * _PANEL, -1, -_PANEL):
+        end = min(k + _PANEL, n - 1)
+        V[k + 1 :], _, info = dormqr("L", "N", reflectors[k + 1 :, k:end], tau[k:end], V[k + 1 :], lwork=2)
+        if info != 0:
+            raise NumericalError(f"dormqr failed with info={info}")
     lengths = np.linalg.norm(V, axis=0)
-    # A V on scipy's BLAS like dsytrd (numpy's own OpenBLAS pool contends
-    # with scipy's); dense.T is a Fortran-ordered view, so nothing is copied.
-    AV = dgemm(1.0, dense.T, V, trans_a=1)
+    # A V from the upper triangle, which dsytrd left as it was, once the
+    # diagonal is back; on scipy's BLAS like dsytrd (numpy's own OpenBLAS
+    # pool contends with scipy's).
+    np.fill_diagonal(work, saved)
+    AV = dsymm(1.0, work, V)
     worst = float((np.linalg.norm(AV - V * evals[picks], axis=0) / lengths).max())
     if norm > 0 and not worst <= 1e-10 * norm * n:
         raise NumericalError(f"eigenpair residual {worst:g} out of contract")
@@ -155,7 +187,7 @@ def full_symmetric_spectrum(A) -> np.ndarray:
     within the contract 1e-10 * |A| * n.  By the residual theorem each of
     the two then lies within its residual of an eigenvalue of A.
     """
-    return _certified_spectrum(_as_dense(A))[0]
+    return _certified_spectrum(A)[0]
 
 
 def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
@@ -181,7 +213,7 @@ def _nonpositive_count(diag: np.ndarray, off: np.ndarray) -> int:
     return int(found)
 
 
-def _extreme_singular_values(dense: np.ndarray) -> tuple[float, float]:
+def _extreme_singular_values(A) -> tuple[float, float]:
     """(s_min, s_max) of a finite symmetric matrix; s_min is 0 when ``is_singular``.
 
     One dsytrd, then dstebz, run to its full accuracy, at indices 1 and n
@@ -189,11 +221,12 @@ def _extreme_singular_values(dense: np.ndarray) -> tuple[float, float]:
     <= 0.  Both values lie within the reduction's backward error, about
     n eps |A|.
     """
-    n = dense.shape[0]
-    if n <= 1 or not np.any(dense):
-        return singular_extremes(dense.diagonal())
-    dense, shift = _balanced(dense)
-    _, diag, off, _ = _tridiagonal(dense)
+    work = _as_dense(A)
+    n = work.shape[0]
+    if n <= 1 or not np.any(work):
+        return singular_extremes(work.diagonal())
+    shift = _balance(work)
+    _, diag, off, _ = _tridiagonal(work)
     nu = _nonpositive_count(diag, off)
     picks = [k for k in sorted({1, nu, nu + 1, n}) if 1 <= k <= n]
     smin, smax = singular_extremes(np.array([_eigenvalue(diag, off, k) for k in picks]))
@@ -202,12 +235,12 @@ def _extreme_singular_values(dense: np.ndarray) -> tuple[float, float]:
 
 def smallest_singular_value(A) -> float:
     """min |eigenvalue|, within about n eps |A|; 0 when singular."""
-    return _extreme_singular_values(_as_dense(A))[0]
+    return _extreme_singular_values(A)[0]
 
 
 def spectral_norm(A) -> float:
     """max |eigenvalue|, within about n eps |A|."""
-    return _extreme_singular_values(_as_dense(A))[1]
+    return _extreme_singular_values(A)[1]
 
 
 def spectral_summary(A) -> SpectralSummary:
@@ -216,7 +249,7 @@ def spectral_summary(A) -> SpectralSummary:
     ``residual`` is measured: the larger of ||Av - lambda v|| / ||v|| over
     the two reported eigenpairs.
     """
-    evals, residual, _ = _certified_spectrum(_as_dense(A))
+    evals, residual, _ = _certified_spectrum(A)
     smin, smax = singular_extremes(evals)
     cond = smax / smin if smin > 0 else math.inf
     return SpectralSummary(smin, smax, cond, residual)

@@ -135,8 +135,8 @@ def is_dominated(x, m: int, alpha: float) -> bool:
     n = x.size
     if not 1 <= m < n:
         raise ParameterError(f"budget m must satisfy 1 <= m < n, got {m}")
-    if not alpha < 1.0:
-        raise ParameterError("alpha must be < 1")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     tail = np.sort(np.abs(x))[: n - m]
     tail_l2 = float(np.linalg.norm(tail))
     tail_inf = float(tail.max(initial=0.0))

@@ -172,6 +172,16 @@ def test_non_finite_flag_rejected(tmp_path, capsys, argv, word):
     assert _one_line_error(captured) and word in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["-1", "0", "-inf", "1", "nan"])
+def test_structure_alpha_outside_unit_interval_rejected(tmp_path, capsys, alpha):
+    # With alpha <= 0 every vector with a nonzero tail would read "not dominated".
+    path = tmp_path / "v.txt"
+    path.write_text(" ".join(["1.0"] * 250) + "\n")
+    assert main(["structure", "--vector", str(path), f"--alpha={alpha}"]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured) and "alpha" in captured.err and captured.out == ""
+
+
 def test_missing_vector_file(tmp_path, capsys):
     assert main(["lcd", "--vector", str(tmp_path / "nope.txt")]) == 1
 

@@ -134,6 +134,51 @@ class TestSampleMatrix:
             EnsembleParams(5, -0.1, RAD)
 
 
+def _triu_reference(params: EnsembleParams, stream: RngStream) -> tuple:
+    """The sampler as written with np.triu_indices, on the same stream."""
+    rng = stream.generator()
+    iu, ju = np.triu_indices(params.n)
+    mask = rng.random(iu.size) < params.p
+    vals = params.dist.sample(rng, int(mask.sum()))
+    keep = vals != 0.0
+    return iu[mask][keep], ju[mask][keep], vals[keep]
+
+
+LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+
+
+class TestSampleMatrixIndexing:
+    """Row starts and searchsorted give the same (row, col, val) as np.triu_indices."""
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("n", [2, 3, 37, 300])
+    @pytest.mark.parametrize("p", ["0", "1/n", "0.3", "1"])
+    def test_matches_triu_indices(self, law, n, p):
+        params = EnsembleParams(n, {"0": 0.0, "1/n": 1.0 / n, "0.3": 0.3, "1": 1.0}[p], law)
+        stream = RngStream(2024, n)
+        A = sample_matrix(params, stream)
+        row, col, val = _triu_reference(params, stream)
+        assert A.row.dtype == row.dtype and A.col.dtype == col.dtype
+        assert np.array_equal(A.row, row) and np.array_equal(A.col, col)
+        assert A.val.tobytes() == val.tobytes()
+
+    def test_exact_zero_values_dropped_in_step(self, monkeypatch):
+        # A continuous law's exact zero is dropped with its own position.
+        real = EntryDistribution.sample
+
+        def with_zeros(self, rng, size):
+            vals = real(self, rng, size)
+            vals[::3] = 0.0
+            return vals
+
+        monkeypatch.setattr(EntryDistribution, "sample", with_zeros)
+        params = EnsembleParams(37, 0.3, GAUSS)
+        A = sample_matrix(params, RngStream(7, 1))
+        row, col, val = _triu_reference(params, RngStream(7, 1))
+        assert 0 < A.nnz_upper == row.size
+        assert np.array_equal(A.row, row) and np.array_equal(A.col, col) and np.array_equal(A.val, val)
+
+
 class TestSampleSparseVector:
     def test_p_zero(self):
         assert not np.any(sample_sparse_vector(5, 0.0, RAD, RngStream(1, 1)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,18 +444,89 @@ class TestCertifiedEigenvectors:
         assert worst == pytest.approx(residuals.max(), rel=1e-6, abs=1e-15 * norm)
 
     def test_residual_product_copies_no_matrix(self, monkeypatch):
-        # A V runs on scipy's dgemm with A's Fortran-ordered transpose view,
-        # which scipy passes to BLAS without an n x n copy.
-        seen = []
-        real = spectra.dgemm
-        monkeypatch.setattr(spectra, "dgemm", lambda alpha, a, b, **kw: seen.append(a) or real(alpha, a, b, **kw))
+        # A V runs on scipy's dsymm over the buffer dsytrd reduced in place
+        # (its upper triangle, with the saved diagonal put back): Fortran-
+        # ordered, so scipy passes it to BLAS without an n x n copy.
+        reduced, seen = [], []
+        real_tridiagonal, real_dsymm = spectra._tridiagonal, spectra.dsymm
+
+        def tridiagonal(work):
+            out = real_tridiagonal(work)
+            reduced.append((work, out[0]))
+            return out
+
+        monkeypatch.setattr(spectra, "_tridiagonal", tridiagonal)
+        monkeypatch.setattr(spectra, "dsymm", lambda alpha, a, b, **kw: seen.append(a) or real_dsymm(alpha, a, b, **kw))
         A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, 0)).to_dense()
         spectra._certified_spectrum(A)
-        assert len(seen) == 1 and seen[0].flags.f_contiguous and np.shares_memory(seen[0], A)
+        (work, reflectors), = reduced
+        assert np.shares_memory(reflectors, work)
+        assert len(seen) == 1 and seen[0] is work and work.flags.f_contiguous
+        assert np.array_equal(np.triu(work), np.triu(A))
 
     def test_one_by_one(self):
         evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]))
         assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
+
+
+def _peak_in_matrices(n, fn, *args):
+    """The tracemalloc peak of fn(*args), in units of one n x n float64 matrix."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
+class TestOneBufferPerCall:
+    """Each spectral call holds one n x n buffer of its own and never writes to the caller's."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def realization(self):
+        return sample_matrix(EnsembleParams(self.N, 0.3, RAD), RngStream(813, 0))
+
+    @pytest.mark.parametrize("fn", [full_symmetric_spectrum, spectral_summary], ids=lambda f: f.__name__)
+    def test_sparse_input_peak(self, realization, fn):
+        # One n x n buffer, plus O(n) work arrays and one reflector panel.
+        assert _peak_in_matrices(self.N, fn, realization) <= 1.5
+
+    def test_array_input_peak(self, realization):
+        # The caller's array is not counted, only the one copy dsytrd reduces.
+        dense = realization.to_dense()
+        assert _peak_in_matrices(self.N, full_symmetric_spectrum, dense) <= 1.5
+
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_sample_matrix_peak(self, p):
+        # The tail-dense grid's p values.  The mask draw alone is half a
+        # matrix; int64 (row, col) pairs for every position would add one more.
+        params = EnsembleParams(self.N, p, RAD)
+        assert _peak_in_matrices(self.N, sample_matrix, params, RngStream(814, 0)) <= 0.75
+
+    @pytest.mark.parametrize(
+        "fn",
+        [full_symmetric_spectrum, spectral_summary, spectra._certified_spectrum, spectra._extreme_singular_values],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    def test_caller_array_unchanged(self, fn, order, scale):
+        # Fortran order is the layout dsytrd could overwrite without a copy;
+        # 1e-160 takes the in-place power-of-two scaling.
+        A = np.array(scale * sample_matrix(EnsembleParams(60, 0.3, GAUSS), RngStream(815, 0)).to_dense(), order=order)
+        before = A.copy(order="K")
+        fn(A)
+        assert A.tobytes(order="A") == before.tobytes(order="A") and A.flags.f_contiguous == (order == "F")
+
+    def test_tridiagonal_reduces_in_place(self):
+        work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T
+        upper = np.triu(work, 1)
+        reflectors, diag, _, _ = spectra._tridiagonal(work)
+        assert np.shares_memory(reflectors, work) and np.array_equal(work.diagonal(), diag)
+        assert np.array_equal(np.triu(work, 1), upper)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])

@@ -249,6 +249,19 @@ class TestIsDominated:
         with pytest.raises(ParameterError):
             is_dominated(x, 2, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.0, -1.0, -math.inf, math.inf, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # With alpha <= 0 no vector with a nonzero tail is dominated, so
+        # such an alpha is rejected rather than answered.
+        x = np.zeros(4)
+        x[0] = 1.0
+        with pytest.raises(ParameterError, match="alpha"):
+            is_dominated(x, 2, alpha)
+
+    def test_alpha_inside_unit_interval_accepted(self):
+        x = np.full(4, 0.5)
+        assert is_dominated(x, 3, 0.9) and not is_dominated(x, 3, 1e-9)
+
 
 class TestSpreadSet:
     def test_uniform_vector_first_indices(self):

@@ -10,12 +10,14 @@ CSV emission in :mod:`ssrmlab.harness`.
 
 The names below are imported from their submodules on first access
 (PEP 562), so ``import ssrmlab`` loads no submodule and a CLI process
-loads scipy only when its subcommand runs a LAPACK kernel.
+loads scipy only when its subcommand runs a LAPACK kernel; even then
+:mod:`ssrmlab.spectra` loads only scipy's two compiled LAPACK and BLAS
+modules, not the scipy.linalg package.
 """
 
 import importlib
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {

@@ -44,7 +44,7 @@ from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.5.1"
+ARTIFACT_VERSION = "0.5.2"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",

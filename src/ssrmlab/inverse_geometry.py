@@ -5,7 +5,10 @@ n: its ``_extreme_singular_values`` for every singular check and the
 quadratic trial's operator norm, its ``_certified_spectrum`` for the
 distance-check trial's s_min and certified eigenvector.  Realizations
 singular to working precision are excluded and counted, never silently
-folded into averages.
+folded into averages.  Solves and inverses run spectra's dgesv; only
+``distance_to_complement_span`` (the singular fallback of
+``all_column_distances``, and ``quadratic_form_distance``) imports the
+scipy.linalg package, for its pivoted QR.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgesv
 
 from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
-from .spectra import _as_dense, _certified_spectrum, _extreme_singular_values
+from .spectra import _as_dense, _certified_spectrum, _extreme_singular_values, dgesv
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants, regularized_lcd, sparse_tail_distance, spread_set
 
@@ -72,6 +73,8 @@ def distance_to_complement_span(A, j: int) -> float:
         raise ParameterError("need n >= 2")
     if not 0 <= j < n:
         raise ParameterError("column index out of range")
+    import scipy.linalg  # the package costs 0.25 s of start-up; only the singular paths get here
+
     block = np.delete(dense, j, axis=1)
     col = dense[:, j]
     Q, R, _ = scipy.linalg.qr(block, mode="economic", pivoting=True)
@@ -224,13 +227,13 @@ def _distance_trial(
     master_seed: int, eps: float, M: int, rho: float, params: EnsembleParams, c: int, t: int
 ) -> DistanceExperimentRow:
     n, p = params.n, params.p
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    evals, _, vectors = _certified_spectrum(dense)
+    A = sample_matrix(params, trial_stream(master_seed, c, t))
+    evals, _, vectors = _certified_spectrum(A)
     smin = float(np.abs(evals).min())
     dist, _ = sparse_tail_distance(vectors[:, 0], M)
     incomp = dist > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
-    dists = all_column_distances(dense)
+    dists = all_column_distances(A)
     rhs_value = float(np.sum(dists <= math.sqrt(p) * eps)) / M
     return DistanceExperimentRow(t, smin, incomp, lhs_event, rhs_value)
 

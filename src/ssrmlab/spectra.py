@@ -20,21 +20,59 @@ copy of an array), and dsytrd reduces that buffer in place.  So a trial
 that passes its sparse realization holds one n x n array: the certified
 route saves the diagonal, applies Q panel by panel to its two vectors,
 restores the diagonal and forms A V from the untouched upper triangle.
+
+Every LAPACK and BLAS routine in the package is bound here, from scipy's
+two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
+``_compiled_linalg`` loads without the scipy.linalg package; the
+certified eigenvectors come from dstebz and dstein directly.
+``inverse_geometry`` takes dgesv from here.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dsymm
-from scipy.linalg.lapack import dormqr, dstebz, dsterf, dsytrd, dsytrd_lwork
 
 from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import CapabilityError, NumericalError, ParameterError
+
+
+def _compiled_linalg(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>`` without the scipy.linalg package.
+
+    The package costs about 0.25 s and 500 modules of start-up; the
+    extension module alone loads in milliseconds.  It is registered in
+    ``sys.modules`` under its real name, so a later ``import scipy.linalg``
+    reuses this very module.  If the file is not found, the ordinary
+    import gives the same module, only slower.
+    """
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(full)
+    if spec is None:
+        return importlib.import_module(full)
+    module = module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack, _fblas = _compiled_linalg("_flapack"), _compiled_linalg("_fblas")
+dgesv, dormqr, dstebz, dstein = _flapack.dgesv, _flapack.dormqr, _flapack.dstebz, _flapack.dstein
+dsterf, dsytrd, dsytrd_lwork = _flapack.dsterf, _flapack.dsytrd, _flapack.dsytrd_lwork
+dsymm = _fblas.dsymm
 
 # s_min below this multiple of eps * |A| is reported as exactly 0.
 _SINGULAR_FLOOR = 1e3 * np.finfo(np.float64).eps
@@ -134,6 +172,18 @@ def _tridiagonal(work: np.ndarray):
     return reflectors, diag, off, tau
 
 
+def _tridiagonal_eigenvector(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The unit eigenvector of the k-th smallest eigenvalue (0-based) of the tridiagonal
+    (diag, off): dstebz by bisection, then dstein by inverse iteration."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B")
+    if info != 0 or m != 1:
+        raise NumericalError(f"dstebz gave {m} eigenvalues with info={info} for index {k + 1}")
+    z, info = dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"dstein failed with info={info} for eigenvalue {k + 1}")
+    return z[:, 0]
+
+
 def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
     """(ascending eigenvalues, worst residual of the two certified eigenpairs,
     their unit eigenvectors as columns: smallest magnitude first, then largest)."""
@@ -149,12 +199,7 @@ def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
     norm = float(max(-evals[0], evals[-1]))
     picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
-    try:
-        Z = np.column_stack(
-            [eigh_tridiagonal(diag, off, select="i", select_range=(k, k))[1][:, 0] for k in picks]
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"tridiagonal eigenvector failed: {exc}") from exc
+    Z = np.column_stack([_tridiagonal_eigenvector(diag, off, k) for k in picks])
     # dormtr for UPLO='L': Q = diag(1, Q'), Q' = H_0 ... H_{n-2} the QR-form
     # product of the reflectors stored below the first subdiagonal.  H_k
     # touches rows k.. of Q', so each panel of reflectors acts on a tail of
@@ -315,15 +360,19 @@ def _norm_bound_trial(
     n, p = params.n, params.p
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
     norm = spectral_norm(dense)
-    mask = (dense != 0.0).astype(np.float64)
-    row_counts = mask.sum(axis=1)
-    omega = bool(row_counts.max(initial=0.0) <= cbar * p * n)
-    # Gaussian comparison on the same realized mask.
+    mask = dense != 0.0
+    del dense
+    max_count = int(mask.sum(axis=1).max(initial=0))
+    omega = max_count <= cbar * p * n
+    # Gaussian comparison on the same realized mask, built in g's own buffer:
+    # the strict upper triangle copied to the lower, then masked.
     g = trial_stream(master_seed, 1, t).generator().standard_normal((n, n))
-    g = np.triu(g) + np.triu(g, k=1).T
-    W = mask * g
-    wnorm = spectral_norm(W)
-    bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
+    for i in range(1, n):
+        g[i, :i] = g[:i, i]
+    g *= mask
+    wnorm = spectral_norm(g)
+    # MaskProfile.from_mask of a 0/1 mask, without its float copy.
+    bound = bvh_bound(MaskProfile(math.sqrt(max_count), float(mask.any())), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import ssrmlab
 from ssrmlab import spectra
 from ssrmlab.cli import _constants_from_args, build_parser, main
-from ssrmlab.ensemble import load_matrix
+from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, load_matrix, sample_matrix
 from ssrmlab.structure import StructureConstants
 
 CONFIG_TEXT = """
@@ -262,7 +263,8 @@ def _loaded_after_cli(argv: list[str], cwd) -> dict:
         "import json, sys\n"
         "from ssrmlab.cli import main\n"
         f"status = main({argv!r})\n"
-        "print(json.dumps({'status': status, 'scipy': 'scipy' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules}))"
+        "print(json.dumps({'status': status, 'scipy': 'scipy' in sys.modules,"
+        " 'scipy.linalg': 'scipy.linalg' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules}))"
     )
     return json.loads(_python(code, cwd))
 
@@ -303,17 +305,82 @@ def _kind_config(tmp_path, kind: str) -> str:
 def test_subcommand_skips_scipy(tmp_path, argv):
     (tmp_path / "v.txt").write_text("0.5 0.5 0.5 0.5 0.1 -0.3\n")
     _kind_config(tmp_path, "smallball")
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "spectra": False}
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False}
 
 
 @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
 def test_dry_run_skips_scipy(tmp_path, kind):
     argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "spectra": False}
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False}
 
 
 def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
     # The pool workers inherit spectra from the parent instead of each
     # importing scipy again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "spectra": True}
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tail-sweep", "--workers", "1"],
+        ["scaling"],
+        ["norm-check"],
+        ["distance-check"],
+        ["quadratic"],
+        ["spectra", "--matrix", "m.txt"],
+    ],
+    ids=["tail-sweep-w1", "scaling", "norm-check", "distance-check", "quadratic", "spectra"],
+)
+def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv):
+    # The kernels load scipy's two compiled LAPACK/BLAS modules, not the
+    # scipy.linalg package (about 0.25 s and 500 modules of start-up);
+    # the pooled sweep is checked above.
+    if argv[0] == "spectra":
+        assert main(["generate", "-n", "20", "-p", "0.5", "--seed", "1", "--out", str(tmp_path / "m.txt")]) == 0
+    else:
+        argv = [argv[0], "--config", _kind_config(tmp_path, argv[0]), *argv[1:]]
+    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True}
+
+
+def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
+    # In a process where spectra loaded them first, a later import of the
+    # package hands back the very routines spectra bound, so no second
+    # _flapack or _fblas is ever loaded.
+    code = (
+        "import sys\n"
+        "from ssrmlab import spectra\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg.blas, scipy.linalg.lapack\n"
+        "names = ['dgesv', 'dormqr', 'dstebz', 'dstein', 'dsterf', 'dsytrd', 'dsytrd_lwork']\n"
+        "same = [getattr(scipy.linalg.lapack, n) is getattr(spectra, n) for n in names]\n"
+        "same.append(scipy.linalg.blas.dsymm is spectra.dsymm)\n"
+        "same.append(sys.modules['scipy.linalg._flapack'] is spectra._flapack)\n"
+        "same.append(sys.modules['scipy.linalg._fblas'] is spectra._fblas)\n"
+        "print(all(same))"
+    )
+    assert _python(code, tmp_path) == "True"
+
+
+def test_loader_fallback_gives_the_same_spectrum(tmp_path):
+    # Only the loader's own finder (the import system caches its finders in
+    # sys.path_importer_cache) finds nothing, so spectra falls back to the
+    # ordinary import of scipy.linalg._flapack and _fblas.
+    code = (
+        "import hashlib, json, sys\n"
+        "from importlib.machinery import FileFinder\n"
+        "real = FileFinder.find_spec\n"
+        "def find_spec(self, fullname, target=None):\n"
+        "    cached = sys.path_importer_cache.get(self.path) is self\n"
+        "    return real(self, fullname, target) if cached else None\n"
+        "FileFinder.find_spec = find_spec\n"
+        "from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix\n"
+        "from ssrmlab.spectra import full_symmetric_spectrum\n"
+        "A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution.rademacher()), RngStream(5, 0))\n"
+        "digest = hashlib.sha256(full_symmetric_spectrum(A).tobytes()).hexdigest()\n"
+        "print(json.dumps({'scipy.linalg': 'scipy.linalg' in sys.modules, 'digest': digest}))"
+    )
+    A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution.rademacher()), RngStream(5, 0))
+    digest = hashlib.sha256(spectra.full_symmetric_spectrum(A).tobytes()).hexdigest()
+    assert json.loads(_python(code, tmp_path)) == {"scipy.linalg": True, "digest": digest}

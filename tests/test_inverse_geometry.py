@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,9 +281,39 @@ def test_runs_without_numpy_eigensolvers(monkeypatch, name):
 def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypatch):
     calls = []
     real = inverse_geometry.all_column_distances
-    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A: calls.append(A.shape) or real(A))
+    # Each call gets the trial's sparse realization, not a dense copy of it.
+    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A: calls.append(A.n) or real(A))
     rep = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
-    assert len(rep.rows) == 5 and calls == [(16, 16)] * 5
+    assert len(rep.rows) == 5 and calls == [16] * 5
+
+
+def test_distance_trial_peak():
+    # The sparse realization goes to both kernels: one n x n buffer for the
+    # certified spectrum, then the densified matrix, dgesv's LU copy and the
+    # inverse (or the column norms' temporary) for all_column_distances.
+    n = 400
+    params = EnsembleParams(n, 0.1, RAD)
+    tracemalloc.start()
+    try:
+        inverse_geometry._distance_trial(1, 0.1, 40, 0.1, params, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("t", range(3))
+def test_distance_trial_matches_dense_input(t):
+    # Densified inside the kernels (Fortran-ordered, equal by symmetry) or
+    # passed as the trial's C-ordered array: the same row bit for bit.
+    params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
+    dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
+    evals, _, vectors = inverse_geometry._certified_spectrum(dense)
+    smin = float(np.abs(evals).min())
+    incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M)[0] > rho
+    rhs = float(np.sum(all_column_distances(dense) <= math.sqrt(params.p) * eps)) / M
+    want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
+    assert inverse_geometry._distance_trial(seed, eps, M, rho, params, 0, t) == want
 
 
 @pytest.mark.parametrize("t", range(3))

@@ -275,6 +275,29 @@ class TestNormBoundExperiment:
         assert report.bvh_fraction >= 0.9
 
 
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
+    def test_trial_matches_dense_mask_reference(self, monkeypatch, p):
+        # The float mask, np.triu symmetrization and MaskProfile.from_mask
+        # the trial used to build: the same W bit for bit and the same row.
+        n, seed, cbar, eps = 80, 6, 2.0, 0.5
+        params = EnsembleParams(n, p, GAUSS)
+        seen = []
+        real = spectra.spectral_norm
+        monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(np.array(A)) or real(A))
+        for t in range(3):
+            dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
+            mask = (dense != 0.0).astype(np.float64)
+            g = trial_stream(seed, 1, t).generator().standard_normal((n, n))
+            W = mask * (np.triu(g) + np.triu(g, k=1).T)
+            norm = real(dense)
+            bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
+            omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
+            want = spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, real(W) <= bound)
+            seen.clear()
+            assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
+            assert seen[1].tobytes() == W.tobytes()
+
+
 class TestSingularExtremes:
     def test_magnitudes(self):
         assert singular_extremes(np.array([-3.0, 0.5, 2.0])) == (0.5, 3.0)
@@ -469,6 +492,50 @@ class TestCertifiedEigenvectors:
         assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
 
 
+def _tridiagonals() -> dict:
+    """(diag, off) by name: random at four sizes, one split by an exact zero, one repeated eigenvalue."""
+    rng = np.random.default_rng(817)
+    cases = {f"random-{n}": (rng.standard_normal(n), rng.standard_normal(n - 1)) for n in (2, 3, 50, 300)}
+    off = rng.standard_normal(59)
+    off[29] = 0.0
+    cases["split"] = (rng.standard_normal(60), off)
+    # Two identical blocks split by a zero: every eigenvalue is double.
+    d, e = rng.standard_normal(20), rng.standard_normal(19)
+    cases["repeated"] = (np.concatenate([d, d]), np.concatenate([e, [0.0], e]))
+    return cases
+
+
+class TestTridiagonalEigenvector:
+    """dstebz + dstein give scipy's eigh_tridiagonal(select="i") vector bit for bit."""
+
+    @pytest.mark.parametrize("diag, off", [pytest.param(*c, id=name) for name, c in _tridiagonals().items()])
+    def test_matches_eigh_tridiagonal(self, diag, off):
+        from scipy.linalg import eigh_tridiagonal  # the oracle only
+
+        evals = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+        # The two picks _certified_spectrum makes, plus the ends and the middle.
+        picks = {int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else len(diag) - 1}
+        for k in sorted(picks | {0, len(diag) // 2, len(diag) - 1}):
+            want = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))[1][:, 0]
+            got = spectra._tridiagonal_eigenvector(diag, off, k)
+            assert got.tobytes() == want.tobytes(), k
+
+    def test_repeated_eigenvalue_both_indices(self):
+        # Each index of a double eigenvalue gets one unit vector of it.
+        diag, off = _tridiagonals()["repeated"]
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        lam = np.sort(np.linalg.eigvalsh(T))
+        for k in (6, 7):
+            z = spectra._tridiagonal_eigenvector(diag, off, k)
+            assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-14)
+            assert np.linalg.norm(T @ z - lam[k] * z) <= 1e-12
+
+    def test_failure_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(spectra, "dstein", lambda d, e, w, iblock, isplit: (np.zeros((d.size, 1)), 1))
+        with pytest.raises(NumericalError, match="dstein"):
+            spectra._tridiagonal_eigenvector(np.ones(3), np.ones(2), 0)
+
+
 def _peak_in_matrices(n, fn, *args):
     """The tracemalloc peak of fn(*args), in units of one n x n float64 matrix."""
     tracemalloc.start()
@@ -520,6 +587,12 @@ class TestOneBufferPerCall:
         before = A.copy(order="K")
         fn(A)
         assert A.tobytes(order="A") == before.tobytes(order="A") and A.flags.f_contiguous == (order == "F")
+
+    def test_norm_bound_trial_peak(self):
+        # The realization and spectral_norm's copy of it, then a boolean mask,
+        # the Gaussian draw symmetrized and masked in place, and its copy.
+        params = EnsembleParams(self.N, 0.1, RAD)
+        assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 3.5
 
     def test_tridiagonal_reduces_in_place(self):
         work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T

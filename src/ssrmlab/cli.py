@@ -17,7 +17,7 @@ import numpy as np
 
 from . import harness
 from .ensemble import RngStream, dump_matrix, load_matrix, parse_distribution, sample_matrix, EnsembleParams
-from .errors import CapabilityError, NumericalError, ParameterError
+from .errors import REPORTED, ParameterError, report
 from .structure import StructureConstants, classify_vector, lcd
 
 
@@ -186,15 +186,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except REPORTED as exc:
+        return report(exc)
 
 
 if __name__ == "__main__":

@@ -7,16 +7,15 @@ xi_ij is a centered unit-variance law with finite fourth moment.
 Randomness flows through Philox streams keyed by ``(seed, stream_id)``.
 Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``:
 lane = cell index for trial t's matrix (single-cell experiments are cell
-0), lane 1 for trial t's auxiliary draw (comparison matrix, vector X,
-regularized-LCD sampler), lane 2 at index t * x_draws + k for the k-th
-of x_draws vectors.  :func:`run_trials`, the one trial engine, keys every
-trial by its (cell, trial), so its records are the same at any worker count.
+0), lane 1 for trial t's auxiliary draw (comparison matrix, vector X),
+lane 2 at index t * x_draws + k for the k-th of x_draws vectors.
+:func:`run_trials`, the one trial engine, keys every trial by its
+(cell, trial), so its records are the same at any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -102,11 +101,6 @@ class EntryDistribution:
         if not math.isfinite(m4):
             raise ParameterError(f"two-point prob {prob!r} gives an infinite fourth moment")
         return cls("two-point-general", fourth_moment=m4, a=a, prob=prob)
-
-    @property
-    def is_subgaussian(self) -> bool:
-        # All current kinds are bounded or Gaussian.
-        return True
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(values, probabilities) for finite-support kinds, else None."""
@@ -209,6 +203,9 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
     if workers <= 1:
         records = [kernel(*task) for task in tasks]
     else:
+        # Imported here, so that the kinds and subcommands that never start a pool skip it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(kernel, *zip(*tasks), chunksize=max(1, -(-trials // (4 * workers)))))
     return [records[c * trials : (c + 1) * trials] for c in range(len(cells))]
@@ -315,18 +312,6 @@ def sample_sparse_vector(
     out = np.zeros(n)
     out[mask] = dist.sample(rng, int(mask.sum()))
     return out
-
-
-def two_sided_tail_estimate(
-    dist: EntryDistribution, c: float, samples: int, stream: RngStream
-) -> tuple[float, float]:
-    """Empirical frequencies (P(xi <= -c), P(xi >= c))."""
-    if c <= 0:
-        raise ParameterError("threshold c must be positive")
-    if samples < 1:
-        raise ParameterError("need at least one sample")
-    xs = dist.sample(stream.generator(), samples)
-    return float(np.mean(xs <= -c)), float(np.mean(xs >= c))
 
 
 def row_witness_sets(

@@ -23,7 +23,6 @@ import io
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -38,13 +37,13 @@ from .ensemble import (
     sample_sparse_vector,
     trial_stream,
 )
-from .errors import ConfigError, NumericalError, ParameterError
+from .errors import REPORTED, ConfigError, ParameterError, report
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.5.2"
+ARTIFACT_VERSION = "0.5.3"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -605,8 +604,9 @@ def run(
     """Dispatch the experiment named in the config; returns an exit status.
 
     Writes the CSV and a JSON sidecar next to it, both or neither.  On any
-    failed precondition the diagnostic goes to stderr and the status is
-    nonzero.
+    failed precondition one diagnostic line goes to stderr and the status
+    is nonzero, as ``errors.EXIT_TABLE`` maps them; every config problem
+    is a ConfigError, reported as ``config error: ...``.
     """
     try:
         cfg = load_config(config_path)
@@ -618,24 +618,13 @@ def run(
             cfg = replace(cfg, out=out)
         if kind is not None and kind != cfg.kind:
             cfg = replace(cfg, kind=kind)
-    except ParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if dry_run:
-        print(
-            f"dry-run: kind={cfg.kind} cells={cfg.cell_count()} "
-            f"trials/cell={cfg.trials} eps points={len(cfg.eps_grid)} -> {cfg.out}"
-        )
-        return 0
-    try:
+        if dry_run:
+            print(
+                f"dry-run: kind={cfg.kind} cells={cfg.cell_count()} "
+                f"trials/cell={cfg.trials} eps points={len(cfg.eps_grid)} -> {cfg.out}"
+            )
+            return 0
         _write_outputs(cfg, *_RUNNERS[cfg.kind](cfg))
-    except ParameterError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
+    except REPORTED as exc:
+        return report(exc)
     return 0

@@ -23,7 +23,7 @@ from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_v
 from .errors import NumericalError, ParameterError
 from .spectra import _as_dense, _certified_spectrum, _extreme_singular_values, dgesv
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
-from .structure import StructureConstants, regularized_lcd, sparse_tail_distance, spread_set
+from .structure import sparse_tail_distance
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class DistanceRecord:
     geometric_distance: float
     quadratic_form_distance: float | None
     b_singular: bool
-
-
-@dataclass(frozen=True)
-class InverseImageStats:
-    inv_hs_norm: float
-    inv_image_norm: float
-    ratio: float
-    singular: bool = False
 
 
 def _solve(dense: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -119,22 +111,6 @@ def all_column_distances(A) -> np.ndarray:
     if _extreme_singular_values(dense)[0] > 0.0:
         return 1.0 / np.linalg.norm(_inverse(dense), axis=0)
     return np.array([distance_to_complement_span(dense, j) for j in range(n)])
-
-
-def inverse_image_stats(A, X, p: float = 1.0) -> InverseImageStats:
-    """Hilbert-Schmidt norm of the inverse and the size of A^-1 X."""
-    dense = _as_dense(A)
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape != (dense.shape[0],):
-        raise ParameterError("X dimension mismatch")
-    if not 0.0 < p <= 1.0:
-        raise ParameterError("p must lie in (0, 1]")
-    if _extreme_singular_values(dense)[0] == 0.0:
-        return InverseImageStats(math.nan, math.nan, math.nan, singular=True)
-    hs = float(np.linalg.norm(_inverse(dense)))
-    img = float(np.linalg.norm(_solve(dense, X)))
-    ratio = img / (math.sqrt(p) * hs) if hs > 0 else math.nan
-    return InverseImageStats(hs, img, ratio)
 
 
 @dataclass(frozen=True)
@@ -271,82 +247,6 @@ def invertibility_via_distance_experiment(
     rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     holds = lhs_ci[0] <= rhs_hat + rhs_halfwidth
     return DistanceExperimentReport(tuple(rows), eps, M, rho, lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds)
-
-
-@dataclass(frozen=True)
-class StructureTheoremReport:
-    trials: int
-    excluded_singular: int
-    incompressible_fraction: float
-    spread_undefined: int
-    thresholds: tuple[float, ...]
-    survival_fractions: tuple[float, ...]
-    rlcd_values: tuple[float, ...]
-    constants: StructureConstants
-
-
-def _structure_trial(
-    master_seed: int, u: np.ndarray, consts: StructureConstants, budget: int, params: EnsembleParams, c: int, t: int
-):
-    """None for a singular A, else (incompressible, regularized LCD or None)."""
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    if _extreme_singular_values(dense)[0] == 0.0:
-        return None
-    x0 = _solve(dense, u)
-    x0 = x0 / np.linalg.norm(x0)
-    dist, _ = sparse_tail_distance(x0, consts.sparsity_budget(params.n))
-    if dist <= consts.c_d:
-        return False, None
-    if spread_set(x0, consts) is None:
-        return True, None
-    return True, regularized_lcd(x0, consts, budget, trial_stream(master_seed, 1, t)).lower_bound
-
-
-def structure_theorem_experiment(
-    params: EnsembleParams,
-    u: np.ndarray,
-    consts: StructureConstants,
-    budget: int,
-    trials: int,
-    master_seed: int = 0,
-    thresholds: tuple[float, ...] | None = None,
-) -> StructureTheoremReport:
-    """Incompressibility and regularized-LCD survival curve of A^-1 u.
-
-    The theoretical threshold scale contains unknown constants, so the
-    report sweeps a threshold schedule (default: sqrt(lambda n) times
-    powers of two) and emits survival fractions rather than asserting
-    any single cutoff.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    n, p = params.n, params.p
-    if u.shape != (n,) or not np.any(u):
-        raise ParameterError("u must be a nonzero vector of matching dimension")
-    if p < n ** (-consts.c_p):
-        raise ParameterError(f"need p >= n^(-c_p) = {n ** (-consts.c_p):.4g}")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if thresholds is None:
-        base = math.sqrt(consts.lam * n)
-        thresholds = tuple(base * 2.0**k for k in range(7))
-    records = run_trials(partial(_structure_trial, master_seed, u, consts, budget), [params], trials)[0]
-    kept = [r for r in records if r is not None]
-    incomp_hits = sum(incomp for incomp, _ in kept)
-    spread_undef = sum(incomp and value is None for incomp, value in kept)
-    rlcd_values = [value for _, value in kept if value is not None]
-    incomp_fraction = incomp_hits / len(kept) if kept else math.nan
-    vals = np.asarray(rlcd_values)
-    survival = tuple(float(np.mean(vals > thr)) if vals.size else math.nan for thr in thresholds)
-    return StructureTheoremReport(
-        trials=trials,
-        excluded_singular=trials - len(kept),
-        incompressible_fraction=incomp_fraction,
-        spread_undefined=spread_undef,
-        thresholds=tuple(thresholds),
-        survival_fractions=survival,
-        rlcd_values=tuple(float(v) for v in rlcd_values),
-        constants=consts,
-    )
 
 
 @dataclass(frozen=True)

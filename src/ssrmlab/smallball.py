@@ -1,4 +1,5 @@
-"""Levy concentration estimators and the small-ball bound brackets.
+"""Levy concentration estimators, the LCD small-ball bracket and the
+decoupling-consequence check for quadratic forms.
 
 Window convention for the scalar estimator: the supremum is taken over
 open windows (u - eps, u + eps) for eps > 0 and over single points at
@@ -12,14 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ensemble import EntryDistribution, RngStream
-from .errors import CapabilityError, ParameterError
-
-Sampler = Callable[[np.random.Generator, tuple], np.ndarray]
+from .errors import ParameterError
 
 
 def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
@@ -37,53 +36,6 @@ class ConcentrationEstimate:
     value: float
     samples: int
     ci_halfwidth: float
-
-
-@dataclass(frozen=True)
-class DiscreteLaw:
-    """Finite-support law given by atoms and probabilities."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
-            raise ParameterError("values and probs must be matching nonempty 1-d arrays")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ParameterError("probs must be nonnegative and sum to 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
-
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
-    def moment(self, k: int) -> float:
-        return float((self.values**k) @ self.probs)
-
-    def transform(self, fn) -> "DiscreteLaw":
-        """Law of fn(xi); merges atoms that map to the same value."""
-        mapped = np.array([fn(v) for v in self.values], dtype=np.float64)
-        vals, inverse = np.unique(mapped, return_inverse=True)
-        probs = np.zeros_like(vals)
-        np.add.at(probs, inverse, self.probs)
-        return DiscreteLaw(vals, probs)
-
-
-def law_of_masked_entry(dist: EntryDistribution, p: float) -> DiscreteLaw:
-    """Finite law of delta * xi for discrete xi: adds the atom at zero."""
-    at = dist.atoms()
-    if at is None:
-        raise CapabilityError(f"{dist.kind} has no finite support")
-    values, probs = at
-    values = np.concatenate([values, [0.0]])
-    probs = np.concatenate([probs * p, [1.0 - p]])
-    order = np.argsort(values)
-    merged_vals, inverse = np.unique(values[order], return_inverse=True)
-    merged = np.zeros_like(merged_vals)
-    np.add.at(merged, inverse, probs[order])
-    return DiscreteLaw(merged_vals, merged)
 
 
 def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
@@ -160,89 +112,6 @@ def lcd_smallball_bound(x, L: float, p: float, eps: float, lcd_value: float) -> 
         raise ParameterError("lcd_value must be positive")
     tail = 0.0 if math.isinf(lcd_value) else 1.0 / (math.sqrt(p) * lcd_value)
     return eps + tail
-
-
-def rlcd_smallball_bound(x, consts, p: float, eps: float, rlcd_lower: float) -> float:
-    """Bracket eps / sqrt(lambda) + 1 / (sqrt(p) D_hat) for the regularized LCD."""
-    lam = consts.lam
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
-    if not 0.0 < p <= 1.0:
-        raise ParameterError("p must lie in (0, 1]")
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
-    if rlcd_lower <= 0:
-        raise ParameterError("rlcd_lower must be positive")
-    tail = 0.0 if math.isinf(rlcd_lower) else 1.0 / (math.sqrt(p) * rlcd_lower)
-    return eps / math.sqrt(lam) + tail
-
-
-def matrix_bracket_log(bracket: float, n: int, lam: float) -> float:
-    """log of bracket^(n - lambda n), evaluated in log space to avoid overflow."""
-    if bracket <= 0:
-        raise ParameterError("bracket must be positive")
-    if not 0.0 < lam < 1.0:
-        raise ParameterError("lambda must lie in (0, 1)")
-    return (n - lam * n) * math.log(bracket)
-
-
-def paley_zygmund_check(law, theta: float) -> bool:
-    """Verify P(xi > theta E xi) >= (E xi - theta E xi)^2 / E xi^2 exactly.
-
-    Accepts a DiscreteLaw or a finite-support EntryDistribution.  This is
-    a theorem; a False return signals an implementation bug somewhere.
-    """
-    if isinstance(law, EntryDistribution):
-        at = law.atoms()
-        if at is None:
-            raise CapabilityError(f"{law.kind} has infinite support")
-        law = DiscreteLaw(*at)
-    if not isinstance(law, DiscreteLaw):
-        raise ParameterError("expected a DiscreteLaw or finite EntryDistribution")
-    if not 0.0 <= theta <= 1.0:
-        raise ParameterError("theta must lie in [0, 1]")
-    mean = law.mean()
-    if mean <= 0:
-        raise ParameterError("Paley-Zygmund requires E xi > 0")
-    second = law.moment(2)
-    lhs = float(law.probs[law.values > theta * mean].sum())
-    rhs = (mean - theta * mean) ** 2 / second
-    return lhs >= rhs - 1e-15
-
-
-@dataclass(frozen=True)
-class TensorizationReport:
-    n: int
-    eps: float
-    coordinate_estimate: ConcentrationEstimate
-    vector_estimate: ConcentrationEstimate
-    c_hat: float
-
-
-def tensorization_check(
-    coordinate_law: Sampler, n: int, eps: float, trials: int, stream: RngStream
-) -> TensorizationReport:
-    """Estimate both sides of the tensorization inequality.
-
-    Reports the smallest constant C_hat with
-    vector_estimate <= (C_hat * coordinate_estimate)^n, for shape
-    validation against the product form.
-    """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    rng = stream.generator()
-    block = np.asarray(coordinate_law(rng, (trials, n)), dtype=np.float64)
-    if block.shape != (trials, n):
-        raise ParameterError("sampler returned a wrong shape")
-    coord = levy_concentration_scalar(block.ravel(), eps)
-    vec = levy_concentration_vector(block, eps * math.sqrt(n))
-    if coord.value > 0 and vec.value > 0:
-        c_hat = vec.value ** (1.0 / n) / coord.value
-    else:
-        c_hat = math.nan
-    return TensorizationReport(n, eps, coord, vec, c_hat)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -416,28 +415,6 @@ def regularized_lcd(
                 best_val, best_subset = val, tuple(int(i) for i in idx)
         exact = False
     return RegularizedLcdResult(float(best_val), best_subset, exact)
-
-
-def sublevel_membership(
-    x,
-    consts: StructureConstants,
-    D: float,
-    budget: int,
-    stream: RngStream | None = None,
-) -> Literal["in", "out", "unknown"]:
-    """Membership in the sublevel set {regularized LCD <= D}.
-
-    "out" is certified by any lower bound exceeding D; "in" needs exact
-    enumeration; a one-sided randomized certificate below D is "unknown".
-    """
-    if stream is None:
-        stream = RngStream(0, 0)
-    res = regularized_lcd(x, consts, budget, stream)
-    if res.lower_bound > D:
-        return "out"
-    if res.exact:
-        return "in"
-    return "unknown"
 
 
 def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> StructureReport:

@@ -264,7 +264,8 @@ def _loaded_after_cli(argv: list[str], cwd) -> dict:
         "from ssrmlab.cli import main\n"
         f"status = main({argv!r})\n"
         "print(json.dumps({'status': status, 'scipy': 'scipy' in sys.modules,"
-        " 'scipy.linalg': 'scipy.linalg' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules}))"
+        " 'scipy.linalg': 'scipy.linalg' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules,"
+        " 'pool': 'concurrent.futures.process' in sys.modules}))"
     )
     return json.loads(_python(code, cwd))
 
@@ -273,6 +274,11 @@ def test_cli_import_skips_scipy_spatial(tmp_path):
     # Every CLI process imports ssrmlab.cli; only the vector concentration
     # estimator needs scipy.spatial.
     assert _python("import sys, ssrmlab.cli; print('scipy.spatial' in sys.modules)", tmp_path) == "False"
+
+
+def test_cli_import_skips_process_pool(tmp_path):
+    # Only run_trials with more than one worker imports the pool.
+    assert _python("import sys, ssrmlab.cli; print('concurrent.futures.process' in sys.modules)", tmp_path) == "False"
 
 
 def test_package_import_loads_no_submodule(tmp_path):
@@ -292,33 +298,36 @@ def _kind_config(tmp_path, kind: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, pool",
     [
-        ["lcd", "--vector", "v.txt"],
-        ["structure", "--vector", "v.txt"],
-        ["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"],
-        ["smallball", "--config", "smallball.ini", "--workers", "1"],
-        ["smallball", "--config", "smallball.ini", "--workers", "2"],
+        (["lcd", "--vector", "v.txt"], False),
+        (["structure", "--vector", "v.txt"], False),
+        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], False),
+        (["smallball", "--config", "smallball.ini", "--workers", "1"], False),
+        (["smallball", "--config", "smallball.ini", "--workers", "2"], True),
     ],
     ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
 )
-def test_subcommand_skips_scipy(tmp_path, argv):
+def test_subcommand_skips_scipy(tmp_path, argv, pool):
     (tmp_path / "v.txt").write_text("0.5 0.5 0.5 0.5 0.1 -0.3\n")
     _kind_config(tmp_path, "smallball")
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False}
+    want = {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False, "pool": pool}
+    assert _loaded_after_cli(argv, tmp_path) == want
 
 
 @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
 def test_dry_run_skips_scipy(tmp_path, kind):
     argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False}
+    want = {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False, "pool": False}
+    assert _loaded_after_cli(argv, tmp_path) == want
 
 
 def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
     # The pool workers inherit spectra from the parent instead of each
     # importing scipy again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True}
+    want = {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True, "pool": True}
+    assert _loaded_after_cli(argv, tmp_path) == want
 
 
 @pytest.mark.parametrize(
@@ -341,7 +350,8 @@ def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv):
         assert main(["generate", "-n", "20", "-p", "0.5", "--seed", "1", "--out", str(tmp_path / "m.txt")]) == 0
     else:
         argv = [argv[0], "--config", _kind_config(tmp_path, argv[0]), *argv[1:]]
-    assert _loaded_after_cli(argv, tmp_path) == {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True}
+    want = {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True, "pool": False}
+    assert _loaded_after_cli(argv, tmp_path) == want
 
 
 def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):

@@ -20,7 +20,6 @@ from ssrmlab.ensemble import (
     sample_matrix,
     sample_sparse_vector,
     trial_stream,
-    two_sided_tail_estimate,
 )
 from ssrmlab.errors import ParameterError
 
@@ -192,31 +191,6 @@ class TestSampleSparseVector:
         assert np.var(v) == pytest.approx(0.5, abs=0.02)
 
 
-class TestTwoSidedTail:
-    def test_rademacher_half(self):
-        pm, pp = two_sided_tail_estimate(RAD, 0.5, 100_000, RngStream(3, 0))
-        # Exact two-point enumeration gives 0.5 on each side.
-        se = math.sqrt(0.25 / 100_000)
-        assert pm == pytest.approx(0.5, abs=5 * se)
-        assert pp == pytest.approx(0.5, abs=5 * se)
-
-    def test_rademacher_beyond_support(self):
-        assert two_sided_tail_estimate(RAD, 1.5, 10_000, RngStream(3, 1)) == (0.0, 0.0)
-
-    def test_gaussian_tail_matches_normal_cdf(self):
-        # Independent oracle: Phi(-1) via erfc.
-        phi = math.erfc(1.0 / math.sqrt(2.0)) / 2.0
-        pm, pp = two_sided_tail_estimate(GAUSS, 1.0, 1_000_000, RngStream(4, 0))
-        assert pm == pytest.approx(phi, abs=0.002)
-        assert pp == pytest.approx(phi, abs=0.002)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            two_sided_tail_estimate(RAD, -1.0, 10, RngStream(0, 0))
-        with pytest.raises(ParameterError):
-            two_sided_tail_estimate(RAD, 1.0, 0, RngStream(0, 0))
-
-
 class TestSparseSymmetricMatrix:
     def test_duplicate_entry_rejected(self):
         with pytest.raises(ParameterError, match="duplicate"):
@@ -370,6 +344,6 @@ class TestRunTrials:
         assert run_trials(functools.partial(_draw, 4), self.CELLS, 0, workers) == [[], [], []]
 
     def test_single_task_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr("ssrmlab.ensemble.ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         kernel = functools.partial(_draw, 4)
         assert run_trials(kernel, ["a"], 1, 3) == run_trials(kernel, ["a"], 1)

@@ -311,7 +311,7 @@ class TestRun:
         monkeypatch.setattr(harness, "write_sidecar", failing)
         out = tmp_path / "r.csv"
         assert run(self._write_config(tmp_path, CONFIG_TEXT), out=str(out)) == 1
-        assert capsys.readouterr().err == "cannot write output: disk full\n"
+        assert capsys.readouterr().err == "io error: disk full\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
     def test_rerun_replaces_both_outputs(self, tmp_path):

@@ -11,13 +11,10 @@ from ssrmlab.inverse_geometry import (
     all_column_distances,
     distance_to_complement_span,
     inverse_image_experiment,
-    inverse_image_stats,
     invertibility_via_distance_experiment,
     quadratic_form_distance,
     quadratic_smallball_experiment,
-    structure_theorem_experiment,
 )
-from ssrmlab.structure import StructureConstants
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
@@ -98,34 +95,6 @@ class TestAllColumnDistances:
         assert dists[1] == pytest.approx(0.0, abs=1e-12)
 
 
-class TestInverseImageStats:
-    def test_identity_basis_vector(self):
-        e1 = np.zeros(7)
-        e1[0] = 1.0
-        stats = inverse_image_stats(np.eye(7), e1)
-        assert stats.inv_hs_norm == pytest.approx(math.sqrt(7), rel=1e-12)
-        assert stats.inv_image_norm == pytest.approx(1.0, rel=1e-12)
-
-    def test_scaling(self):
-        e1 = np.zeros(7)
-        e1[0] = 1.0
-        base = inverse_image_stats(np.eye(7), e1)
-        doubled = inverse_image_stats(2.0 * np.eye(7), e1)
-        assert doubled.inv_hs_norm == pytest.approx(base.inv_hs_norm / 2, rel=1e-12)
-        assert doubled.inv_image_norm == pytest.approx(base.inv_image_norm / 2, rel=1e-12)
-
-    def test_singular_flagged(self):
-        stats = inverse_image_stats(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
-        assert stats.singular
-        assert math.isnan(stats.inv_hs_norm)
-
-    def test_ratio_uses_p(self):
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        stats = inverse_image_stats(np.eye(4), e1, p=0.25)
-        assert stats.ratio == pytest.approx(1.0 / (0.5 * 2.0), rel=1e-12)
-
-
 class TestInverseImageExperiment:
     def test_first_moment_identity_smoke(self):
         params = EnsembleParams(40, 0.5, RAD)
@@ -176,43 +145,6 @@ class TestInvertibilityViaDistance:
         )
 
 
-class TestStructureTheoremExperiment:
-    def test_zero_u_rejected(self):
-        with pytest.raises(ParameterError):
-            structure_theorem_experiment(
-                EnsembleParams(16, 1.0, GAUSS), np.zeros(16), StructureConstants(), 10, 5
-            )
-
-    def test_sparsity_precondition(self):
-        consts = StructureConstants()
-        with pytest.raises(ParameterError):
-            structure_theorem_experiment(
-                EnsembleParams(64, 0.05, GAUSS), np.eye(64)[0], consts, 10, 5
-            )
-
-    def test_dense_gaussian_incompressible(self):
-        # Dense Wigner inverses are delocalized, so A^-1 e_1 is incompressible
-        # at the default constants in essentially every trial.
-        consts = StructureConstants()
-        u = np.zeros(64)
-        u[0] = 1.0
-        rep = structure_theorem_experiment(
-            EnsembleParams(64, 1.0, GAUSS), u, consts, budget=10, trials=100, master_seed=4
-        )
-        assert rep.incompressible_fraction >= 0.95
-        assert rep.excluded_singular == 0
-
-    def test_survival_curve_monotone(self):
-        consts = StructureConstants()
-        u = np.zeros(32)
-        u[0] = 1.0
-        rep = structure_theorem_experiment(
-            EnsembleParams(32, 1.0, GAUSS), u, consts, budget=10, trials=20, master_seed=5
-        )
-        fracs = list(rep.survival_fractions)
-        assert fracs == sorted(fracs, reverse=True)
-
-
 class TestQuadraticSmallball:
     def test_eps_zero_null_event(self):
         rep = quadratic_smallball_experiment(
@@ -254,13 +186,9 @@ _ENTRY_POINTS = {
     "quadratic_form_distance_singular": lambda: quadratic_form_distance(np.ones((4, 4))),
     "all_column_distances": lambda: all_column_distances(_A),
     "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4))),
-    "inverse_image_stats": lambda: inverse_image_stats(_A, np.ones(16)),
     "inverse_image_experiment": lambda: inverse_image_experiment(_PARAMS, 0.5, 3, 2, master_seed=1),
     "invertibility_via_distance_experiment": lambda: invertibility_via_distance_experiment(
         _PARAMS, 0.1, 4, 0.1, 3, master_seed=1
-    ),
-    "structure_theorem_experiment": lambda: structure_theorem_experiment(
-        EnsembleParams(16, 1.0, GAUSS), np.eye(16)[0], StructureConstants(), 10, 3, master_seed=1
     ),
     "quadratic_smallball_experiment": lambda: quadratic_smallball_experiment(_PARAMS, (0.1, 1.0), 3, master_seed=1),
 }

@@ -1,6 +1,9 @@
-"""The package's lazy re-exports behave like plain module attributes."""
+"""The package's lazy re-exports behave like plain module attributes, and
+every definition in it has a caller outside its own unit tests."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -31,3 +34,42 @@ def test_star_import():
     namespace = {}
     exec("from ssrmlab import *", namespace)
     assert {name: namespace[name] for name in ssrmlab.__all__} == {name: getattr(ssrmlab, name) for name in ssrmlab.__all__}
+
+
+def _identifiers(tree) -> set[str]:
+    """Every name, attribute and imported name in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_definition_is_reached():
+    # A top-level def or class must be reached from a re-export, module-level
+    # code (the CLI's dispatch tables and entry point), a benchmark workload, an
+    # acceptance criterion or a CLI test, directly or through the bodies of other
+    # reached definitions.  What only its own unit tests call is dead code.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    bodies = {}
+    reached = set(ssrmlab._EXPORTS)
+    for path in sorted((root / "src" / "ssrmlab").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies[node.name] = _identifiers(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _identifiers(node)
+    users = [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py", root / "tests" / "test_cli.py"]
+    for path in users:
+        reached |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    todo = list(reached)
+    while todo:
+        new = bodies.get(todo.pop(), set()) - reached
+        reached |= new
+        todo += new
+    dead = sorted(name for name in bodies if name not in reached and not name.startswith("__"))
+    assert not dead, f"no caller outside their own unit tests: {', '.join(dead)}"

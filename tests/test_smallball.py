@@ -6,20 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssrmlab.ensemble import EntryDistribution, RngStream
-from ssrmlab.errors import CapabilityError, ParameterError
+from ssrmlab.errors import ParameterError
 from ssrmlab.smallball import (
-    DiscreteLaw,
     decoupling_consequence_check,
-    law_of_masked_entry,
     lcd_smallball_bound,
     levy_concentration_scalar,
     levy_concentration_vector,
-    matrix_bracket_log,
-    paley_zygmund_check,
-    rlcd_smallball_bound,
-    tensorization_check,
 )
-from ssrmlab.structure import StructureConstants
 
 RAD = EntryDistribution.rademacher()
 
@@ -142,92 +135,11 @@ class TestBoundBrackets:
         assert lcd_smallball_bound(e1, 1.0, 0.5, 0.2, 10.0) >= base
         assert lcd_smallball_bound(e1, 1.0, 0.5, 0.1, 20.0) <= base
 
-    def test_rlcd_bracket_arithmetic(self):
-        consts = StructureConstants(lam=0.01)
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        got = rlcd_smallball_bound(e1, consts, 1.0, 0.1, 100.0)
-        assert got == pytest.approx(1.01, abs=1e-12)
-        assert rlcd_smallball_bound(e1, consts, 1.0, 0.0, math.inf) == 0.0
-
-    def test_matrix_bracket_log_matches_direct_power(self):
-        # Log-space form vs direct exponentiation where the latter is finite.
-        val = matrix_bracket_log(0.5, 10, 0.1)
-        assert math.exp(val) == pytest.approx(0.5 ** (10 - 1.0), rel=1e-12)
-        # Huge exponent: direct power would underflow to 0; log form stays finite.
-        big = matrix_bracket_log(0.5, 10_000, 0.01)
-        assert math.isfinite(big)
-        assert big == pytest.approx((10_000 - 100) * math.log(0.5), rel=1e-12)
-
     def test_validation(self):
         e1 = np.zeros(2)
         e1[0] = 1.0
         with pytest.raises(ParameterError):
             lcd_smallball_bound(e1, 1.0, 0.0, 0.1, 10.0)
-        with pytest.raises(ParameterError):
-            rlcd_smallball_bound(e1, StructureConstants(), 0.5, 0.1, 0.0)
-
-
-class TestPaleyZygmund:
-    def test_uniform_on_zero_two(self):
-        law = DiscreteLaw(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-        # P(xi > 0.5) = 0.5 >= (1 - 0.5)^2 / 2 = 0.125
-        assert paley_zygmund_check(law, 0.5)
-
-    def test_theta_one_trivial(self):
-        law = DiscreteLaw(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-        assert paley_zygmund_check(law, 1.0)
-
-    def test_constant_one(self):
-        law = DiscreteLaw(np.array([1.0]), np.array([1.0]))
-        assert paley_zygmund_check(law, 0.5)
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 100_000), theta=st.floats(0.0, 1.0))
-    def test_always_true_on_random_laws(self, seed, theta):
-        # It is a theorem; a False return would flag an implementation bug.
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 7))
-        values = np.abs(rng.normal(size=k)) + 0.01
-        probs = rng.dirichlet(np.ones(k))
-        assert paley_zygmund_check(DiscreteLaw(values, probs), theta)
-
-    def test_continuous_law_rejected(self):
-        with pytest.raises(CapabilityError):
-            paley_zygmund_check(EntryDistribution.standard_gaussian(), 0.5)
-
-    def test_squared_entry_law(self):
-        # Applied to xi^2 for the masked rademacher entry, as callers do.
-        law = law_of_masked_entry(RAD, 0.5).transform(lambda v: v * v)
-        assert paley_zygmund_check(law, 0.5)
-
-    def test_nonpositive_mean_rejected(self):
-        law = DiscreteLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ParameterError):
-            paley_zygmund_check(law, 0.5)
-
-
-class TestTensorization:
-    def test_n_one_coincides(self):
-        sampler = lambda rng, size: rng.standard_normal(size)
-        rep = tensorization_check(sampler, 1, 0.3, 5000, RngStream(35, 0))
-        assert rep.vector_estimate.value == rep.coordinate_estimate.value
-
-    def test_point_mass_tight(self):
-        sampler = lambda rng, size: np.zeros(size)
-        rep = tensorization_check(sampler, 4, 0.3, 2000, RngStream(35, 1))
-        assert rep.coordinate_estimate.value == 1.0
-        assert rep.vector_estimate.value == 1.0
-        assert rep.c_hat == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian_constant_stable_across_eps(self):
-        sampler = lambda rng, size: rng.standard_normal(size)
-        cs = []
-        for k, eps in enumerate((0.2, 0.3, 0.4)):
-            rep = tensorization_check(sampler, 4, eps, 50_000, RngStream(36, k))
-            cs.append(rep.c_hat)
-        mid = cs[1]
-        assert all(abs(c - mid) <= 0.25 * mid for c in cs)
 
 
 class TestDecoupling:
@@ -275,22 +187,3 @@ class TestDecoupling:
             decoupling_consequence_check(np.eye(3), [0, 1, 2], RAD, 0.5, 100, RngStream(0, 0))
         with pytest.raises(ParameterError):
             decoupling_consequence_check(np.array([[0.0, 1.0], [0.0, 0.0]]), [0], RAD, 0.5, 100, RngStream(0, 0))
-
-
-class TestMaskedEntryLaw:
-    def test_three_atoms_at_half(self):
-        law = law_of_masked_entry(RAD, 0.5)
-        assert np.allclose(law.values, [-1.0, 0.0, 1.0])
-        assert np.allclose(law.probs, [0.25, 0.5, 0.25])
-
-    def test_exact_concentration_matches_remark_shape(self):
-        # L(delta xi, 0.5) = 1 - p for the masked rademacher law.
-        for p in (0.3, 0.5, 0.8):
-            law = law_of_masked_entry(RAD, p)
-            assert _levy_exact_oracle(law.values, law.probs, 0.5) == pytest.approx(
-                max(1 - p, p / 2), abs=1e-12
-            )
-
-    def test_continuous_rejected(self):
-        with pytest.raises(CapabilityError):
-            law_of_masked_entry(EntryDistribution.standard_gaussian(), 0.5)

@@ -18,7 +18,6 @@ from ssrmlab.structure import (
     regularized_lcd,
     sparse_tail_distance,
     spread_set,
-    sublevel_membership,
 )
 
 
@@ -491,33 +490,6 @@ class TestRegularizedLcd:
         e1[0] = 1.0
         with pytest.raises(CapabilityError):
             regularized_lcd(e1, WIDE, budget=5, stream=RngStream(0, 0))
-
-
-class TestSublevelMembership:
-    def test_exact_in_and_out(self):
-        rng = np.random.default_rng(19)
-        x = _unit(rng, 24)
-        exact = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
-        assert sublevel_membership(x, WIDE, exact.lower_bound / 2, budget=15) == "out"
-        assert sublevel_membership(x, WIDE, exact.lower_bound + 1e-9, budget=15) == "in"
-        assert sublevel_membership(x, WIDE, math.inf, budget=15) == "in"
-
-    def test_universal_lower_bound_gives_out(self):
-        # Any D below the sqrt(lambda n) scale should certify "out";
-        # checked against the computed maximum, not assumed.
-        rng = np.random.default_rng(20)
-        x = _unit(rng, 24)
-        exact = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
-        scale = 0.2 * math.sqrt(WIDE.lam * 24)
-        assert exact.lower_bound > scale
-        assert sublevel_membership(x, WIDE, scale, budget=15) == "out"
-
-    def test_randomized_unknown(self):
-        rng = np.random.default_rng(21)
-        x = _unit(rng, 24)
-        exact = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
-        verdict = sublevel_membership(x, WIDE, exact.lower_bound, budget=3, stream=RngStream(2, 2))
-        assert verdict == "unknown"
 
 
 class TestClassificationInvariance:

@@ -17,7 +17,7 @@ modules, not the scipy.linalg package.
 
 import importlib
 
-__version__ = "0.5.3"
+__version__ = "0.6.0"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {

@@ -42,19 +42,13 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-# CLI flag of a [structure] config key, where it is not the key itself.
-_CONSTANT_FLAGS = {"l": "scale-l"}
+# structure's flag for each StructureConstants field.
+_CONSTANT_FLAGS = {"c_s": "c-s", "c_d": "c-d", "c_oo": "c-oo", "lam": "lambda", "L": "scale-l"}
 
 
 def _constants_from_args(args) -> StructureConstants:
-    values = {attr: getattr(args, attr) for attr in harness.STRUCTURE_KEYS.values()}
+    values = {attr: getattr(args, attr) for attr in _CONSTANT_FLAGS}
     return StructureConstants(**{attr: v for attr, v in values.items() if v is not None})
-
-
-def _add_constants_flags(parser: argparse.ArgumentParser) -> None:
-    for key, attr in harness.STRUCTURE_KEYS.items():
-        flag = _CONSTANT_FLAGS.get(key, key.replace("_", "-"))
-        parser.add_argument(f"--{flag}", dest=attr, type=float, default=None)
 
 
 def _cmd_generate(args) -> int:
@@ -166,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("structure", help="classify a vector file")
     st.add_argument("--vector", required=True)
     st.add_argument("--alpha", type=float, default=0.5)
-    _add_constants_flags(st)
+    for attr, flag in _CONSTANT_FLAGS.items():
+        st.add_argument(f"--{flag}", dest=attr, type=float, default=None)
     st.set_defaults(func=_cmd_structure)
 
     for kind in harness.EXPERIMENT_KINDS:

@@ -33,42 +33,29 @@ _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 class EntryDistribution:
     """Law of a single entry xi: mean 0, variance 1, finite fourth moment.
 
-    ``fourth_moment`` stores E[xi^4] and is checked against the analytic
-    value for the kind.  Two-point laws carry their positive atom ``a``
-    and its probability ``prob``; the negative atom is forced by mean zero.
+    ``(kind, prob)`` fixes the law.  Only two-point laws take ``prob``,
+    the mass of their positive atom ``a``; the negative atom is forced by
+    mean zero, and ``a`` by unit variance.
     """
 
     kind: str
-    variance: float = 1.0
-    fourth_moment: float = 1.0
-    a: float | None = None
     prob: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown entry distribution kind {self.kind!r}")
-        if abs(self.variance - 1.0) > 1e-12:
-            raise ParameterError("entry distributions must have unit variance")
-        if self.kind == "two-point-general":
-            if self.a is None or self.prob is None:
-                raise ParameterError("two-point-general requires a and prob")
-            if not 0.0 < self.prob < 1.0:
-                raise ParameterError("two-point prob must lie in (0, 1)")
-            want = math.sqrt((1.0 - self.prob) / self.prob)
-            if abs(self.a - want) > 1e-9:
-                raise ParameterError(
-                    "two-point atoms do not give mean 0 / variance 1: "
-                    f"a={self.a!r}, expected {want!r} for prob={self.prob!r}"
-                )
-        elif self.a is not None or self.prob is not None:
-            raise ParameterError(f"{self.kind} takes no atom parameters")
-        if abs(self.fourth_moment - self._analytic_fourth_moment()) > 1e-12:
-            raise ParameterError(
-                f"fourth_moment {self.fourth_moment!r} does not match the "
-                f"analytic value {self._analytic_fourth_moment()!r} for {self.kind}"
-            )
+        if self.kind != "two-point-general":
+            if self.prob is not None:
+                raise ParameterError(f"{self.kind} takes no atom parameters")
+            return
+        if self.prob is None or not 0.0 < self.prob < 1.0:
+            raise ParameterError("two-point prob must lie in (0, 1)")
+        if not math.isfinite(self.fourth_moment):
+            raise ParameterError(f"two-point prob {self.prob!r} gives an infinite fourth moment")
 
-    def _analytic_fourth_moment(self) -> float:
+    @property
+    def fourth_moment(self) -> float:
+        """E[xi^4]."""
         if self.kind == "rademacher":
             return 1.0
         if self.kind == "standard-gaussian":
@@ -78,29 +65,27 @@ class EntryDistribution:
         q = 1.0 - self.prob
         return q * q / self.prob + self.prob * self.prob / q
 
+    @property
+    def a(self) -> float:
+        """The positive atom of a two-point law."""
+        return math.sqrt((1.0 - self.prob) / self.prob)
+
     @classmethod
     def rademacher(cls) -> "EntryDistribution":
-        return cls("rademacher", fourth_moment=1.0)
+        return cls("rademacher")
 
     @classmethod
     def standard_gaussian(cls) -> "EntryDistribution":
-        return cls("standard-gaussian", fourth_moment=3.0)
+        return cls("standard-gaussian")
 
     @classmethod
     def uniform_symmetric(cls) -> "EntryDistribution":
-        return cls("uniform-symmetric", fourth_moment=9.0 / 5.0)
+        return cls("uniform-symmetric")
 
     @classmethod
     def two_point(cls, prob: float) -> "EntryDistribution":
         """Asymmetric two-point law: atom sqrt((1-prob)/prob) with mass prob."""
-        if not 0.0 < prob < 1.0:
-            raise ParameterError("two-point prob must lie in (0, 1)")
-        a = math.sqrt((1.0 - prob) / prob)
-        q = 1.0 - prob
-        m4 = q * q / prob + prob * prob / q
-        if not math.isfinite(m4):
-            raise ParameterError(f"two-point prob {prob!r} gives an infinite fourth moment")
-        return cls("two-point-general", fourth_moment=m4, a=a, prob=prob)
+        return cls("two-point-general", prob=prob)
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(values, probabilities) for finite-support kinds, else None."""

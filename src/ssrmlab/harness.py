@@ -12,6 +12,10 @@ scaling trials read (s_min, s_max) from the certified spectrum
 Each such trial holds one n x n array (8 n^2 bytes): it hands spectra its
 sparse realization, which spectra densifies into a buffer of its own and
 reduces in place.
+
+Config schema: sections [experiment], [ensemble] and [grid], plus
+[params] with the keys of ``_PARAMS`` for the kind.  Any other section
+or key is a ConfigError.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ from .ensemble import (
 )
 from .errors import REPORTED, ConfigError, ParameterError, report
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
-from .structure import StructureConstants
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.5.3"
+ARTIFACT_VERSION = "0.6.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -57,17 +60,11 @@ EXPERIMENT_KINDS = (
 # Kinds that run the first (n, p) cell only, so their grids hold one point.
 SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
 
-# [structure] keys and the StructureConstants fields they set.
-STRUCTURE_KEYS = {
-    "c_s": "c_s", "c_d": "c_d", "c_oo": "c_oo", "lambda": "lam", "l": "L", "delta0": "delta0", "c_p": "c_p"
-}
-
 # The keys each section admits; [params] keys depend on the kind.
 _SECTION_KEYS = {
     "experiment": ("kind", "trials", "seed", "workers", "out"),
     "ensemble": ("dist", "c_op"),
     "grid": ("n", "p", "eps"),
-    "structure": tuple(STRUCTURE_KEYS),
 }
 
 
@@ -115,7 +112,6 @@ class ExperimentConfig:
     kind: str
     dist: EntryDistribution
     c_op: float
-    constants: StructureConstants
     eps_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
     p_grid: tuple[float, ...]
@@ -174,8 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
 
     def distance_params(self) -> tuple[float, int, float]:
-        """distance-check's (eps, m, rho); unset, they are grid.eps[0], n // 2 and structure.c_d."""
-        return self.param("eps", self.eps_grid[0]), self.param("m", self.n_grid[0] // 2), self.param("rho", self.constants.c_d)
+        """distance-check's (eps, m, rho); unset, they are grid.eps[0], n // 2 and 0.1."""
+        return self.param("eps", self.eps_grid[0]), self.param("m", self.n_grid[0] // 2), self.param("rho", 0.1)
 
     def params_for(self, n: int, p: float) -> EnsembleParams:
         return EnsembleParams(n=n, p=p, dist=self.dist, c_op=self.c_op)
@@ -203,7 +199,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "p": ",".join(f"{v:.17g}" for v in cfg.p_grid),
         "eps": ",".join(f"{v:.17g}" for v in cfg.eps_grid),
     }
-    cp["structure"] = {key: f"{getattr(cfg.constants, attr):.17g}" for key, attr in STRUCTURE_KEYS.items()}
     if cfg.extras:
         cp["params"] = dict(cfg.extras)
     buf = io.StringIO()
@@ -268,24 +263,11 @@ def config_from_text(text: str) -> ExperimentConfig:
     n_grid = tuple(int(v) for v in n_grid_f)
     p_grid = _parse_floats(_get(cp, "grid", "p", ""), "grid.p")
     eps_grid = _parse_floats(_get(cp, "grid", "eps", "0.001"), "grid.eps")
-    kwargs = {}
-    if cp.has_section("structure"):
-        for key, attr in STRUCTURE_KEYS.items():
-            if cp.has_option("structure", key):
-                try:
-                    kwargs[attr] = _finite(cp["structure"][key])
-                except ValueError as exc:
-                    raise ConfigError(f"bad float at structure.{key}") from exc
-    try:
-        constants = StructureConstants(**kwargs)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid [structure] section: {exc}") from exc
     extras = dict(cp["params"]) if cp.has_section("params") else {}
     return ExperimentConfig(
         kind=kind,
         dist=dist,
         c_op=c_op,
-        constants=constants,
         eps_grid=eps_grid,
         n_grid=n_grid,
         p_grid=p_grid,
@@ -445,7 +427,6 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
             "workers": cfg.workers,
             "extras": dict(cfg.extras),
         },
-        "structure_constants": asdict(cfg.constants),
     }
     if extra:
         meta["results"] = extra
@@ -531,14 +512,14 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
     x = np.full(n, 1.0 / math.sqrt(n))
-    d = lcd(x, cfg.constants.L)
+    d = lcd(x, 1.0)
     # One sample set serves the whole eps grid (monotone estimates).
     kernel = partial(_smallball_sum, cfg.master_seed, p, cfg.dist)
     sums = np.array(run_trials(kernel, [x], cfg.trials, cfg.workers)[0])
     rows, ratios = [], []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))
-        bracket = lcd_smallball_bound(x, cfg.constants.L, p, eps, d.value)
+        bracket = lcd_smallball_bound(x, 1.0, p, eps, d.value)
         rows.append([eps, est.value, est.ci_halfwidth, bracket])
         if bracket > 0:
             ratios.append(est.value / bracket)

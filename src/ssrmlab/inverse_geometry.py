@@ -123,7 +123,6 @@ class InverseImageReport:
     freq_markov_upper: float
     freq_hs_lower: float
     eps: float
-    c_bound: float
 
 
 def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
@@ -143,13 +142,12 @@ def inverse_image_experiment(
     matrices: int,
     x_draws: int,
     master_seed: int,
-    c_bound: float = 10.0,
 ) -> InverseImageReport:
     """Frequencies of the three inverse-image events plus the first-moment identity.
 
     identity_mean averages |A^-1 X|^2 / (p |A^-1|_HS^2) over fresh X; its
     population value is exactly 1.  The three frequencies correspond to
-    |A^-1 X| >= 1/c_bound, the Markov-style upper bound
+    |A^-1 X| >= 1/10, the Markov-style upper bound
     |A^-1 X| <= sqrt(p) eps^{-1/2} |A^-1|_HS, and the lower bound
     |A^-1 X| >= sqrt(p) eps |A^-1|_HS.
     """
@@ -169,11 +167,10 @@ def inverse_image_experiment(
         x_draws=x_draws,
         excluded_singular=matrices - len(kept),
         identity_mean=float(np.mean(imgs**2 / (p * hs * hs))),
-        freq_lower_abs=float(np.mean(imgs >= 1.0 / c_bound)),
+        freq_lower_abs=float(np.mean(imgs >= 0.1)),
         freq_markov_upper=float(np.mean(imgs <= math.sqrt(p) * eps**-0.5 * hs)),
         freq_hs_lower=float(np.mean(imgs >= math.sqrt(p) * eps * hs)),
         eps=eps,
-        c_bound=c_bound,
     )
 
 

@@ -21,13 +21,13 @@ from .ensemble import EntryDistribution, RngStream
 from .errors import ParameterError
 
 
-def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
-    """Interval-mass error bound from the DKW inequality.
+def dkw_halfwidth(n: int) -> float:
+    """Interval-mass error bound from the DKW inequality at level 0.05.
 
-    sup-norm CDF error sqrt(log(2/alpha) / (2n)) enters twice because a
+    sup-norm CDF error sqrt(log(2/0.05) / (2n)) enters twice because a
     window mass is a difference of two CDF values.
     """
-    return 2.0 * math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    return 2.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,10 @@ def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
     return ConcentrationEstimate(eps, best / n, n, dkw_halfwidth(n))
 
 
-def levy_concentration_vector(
-    samples, eps: float, centers: np.ndarray | None = None
-) -> ConcentrationEstimate:
+def levy_concentration_vector(samples, eps: float) -> ConcentrationEstimate:
     """Lower-bound estimate of the vector concentration function.
 
-    Candidate centers default to every sample point plus the origin; the
+    Candidate centers are every sample point plus the origin; the
     reported value is the best closed-ball mass over the candidates,
     which lower-bounds the supremum over all of R^n.  The CI halfwidth is
     the Wilson halfwidth at the winning count.
@@ -76,15 +74,10 @@ def levy_concentration_vector(
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
     n, d = pts.shape
-    if d == 1 and centers is None:
+    if d == 1:
         # Dimension one admits the exact sliding-window supremum.
         return levy_concentration_scalar(pts.ravel(), eps)
-    if centers is None:
-        centers = np.vstack([pts, np.zeros((1, d))])
-    else:
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[1] != d:
-            raise ParameterError("centers dimension mismatch")
+    centers = np.vstack([pts, np.zeros((1, d))])
     # Imported here, so that importing ssrmlab (every CLI process) skips scipy.spatial.
     from scipy.spatial import cKDTree
     tree = cKDTree(pts)

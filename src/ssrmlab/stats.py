@@ -14,13 +14,13 @@ from .errors import ParameterError
 Z95 = 1.96
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 0 or successes < 0 or successes > trials:
         raise ParameterError("need 0 <= successes <= trials")
     if trials == 0:
         return 0.0, 1.0
-    phat = successes / trials
+    phat, z = successes / trials, Z95
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     margin = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))

@@ -39,8 +39,6 @@ class StructureConstants:
     c_oo: float = 0.025
     lam: float = 0.01
     L: float = 1.0
-    delta0: float = 0.1
-    c_p: float = 1.0 / 3.0
 
     def __post_init__(self):
         if not 0.0 < self.c_s < 1.0:
@@ -56,10 +54,6 @@ class StructureConstants:
             raise ParameterError("lambda must lie in (0, c_oo)")
         if not 1.0 <= self.L < math.inf:
             raise ParameterError("L must be finite and >= 1")
-        if not 0.0 < self.delta0 < 1.0:
-            raise ParameterError("delta0 must lie in (0, 1)")
-        if not 0.0 < self.c_p < 1.0:
-            raise ParameterError("c_p must lie in (0, 1)")
 
     def sparsity_budget(self, n: int) -> int:
         """Integer sparsity budget m for Comp(c_s n, c_d) at dimension n."""

@@ -230,7 +230,6 @@ def _tail_config(**overrides):
         kind="tail-sweep",
         dist=RAD,
         c_op=3.0,
-        constants=StructureConstants(),
         eps_grid=(1e-3,),
         n_grid=(200,),
         p_grid=(0.3,),

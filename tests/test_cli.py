@@ -79,10 +79,18 @@ def test_structure_subcommand(tmp_path, capsys):
 
 
 def test_structure_flags_set_every_constant():
-    flags = ["--c-s", "0.2", "--c-d", "0.3", "--c-oo", "0.05", "--lambda", "0.02", "--scale-l", "2", "--delta0", "0.2", "--c-p", "0.5"]
+    flags = ["--c-s", "0.2", "--c-d", "0.3", "--c-oo", "0.05", "--lambda", "0.02", "--scale-l", "2"]
     args = build_parser().parse_args(["structure", "--vector", "v.txt", *flags])
-    expected = StructureConstants(c_s=0.2, c_d=0.3, c_oo=0.05, lam=0.02, L=2.0, delta0=0.2, c_p=0.5)
+    expected = StructureConstants(c_s=0.2, c_d=0.3, c_oo=0.05, lam=0.02, L=2.0)
     assert _constants_from_args(args) == expected
+
+
+@pytest.mark.parametrize("flag", [["--delta0", "0.2"], ["--c-p", "0.5"]])
+def test_structure_rejects_unknown_constant_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["structure", "--vector", "v.txt", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_tail_sweep_dry_run(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import io
 import math
@@ -42,17 +43,13 @@ class TestEntryDistribution:
         assert values @ probs == pytest.approx(0.0, abs=1e-12)
         assert (values**2) @ probs == pytest.approx(1.0, abs=1e-12)
 
-    def test_bad_variance_rejected(self):
+    @pytest.mark.parametrize("kind,prob", [("rademacher", 0.5), ("two-point-general", None)])
+    def test_prob_only_for_two_point(self, kind, prob):
         with pytest.raises(ParameterError):
-            EntryDistribution("rademacher", variance=2.0)
+            EntryDistribution(kind, prob=prob)
 
-    def test_bad_fourth_moment_rejected(self):
-        with pytest.raises(ParameterError):
-            EntryDistribution("rademacher", fourth_moment=2.0)
-
-    def test_inconsistent_two_point_rejected(self):
-        with pytest.raises(ParameterError):
-            EntryDistribution("two-point-general", fourth_moment=1.0, a=5.0, prob=0.5)
+    def test_fields_are_kind_and_prob(self):
+        assert [f.name for f in dataclasses.fields(EntryDistribution)] == ["kind", "prob"]
 
     def test_two_point_infinite_moment_rejected(self):
         # prob = 1e-320 gives an infinite atom, which no matrix can hold.

@@ -1,0 +1,75 @@
+"""Output bytes pinned across versions.
+
+``tests/golden/`` holds one tiny config per experiment kind, a vector file
+and a matrix file.  ``digests.json`` records the SHA-256 of each kind's CSV
+and of the ``lcd``/``structure`` records of the vector and the ``spectra``
+record of the matrix, together with the ``ARTIFACT_VERSION`` they were
+made at.  A change to any of those bytes is deliberate only with a version
+bump, regenerated digests and a CHANGES.md line saying what moved.
+
+The runs pin the BLAS and OpenMP thread counts to 1: some last digits
+still depend on the thread count.  The digests are exact only on the CPU
+family they were recorded on (x86-64); OpenBLAS picks its kernels per CPU,
+so another CPU may move a last digit of the float columns.  If a digest
+differs on a new machine with no code change, the fix is to compare the
+integer columns exactly and the float columns within a stated tolerance,
+not to record that machine's digests.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ssrmlab
+from ssrmlab import harness
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RECORDED = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))
+
+_RECORDS = {
+    "lcd": ["lcd", "--vector", str(GOLDEN / "vector.txt")],
+    "structure": ["structure", "--vector", str(GOLDEN / "vector.txt")],
+    "spectra": ["spectra", "--matrix", str(GOLDEN / "matrix.txt")],
+}
+
+
+def _output(case: str, workdir: Path) -> bytes:
+    """The bytes case ``case`` pins: a kind's CSV, or a subcommand's stdout record."""
+    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    out = workdir / "out.csv"
+    argv = _RECORDS.get(case) or [case, "--config", str(GOLDEN / f"{case}.ini"), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssrmlab.cli", *argv], cwd=workdir, env=env, capture_output=True, check=True, timeout=120
+    )
+    return proc.stdout if case in _RECORDS else out.read_bytes()
+
+
+def test_every_kind_and_record_is_pinned():
+    assert set(RECORDED["sha256"]) == set(harness.EXPERIMENT_KINDS) | set(_RECORDS)
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED["sha256"]))
+def test_output_bytes_match_digest(case, tmp_path):
+    got = hashlib.sha256(_output(case, tmp_path)).hexdigest()
+    assert got == RECORDED["sha256"][case], (
+        f"{case} output bytes changed (sha256 {got}). A deliberate byte change needs an "
+        "ARTIFACT_VERSION bump, regenerated tests/golden/digests.json and a CHANGES.md line."
+    )
+
+
+def test_digests_were_made_at_this_version():
+    assert RECORDED["artifact_version"] == harness.ARTIFACT_VERSION, (
+        "ARTIFACT_VERSION moved: re-run tests/golden/ at the new version and record it in digests.json."
+    )

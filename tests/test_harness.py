@@ -27,7 +27,6 @@ from ssrmlab.harness import (
     tail_sweep,
 )
 from ssrmlab.stats import fit_loglog_slope, wilson_interval
-from ssrmlab.structure import StructureConstants
 
 RAD = EntryDistribution.rademacher()
 
@@ -37,7 +36,6 @@ def _config(**overrides) -> ExperimentConfig:
         kind="tail-sweep",
         dist=RAD,
         c_op=3.0,
-        constants=StructureConstants(),
         eps_grid=(0.001, 0.01, 0.1),
         n_grid=(24,),
         p_grid=(0.5,),
@@ -149,10 +147,6 @@ class TestConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             config_from_text(CONFIG_TEXT.replace("tail-sweep", "frobnicate"))
-
-    def test_structure_section_round_trip(self):
-        cfg = _config(constants=StructureConstants(c_s=0.2, c_d=0.15, c_oo=0.2, lam=0.05))
-        assert config_from_text(config_to_text(cfg)).constants == cfg.constants
 
 
 class TestTailSweep:
@@ -281,7 +275,7 @@ class TestRun:
         assert len(lines) == 2 + 3  # three eps rows
         meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
         assert meta["config"]["seed"] == 7
-        assert meta["structure_constants"]["c_s"] == 0.1
+        assert "structure_constants" not in meta
         assert meta["artifact"].startswith("ssrmlab-")
 
     @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
@@ -388,6 +382,14 @@ class TestConfigRejected:
     def test_unknown_section(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("[grid]", "[gird]"), "[gird]")
 
+    @pytest.mark.parametrize(
+        "kind,section",
+        [("smallball", "l = 2"), ("distance-check", "c_d = 0.2"), ("tail-sweep", "c_s = 0.1"), ("scaling", "")],
+    )
+    def test_structure_section(self, tmp_path, capsys, kind, section):
+        text = _kind_config(kind) + f"\n[structure]\n{section}\n"
+        self._assert_rejected(tmp_path, capsys, text, "config error: unknown config section [structure]")
+
     def test_non_finite_value(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("c_op = 3.0", "c_op = nan"), "ensemble.c_op")
 
@@ -461,10 +463,6 @@ def _finite_floats(**kwargs):
     return st.floats(allow_nan=False, allow_infinity=False, **kwargs)
 
 
-def _open_unit():
-    return _finite_floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-
-
 @st.composite
 def _configs(draw) -> ExperimentConfig:
     kind = draw(st.sampled_from(EXPERIMENT_KINDS))
@@ -478,17 +476,6 @@ def _configs(draw) -> ExperimentConfig:
             ),
             _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(EntryDistribution.two_point),
         )
-    )
-    c_s, c_d = draw(_open_unit()), draw(_open_unit())
-    c_oo = draw(_finite_floats(min_value=max(0.25 * c_s * c_d**2, 1e-6), max_value=0.25))
-    constants = StructureConstants(
-        c_s=c_s,
-        c_d=c_d,
-        c_oo=c_oo,
-        lam=draw(_finite_floats(min_value=0.0, max_value=c_oo, exclude_min=True, exclude_max=True)),
-        L=draw(_finite_floats(min_value=1.0, max_value=1e6)),
-        delta0=draw(_open_unit()),
-        c_p=draw(_open_unit()),
     )
     number = _finite_floats().map(repr)
     eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=1, max_size=4)))
@@ -509,7 +496,6 @@ def _configs(draw) -> ExperimentConfig:
         kind=kind,
         dist=dist,
         c_op=draw(_finite_floats(min_value=0.0, exclude_min=True)),
-        constants=constants,
         eps_grid=eps_grid,
         n_grid=n_grid,
         p_grid=p_grid,
@@ -528,7 +514,6 @@ _ADMITTED = {
     "experiment": {"kind": list(EXPERIMENT_KINDS), "trials": ["8"], "seed": ["3"], "workers": ["2"], "out": ["r.csv"]},
     "ensemble": {"dist": ["rademacher", "gaussian", "two-point:0.3"], "c_op": ["3.0"]},
     "grid": {"n": ["24", "24,400"], "p": ["0.5", "0.5,1"], "eps": ["0.01,0.1"]},
-    "structure": {k: ["0.02", "0.5", "2"] for k in ("c_s", "c_d", "c_oo", "lambda", "l", "delta0", "c_p")},
     "params": {"cbar": ["2"], "bvh_eps": ["0.5"], "eps": ["0.1"], "m": ["12"], "rho": ["0.1"]},
 }
 _WRONG = [

@@ -73,3 +73,32 @@ def test_every_definition_is_reached():
         todo += new
     dead = sorted(name for name in bodies if name not in reached and not name.startswith("__"))
     assert not dead, f"no caller outside their own unit tests: {', '.join(dead)}"
+
+
+# Classes whose fields are settable knobs: a config key, a CLI flag or a
+# constructor argument.
+_KNOB_CLASSES = ("StructureConstants", "EntryDistribution", "EnsembleParams", "ExperimentConfig", "RngStream")
+
+
+def test_every_knob_is_read():
+    # A field that nothing reads outside its own class's __post_init__ can be
+    # set, and checked, but cannot change any result.  Reads are matched by
+    # attribute name only, whatever the receiver: a field counts as read when
+    # any object's attribute of that name is loaded anywhere in src/, so a
+    # common name (n, p, kind) can hide an unread field.  This catches only a
+    # field whose name no code loads at all.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / "src" / "ssrmlab").glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name in _KNOB_CLASSES}
+    assert sorted(classes) == sorted(_KNOB_CLASSES)
+    unread = []
+    for name, cls in classes.items():
+        checks = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for node in ast.walk(f)}
+        reads = {
+            node.attr
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in checks
+        }
+        unread += [f"{name}.{f.target.id}" for f in cls.body if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+    assert not unread, f"fields no result reads: {', '.join(unread)}"

@@ -103,10 +103,6 @@ class TestLevyVector:
         est = levy_concentration_vector(pts, 0.1)
         assert est.value <= 0.01
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            levy_concentration_vector(np.ones((10, 2)), 0.1, centers=np.ones((3, 5)))
-
     def test_monotone_in_eps(self):
         rng = RngStream(33, 0).generator()
         pts = rng.standard_normal((2000, 3))

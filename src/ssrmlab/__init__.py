@@ -17,7 +17,7 @@ modules, not the scipy.linalg package.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {
@@ -43,7 +43,6 @@ _EXPORTS = {
     "SpectralSummary": "spectra",
     "bvh_bound": "spectra",
     "full_symmetric_spectrum": "spectra",
-    "operator_norm_event": "spectra",
     "smallest_singular_value": "spectra",
     "spectral_norm": "spectra",
     "LcdResult": "structure",

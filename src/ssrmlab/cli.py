@@ -42,8 +42,8 @@ def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-# structure's flag for each StructureConstants field.
-_CONSTANT_FLAGS = {"c_s": "c-s", "c_d": "c-d", "c_oo": "c-oo", "lam": "lambda", "L": "scale-l"}
+# structure's flag for each StructureConstants field that classify_vector reads.
+_CONSTANT_FLAGS = {"c_s": "c-s", "c_d": "c-d", "c_oo": "c-oo"}
 
 
 def _constants_from_args(args) -> StructureConstants:
@@ -107,13 +107,7 @@ def _cmd_structure(args) -> int:
             "comp_member": report.comp_member,
             "dom_member": report.dom_member,
             "spread_set": list(report.spread_set) if report.spread_set is not None else None,
-            "constants": {
-                "c_s": consts.c_s,
-                "c_d": consts.c_d,
-                "c_oo": consts.c_oo,
-                "lambda": consts.lam,
-                "L": consts.L,
-            },
+            "constants": {"c_s": consts.c_s, "c_d": consts.c_d, "c_oo": consts.c_oo},
         }
     )
     return 0

@@ -128,12 +128,11 @@ def parse_distribution(text: str) -> EntryDistribution:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Dimension, sparsity level, entry law, and the operator-norm constant."""
+    """Dimension, sparsity level and entry law: exactly what ``sample_matrix`` reads."""
 
     n: int
     p: float
     dist: EntryDistribution
-    c_op: float = 3.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
@@ -141,8 +140,6 @@ class EnsembleParams:
         # p == 0 is admitted (degenerate zero matrix); experiments reject p < 1/n.
         if not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"sparsity level p must lie in [0, 1], got {self.p!r}")
-        if self.c_op <= 0:
-            raise ParameterError("c_op must be positive")
 
 
 @dataclass(frozen=True)

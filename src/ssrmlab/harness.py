@@ -15,7 +15,8 @@ reduces in place.
 
 Config schema: sections [experiment], [ensemble] and [grid], plus
 [params] with the keys of ``_PARAMS`` for the kind.  Any other section
-or key is a ConfigError.
+or key is a ConfigError.  C_op of the event |A| <= C_op sqrt(pn) is the
+constant ``spectra.C_OP``, not a key.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -63,7 +64,7 @@ SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
 # The keys each section admits; [params] keys depend on the kind.
 _SECTION_KEYS = {
     "experiment": ("kind", "trials", "seed", "workers", "out"),
-    "ensemble": ("dist", "c_op"),
+    "ensemble": ("dist",),
     "grid": ("n", "p", "eps"),
 }
 
@@ -78,7 +79,7 @@ def _finite(text: str) -> float:
 # [params] keys each kind reads, with their parsers; other kinds take none.
 _PARAMS = {
     "norm-check": {"cbar": _finite, "bvh_eps": _finite},
-    "distance-check": {"eps": _finite, "m": int, "rho": _finite},
+    "distance-check": {"m": int, "rho": _finite},
 }
 
 
@@ -111,7 +112,6 @@ class TailEstimate:
 class ExperimentConfig:
     kind: str
     dist: EntryDistribution
-    c_op: float
     eps_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
     p_grid: tuple[float, ...]
@@ -148,7 +148,7 @@ class ExperimentConfig:
             if not 1 <= m < n:
                 raise ConfigError(f"distance-check needs 1 <= params.m < n, got m={m}, n={n}")
             if eps < 0 or rho <= 0:
-                raise ConfigError(f"distance-check needs params.eps >= 0 and params.rho > 0, got eps={eps:g}, rho={rho:g}")
+                raise ConfigError(f"distance-check needs grid.eps >= 0 and params.rho > 0, got eps={eps:g}, rho={rho:g}")
         if self.kind == "norm-check" and not 0.0 < self.param("bvh_eps", 0.5) <= 0.5:
             raise ConfigError(f"norm-check needs params.bvh_eps in (0, 1/2], got {self.param('bvh_eps'):g}")
         if self.kind in ("smallball", "quadratic") and min(self.eps_grid) < 0:
@@ -170,11 +170,11 @@ class ExperimentConfig:
             raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
 
     def distance_params(self) -> tuple[float, int, float]:
-        """distance-check's (eps, m, rho); unset, they are grid.eps[0], n // 2 and 0.1."""
-        return self.param("eps", self.eps_grid[0]), self.param("m", self.n_grid[0] // 2), self.param("rho", 0.1)
+        """distance-check's (eps, m, rho): grid.eps[0], and params.m and params.rho (n // 2 and 0.1 when unset)."""
+        return self.eps_grid[0], self.param("m", self.n_grid[0] // 2), self.param("rho", 0.1)
 
     def params_for(self, n: int, p: float) -> EnsembleParams:
-        return EnsembleParams(n=n, p=p, dist=self.dist, c_op=self.c_op)
+        return EnsembleParams(n=n, p=p, dist=self.dist)
 
 
 def _dist_to_text(dist: EntryDistribution) -> str:
@@ -193,7 +193,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "workers": str(cfg.workers),
         "out": cfg.out,
     }
-    cp["ensemble"] = {"dist": _dist_to_text(cfg.dist), "c_op": f"{cfg.c_op:.17g}"}
+    cp["ensemble"] = {"dist": _dist_to_text(cfg.dist)}
     cp["grid"] = {
         "n": ",".join(str(v) for v in cfg.n_grid),
         "p": ",".join(f"{v:.17g}" for v in cfg.p_grid),
@@ -253,10 +253,6 @@ def config_from_text(text: str) -> ExperimentConfig:
         dist = parse_distribution(_get(cp, "ensemble", "dist", "rademacher"))
     except ParameterError as exc:
         raise ConfigError(f"bad value at ensemble.dist: {exc}") from exc
-    try:
-        c_op = _finite(_get(cp, "ensemble", "c_op", "3.0"))
-    except ValueError as exc:
-        raise ConfigError("bad float at ensemble.c_op") from exc
     n_grid_f = _parse_floats(_get(cp, "grid", "n", ""), "grid.n")
     if not all(v.is_integer() for v in n_grid_f):
         raise ConfigError(f"grid.n must hold integers: {cp['grid']['n']!r}")
@@ -267,7 +263,6 @@ def config_from_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         kind=kind,
         dist=dist,
-        c_op=c_op,
         eps_grid=eps_grid,
         n_grid=n_grid,
         p_grid=p_grid,
@@ -319,10 +314,12 @@ def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
     success counts are exactly nondecreasing in eps within a cell.
     ``ExperimentConfig`` has already rejected cells with p < 1/n.
     """
+    from .spectra import C_OP
+
     cells = [(n, p) for n in cfg.n_grid for p in cfg.p_grid]
     rows: list[TailEstimate] = []
     for (n, p), vals in zip(cells, _extreme_values(cfg, cells)):
-        op_thr = cfg.c_op * math.sqrt(p * n)
+        op_thr = C_OP * math.sqrt(p * n)
         for eps in cfg.eps_grid:
             thr = eps * math.sqrt(p / n)
             successes = sum(1 for smin, smax in vals if smin <= thr and smax <= op_thr)
@@ -374,11 +371,11 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
 def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
     """Log-log slope of p_hat against eps over CI-solid cells.
 
-    Returns None (the caller prints a diagnostic) when fewer than four
-    eps points have p_hat > 0 with a Wilson interval excluding zero.
+    Returns None when fewer than four (cell, eps) points have p_hat > 0
+    with a Wilson interval excluding zero, or when they share one eps.
     """
     usable = [(r.eps, r.p_hat) for r in rows if r.p_hat > 0 and r.wilson_lo > 0 and r.eps > 0]
-    return fit_loglog_slope(*zip(*usable)) if len(usable) >= 4 else None
+    return fit_loglog_slope(*zip(*usable)) if len(usable) >= 4 and len({e for e, _ in usable}) > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +415,6 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
         "config": {
             "kind": cfg.kind,
             "dist": _dist_to_text(cfg.dist),
-            "c_op": cfg.c_op,
             "n_grid": list(cfg.n_grid),
             "p_grid": list(cfg.p_grid),
             "eps_grid": list(cfg.eps_grid),
@@ -470,7 +466,7 @@ def _run_norm_check(cfg: ExperimentConfig) -> _Table:
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
     cbar, eps = cfg.param("cbar", 2.0), cfg.param("bvh_eps", 0.5)
-    rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar, eps, workers=cfg.workers)
+    rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar, eps, cfg.workers)
     return (
         ["trial", "norm", "norm_over_sqrt_pn", "omega_event", "bvh_bound", "bvh_satisfied"],
         [[r.trial, r.norm, r.norm_over_sqrt_pn, r.omega_event, r.bvh_bound, r.bvh_satisfied] for r in rep.rows],
@@ -587,7 +583,8 @@ def run(
     Writes the CSV and a JSON sidecar next to it, both or neither.  On any
     failed precondition one diagnostic line goes to stderr and the status
     is nonzero, as ``errors.EXIT_TABLE`` maps them; every config problem
-    is a ConfigError, reported as ``config error: ...``.
+    is a ConfigError, reported as ``config error: ...``, as is a ``kind``
+    (the subcommand's) that differs from the config's ``experiment.kind``.
     """
     try:
         cfg = load_config(config_path)
@@ -598,7 +595,7 @@ def run(
         if out is not None:
             cfg = replace(cfg, out=out)
         if kind is not None and kind != cfg.kind:
-            cfg = replace(cfg, kind=kind)
+            raise ConfigError(f"subcommand {kind} does not match experiment.kind = {cfg.kind} in {config_path!r}")
         if dry_run:
             print(
                 f"dry-run: kind={cfg.kind} cells={cfg.cell_count()} "

@@ -1,9 +1,12 @@
 """Distance-to-subspace identities and the incompressible-vector experiments.
 
 Every eigenvalue here comes from the one kernel in ``spectra``, at any
-n: its ``_extreme_singular_values`` for every singular check and the
-quadratic trial's operator norm, its ``_certified_spectrum`` for the
-distance-check trial's s_min and certified eigenvector.  Realizations
+n.  The distance-check trial reduces its matrix once: its
+``_certified_spectrum`` gives s_min, the singular verdict (by
+``singular_extremes``, the package's one singular rule) and the certified
+eigenvector, and ``all_column_distances`` takes that verdict rather than
+reducing the matrix again.  ``_extreme_singular_values`` serves the other
+singular checks and the quadratic trial's operator norm.  Realizations
 singular to working precision are excluded and counted, never silently
 folded into averages.  Solves and inverses run spectra's dgesv; only
 ``distance_to_complement_span`` (the singular fallback of
@@ -21,7 +24,7 @@ import numpy as np
 
 from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
-from .spectra import _as_dense, _certified_spectrum, _extreme_singular_values, dgesv
+from .spectra import C_OP, _as_dense, _certified_spectrum, _extreme_singular_values, dgesv, singular_extremes
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import sparse_tail_distance
 
@@ -99,18 +102,17 @@ def quadratic_form_distance(A) -> DistanceRecord:
     return DistanceRecord(0, geometric, value, False)
 
 
-def all_column_distances(A) -> np.ndarray:
-    """dist(A_j, H_j) for every j.
+def all_column_distances(A, singular: bool) -> np.ndarray:
+    """dist(A_j, H_j) for every j, given A's verdict under ``spectra.is_singular``.
 
     For invertible A the j-th distance is 1 / |(A^-1) e_j| (the inverse's
     rows are orthogonal to the complementary column spans); singular A
     falls back to per-column projections.
     """
     dense = _as_dense(A)
-    n = dense.shape[0]
-    if _extreme_singular_values(dense)[0] > 0.0:
+    if not singular:
         return 1.0 / np.linalg.norm(_inverse(dense), axis=0)
-    return np.array([distance_to_complement_span(dense, j) for j in range(n)])
+    return np.array([distance_to_complement_span(dense, j) for j in range(dense.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -186,9 +188,6 @@ class DistanceExperimentRow:
 @dataclass(frozen=True)
 class DistanceExperimentReport:
     rows: tuple[DistanceExperimentRow, ...]
-    eps: float
-    M: int
-    rho: float
     lhs_hat: float
     lhs_ci: tuple[float, float]
     rhs_hat: float
@@ -202,11 +201,11 @@ def _distance_trial(
     n, p = params.n, params.p
     A = sample_matrix(params, trial_stream(master_seed, c, t))
     evals, _, vectors = _certified_spectrum(A)
-    smin = float(np.abs(evals).min())
+    smin, _ = singular_extremes(evals)
     dist, _ = sparse_tail_distance(vectors[:, 0], M)
     incomp = dist > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
-    dists = all_column_distances(A)
+    dists = all_column_distances(A, smin == 0.0)
     rhs_value = float(np.sum(dists <= math.sqrt(p) * eps)) / M
     return DistanceExperimentRow(t, smin, incomp, lhs_event, rhs_value)
 
@@ -235,7 +234,7 @@ def invertibility_via_distance_experiment(
         raise ParameterError("trials must be nonnegative")
     rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
     if trials == 0:
-        return DistanceExperimentReport((), eps, M, rho, math.nan, (0.0, 1.0), math.nan, math.nan, True)
+        return DistanceExperimentReport((), math.nan, (0.0, 1.0), math.nan, math.nan, True)
     lhs_hits = sum(r.lhs_event for r in rows)
     lhs_hat = lhs_hits / trials
     lhs_ci = wilson_interval(lhs_hits, trials)
@@ -243,7 +242,7 @@ def invertibility_via_distance_experiment(
     rhs_hat = float(rhs_arr.mean())
     rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     holds = lhs_ci[0] <= rhs_hat + rhs_halfwidth
-    return DistanceExperimentReport(tuple(rows), eps, M, rho, lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds)
+    return DistanceExperimentReport(tuple(rows), lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds)
 
 
 @dataclass(frozen=True)
@@ -258,14 +257,14 @@ class QuadraticSmallballReport:
 
 
 def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
-    """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_op sqrt(pn)), or None for a singular A."""
+    """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_OP sqrt(pn)), or None for a singular A."""
     dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
     smin, top = _extreme_singular_values(dense)
     if smin == 0.0:
         return None
     X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
     y = _solve(dense, X)
-    return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= params.c_op * math.sqrt(params.p * params.n)
+    return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= C_OP * math.sqrt(params.p * params.n)
 
 
 def quadratic_smallball_experiment(
@@ -279,9 +278,9 @@ def quadratic_smallball_experiment(
 
     Per trial draws (A, X), computes q = <A^-1 X, X> and the normalizer
     sqrt(1 + |A^-1 X|^2), and counts |q - u| / normalizer <= eps sqrt(p)
-    jointly with the operator-norm event, at u = 0 and at the empirical
-    median of q.  Realizations are reused across the whole eps grid, so
-    the curves are exactly monotone.
+    jointly with the operator-norm event |A| <= C_OP sqrt(pn), at u = 0
+    and at the empirical median of q.  Realizations are reused across the
+    whole eps grid, so the curves are exactly monotone.
     """
     eps_grid = tuple(float(e) for e in eps_grid)
     if any(e < 0 for e in eps_grid) or not eps_grid:

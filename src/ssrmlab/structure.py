@@ -31,7 +31,8 @@ class StructureConstants:
     """Tunable constants for the structure classification and LCD search.
 
     Defaults satisfy the convention (1/4) c_s c_d^2 <= c_oo <= 1/4 and
-    0 < lambda < c_oo; every report echoes the values in force.
+    0 < lambda < c_oo.  ``classify_vector`` reads c_s, c_d and c_oo; lam
+    and L are the regularized LCD's subset fraction and scale.
     """
 
     c_s: float = 0.1

@@ -229,7 +229,6 @@ def _tail_config(**overrides):
     base = dict(
         kind="tail-sweep",
         dist=RAD,
-        c_op=3.0,
         eps_grid=(1e-3,),
         n_grid=(200,),
         p_grid=(0.3,),

@@ -79,13 +79,13 @@ def test_structure_subcommand(tmp_path, capsys):
 
 
 def test_structure_flags_set_every_constant():
-    flags = ["--c-s", "0.2", "--c-d", "0.3", "--c-oo", "0.05", "--lambda", "0.02", "--scale-l", "2"]
+    flags = ["--c-s", "0.2", "--c-d", "0.3", "--c-oo", "0.05"]
     args = build_parser().parse_args(["structure", "--vector", "v.txt", *flags])
-    expected = StructureConstants(c_s=0.2, c_d=0.3, c_oo=0.05, lam=0.02, L=2.0)
+    expected = StructureConstants(c_s=0.2, c_d=0.3, c_oo=0.05)
     assert _constants_from_args(args) == expected
 
 
-@pytest.mark.parametrize("flag", [["--delta0", "0.2"], ["--c-p", "0.5"]])
+@pytest.mark.parametrize("flag", [["--delta0", "0.2"], ["--c-p", "0.5"], ["--lambda", "0.02"], ["--scale-l", "2"]])
 def test_structure_rejects_unknown_constant_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["structure", "--vector", "v.txt", *flag])
@@ -100,6 +100,28 @@ def test_tail_sweep_dry_run(tmp_path, capsys):
     assert main(["tail-sweep", "--config", str(cfg), "--dry-run"]) == 0
     assert "cells=1" in capsys.readouterr().out
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,kind,edit,needle",
+    [
+        ("tail-sweep", "tail-sweep", ("dist = rademacher", "dist = rademacher\nc_op = 3.0"), "unknown config key ensemble.c_op"),
+        ("smallball", "smallball", ("eps = 0.01,0.1", "eps = 0.01,0.1\n[params]\nc_op = 3.0"), "params.c_op for kind smallball"),
+        ("distance-check", "distance-check", ("eps = 0.01,0.1", "eps = 0.01,0.1\n[params]\neps = 0.1"), "params.eps"),
+        ("tail-sweep", "scaling", ("", ""), "subcommand tail-sweep does not match experiment.kind = scaling"),
+    ],
+    ids=["ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch"],
+)
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_config_key_rejected(tmp_path, capsys, command, kind, edit, needle, dry_run):
+    out = tmp_path / "r.csv"
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(CONFIG_TEXT.replace("tail-sweep", kind).replace(*edit).format(out=out))
+    assert main([command, "--config", str(cfg), *(["--dry-run"] if dry_run else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini"]
 
 
 def test_tail_sweep_runs(tmp_path):
@@ -167,8 +189,8 @@ def test_spectra_has_no_tol_flag(tmp_path, capsys, tol):
         (["lcd", "--cap", "inf"], "theta_cap"),
         (["lcd", "--scale-l", "nan"], "L must"),
         (["lcd", "--tol", "nan"], "tol"),
-        (["structure", "--scale-l", "nan"], "L must"),
-        (["structure", "--scale-l", "inf"], "L must"),
+        (["structure", "--c-s", "nan"], "c_s must"),
+        (["structure", "--c-oo", "inf"], "c_oo must"),
     ],
 )
 def test_non_finite_flag_rejected(tmp_path, capsys, argv, word):

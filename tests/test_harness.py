@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 import string
@@ -35,7 +36,6 @@ def _config(**overrides) -> ExperimentConfig:
     base = dict(
         kind="tail-sweep",
         dist=RAD,
-        c_op=3.0,
         eps_grid=(0.001, 0.01, 0.1),
         n_grid=(24,),
         p_grid=(0.5,),
@@ -59,7 +59,6 @@ out = out.csv
 
 [ensemble]
 dist = rademacher
-c_op = 3.0
 
 [grid]
 n = 24
@@ -122,7 +121,7 @@ class TestTailEstimate:
 
 class TestConfig:
     def test_round_trip_lossless(self):
-        cfg = _config(kind="distance-check", extras={"eps": "0.25", "m": "12"})
+        cfg = _config(kind="distance-check", extras={"m": "12", "rho": "0.25"})
         assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_parse_reference_text(self):
@@ -202,6 +201,11 @@ class TestExponentFit:
 
     def test_too_few_points(self):
         rows = [TailEstimate.from_counts(10, 0.5, 0.1, 5, 100)]
+        assert exponent_fit(rows) is None
+
+    def test_one_eps_value_no_fit(self):
+        # Four cells solid at one eps point only: no slope, and no error.
+        rows = [TailEstimate.from_counts(n, 0.5, eps, 4 if eps == 1.0 else 0, 6) for n in (8, 12, 16, 24) for eps in (0.1, 1.0)]
         assert exponent_fit(rows) is None
 
     def test_zero_rows_excluded(self):
@@ -391,7 +395,19 @@ class TestConfigRejected:
         self._assert_rejected(tmp_path, capsys, text, "config error: unknown config section [structure]")
 
     def test_non_finite_value(self, tmp_path, capsys):
-        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("c_op = 3.0", "c_op = nan"), "ensemble.c_op")
+        self._assert_rejected(tmp_path, capsys, _kind_config("norm-check") + "\n[params]\ncbar = nan\n", "params.cbar")
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_ensemble_c_op(self, tmp_path, capsys, kind):
+        text = _kind_config(kind).replace("dist = rademacher", "dist = rademacher\nc_op = 3.0")
+        self._assert_rejected(tmp_path, capsys, text, "config error: unknown config key ensemble.c_op")
+
+    @pytest.mark.parametrize("value", ["3.0", "0"])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_params_c_op(self, tmp_path, capsys, kind, value):
+        # C_op is the constant spectra.C_OP, so no kind admits a key for it.
+        text = _kind_config(kind) + f"\n[params]\nc_op = {value}\n"
+        self._assert_rejected(tmp_path, capsys, text, f"unknown config key params.c_op for kind {kind}")
 
     @pytest.mark.parametrize("m", ["25", "20", "0"])
     def test_distance_check_m_out_of_range(self, tmp_path, capsys, m):
@@ -429,8 +445,10 @@ class TestConfigRejected:
 
     @pytest.mark.parametrize("params", ["eps = -1", "rho = 0", "rho = -0.5"])
     def test_distance_check_eps_rho(self, tmp_path, capsys, params):
+        # distance-check's threshold is grid.eps alone: params.eps is unknown.
         text = _kind_config("distance-check") + f"\n[params]\n{params}\n"
-        self._assert_rejected(tmp_path, capsys, text, "params.eps >= 0 and params.rho > 0")
+        needle = "unknown config key params.eps" if params.startswith("eps") else "grid.eps >= 0 and params.rho > 0"
+        self._assert_rejected(tmp_path, capsys, text, needle)
 
     def test_distance_check_default_eps_from_grid(self, tmp_path, capsys):
         text = _kind_config("distance-check").replace("eps = 0.001,0.01,0.1", "eps = -0.1")
@@ -451,12 +469,16 @@ class TestConfigRejected:
         assert capsys.readouterr().out.endswith("-> " + str(out) + "\n")
 
     def test_kind_override_rechecks_params(self, tmp_path, capsys):
+        # A subcommand never runs a config of another kind.
         path = tmp_path / "cfg.ini"
         path.write_text(_kind_config("norm-check") + "\n[params]\ncbar = 2.0\n")
-        assert run(str(path), dry_run=True) == 0
+        assert run(str(path), dry_run=True, kind="norm-check") == 0
         capsys.readouterr()
-        assert run(str(path), dry_run=True, kind="distance-check") == 2
-        assert "params.cbar" in capsys.readouterr().err
+        needle = f"config error: subcommand distance-check does not match experiment.kind = norm-check in {str(path)!r}\n"
+        for dry_run in (True, False):
+            assert run(str(path), dry_run=dry_run, kind="distance-check") == 2
+            assert capsys.readouterr() == ("", needle)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini"]
 
 
 def _finite_floats(**kwargs):
@@ -487,15 +509,13 @@ def _configs(draw) -> ExperimentConfig:
         extras = draw(st.dictionaries(st.just("cbar"), number))
         extras.update(draw(st.dictionaries(st.just("bvh_eps"), _finite_floats(min_value=0.0, max_value=0.5, exclude_min=True).map(repr))))
     elif kind == "distance-check":
-        extras = draw(st.dictionaries(st.just("eps"), _finite_floats(min_value=0.0).map(repr)))
-        extras.update(draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True).map(repr))))
+        extras = draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True).map(repr)))
         extras.update(draw(st.dictionaries(st.just("m"), st.integers(1, n_grid[0] - 1).map(str))))
     else:
         extras = {}
     return ExperimentConfig(
         kind=kind,
         dist=dist,
-        c_op=draw(_finite_floats(min_value=0.0, exclude_min=True)),
         eps_grid=eps_grid,
         n_grid=n_grid,
         p_grid=p_grid,
@@ -512,9 +532,9 @@ def _configs(draw) -> ExperimentConfig:
 # most one stray line, so that the fuzz reaches past the first parse error.
 _ADMITTED = {
     "experiment": {"kind": list(EXPERIMENT_KINDS), "trials": ["8"], "seed": ["3"], "workers": ["2"], "out": ["r.csv"]},
-    "ensemble": {"dist": ["rademacher", "gaussian", "two-point:0.3"], "c_op": ["3.0"]},
+    "ensemble": {"dist": ["rademacher", "gaussian", "two-point:0.3"]},
     "grid": {"n": ["24", "24,400"], "p": ["0.5", "0.5,1"], "eps": ["0.01,0.1"]},
-    "params": {"cbar": ["2"], "bvh_eps": ["0.5"], "eps": ["0.1"], "m": ["12"], "rho": ["0.1"]},
+    "params": {"cbar": ["2"], "bvh_eps": ["0.5"], "m": ["12"], "rho": ["0.1"]},
 }
 _WRONG = [
     "", "0", "-1", "1e-320", "1e400", "nan", "inf", "50.9", "1e300", ",", "x", "%", "%(kind)s", "%%",
@@ -554,3 +574,103 @@ class TestConfigHypothesis:
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+
+
+# ---------------------------------------------------------------------------
+# Every key a kind admits changes its result.
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# For each kind, a changed value for each key it admits, applied to its
+# golden config.  Each is chosen to move a result: trials, n, p and eps
+# change what is drawn or a column that echoes them; the others gate an
+# event in every trial (cbar = 1e-9 fails the row-count event; rho = 1e-9
+# makes every minimizer incompressible; eps = 0 leaves no column distance
+# below the threshold); seed and dist change every draw.
+_CHANGED = {
+    "tail-sweep": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "rademacher",
+        "grid.n": "24,40", "grid.p": "0.3,0.6", "grid.eps": "0.01,0.1,2.0",
+    },
+    "scaling": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "rademacher",
+        "grid.n": "16,32,48", "grid.p": "0.4",
+    },
+    "norm-check": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "rademacher", "grid.n": "56",
+        "grid.p": "0.4", "params.cbar": "1e-9", "params.bvh_eps": "0.5",
+    },
+    "distance-check": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "gaussian", "grid.n": "48",
+        "grid.p": "0.4", "grid.eps": "0", "params.m": "16", "params.rho": "1e-9",
+    },
+    "smallball": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "rademacher",
+        "grid.n": "72", "grid.p": "0.6", "grid.eps": "0.01,0.1,0.7",
+    },
+    "quadratic": {
+        "experiment.trials": "3", "experiment.seed": "6", "ensemble.dist": "gaussian", "grid.n": "40",
+        "grid.p": "0.6", "grid.eps": "0.01,0.1,1.0,3.0,20.0",
+    },
+}
+
+# workers and out never change the CSV (the determinism contract); kind
+# selects the experiment itself.
+_NOT_VALUES = ("experiment.kind", "experiment.workers", "experiment.out")
+
+# Known gaps: no scaling or norm-check result reads grid.eps, and
+# distance-check reads its first point only, yet all three admit it.
+_EPS_UNREAD = {"scaling": "0.5,0.7", "norm-check": "0.5,0.7"}
+_EPS_GAP = pytest.mark.xfail(
+    strict=True, reason="perfbench writes grid.eps for every kind, so rejecting it needs a benchmark-only change first"
+)
+
+
+def _admitted(kind: str) -> list[str]:
+    keys = [f"{section}.{key}" for section, keys in harness._SECTION_KEYS.items() for key in keys]
+    return [k for k in keys if k not in _NOT_VALUES] + [f"params.{key}" for key in harness._PARAMS.get(kind, {})]
+
+
+_KEY_CASES = [
+    pytest.param(kind, key, _EPS_UNREAD[kind], id=f"{kind}-{key}", marks=_EPS_GAP)
+    if key == "grid.eps" and kind in _EPS_UNREAD
+    else pytest.param(kind, key, _CHANGED[kind].get(key), id=f"{kind}-{key}")
+    for kind in EXPERIMENT_KINDS
+    for key in _admitted(kind)
+] + [pytest.param("distance-check", "grid.eps", "2.0,5.0", id="distance-check-grid.eps-later-point", marks=_EPS_GAP)]
+
+
+def _golden_result(tmp_path, kind: str, key: str | None = None, value: str | None = None) -> tuple[bytes, dict]:
+    """CSV bytes and sidecar results of ``kind``'s golden config, with ``key`` set to ``value``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(GOLDEN / f"{kind}.ini", encoding="utf-8")
+    if key is not None:
+        section, name = key.split(".")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][name] = value
+    name = "base" if key is None else "changed"
+    path, out = tmp_path / f"{name}.ini", tmp_path / f"{name}.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    assert run(str(path), out=str(out)) == 0
+    return out.read_bytes(), json.loads((tmp_path / f"{name}.csv.meta.json").read_text()).get("results")
+
+
+@pytest.fixture(scope="module")
+def golden_base(tmp_path_factory):
+    """``_golden_result`` of each kind's unchanged golden config, run once per kind."""
+    cache = {}
+
+    def base(kind: str) -> tuple[bytes, dict]:
+        if kind not in cache:
+            cache[kind] = _golden_result(tmp_path_factory.mktemp(kind), kind)
+        return cache[kind]
+
+    return base
+
+
+@pytest.mark.parametrize("kind,key,value", _KEY_CASES)
+def test_every_admitted_key_changes_a_result(tmp_path, golden_base, kind, key, value):
+    assert value is not None, f"no changed value listed for {kind} {key}"
+    assert _golden_result(tmp_path, kind, key, value) != golden_base(kind)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssrmlab import inverse_geometry
+from ssrmlab import inverse_geometry, spectra
 from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import ParameterError
 from ssrmlab.inverse_geometry import (
@@ -15,6 +15,7 @@ from ssrmlab.inverse_geometry import (
     quadratic_form_distance,
     quadratic_smallball_experiment,
 )
+from ssrmlab.spectra import singular_extremes
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
@@ -83,14 +84,14 @@ class TestQuadraticFormDistance:
 class TestAllColumnDistances:
     def test_matches_projection_oracle(self):
         A = sample_matrix(EnsembleParams(12, 0.7, GAUSS), RngStream(42, 0)).to_dense()
-        fast = all_column_distances(A)
+        fast = all_column_distances(A, False)
         slow = [distance_to_complement_span(A, j) for j in range(12)]
         assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
 
     def test_singular_fallback(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
-        dists = all_column_distances(A)
+        dists = all_column_distances(A, True)
         assert dists[0] == pytest.approx(1.0, abs=1e-12)
         assert dists[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -175,6 +176,14 @@ class TestQuadraticSmallball:
         with pytest.raises(ParameterError):
             quadratic_smallball_experiment(EnsembleParams(16, 1.0, GAUSS), (0.5, 0.1), 5)
 
+    def test_counts_are_joint_with_the_norm_event(self, monkeypatch):
+        # No nonzero matrix meets |A| <= 1e-9 sqrt(pn), so every count is 0.
+        args = (EnsembleParams(16, 0.8, GAUSS), (0.1, 1.0, 10.0), 20)
+        assert max(quadratic_smallball_experiment(*args, master_seed=7).p_hat_zero) > 0
+        monkeypatch.setattr(inverse_geometry, "C_OP", 1e-9)
+        rep = quadratic_smallball_experiment(*args, master_seed=7)
+        assert rep.p_hat_zero == rep.p_hat_median == (0.0, 0.0, 0.0)
+
 
 _PARAMS = EnsembleParams(16, 0.5, GAUSS)
 _A = sample_matrix(_PARAMS, RngStream(31, 0)).to_dense()
@@ -184,8 +193,8 @@ _ENTRY_POINTS = {
     "distance_to_complement_span": lambda: distance_to_complement_span(_A, 3),
     "quadratic_form_distance": lambda: quadratic_form_distance(_A),
     "quadratic_form_distance_singular": lambda: quadratic_form_distance(np.ones((4, 4))),
-    "all_column_distances": lambda: all_column_distances(_A),
-    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4))),
+    "all_column_distances": lambda: all_column_distances(_A, False),
+    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4)), True),
     "inverse_image_experiment": lambda: inverse_image_experiment(_PARAMS, 0.5, 3, 2, master_seed=1),
     "invertibility_via_distance_experiment": lambda: invertibility_via_distance_experiment(
         _PARAMS, 0.1, 4, 0.1, 3, master_seed=1
@@ -210,9 +219,27 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
     calls = []
     real = inverse_geometry.all_column_distances
     # Each call gets the trial's sparse realization, not a dense copy of it.
-    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A: calls.append(A.n) or real(A))
+    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A, singular: calls.append(A.n) or real(A, singular))
     rep = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
     assert len(rep.rows) == 5 and calls == [16] * 5
+
+
+@pytest.mark.parametrize(
+    "params,t,singular",
+    [(_PARAMS, 0, False), (EnsembleParams(8, 0.25, RAD), 0, True)],
+    ids=["invertible", "singular"],
+)
+def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
+    # One dsytrd per trial: all_column_distances takes the certified
+    # spectrum's singular verdict.  The singular realization (n=8, p=0.25,
+    # seed 1, trial 0) has a smallest |eigenvalue| of 2.2e-16, which the
+    # singular rule reports as exactly 0.
+    calls = []
+    real = spectra._tridiagonal
+    monkeypatch.setattr(spectra, "_tridiagonal", lambda work: calls.append(work.shape) or real(work))
+    row = inverse_geometry._distance_trial(1, 0.1, 2, 0.1, params, 0, t)
+    assert calls == [(params.n, params.n)]
+    assert (row.s_min == 0.0) == singular
 
 
 def test_distance_trial_peak():
@@ -237,9 +264,9 @@ def test_distance_trial_matches_dense_input(t):
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
     dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
     evals, _, vectors = inverse_geometry._certified_spectrum(dense)
-    smin = float(np.abs(evals).min())
+    smin, _ = singular_extremes(evals)
     incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M)[0] > rho
-    rhs = float(np.sum(all_column_distances(dense) <= math.sqrt(params.p) * eps)) / M
+    rhs = float(np.sum(all_column_distances(dense, smin == 0.0) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
     assert inverse_geometry._distance_trial(seed, eps, M, rho, params, 0, t) == want
 

@@ -8,12 +8,14 @@ from ssrmlab import spectra
 from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.spectra import (
+    C_OP,
     MaskProfile,
+    NormBoundReport,
+    NormBoundRow,
     bvh_bound,
     full_symmetric_spectrum,
     is_singular,
     norm_bound_experiment,
-    operator_norm_event,
     singular_extremes,
     smallest_singular_value,
     spectral_norm,
@@ -202,24 +204,6 @@ class TestSpectralNorm:
         assert abs(spectral_norm(A) - ref) <= tol * max(1.0, ref)
 
 
-class TestOperatorNormEvent:
-    def test_zero_matrix_true(self):
-        params = EnsembleParams(4, 0.5, RAD, c_op=0.01)
-        assert operator_norm_event(np.zeros((4, 4)), params)
-
-    def test_identity_violates_small_cop(self):
-        params = EnsembleParams(4, 1.0, RAD, c_op=0.4)
-        assert not operator_norm_event(np.eye(4), params)  # 1 > 0.4 * 2
-
-    def test_holds_at_cop_three(self):
-        params = EnsembleParams(400, 0.5, RAD, c_op=3.0)
-        hits = sum(
-            operator_norm_event(sample_matrix(params, RngStream(303, t)), params)
-            for t in range(30)
-        )
-        assert hits >= 29
-
-
 class TestBvhBound:
     def test_second_term_vanishes(self):
         assert bvh_bound(MaskProfile(1.0, 0.0), 100, 0.5) == pytest.approx(3.0, abs=1e-12)
@@ -273,6 +257,12 @@ class TestNormBoundExperiment:
     def test_gaussian_comparison_bound_holds(self):
         report = norm_bound_experiment(EnsembleParams(200, 0.5, GAUSS), 10, master_seed=3)
         assert report.bvh_fraction >= 0.9
+
+    def test_violation_fraction_reads_c_op(self):
+        # |A| / sqrt(pn) lies near 2 here, below C_OP = 3.
+        assert norm_bound_experiment(EnsembleParams(100, 0.5, RAD), 5, master_seed=2).violation_fraction == 0.0
+        rows = tuple(NormBoundRow(t, 1.0, ratio, True, 1.0, True) for t, ratio in enumerate((C_OP, C_OP + 1e-9)))
+        assert NormBoundReport(rows).violation_fraction == 0.5
 
 
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])

@@ -4,6 +4,13 @@ Subcommands: generate, spectra, lcd, structure, tail-sweep, scaling,
 norm-check, distance-check, smallball, quadratic.  Sweep-style commands
 read a config file; the vector/matrix utilities take direct flags and
 emit single-line JSON records.
+
+Every CLI process runs BLAS at one thread, whatever the caller's
+environment says: numpy's and scipy's OpenBLAS read the thread count
+when they load, so it is set here, before this module or any ssrmlab
+module it imports loads numpy, and pool workers inherit it.  Output
+bytes then do not depend on the thread count, no idle BLAS thread
+spins, and ``--workers`` is the only source of parallelism.
 """
 
 from __future__ import annotations
@@ -11,7 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 

@@ -16,6 +16,7 @@ lane 2 at index t * x_draws + k for the k-th of x_draws vectors.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -281,6 +282,31 @@ def sample_matrix(params: EnsembleParams, stream: RngStream) -> SparseSymmetricM
     return SparseSymmetricMatrix(n, row, col, vals)
 
 
+# sample_sparse_vector's generator.  Building a keyed Philox generator costs
+# about 20 us and a smallball run draws 10^4 vectors, so each thread keeps
+# one and re-keys it per draw, for about 4 us; per thread, so that no caller
+# re-keys another's generator between its draws.
+_THREAD_RNG = threading.local()
+
+
+def _rekeyed_generator(stream: RngStream) -> np.random.Generator:
+    """This thread's generator, reset to draw exactly what ``stream.generator()``
+    draws: Philox keyed by (seed, stream_id), counter 0, empty buffer.  The next
+    call re-keys it, so the caller must take all its draws first."""
+    rng = getattr(_THREAD_RNG, "rng", None)
+    if rng is None:
+        rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([stream.seed, stream.stream_id], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_sparse_vector(
     n: int, p: float, dist: EntryDistribution, stream: RngStream
 ) -> np.ndarray:
@@ -289,7 +315,7 @@ def sample_sparse_vector(
         raise ParameterError("vector dimension must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"sparsity level p must lie in [0, 1], got {p!r}")
-    rng = stream.generator()
+    rng = _rekeyed_generator(stream)
     mask = rng.random(n) < p
     out = np.zeros(n)
     out[mask] = dist.sample(rng, int(mask.sum()))

@@ -2,7 +2,10 @@
 CSV emission with a JSON metadata sidecar.
 
 Determinism contract: every CSV is a pure function of (config, master
-seed) at a fixed BLAS thread count, for every experiment kind.  All
+seed), for every experiment kind, as long as BLAS runs at one thread,
+which every CLI process ensures (see ``ssrmlab.cli``).  A library caller
+that loaded numpy first keeps its own thread count, and ``scaling`` and
+``distance-check`` may then round differently in a last digit.  All
 trials run through ``ensemble.run_trials``: each draws only from the
 ``trial_stream`` keyed by its (cell, trial) (see ``ssrmlab.ensemble`` for
 the lanes), records are folded in grid order, and float formatting is
@@ -47,7 +50,7 @@ from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",

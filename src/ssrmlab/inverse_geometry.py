@@ -38,8 +38,9 @@ class DistanceRecord:
 
 
 def _solve(dense: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs by LU (dgesv) on scipy's OpenBLAS, the one the spectra kernel uses: trials
-    that alternated with numpy's OpenBLAS, whose idle threads spin, ran 2-5x slower at two."""
+    """A^-1 rhs by LU (dgesv) on scipy's OpenBLAS, the one the spectra kernel uses.  Above
+    one BLAS thread (a library caller's choice; the CLI runs one), trials that alternated
+    with numpy's OpenBLAS, whose idle threads spin, ran 2-5x slower at two threads."""
     _, _, x, info = dgesv(dense, rhs)
     if info != 0:
         raise NumericalError(f"dgesv met an exactly singular pivot (info={info})")
@@ -305,7 +306,7 @@ def quadratic_smallball_experiment(
 
     def try_fit(phats) -> SlopeFit | None:
         points = [(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0]
-        return fit_loglog_slope(*zip(*points)) if len(points) >= 4 else None
+        return fit_loglog_slope(*zip(*points)) if len(points) >= 4 and len({e for e, _ in points}) > 1 else None
 
     return QuadraticSmallballReport(
         eps_grid=eps_grid,

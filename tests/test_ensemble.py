@@ -187,6 +187,21 @@ class TestSampleSparseVector:
         v = sample_sparse_vector(100_000, 0.5, GAUSS, RngStream(2, 0))
         assert np.var(v) == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: d.kind)
+    def test_draws_equal_a_fresh_generator(self, law):
+        # The sampler re-keys one generator per draw; each draw must equal
+        # what a new generator on the same stream gives, whatever the
+        # previous draw (another length, law or lane) left in its state.
+        for k in range(200):
+            n, p = 1 + 37 * (k % 5), (0.1, 0.5, 1.0)[k % 3]
+            stream = trial_stream(9 + k % 4, k % 3, k)
+            rng = stream.generator()
+            mask = rng.random(n) < p
+            expected = np.zeros(n)
+            expected[mask] = law.sample(rng, int(mask.sum()))
+            assert sample_sparse_vector(n, p, law, stream).tobytes() == expected.tobytes()
+            sample_sparse_vector(5 + k % 2, 0.7, LAWS[k % 4], RngStream(k, 1))
+
 
 class TestSparseSymmetricMatrix:
     def test_duplicate_entry_rejected(self):

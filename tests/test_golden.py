@@ -7,8 +7,9 @@ record of the matrix, together with the ``ARTIFACT_VERSION`` they were
 made at.  A change to any of those bytes is deliberate only with a version
 bump, regenerated digests and a CHANGES.md line saying what moved.
 
-The runs pin the BLAS and OpenMP thread counts to 1: some last digits
-still depend on the thread count.  The digests are exact only on the CPU
+The runs pin the BLAS and OpenMP thread counts to 1, as every CLI process
+also does itself (``test_threads.py`` checks that the caller's setting
+does not move the bytes).  The digests are exact only on the CPU
 family they were recorded on (x86-64); OpenBLAS picks its kernels per CPU,
 so another CPU may move a last digit of the float columns.  If a digest
 differs on a new machine with no code change, the fix is to compare the

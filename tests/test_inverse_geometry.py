@@ -172,6 +172,12 @@ class TestQuadraticSmallball:
             assert fit.slope > 0
             assert math.isfinite(fit.ci_halfwidth)
 
+    def test_one_eps_value_no_fit(self):
+        # Four positive points at one eps: no slope, and no error.
+        rep = quadratic_smallball_experiment(EnsembleParams(16, 0.8, GAUSS), (3.0,) * 4, 20, master_seed=7)
+        assert min(rep.p_hat_zero) > 0 and min(rep.p_hat_median) > 0
+        assert rep.slope_zero is None and rep.slope_median is None
+
     def test_grid_must_be_sorted(self):
         with pytest.raises(ParameterError):
             quadratic_smallball_experiment(EnsembleParams(16, 1.0, GAUSS), (0.5, 0.1), 5)

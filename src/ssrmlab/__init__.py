@@ -17,7 +17,7 @@ modules, not the scipy.linalg package.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {

@@ -11,6 +11,10 @@ when they load, so it is set here, before this module or any ssrmlab
 module it imports loads numpy, and pool workers inherit it.  Output
 bytes then do not depend on the thread count, no idle BLAS thread
 spins, and ``--workers`` is the only source of parallelism.
+
+Each handler imports the modules only it runs (``structure`` for
+``lcd`` and ``structure``, ``spectra`` for ``spectra``), so no
+subcommand, and no ``--dry-run``, pays for another's imports.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
@@ -28,7 +33,9 @@ import numpy as np
 from . import harness
 from .ensemble import RngStream, dump_matrix, load_matrix, parse_distribution, sample_matrix, EnsembleParams
 from .errors import REPORTED, ParameterError, report
-from .structure import StructureConstants, classify_vector, lcd
+
+if TYPE_CHECKING:
+    from .structure import StructureConstants
 
 
 def _read_unit_vector(path: str) -> np.ndarray:
@@ -57,6 +64,8 @@ _CONSTANT_FLAGS = {"c_s": "c-s", "c_d": "c-d", "c_oo": "c-oo"}
 
 
 def _constants_from_args(args) -> StructureConstants:
+    from .structure import StructureConstants
+
     values = {attr: getattr(args, attr) for attr in _CONSTANT_FLAGS}
     return StructureConstants(**{attr: v for attr, v in values.items() if v is not None})
 
@@ -90,6 +99,8 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_lcd(args) -> int:
+    from .structure import lcd
+
     x = _read_unit_vector(args.vector)
     res = lcd(x, args.scale_l, theta_cap=args.cap, tol=args.tol)
     _emit(
@@ -106,6 +117,8 @@ def _cmd_lcd(args) -> int:
 
 
 def _cmd_structure(args) -> int:
+    from .structure import classify_vector
+
     x = _read_unit_vector(args.vector)
     consts = _constants_from_args(args)
     report = classify_vector(x, consts, alpha=args.alpha)

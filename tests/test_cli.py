@@ -287,17 +287,34 @@ def _python(code: str, cwd) -> str:
     return out.stdout.splitlines()[-1]
 
 
+# Modules a CLI process loads only when its subcommand needs them: name in
+# the result -> module name.
+_WATCHED = {
+    "scipy": "scipy",
+    "scipy.linalg": "scipy.linalg",
+    "spectra": "ssrmlab.spectra",
+    "pool": "concurrent.futures.process",
+    "structure": "ssrmlab.structure",
+    "stats": "ssrmlab.stats",
+    "configparser": "configparser",
+    "hashlib": "hashlib",
+}
+
+
 def _loaded_after_cli(argv: list[str], cwd) -> dict:
-    """Exit status of ``ssrmlab ARGV`` in a fresh process and which heavy modules it loaded."""
+    """Exit status of ``ssrmlab ARGV`` in a fresh process and which of the watched modules it loaded."""
     code = (
         "import json, sys\n"
         "from ssrmlab.cli import main\n"
         f"status = main({argv!r})\n"
-        "print(json.dumps({'status': status, 'scipy': 'scipy' in sys.modules,"
-        " 'scipy.linalg': 'scipy.linalg' in sys.modules, 'spectra': 'ssrmlab.spectra' in sys.modules,"
-        " 'pool': 'concurrent.futures.process' in sys.modules}))"
+        f"print(json.dumps({{'status': status, **{{k: m in sys.modules for k, m in {_WATCHED!r}.items()}}}}))"
     )
     return json.loads(_python(code, cwd))
+
+
+def _only(*loaded: str) -> dict:
+    """The result of a successful run that loaded exactly these watched modules."""
+    return {"status": 0, **{k: k in loaded for k in _WATCHED}}
 
 
 def test_cli_import_skips_scipy_spatial(tmp_path):
@@ -328,60 +345,59 @@ def _kind_config(tmp_path, kind: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv, pool",
+    "argv, loaded",
     [
-        (["lcd", "--vector", "v.txt"], False),
-        (["structure", "--vector", "v.txt"], False),
-        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], False),
-        (["smallball", "--config", "smallball.ini", "--workers", "1"], False),
-        (["smallball", "--config", "smallball.ini", "--workers", "2"], True),
+        # lcd and structure load structure itself, but no config parser,
+        # sidecar hash or statistics.
+        (["lcd", "--vector", "v.txt"], ["structure"]),
+        (["structure", "--vector", "v.txt"], ["structure"]),
+        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["hashlib"]),  # numpy.random loads hashlib
+        (["smallball", "--config", "smallball.ini", "--workers", "1"], ["structure", "configparser", "hashlib"]),
+        (["smallball", "--config", "smallball.ini", "--workers", "2"], ["structure", "configparser", "hashlib", "pool"]),
     ],
     ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
 )
-def test_subcommand_skips_scipy(tmp_path, argv, pool):
+def test_subcommand_skips_scipy(tmp_path, argv, loaded):
     (tmp_path / "v.txt").write_text("0.5 0.5 0.5 0.5 0.1 -0.3\n")
     _kind_config(tmp_path, "smallball")
-    want = {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False, "pool": pool}
-    assert _loaded_after_cli(argv, tmp_path) == want
+    assert _loaded_after_cli(argv, tmp_path) == _only(*loaded)
 
 
 @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
 def test_dry_run_skips_scipy(tmp_path, kind):
+    # A dry run parses the config and loads no kernel, structure included.
     argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
-    want = {"status": 0, "scipy": False, "scipy.linalg": False, "spectra": False, "pool": False}
-    assert _loaded_after_cli(argv, tmp_path) == want
+    assert _loaded_after_cli(argv, tmp_path) == _only("configparser")
 
 
 def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
     # The pool workers inherit spectra from the parent instead of each
-    # importing scipy again.
+    # loading the LAPACK modules again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    want = {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True, "pool": True}
-    assert _loaded_after_cli(argv, tmp_path) == want
+    assert _loaded_after_cli(argv, tmp_path) == _only("spectra", "pool", "stats", "configparser", "hashlib")
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loaded",
     [
-        ["tail-sweep", "--workers", "1"],
-        ["scaling"],
-        ["norm-check"],
-        ["distance-check"],
-        ["quadratic"],
-        ["spectra", "--matrix", "m.txt"],
+        (["tail-sweep", "--workers", "1"], ["stats", "configparser", "hashlib"]),
+        (["scaling"], ["configparser", "hashlib"]),
+        (["norm-check"], ["configparser", "hashlib"]),
+        (["distance-check"], ["structure", "stats", "configparser", "hashlib"]),
+        (["quadratic"], ["structure", "stats", "configparser", "hashlib"]),
+        (["spectra", "--matrix", "m.txt"], []),
     ],
     ids=["tail-sweep-w1", "scaling", "norm-check", "distance-check", "quadratic", "spectra"],
 )
-def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv):
+def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv, loaded):
     # The kernels load scipy's two compiled LAPACK/BLAS modules, not the
-    # scipy.linalg package (about 0.25 s and 500 modules of start-up);
-    # the pooled sweep is checked above.
+    # scipy.linalg package (about 0.25 s and 500 modules of start-up) nor
+    # the scipy package; the pooled sweep is checked above.
     if argv[0] == "spectra":
         assert main(["generate", "-n", "20", "-p", "0.5", "--seed", "1", "--out", str(tmp_path / "m.txt")]) == 0
     else:
         argv = [argv[0], "--config", _kind_config(tmp_path, argv[0]), *argv[1:]]
-    want = {"status": 0, "scipy": True, "scipy.linalg": False, "spectra": True, "pool": False}
-    assert _loaded_after_cli(argv, tmp_path) == want
+    assert _loaded_after_cli(argv, tmp_path) == _only("spectra", *loaded)
 
 
 def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
@@ -393,7 +409,8 @@ def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
         "from ssrmlab import spectra\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.blas, scipy.linalg.lapack\n"
-        "names = ['dgesv', 'dormqr', 'dstebz', 'dstein', 'dsterf', 'dsytrd', 'dsytrd_lwork']\n"
+        "names = ['dgetrf', 'dgetri', 'dgetri_lwork', 'dgtsv', 'dormqr', 'dstebz', 'dstein', 'dsterf', 'dsytrd',"
+        " 'dsytrd_lwork']\n"
         "same = [getattr(scipy.linalg.lapack, n) is getattr(spectra, n) for n in names]\n"
         "same.append(scipy.linalg.blas.dsymm is spectra.dsymm)\n"
         "same.append(sys.modules['scipy.linalg._flapack'] is spectra._flapack)\n"

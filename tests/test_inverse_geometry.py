@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from ssrmlab import inverse_geometry, spectra
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
-from ssrmlab.errors import ParameterError
+from ssrmlab.ensemble import (
+    EnsembleParams,
+    EntryDistribution,
+    RngStream,
+    sample_matrix,
+    sample_sparse_vector,
+    trial_stream,
+)
+from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
     distance_to_complement_span,
@@ -19,6 +26,7 @@ from ssrmlab.spectra import singular_extremes
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
+LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
 
 
 class TestDistanceToComplementSpan:
@@ -94,6 +102,33 @@ class TestAllColumnDistances:
         dists = all_column_distances(A, True)
         assert dists[0] == pytest.approx(1.0, abs=1e-12)
         assert dists[1] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestInverse:
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_column_norms_match_numpy(self, dist):
+        A = sample_matrix(EnsembleParams(60, 0.3, dist), RngStream(44, 0)).to_dense()
+        want = np.linalg.norm(np.linalg.inv(A), axis=0)
+        got = np.linalg.norm(inverse_geometry._inverse(np.array(A, order="F")), axis=0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_inverts_in_the_callers_buffer(self):
+        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(45, 0)).to_dense()
+        buf = np.array(A, order="F")
+        inv = inverse_geometry._inverse(buf)
+        assert np.shares_memory(inv, buf)
+        assert np.allclose(inv @ A, np.eye(30), atol=1e-10)
+
+    def test_exactly_singular_pivot_raises(self):
+        with pytest.raises(NumericalError, match="dgetrf"):
+            inverse_geometry._inverse(np.array([[1.0, 1.0], [1.0, 1.0]], order="F"))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_all_column_distances_leaves_caller_array(self, order):
+        A = np.array(sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(46, 0)).to_dense(), order=order)
+        before = A.copy(order="K")
+        all_column_distances(A, False)
+        assert A.tobytes(order="A") == before.tobytes(order="A")
 
 
 class TestInverseImageExperiment:
@@ -182,6 +217,29 @@ class TestQuadraticSmallball:
         with pytest.raises(ParameterError):
             quadratic_smallball_experiment(EnsembleParams(16, 1.0, GAUSS), (0.5, 0.1), 5)
 
+    def test_trial_matches_lu_reference(self):
+        # The reduction solve against the general LU solve (dgesv) on the
+        # densified realization; at p = 0.03 about a third of the
+        # realizations are singular.
+        params = EnsembleParams(200, 0.03, RAD)
+        kept = 0
+        for t in range(30):
+            got = inverse_geometry._quadratic_trial(11, params, 0, t)
+            dense = sample_matrix(params, trial_stream(11, 0, t)).to_dense()
+            smin, top = spectra._extreme_singular_values(dense)
+            assert (got is None) == (smin == 0.0)
+            if got is None:
+                continue
+            X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(11, 1, t))
+            _, _, y, info = spectra._flapack.dgesv(dense, X)
+            assert info == 0
+            q, normalizer, event = got
+            assert q == pytest.approx(float(y @ X), rel=1e-9)
+            assert normalizer == pytest.approx(math.sqrt(1.0 + float(y @ y)), rel=1e-9)
+            assert event == (top <= inverse_geometry.C_OP * math.sqrt(params.p * params.n))
+            kept += 1
+        assert 0 < kept < 30
+
     def test_counts_are_joint_with_the_norm_event(self, monkeypatch):
         # No nonzero matrix meets |A| <= 1e-9 sqrt(pn), so every count is 0.
         args = (EnsembleParams(16, 0.8, GAUSS), (0.1, 1.0, 10.0), 20)
@@ -250,8 +308,8 @@ def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
 
 def test_distance_trial_peak():
     # The sparse realization goes to both kernels: one n x n buffer for the
-    # certified spectrum, then the densified matrix, dgesv's LU copy and the
-    # inverse (or the column norms' temporary) for all_column_distances.
+    # certified spectrum, then for all_column_distances the densified matrix,
+    # inverted in place, and the column norms' temporary.
     n = 400
     params = EnsembleParams(n, 0.1, RAD)
     tracemalloc.start()
@@ -261,6 +319,19 @@ def test_distance_trial_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 8 * n * n
+
+
+def test_quadratic_trial_peak():
+    # One n x n buffer: spectra densifies the sparse realization into it,
+    # reduces it and solves from the reduction; no dense copy or LU copy.
+    n = 400
+    tracemalloc.start()
+    try:
+        inverse_geometry._quadratic_trial(1, EnsembleParams(n, 0.1, RAD), 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("t", range(3))

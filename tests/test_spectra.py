@@ -444,6 +444,60 @@ class TestExtremeSingularValues:
         assert (smallest_singular_value(A), spectral_norm(A)) == spectra._extreme_singular_values(A)
 
 
+LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+
+
+class TestReductionSolve:
+    """A^-1 b from the extreme-value route's own reduction, against numpy's LU solve."""
+
+    @staticmethod
+    def _check(A, b):
+        smin, smax, y = spectra._extreme_singular_values(A, b)
+        assert (smin, smax) == spectra._extreme_singular_values(A)
+        if smin == 0.0:
+            assert y is None
+            return False
+        want = np.linalg.solve(A, b)
+        # Both solves are backward stable: forward errors within a small
+        # multiple of eps times the condition number.  Norms are taken at the
+        # scale of want, which can lie beyond the range of its squares.
+        scale = np.abs(want).max()
+        assert np.linalg.norm((y - want) / scale) <= 1e-12 * (smax / smin) * np.linalg.norm(want / scale)
+        return True
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 500])
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_matches_numpy_solve(self, dist, n):
+        params = EnsembleParams(n, min(1.0, 10.0 / n), dist)
+        rng = np.random.default_rng(n)
+        solved = [self._check(sample_matrix(params, RngStream(820, t)).to_dense(), rng.standard_normal(n)) for t in range(6)]
+        assert any(solved)
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_after_power_of_two_scaling(self, exponent):
+        A = np.ldexp(sample_matrix(EnsembleParams(40, 0.3, GAUSS), RngStream(821, 0)).to_dense(), exponent)
+        assert spectra._balance(A.copy(order="F")) != 0
+        assert self._check(A, np.random.default_rng(2).standard_normal(40))
+
+    def test_caller_vector_unchanged(self):
+        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(822, 0)).to_dense()
+        b = np.random.default_rng(3).standard_normal(30)
+        before = b.copy()
+        spectra._extreme_singular_values(A, b)
+        assert np.array_equal(b, before)
+
+    def test_exactly_singular_tridiagonal(self, monkeypatch):
+        # Eigenvalues 0, 1 and 3; dsytrd leaves a tridiagonal matrix as it is.
+        T = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+        b = np.ones(3)
+        assert spectra._extreme_singular_values(T, b) == (0.0, pytest.approx(3.0, rel=1e-14), None)
+        # With no singular floor the rule lets T through to the solve, where
+        # dgtsv meets an exactly zero pivot, as dgesv would.
+        monkeypatch.setattr(spectra, "_SINGULAR_FLOOR", 0.0)
+        with pytest.raises(NumericalError, match="dgtsv"):
+            spectra._extreme_singular_values(T, b)
+
+
 class TestCertifiedEigenvectors:
     @pytest.mark.parametrize("t", range(3))
     def test_unit_and_within_contract(self, t):

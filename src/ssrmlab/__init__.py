@@ -1,18 +1,19 @@
 """ssrmlab: a Monte Carlo laboratory for sparse symmetric random-matrix
 invertibility.
 
-Ensembles and reproducible streams live in :mod:`ssrmlab.ensemble`;
-spectra and norm experiments in :mod:`ssrmlab.spectra`; vector structure
-and LCD search in :mod:`ssrmlab.structure`; concentration estimators in
+Entry laws and ensemble parameters live in :mod:`ssrmlab.model`;
+sampling and reproducible streams in :mod:`ssrmlab.ensemble`; spectra
+and norm experiments in :mod:`ssrmlab.spectra`; vector structure and LCD
+search in :mod:`ssrmlab.structure`; concentration estimators in
 :mod:`ssrmlab.smallball`; distance identities and inverse-based
 experiments in :mod:`ssrmlab.inverse_geometry`; sweeps, config files and
 CSV emission in :mod:`ssrmlab.harness`.
 
 The names below are imported from their submodules on first access
-(PEP 562), so ``import ssrmlab`` loads no submodule and a CLI process
-loads scipy only when its subcommand runs a LAPACK kernel; even then
-:mod:`ssrmlab.spectra` loads only scipy's two compiled LAPACK and BLAS
-modules, not the scipy.linalg package.
+(PEP 562), so ``import ssrmlab`` loads no submodule.  A CLI process
+loads numpy only to draw or read numbers (not for ``--help``, a
+``--dry-run`` or a config error) and scipy only to run a LAPACK kernel,
+and then only scipy's two compiled LAPACK and BLAS modules.
 """
 
 import importlib
@@ -21,8 +22,6 @@ __version__ = "0.8.1"
 
 # Re-exported name -> the submodule that defines it.
 _EXPORTS = {
-    "EnsembleParams": "ensemble",
-    "EntryDistribution": "ensemble",
     "RngStream": "ensemble",
     "SparseSymmetricMatrix": "ensemble",
     "sample_matrix": "ensemble",
@@ -39,6 +38,8 @@ _EXPORTS = {
     "ConcentrationEstimate": "smallball",
     "levy_concentration_scalar": "smallball",
     "levy_concentration_vector": "smallball",
+    "EnsembleParams": "model",
+    "EntryDistribution": "model",
     "MaskProfile": "spectra",
     "SpectralSummary": "spectra",
     "bvh_bound": "spectra",

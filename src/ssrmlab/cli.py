@@ -7,14 +7,14 @@ emit single-line JSON records.
 
 Every CLI process runs BLAS at one thread, whatever the caller's
 environment says: numpy's and scipy's OpenBLAS read the thread count
-when they load, so it is set here, before this module or any ssrmlab
-module it imports loads numpy, and pool workers inherit it.  Output
-bytes then do not depend on the thread count, no idle BLAS thread
-spins, and ``--workers`` is the only source of parallelism.
+when they load, so it is set here, before any handler loads numpy,
+and pool workers inherit it.  Output bytes then do not depend on the
+thread count, no idle BLAS thread spins, and ``--workers`` is the only
+source of parallelism.
 
-Each handler imports the modules only it runs (``structure`` for
-``lcd`` and ``structure``, ``spectra`` for ``spectra``), so no
-subcommand, and no ``--dry-run``, pays for another's imports.
+Each handler, and each kind's runner in ``harness``, imports the modules
+only it runs, numpy included, so no subcommand pays for another's
+imports, and ``--help``, a ``--dry-run`` or a config error loads no numpy.
 """
 
 from __future__ import annotations
@@ -28,17 +28,18 @@ from typing import TYPE_CHECKING
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-import numpy as np
-
 from . import harness
-from .ensemble import RngStream, dump_matrix, load_matrix, parse_distribution, sample_matrix, EnsembleParams
 from .errors import REPORTED, ParameterError, report
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .structure import StructureConstants
 
 
 def _read_unit_vector(path: str) -> np.ndarray:
+    import numpy as np
+
     vals = []
     with open(path, "r", encoding="utf-8") as fh:
         for k, line in enumerate(fh, 1):
@@ -71,6 +72,9 @@ def _constants_from_args(args) -> StructureConstants:
 
 
 def _cmd_generate(args) -> int:
+    from .ensemble import RngStream, dump_matrix, sample_matrix
+    from .model import EnsembleParams, parse_distribution
+
     dist = parse_distribution(args.dist)
     params = EnsembleParams(n=args.n, p=args.p, dist=dist)
     A = sample_matrix(params, RngStream(args.seed, args.stream))
@@ -82,6 +86,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
+    from .ensemble import load_matrix
     from .spectra import spectral_summary  # loads scipy; imported here so other subcommands skip it
 
     A, header = load_matrix(args.matrix)

@@ -2,7 +2,8 @@
 
 Matrices have entries a_ij = delta_ij * xi_ij on the upper triangle
 (diagonal included), mirrored below, where delta_ij is Bernoulli(p) and
-xi_ij is a centered unit-variance law with finite fourth moment.
+xi_ij is a centered unit-variance law with finite fourth moment.  The
+laws and the (n, p, law) parameters are defined in ``ssrmlab.model``.
 
 Randomness flows through Philox streams keyed by ``(seed, stream_id)``.
 Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``:
@@ -18,129 +19,30 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ParameterError
 
-_KINDS = ("rademacher", "standard-gaussian", "uniform-symmetric", "two-point-general")
+if TYPE_CHECKING:
+    from .model import EnsembleParams, EntryDistribution
 
 # Uniform-symmetric support endpoint giving unit variance: Var(U[-a,a]) = a^2/3.
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class EntryDistribution:
-    """Law of a single entry xi: mean 0, variance 1, finite fourth moment.
-
-    ``(kind, prob)`` fixes the law.  Only two-point laws take ``prob``,
-    the mass of their positive atom ``a``; the negative atom is forced by
-    mean zero, and ``a`` by unit variance.
-    """
-
-    kind: str
-    prob: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown entry distribution kind {self.kind!r}")
-        if self.kind != "two-point-general":
-            if self.prob is not None:
-                raise ParameterError(f"{self.kind} takes no atom parameters")
-            return
-        if self.prob is None or not 0.0 < self.prob < 1.0:
-            raise ParameterError("two-point prob must lie in (0, 1)")
-        if not math.isfinite(self.fourth_moment):
-            raise ParameterError(f"two-point prob {self.prob!r} gives an infinite fourth moment")
-
-    @property
-    def fourth_moment(self) -> float:
-        """E[xi^4]."""
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "standard-gaussian":
-            return 3.0
-        if self.kind == "uniform-symmetric":
-            return 9.0 / 5.0
-        q = 1.0 - self.prob
-        return q * q / self.prob + self.prob * self.prob / q
-
-    @property
-    def a(self) -> float:
-        """The positive atom of a two-point law."""
-        return math.sqrt((1.0 - self.prob) / self.prob)
-
-    @classmethod
-    def rademacher(cls) -> "EntryDistribution":
-        return cls("rademacher")
-
-    @classmethod
-    def standard_gaussian(cls) -> "EntryDistribution":
-        return cls("standard-gaussian")
-
-    @classmethod
-    def uniform_symmetric(cls) -> "EntryDistribution":
-        return cls("uniform-symmetric")
-
-    @classmethod
-    def two_point(cls, prob: float) -> "EntryDistribution":
-        """Asymmetric two-point law: atom sqrt((1-prob)/prob) with mass prob."""
-        return cls("two-point-general", prob=prob)
-
-    def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(values, probabilities) for finite-support kinds, else None."""
-        if self.kind == "rademacher":
-            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-        if self.kind == "two-point-general":
-            b = -self.a * self.prob / (1.0 - self.prob)
-            return np.array([b, self.a]), np.array([1.0 - self.prob, self.prob])
-        return None
-
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "rademacher":
-            return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-        if self.kind == "standard-gaussian":
-            return rng.standard_normal(size)
-        if self.kind == "uniform-symmetric":
-            return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
-        b = -self.a * self.prob / (1.0 - self.prob)
-        hit = rng.random(size) < self.prob
-        return np.where(hit, self.a, b)
-
-
-def parse_distribution(text: str) -> EntryDistribution:
-    """Parse a distribution name as used in configs and on the CLI."""
-    text = text.strip()
-    if text in ("rademacher", "sign"):
-        return EntryDistribution.rademacher()
-    if text in ("standard-gaussian", "gaussian", "normal"):
-        return EntryDistribution.standard_gaussian()
-    if text in ("uniform-symmetric", "uniform"):
-        return EntryDistribution.uniform_symmetric()
-    if text.startswith("two-point:"):
-        try:
-            prob = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParameterError(f"bad two-point spec {text!r}") from exc
-        return EntryDistribution.two_point(prob)
-    raise ParameterError(f"unknown distribution {text!r}")
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Dimension, sparsity level and entry law: exactly what ``sample_matrix`` reads."""
-
-    n: int
-    p: float
-    dist: EntryDistribution
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ParameterError(f"n must be an integer >= 2, got {self.n!r}")
-        # p == 0 is admitted (degenerate zero matrix); experiments reject p < 1/n.
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"sparsity level p must lie in [0, 1], got {self.p!r}")
+def sample_entries(dist: EntryDistribution, rng: np.random.Generator, size) -> np.ndarray:
+    """``size`` i.i.d. draws of the law ``dist`` from ``rng``."""
+    if dist.kind == "rademacher":
+        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+    if dist.kind == "standard-gaussian":
+        return rng.standard_normal(size)
+    if dist.kind == "uniform-symmetric":
+        return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
+    b = -dist.a * dist.prob / (1.0 - dist.prob)
+    hit = rng.random(size) < dist.prob
+    return np.where(hit, dist.a, b)
 
 
 @dataclass(frozen=True)
@@ -273,7 +175,7 @@ def sample_matrix(params: EnsembleParams, stream: RngStream) -> SparseSymmetricM
     rng = stream.generator()
     # One draw per upper-triangle position, row by row (np.triu_indices order).
     flat = np.flatnonzero(rng.random(n * (n + 1) // 2) < params.p)
-    vals = params.dist.sample(rng, flat.size)
+    vals = sample_entries(params.dist, rng, flat.size)
     keep = vals != 0.0  # continuous laws can emit exact zeros with prob 0
     if not keep.all():
         flat, vals = flat[keep], vals[keep]
@@ -324,7 +226,7 @@ def sample_sparse_vector(
     rng = _rekeyed_generator(stream)
     mask = rng.random(n) < p
     out = np.zeros(n)
-    out[mask] = dist.sample(rng, int(mask.sum()))
+    out[mask] = sample_entries(dist, rng, int(mask.sum()))
     return out
 
 

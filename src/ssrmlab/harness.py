@@ -16,6 +16,9 @@ Each such trial holds one n x n array (8 n^2 bytes): it hands spectra its
 sparse realization, which spectra densifies into a buffer of its own and
 reduces in place.
 
+Configs are parsed and checked without numpy: each kernel and runner
+imports numpy, ``ensemble`` and the modules it runs where it runs.
+
 Config schema: sections [experiment], [ensemble] and [grid], plus
 [params] with the keys of ``_PARAMS`` for the kind.  Any other section
 or key is a ConfigError.  C_op of the event |A| <= C_op sqrt(pn) is the
@@ -33,18 +36,8 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .ensemble import (
-    EnsembleParams,
-    EntryDistribution,
-    parse_distribution,
-    run_trials,
-    sample_matrix,
-    sample_sparse_vector,
-    trial_stream,
-)
 from .errors import REPORTED, ConfigError, ParameterError, report
+from .model import EnsembleParams, EntryDistribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
     import configparser
@@ -299,6 +292,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, t: int) -> tuple[float, float]:
     """(s_min, s_max) of the realization of trial t in cell c, from its certified spectrum."""
+    from .ensemble import sample_matrix, trial_stream
     from .spectra import full_symmetric_spectrum, singular_extremes
 
     # The sparse realization goes in whole: spectra densifies it into the one
@@ -310,13 +304,10 @@ def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> li
     # Imported before run_trials forks its pool, so the workers inherit
     # spectra and scipy instead of each importing them again.
     from . import spectra  # noqa: F401
+    from .ensemble import run_trials
 
     params = [cfg.params_for(n, p) for n, p in cells]
     return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
-
-
-def _smallball_sum(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:
-    return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, c, t)))
 
 
 def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
@@ -361,6 +352,8 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
     Exactly singular realizations are counted separately, never folded
     into medians.  The ratio column compares consecutive n at fixed p.
     """
+    import numpy as np
+
     cells = [(n, p) for p in cfg.p_grid for n in cfg.n_grid]
     out = []
     prev_by_p: dict[float, float] = {}
@@ -519,15 +512,16 @@ def _run_distance_check(cfg: ExperimentConfig) -> _Table:
 
 
 def _run_smallball(cfg: ExperimentConfig) -> _Table:
-    from .smallball import lcd_smallball_bound, levy_concentration_scalar
+    import numpy as np
+
+    from .smallball import lcd_smallball_bound, levy_concentration_scalar, sparse_sum_samples
     from .structure import lcd
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
     x = np.full(n, 1.0 / math.sqrt(n))
     d = lcd(x, 1.0)
     # One sample set serves the whole eps grid (monotone estimates).
-    kernel = partial(_smallball_sum, cfg.master_seed, p, cfg.dist)
-    sums = np.array(run_trials(kernel, [x], cfg.trials, cfg.workers)[0])
+    sums = sparse_sum_samples(x, p, cfg.dist, cfg.trials, cfg.master_seed, cfg.workers)
     rows, ratios = [], []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))

@@ -23,8 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import EnsembleParams, run_trials, sample_matrix, sample_sparse_vector, trial_stream
+from .ensemble import run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
+from .model import EnsembleParams
 from .spectra import (
     C_OP,
     _as_dense,

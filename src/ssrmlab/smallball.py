@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .ensemble import EntryDistribution, RngStream
+from .ensemble import RngStream, run_trials, sample_entries, sample_sparse_vector, trial_stream
 from .errors import ParameterError
+from .model import EntryDistribution
 
 
 def dkw_halfwidth(n: int) -> float:
@@ -89,6 +91,17 @@ def levy_concentration_vector(samples, eps: float) -> ConcentrationEstimate:
     return ConcentrationEstimate(eps, best / n, n, (hi - lo) / 2.0)
 
 
+def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:
+    return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, c, t)))
+
+
+def sparse_sum_samples(
+    x: np.ndarray, p: float, dist: EntryDistribution, trials: int, master_seed: int, workers: int = 1
+) -> np.ndarray:
+    """<x, X> for trial t's sparse vector X (coordinates delta * xi) from ``trial_stream(master_seed, 0, t)``."""
+    return np.array(run_trials(partial(_sparse_sum_trial, master_seed, p, dist), [x], trials, workers)[0])
+
+
 def lcd_smallball_bound(x, L: float, p: float, eps: float, lcd_value: float) -> float:
     """LCD small-ball bracket eps + 1 / (sqrt(p) D).
 
@@ -148,14 +161,14 @@ def decoupling_consequence_check(
         raise ParameterError("need at least one trial")
     rng = stream.generator()
 
-    X = dist.sample(rng, (trials, n))
+    X = sample_entries(dist, rng, (trials, n))
     quad = np.einsum("ti,ij,tj->t", X, G, X)
     lhs = levy_concentration_scalar(quad, eps)
 
     mask_j = np.zeros(n, dtype=bool)
     mask_j[J] = True
-    X2 = dist.sample(rng, (trials, n))
-    X2p = dist.sample(rng, (trials, n))
+    X2 = sample_entries(dist, rng, (trials, n))
+    X2p = sample_entries(dist, rng, (trials, n))
     Y = (X2 - X2p) * (~mask_j)
     bilinear = np.einsum("ti,ij,tj->t", Y, G, X2 * mask_j)
     rhs = levy_concentration_scalar(bilinear, eps)

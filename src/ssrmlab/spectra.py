@@ -45,8 +45,9 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .ensemble import EnsembleParams, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
+from .ensemble import SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import NumericalError, ParameterError
+from .model import EnsembleParams
 
 
 def _compiled_linalg(name: str):

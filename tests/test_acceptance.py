@@ -13,19 +13,13 @@ import time
 
 import numpy as np
 
-from ssrmlab.ensemble import (
-    EnsembleParams,
-    EntryDistribution,
-    RngStream,
-    row_witness_sets,
-    sample_matrix,
-    sample_sparse_vector,
-)
+from ssrmlab.ensemble import RngStream, row_witness_sets, sample_matrix, sample_sparse_vector
 from ssrmlab.harness import ExperimentConfig, run, scaling_consistency, tail_sweep
 from ssrmlab.inverse_geometry import (
     inverse_image_experiment,
     quadratic_form_distance,
 )
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.smallball import decoupling_consequence_check, levy_concentration_scalar
 from ssrmlab.spectra import norm_bound_experiment, smallest_singular_value
 from ssrmlab.structure import StructureConstants, lcd, regularized_lcd, spread_set

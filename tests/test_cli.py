@@ -11,7 +11,8 @@ import pytest
 import ssrmlab
 from ssrmlab import spectra
 from ssrmlab.cli import _constants_from_args, build_parser, main
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, load_matrix, sample_matrix
+from ssrmlab.ensemble import RngStream, load_matrix, sample_matrix
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.structure import StructureConstants
 
 CONFIG_TEXT = """
@@ -290,6 +291,7 @@ def _python(code: str, cwd) -> str:
 # Modules a CLI process loads only when its subcommand needs them: name in
 # the result -> module name.
 _WATCHED = {
+    "numpy": "numpy",
     "scipy": "scipy",
     "scipy.linalg": "scipy.linalg",
     "spectra": "ssrmlab.spectra",
@@ -306,7 +308,10 @@ def _loaded_after_cli(argv: list[str], cwd) -> dict:
     code = (
         "import json, sys\n"
         "from ssrmlab.cli import main\n"
-        f"status = main({argv!r})\n"
+        "try:\n"
+        f"    status = main({argv!r})\n"
+        "except SystemExit as exc:  # argparse's exit after --help\n"
+        "    status = exc.code\n"
         f"print(json.dumps({{'status': status, **{{k: m in sys.modules for k, m in {_WATCHED!r}.items()}}}}))"
     )
     return json.loads(_python(code, cwd))
@@ -338,6 +343,27 @@ def test_import_skips_scipy(tmp_path, module):
     assert _python(f"import sys, {module}; print('scipy' in sys.modules)", tmp_path) == "False"
 
 
+def test_cli_import_skips_numpy(tmp_path):
+    # The CLI, the harness and the config types need no numpy; only the
+    # handlers and kernels that sample or read numbers import it.
+    assert _python("import sys, ssrmlab.cli; print('numpy' in sys.modules)", tmp_path) == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["--help"], {"status": 0}),
+        (["tail-sweep", "--config", "bad.ini"], {"status": 2, "configparser": True}),
+        (["tail-sweep", "--config", "bad.ini", "--dry-run"], {"status": 2, "configparser": True}),
+    ],
+    ids=["help", "config-error", "config-error-dry-run"],
+)
+def test_help_and_config_error_skip_numpy(tmp_path, argv, loaded):
+    (tmp_path / "bad.ini").write_text(CONFIG_TEXT.format(out="r.csv").replace("trials = 8", "trails = 8"))
+    assert _loaded_after_cli(argv, tmp_path) == {**_only(), **loaded}
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _kind_config(tmp_path, kind: str) -> str:
     cfg = tmp_path / f"{kind}.ini"
     cfg.write_text(CONFIG_TEXT.replace("tail-sweep", kind).format(out=tmp_path / f"{kind}.csv"))
@@ -349,11 +375,14 @@ def _kind_config(tmp_path, kind: str) -> str:
     [
         # lcd and structure load structure itself, but no config parser,
         # sidecar hash or statistics.
-        (["lcd", "--vector", "v.txt"], ["structure"]),
-        (["structure", "--vector", "v.txt"], ["structure"]),
-        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["hashlib"]),  # numpy.random loads hashlib
-        (["smallball", "--config", "smallball.ini", "--workers", "1"], ["structure", "configparser", "hashlib"]),
-        (["smallball", "--config", "smallball.ini", "--workers", "2"], ["structure", "configparser", "hashlib", "pool"]),
+        (["lcd", "--vector", "v.txt"], ["numpy", "structure"]),
+        (["structure", "--vector", "v.txt"], ["numpy", "structure"]),
+        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["numpy", "hashlib"]),  # numpy.random loads hashlib
+        (["smallball", "--config", "smallball.ini", "--workers", "1"], ["numpy", "structure", "configparser", "hashlib"]),
+        (
+            ["smallball", "--config", "smallball.ini", "--workers", "2"],
+            ["numpy", "structure", "configparser", "hashlib", "pool"],
+        ),
     ],
     ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
 )
@@ -365,7 +394,7 @@ def test_subcommand_skips_scipy(tmp_path, argv, loaded):
 
 @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
 def test_dry_run_skips_scipy(tmp_path, kind):
-    # A dry run parses the config and loads no kernel, structure included.
+    # A dry run parses the config and loads no kernel, structure and numpy included.
     argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
     assert _loaded_after_cli(argv, tmp_path) == _only("configparser")
 
@@ -374,7 +403,7 @@ def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
     # The pool workers inherit spectra from the parent instead of each
     # loading the LAPACK modules again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    assert _loaded_after_cli(argv, tmp_path) == _only("spectra", "pool", "stats", "configparser", "hashlib")
+    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", "pool", "stats", "configparser", "hashlib")
 
 
 @pytest.mark.parametrize(
@@ -397,7 +426,7 @@ def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv, loaded):
         assert main(["generate", "-n", "20", "-p", "0.5", "--seed", "1", "--out", str(tmp_path / "m.txt")]) == 0
     else:
         argv = [argv[0], "--config", _kind_config(tmp_path, argv[0]), *argv[1:]]
-    assert _loaded_after_cli(argv, tmp_path) == _only("spectra", *loaded)
+    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", *loaded)
 
 
 def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
@@ -432,7 +461,8 @@ def test_loader_fallback_gives_the_same_spectrum(tmp_path):
         "    cached = sys.path_importer_cache.get(self.path) is self\n"
         "    return real(self, fullname, target) if cached else None\n"
         "FileFinder.find_spec = find_spec\n"
-        "from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix\n"
+        "from ssrmlab.ensemble import RngStream, sample_matrix\n"
+        "from ssrmlab.model import EnsembleParams, EntryDistribution\n"
         "from ssrmlab.spectra import full_symmetric_spectrum\n"
         "A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution.rademacher()), RngStream(5, 0))\n"
         "digest = hashlib.sha256(full_symmetric_spectrum(A).tobytes()).hexdigest()\n"

@@ -8,21 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssrmlab import ensemble
 from ssrmlab.ensemble import (
-    EnsembleParams,
-    EntryDistribution,
     RngStream,
     SparseSymmetricMatrix,
     dump_matrix,
     load_matrix,
-    parse_distribution,
     row_witness_sets,
     run_trials,
+    sample_entries,
     sample_matrix,
     sample_sparse_vector,
     trial_stream,
 )
 from ssrmlab.errors import ParameterError
+from ssrmlab.model import EnsembleParams, EntryDistribution, parse_distribution
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
@@ -38,10 +38,13 @@ class TestEntryDistribution:
         assert tp.fourth_moment == pytest.approx(0.64 / 0.2 + 0.04 / 0.8, abs=1e-12)
 
     def test_two_point_atoms_have_mean_zero_unit_variance(self):
-        tp = EntryDistribution.two_point(0.2)
-        values, probs = tp.atoms()
-        assert values @ probs == pytest.approx(0.0, abs=1e-12)
-        assert (values**2) @ probs == pytest.approx(1.0, abs=1e-12)
+        # Atom a with mass prob, and b = -a prob / (1 - prob) with mass 1 - prob.
+        for prob in (0.2, 0.5, 0.9):
+            tp = EntryDistribution.two_point(prob)
+            b = -tp.a * prob / (1.0 - prob)
+            assert tp.a * prob + b * (1.0 - prob) == pytest.approx(0.0, abs=1e-12)
+            assert tp.a**2 * prob + b**2 * (1.0 - prob) == pytest.approx(1.0, abs=1e-12)
+            assert tp.a**4 * prob + b**4 * (1.0 - prob) == pytest.approx(tp.fourth_moment, rel=1e-12)
 
     @pytest.mark.parametrize("kind,prob", [("rademacher", 0.5), ("two-point-general", None)])
     def test_prob_only_for_two_point(self, kind, prob):
@@ -65,7 +68,7 @@ class TestEntryDistribution:
     def test_sampled_moments_match(self):
         rng = RngStream(11, 0).generator()
         for dist in (RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.3)):
-            xs = dist.sample(rng, 200_000)
+            xs = sample_entries(dist, rng, 200_000)
             assert np.mean(xs) == pytest.approx(0.0, abs=0.02)
             assert np.var(xs) == pytest.approx(1.0, abs=0.03)
             assert np.mean(xs**4) == pytest.approx(dist.fourth_moment, rel=0.08)
@@ -129,13 +132,23 @@ class TestSampleMatrix:
         with pytest.raises(ParameterError):
             EnsembleParams(5, -0.1, RAD)
 
+    @pytest.mark.parametrize("n", [5.0, "5", None, True])
+    def test_n_must_be_an_integer(self, n):
+        # A ParameterError, never the bare TypeError of operator.index.
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            EnsembleParams(n, 0.5, RAD)
+
+    def test_numpy_integer_n_accepted(self):
+        A = sample_matrix(EnsembleParams(np.int64(5), 0.5, RAD), RngStream(1, 0))
+        assert np.array_equal(A.to_dense(), sample_matrix(EnsembleParams(5, 0.5, RAD), RngStream(1, 0)).to_dense())
+
 
 def _triu_reference(params: EnsembleParams, stream: RngStream) -> tuple:
     """The sampler as written with np.triu_indices, on the same stream."""
     rng = stream.generator()
     iu, ju = np.triu_indices(params.n)
     mask = rng.random(iu.size) < params.p
-    vals = params.dist.sample(rng, int(mask.sum()))
+    vals = ensemble.sample_entries(params.dist, rng, int(mask.sum()))
     keep = vals != 0.0
     return iu[mask][keep], ju[mask][keep], vals[keep]
 
@@ -160,14 +173,14 @@ class TestSampleMatrixIndexing:
 
     def test_exact_zero_values_dropped_in_step(self, monkeypatch):
         # A continuous law's exact zero is dropped with its own position.
-        real = EntryDistribution.sample
+        real = ensemble.sample_entries
 
-        def with_zeros(self, rng, size):
-            vals = real(self, rng, size)
+        def with_zeros(dist, rng, size):
+            vals = real(dist, rng, size)
             vals[::3] = 0.0
             return vals
 
-        monkeypatch.setattr(EntryDistribution, "sample", with_zeros)
+        monkeypatch.setattr(ensemble, "sample_entries", with_zeros)
         params = EnsembleParams(37, 0.3, GAUSS)
         A = sample_matrix(params, RngStream(7, 1))
         row, col, val = _triu_reference(params, RngStream(7, 1))
@@ -198,7 +211,7 @@ class TestSampleSparseVector:
             rng = stream.generator()
             mask = rng.random(n) < p
             expected = np.zeros(n)
-            expected[mask] = law.sample(rng, int(mask.sum()))
+            expected[mask] = sample_entries(law, rng, int(mask.sum()))
             assert sample_sparse_vector(n, p, law, stream).tobytes() == expected.tobytes()
             sample_sparse_vector(5 + k % 2, 0.7, LAWS[k % 4], RngStream(k, 1))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ssrmlab
 from ssrmlab import spectra
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, sample_matrix, trial_stream
+from ssrmlab.ensemble import sample_matrix, trial_stream
 from ssrmlab.errors import ConfigError, ParameterError
 from ssrmlab import harness
 from ssrmlab.harness import (
@@ -27,6 +27,7 @@ from ssrmlab.harness import (
     scaling_consistency,
     tail_sweep,
 )
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.stats import fit_loglog_slope, wilson_interval
 
 RAD = EntryDistribution.rademacher()
@@ -377,7 +378,8 @@ class TestConfigRejected:
         self._assert_rejected(tmp_path, capsys, text, "params.cbar")
 
     def test_fractional_n(self, tmp_path, capsys):
-        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("n = 24", "n = 50.9"), "grid.n")
+        for n in ("50.9", "5.5"):
+            self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("n = 24", f"n = {n}"), "grid.n")
 
     def test_misspelled_key(self, tmp_path, capsys):
         text = CONFIG_TEXT.replace("trials = 16", "trails = 2000")

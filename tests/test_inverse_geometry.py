@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from ssrmlab import inverse_geometry, spectra
-from ssrmlab.ensemble import (
-    EnsembleParams,
-    EntryDistribution,
-    RngStream,
-    sample_matrix,
-    sample_sparse_vector,
-    trial_stream,
-)
+from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
@@ -22,6 +15,7 @@ from ssrmlab.inverse_geometry import (
     quadratic_form_distance,
     quadratic_smallball_experiment,
 )
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import singular_extremes
 
 RAD = EntryDistribution.rademacher()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssrmlab.ensemble import EntryDistribution, RngStream
+from ssrmlab.ensemble import RngStream
 from ssrmlab.errors import ParameterError
+from ssrmlab.model import EntryDistribution
 from ssrmlab.smallball import (
     decoupling_consequence_check,
     lcd_smallball_bound,

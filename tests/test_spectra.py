@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ssrmlab import spectra
-from ssrmlab.ensemble import EnsembleParams, EntryDistribution, RngStream, sample_matrix, trial_stream
+from ssrmlab.ensemble import RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import (
     C_OP,
     MaskProfile,

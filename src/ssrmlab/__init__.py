@@ -37,7 +37,6 @@ _EXPORTS = {
     "tail_sweep": "harness",
     "ConcentrationEstimate": "smallball",
     "levy_concentration_scalar": "smallball",
-    "levy_concentration_vector": "smallball",
     "EnsembleParams": "model",
     "EntryDistribution": "model",
     "MaskProfile": "spectra",

@@ -156,7 +156,12 @@ def _make_run_command(kind: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ssrmlab", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="ssrmlab",
+        description="Monte Carlo experiments on sparse symmetric random matrices. The generate subcommand "
+        "samples one matrix; spectra, lcd and structure read a matrix or vector file and print a JSON record; "
+        "the other subcommands run an experiment from a config file and write a CSV table with a JSON sidecar.",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample one matrix to coordinate text format")

@@ -153,16 +153,6 @@ class SparseSymmetricMatrix:
         dense[self.col, self.row] = self.val
         return dense
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SparseSymmetricMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ParameterError("dense input must be a square matrix")
-        if not np.array_equal(dense, dense.T):
-            raise ParameterError("dense input is not exactly symmetric")
-        i, j = np.nonzero(np.triu(dense))
-        return cls(dense.shape[0], i, j, dense[i, j])
-
 
 def sample_matrix(params: EnsembleParams, stream: RngStream) -> SparseSymmetricMatrix:
     """Draw one realization of the masked symmetric ensemble.

@@ -7,6 +7,7 @@ Pure Python, so that configs are parsed and checked without numpy;
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ class EntryDistribution:
             if self.prob is not None:
                 raise ParameterError(f"{self.kind} takes no atom parameters")
             return
-        if self.prob is None or not 0.0 < self.prob < 1.0:
+        if not isinstance(self.prob, numbers.Real) or not 0.0 < self.prob < 1.0:
             raise ParameterError("two-point prob must lie in (0, 1)")
         if not math.isfinite(self.fourth_moment):
             raise ParameterError(f"two-point prob {self.prob!r} gives an infinite fourth moment")
@@ -108,5 +109,5 @@ class EnsembleParams:
         if n < 2:
             raise ParameterError(f"n must be an integer >= 2, got {self.n!r}")
         # p == 0 is admitted (degenerate zero matrix); experiments reject p < 1/n.
-        if not 0.0 <= self.p <= 1.0:
+        if not isinstance(self.p, numbers.Real) or not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"sparsity level p must lie in [0, 1], got {self.p!r}")

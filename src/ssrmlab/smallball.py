@@ -1,12 +1,12 @@
-"""Levy concentration estimators, the LCD small-ball bracket and the
-decoupling-consequence check for quadratic forms.
+"""The Levy concentration estimator for scalar samples, the LCD small-ball
+bracket and the decoupling-consequence check for quadratic forms.
 
-Window convention for the scalar estimator: the supremum is taken over
-open windows (u - eps, u + eps) for eps > 0 and over single points at
-eps = 0.  For continuous laws this coincides with the closed-ball
-definition; for atomic laws it excludes atoms sitting exactly on the
-window boundary, which keeps the estimate a conservative lower bound of
-the closed-ball concentration function.
+Window convention: the supremum is taken over open windows
+(u - eps, u + eps) for eps > 0 and over single points at eps = 0.  For
+continuous laws this coincides with the closed-ball definition; for
+atomic laws it excludes atoms sitting exactly on the window boundary,
+which keeps the estimate a conservative lower bound of the closed-ball
+concentration function.
 """
 
 from __future__ import annotations
@@ -60,35 +60,6 @@ def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
         upper = np.searchsorted(s, s + 2.0 * eps, side="left")
         best = int((upper - np.arange(n)).max())
     return ConcentrationEstimate(eps, best / n, n, dkw_halfwidth(n))
-
-
-def levy_concentration_vector(samples, eps: float) -> ConcentrationEstimate:
-    """Lower-bound estimate of the vector concentration function.
-
-    Candidate centers are every sample point plus the origin; the
-    reported value is the best closed-ball mass over the candidates,
-    which lower-bounds the supremum over all of R^n.  The CI halfwidth is
-    the Wilson halfwidth at the winning count.
-    """
-    pts = np.asarray(samples, dtype=np.float64)
-    if pts.ndim != 2 or pts.size == 0:
-        raise ParameterError("expected a nonempty (N, d) sample array")
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
-    n, d = pts.shape
-    if d == 1:
-        # Dimension one admits the exact sliding-window supremum.
-        return levy_concentration_scalar(pts.ravel(), eps)
-    centers = np.vstack([pts, np.zeros((1, d))])
-    # Imported here, so that importing ssrmlab (every CLI process) skips scipy.spatial.
-    from scipy.spatial import cKDTree
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(centers, r=eps, return_length=True)
-    best = int(np.max(counts))
-    from .stats import wilson_interval
-
-    lo, hi = wilson_interval(best, n)
-    return ConcentrationEstimate(eps, best / n, n, (hi - lo) / 2.0)
 
 
 def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:

@@ -142,14 +142,6 @@ class MaskProfile:
         if self.sigma_star > self.sigma + 1e-12:
             raise ParameterError("sigma_star cannot exceed sigma")
 
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "MaskProfile":
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.size == 0:
-            return cls(0.0, 0.0)
-        sigma = float(np.sqrt((mask**2).sum(axis=1).max()))
-        return cls(sigma, float(np.abs(mask).max()))
-
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -395,7 +387,8 @@ def _norm_bound_trial(
         g[i, :i] = g[:i, i]
     g *= mask
     wnorm = spectral_norm(g)
-    # MaskProfile.from_mask of a 0/1 mask, without its float copy.
+    # The profile of the 0/1 mask: sigma = sqrt(max row count), sigma* = 1
+    # unless the mask is empty.
     bound = bvh_bound(MaskProfile(math.sqrt(max_count), float(mask.any())), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)

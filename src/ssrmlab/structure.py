@@ -355,15 +355,9 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
     )
 
 
-def regularized_lcd(
-    x,
-    consts: StructureConstants,
-    budget: int,
-    stream: RngStream,
-    tol: float = 1e-9,
-    theta_cap: float | None = None,
-) -> RegularizedLcdResult:
-    """max D_L(x_I / |x_I|) over subsets I of spread(x) with |I| = ceil(lambda n).
+def regularized_lcd(x, consts: StructureConstants, budget: int, stream: RngStream) -> RegularizedLcdResult:
+    """max D_L(x_I / |x_I|) over subsets I of spread(x) with |I| = ceil(lambda n),
+    each D_L from ``lcd`` at its default cap and tolerance.
 
     Exact (full enumeration) when the subset count fits in ``budget``;
     otherwise the best of ``budget`` uniformly sampled subsets, which is
@@ -390,7 +384,7 @@ def regularized_lcd(
         nonlocal any_capped
         sub = x[idx]
         sub = sub / np.linalg.norm(sub)
-        res = lcd(sub, consts.L, theta_cap=theta_cap, tol=tol)
+        res = lcd(sub, consts.L)
         if res.capped:
             any_capped = True
         return res.value

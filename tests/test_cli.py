@@ -323,8 +323,8 @@ def _only(*loaded: str) -> dict:
 
 
 def test_cli_import_skips_scipy_spatial(tmp_path):
-    # Every CLI process imports ssrmlab.cli; only the vector concentration
-    # estimator needs scipy.spatial.
+    # Every CLI process imports ssrmlab.cli, and nothing in the package
+    # needs scipy.spatial.
     assert _python("import sys, ssrmlab.cli; print('scipy.spatial' in sys.modules)", tmp_path) == "False"
 
 
@@ -336,6 +336,12 @@ def test_cli_import_skips_process_pool(tmp_path):
 def test_package_import_loads_no_submodule(tmp_path):
     code = "import sys, ssrmlab; print(sorted(m for m in sys.modules if m.startswith('ssrmlab.')))"
     assert _python(code, tmp_path) == "[]"
+
+
+def test_help_holds_no_developer_notes():
+    # --help describes the subcommands, not the cli module's docstring in reST.
+    text = build_parser().format_help()
+    assert "``" not in text
 
 
 @pytest.mark.parametrize("module", ["ssrmlab", "ssrmlab.cli"])

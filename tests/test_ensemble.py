@@ -58,6 +58,9 @@ class TestEntryDistribution:
         # prob = 1e-320 gives an infinite atom, which no matrix can hold.
         with pytest.raises(ParameterError, match="infinite"):
             EntryDistribution.two_point(1e-320)
+        # A string is named as a bad prob, not a bare TypeError from "<".
+        with pytest.raises(ParameterError, match="two-point prob"):
+            EntryDistribution.two_point("0.5")
 
     def test_parse(self):
         assert parse_distribution("gaussian").kind == "standard-gaussian"
@@ -131,6 +134,8 @@ class TestSampleMatrix:
             EnsembleParams(5, 1.5, RAD)
         with pytest.raises(ParameterError):
             EnsembleParams(5, -0.1, RAD)
+        with pytest.raises(ParameterError, match="sparsity level p"):
+            EnsembleParams(5, "0.5", RAD)
 
     @pytest.mark.parametrize("n", [5.0, "5", None, True])
     def test_n_must_be_an_integer(self, n):
@@ -243,14 +248,6 @@ class TestSparseSymmetricMatrix:
         with pytest.raises(ParameterError):
             SparseSymmetricMatrix(3, np.array([0]), np.array([1]), np.array([0.0]))
 
-    def test_from_dense_round_trip(self):
-        dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, -3.0], [2.0, -3.0, 4.0]])
-        assert np.array_equal(SparseSymmetricMatrix.from_dense(dense).to_dense(), dense)
-
-    def test_from_dense_asymmetric_rejected(self):
-        with pytest.raises(ParameterError):
-            SparseSymmetricMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
 
 class TestRowWitnessSets:
     def test_zero_matrix(self):
@@ -260,16 +257,12 @@ class TestRowWitnessSets:
         assert i0 == {2}
 
     def test_single_offdiagonal_entry(self):
-        dense = np.eye(3)
-        dense[2, 0] = dense[0, 2] = 1.0
-        A = SparseSymmetricMatrix.from_dense(dense)
+        A = SparseSymmetricMatrix(3, np.array([0, 0, 1, 2]), np.array([0, 2, 1, 2]), np.array([1.0, 1.0, 1.0, 1.0]))
         i1, i0 = row_witness_sets(A, [0], [1], [1], 0.5)
         assert i1 == {2}
 
     def test_sign_mismatch_excluded(self):
-        dense = np.eye(3)
-        dense[2, 0] = dense[0, 2] = -1.0
-        A = SparseSymmetricMatrix.from_dense(dense)
+        A = SparseSymmetricMatrix(3, np.array([0, 0, 1, 2]), np.array([0, 2, 1, 2]), np.array([1.0, -1.0, 1.0, 1.0]))
         i1, _ = row_witness_sets(A, [0], [1], [1], 0.5)
         assert i1 == set()
 

@@ -49,30 +49,113 @@ def _identifiers(tree) -> set[str]:
     return names
 
 
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _src_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((_ROOT / "src" / "ssrmlab").glob("*.py"))]
+
+
+def _user_trees() -> list:
+    """The code that uses the package as a user would: the benchmark
+    workloads, the acceptance criteria and the CLI tests."""
+    paths = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_cli.py"]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _is_method(node) -> bool:
+    """A def in a class body, other than a dunder (the class's own machinery
+    calls those)."""
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
+def _definitions(tree):
+    """(qualified name, node) for each top-level def and class, and each
+    method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body if _is_method(item))
+
+
 def test_every_definition_is_reached():
-    # A top-level def or class must be reached from a re-export, module-level
-    # code (the CLI's dispatch tables and entry point), a benchmark workload, an
-    # acceptance criterion or a CLI test, directly or through the bodies of other
-    # reached definitions.  What only its own unit tests call is dead code.
-    root = pathlib.Path(__file__).resolve().parents[1]
+    # A top-level def or class, or a method or property, must be reached from
+    # module-level code (the CLI's dispatch tables and entry point), a
+    # benchmark workload, an acceptance criterion or a CLI test, directly or
+    # through the bodies of other reached definitions.  Names are matched
+    # alone, whatever the receiver: a method counts as reached when reached
+    # code loads an attribute of its name.  A class's body reaches its dunder
+    # methods, not its other methods.  A re-export is not a caller, and what
+    # only its own unit tests call is dead code.
+    trees = _src_trees()
     bodies = {}
-    reached = set(ssrmlab._EXPORTS)
-    for path in sorted((root / "src" / "ssrmlab").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bodies[node.name] = _identifiers(node)
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+    reached = set()
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
                 reached |= _identifiers(node)
-    users = [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py", root / "tests" / "test_cli.py"]
-    for path in users:
-        reached |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+        for _, node in _definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                parts = [part for part in (*node.bases, *node.decorator_list, *node.body) if not _is_method(part)]
+            else:
+                parts = [node]
+            bodies.setdefault(node.name, set()).update(*map(_identifiers, parts))
+    for tree in _user_trees():
+        reached |= _identifiers(tree)
     todo = list(reached)
     while todo:
         new = bodies.get(todo.pop(), set()) - reached
         reached |= new
         todo += new
-    dead = sorted(name for name in bodies if name not in reached and not name.startswith("__"))
+    dead = sorted(q for tree in trees for q, node in _definitions(tree) if node.name not in reached and not node.name.startswith("__"))
     assert not dead, f"no caller outside their own unit tests: {', '.join(dead)}"
+
+
+def _passed(calls) -> dict:
+    """Callee name -> the keyword names its calls pass, and the most positional
+    arguments any of them passes; ``None`` where a call spreads ``*`` or ``**``."""
+    passed = {}
+    for node in calls:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name is None or passed.get(name, ()) is None:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(kw.arg is None for kw in node.keywords):
+            passed[name] = None
+            continue
+        keywords, positional = passed.get(name, (set(), 0))
+        passed[name] = (keywords | {kw.arg for kw in node.keywords}, max(positional, len(node.args)))
+    return passed
+
+
+def test_every_keyword_default_is_passed():
+    # A parameter with a default that no call in src/, the benchmark, the
+    # acceptance criteria or the CLI tests passes is a knob nobody turns:
+    # every run takes the default.  Calls are matched by the callee's name
+    # alone, and a call that spreads * or ** counts as passing every
+    # parameter.  A method's first positional parameter is its receiver.
+    calls = [node for tree in _src_trees() + _user_trees() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    passed = _passed(calls)
+    unturned = []
+    for tree in _src_trees():
+        for qualname, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            seen = passed.get(node.name, (set(), 0))
+            if seen is None:
+                continue
+            keywords, positional = seen
+            args = node.args.posonlyargs + node.args.args
+            offset = 1 if "." in qualname else 0
+            first_default = len(args) - len(node.args.defaults)
+            for k, arg in enumerate(args[first_default:], first_default):
+                if arg.arg not in keywords and k - offset >= positional:
+                    unturned.append(f"{qualname}({arg.arg})")
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None and arg.arg not in keywords:
+                    unturned.append(f"{qualname}({arg.arg})")
+    assert not unturned, f"defaults no caller overrides: {', '.join(unturned)}"
 
 
 # Classes whose fields are settable knobs: a config key, a CLI flag or a
@@ -87,8 +170,7 @@ def test_every_knob_is_read():
     # any object's attribute of that name is loaded anywhere in src/, so a
     # common name (n, p, kind) can hide an unread field.  This catches only a
     # field whose name no code loads at all.
-    root = pathlib.Path(__file__).resolve().parents[1]
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((root / "src" / "ssrmlab").glob("*.py"))]
+    trees = _src_trees()
     classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name in _KNOB_CLASSES}
     assert sorted(classes) == sorted(_KNOB_CLASSES)
     unread = []

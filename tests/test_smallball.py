@@ -12,7 +12,6 @@ from ssrmlab.smallball import (
     decoupling_consequence_check,
     lcd_smallball_bound,
     levy_concentration_scalar,
-    levy_concentration_vector,
 )
 
 RAD = EntryDistribution.rademacher()
@@ -88,34 +87,6 @@ class TestLevyScalar:
         small = levy_concentration_scalar(np.zeros(100), 0.1)
         large = levy_concentration_scalar(np.zeros(10_000), 0.1)
         assert large.ci_halfwidth < small.ci_halfwidth
-
-
-class TestLevyVector:
-    def test_identical_samples(self):
-        pts = np.ones((50, 3))
-        for eps in (0.0, 0.5):
-            assert levy_concentration_vector(pts, eps).value == 1.0
-
-    def test_gaussian_pairs_small_ball(self):
-        # Ball of radius 0.1 in the plane holds mass <= 1 - exp(-eps^2/2)
-        # ~ 0.005 at the best center; the estimate must stay under 0.01.
-        rng = RngStream(32, 0).generator()
-        pts = rng.standard_normal((100_000, 2))
-        est = levy_concentration_vector(pts, 0.1)
-        assert est.value <= 0.01
-
-    def test_monotone_in_eps(self):
-        rng = RngStream(33, 0).generator()
-        pts = rng.standard_normal((2000, 3))
-        vals = [levy_concentration_vector(pts, e).value for e in (0.1, 0.3, 0.6, 1.0)]
-        assert vals == sorted(vals)
-
-    def test_dimension_one_matches_scalar(self):
-        rng = RngStream(34, 0).generator()
-        xs = rng.standard_normal(500)
-        vec = levy_concentration_vector(xs[:, None], 0.2)
-        sca = levy_concentration_scalar(xs, 0.2)
-        assert vec.value == sca.value
 
 
 class TestBoundBrackets:

@@ -268,8 +268,9 @@ class TestNormBoundExperiment:
 
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
     def test_trial_matches_dense_mask_reference(self, monkeypatch, p):
-        # The float mask, np.triu symmetrization and MaskProfile.from_mask
-        # the trial used to build: the same W bit for bit and the same row.
+        # The float mask, np.triu symmetrization and mask profile (sigma from
+        # the largest row sum of mask^2, sigma* the largest |mask|) the trial
+        # used to build: the same W bit for bit and the same row.
         n, seed, cbar, eps = 80, 6, 2.0, 0.5
         params = EnsembleParams(n, p, GAUSS)
         seen = []
@@ -281,7 +282,8 @@ class TestNormBoundExperiment:
             g = trial_stream(seed, 1, t).generator().standard_normal((n, n))
             W = mask * (np.triu(g) + np.triu(g, k=1).T)
             norm = real(dense)
-            bound = bvh_bound(MaskProfile.from_mask(mask), n, eps)
+            profile = MaskProfile(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()))
+            bound = bvh_bound(profile, n, eps)
             omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
             want = spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, real(W) <= bound)
             seen.clear()

@@ -26,7 +26,6 @@ _EXPORTS = {
     "SparseSymmetricMatrix": "ensemble",
     "sample_matrix": "ensemble",
     "sample_sparse_vector": "ensemble",
-    "CapabilityError": "errors",
     "ConfigError": "errors",
     "NumericalError": "errors",
     "ParameterError": "errors",
@@ -39,7 +38,6 @@ _EXPORTS = {
     "levy_concentration_scalar": "smallball",
     "EnsembleParams": "model",
     "EntryDistribution": "model",
-    "MaskProfile": "spectra",
     "SpectralSummary": "spectra",
     "bvh_bound": "spectra",
     "full_symmetric_spectrum": "spectra",

@@ -7,10 +7,6 @@ class ParameterError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class CapabilityError(RuntimeError):
-    """The request is valid but outside what this implementation supports."""
-
-
 class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
@@ -25,7 +21,6 @@ class ConfigError(ParameterError):
 EXIT_TABLE = (
     (ConfigError, 2, "config error"),
     (ParameterError, 2, "error"),
-    (CapabilityError, 2, "error"),
     (NumericalError, 1, "numerical error"),
     (OSError, 1, "io error"),
 )

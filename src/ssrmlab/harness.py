@@ -376,13 +376,13 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
 def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
     """Log-log slope of p_hat against eps over CI-solid cells.
 
-    Returns None when fewer than four (cell, eps) points have p_hat > 0
-    with a Wilson interval excluding zero, or when they share one eps.
+    The points are the (cell, eps) pairs with eps > 0 and p_hat > 0 whose
+    Wilson interval excludes zero; ``stats.determined_slope`` decides
+    whether they fix a slope.
     """
-    from .stats import fit_loglog_slope
+    from .stats import determined_slope
 
-    usable = [(r.eps, r.p_hat) for r in rows if r.p_hat > 0 and r.wilson_lo > 0 and r.eps > 0]
-    return fit_loglog_slope(*zip(*usable)) if len(usable) >= 4 and len({e for e, _ in usable}) > 1 else None
+    return determined_slope([(r.eps, r.p_hat) for r in rows if r.p_hat > 0 and r.wilson_lo > 0 and r.eps > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +525,7 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
     rows, ratios = [], []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))
-        bracket = lcd_smallball_bound(x, 1.0, p, eps, d.value)
+        bracket = lcd_smallball_bound(p, eps, d.value)
         rows.append([eps, est.value, est.ci_halfwidth, bracket])
         if bracket > 0:
             ratios.append(est.value / bracket)

@@ -36,13 +36,12 @@ from .spectra import (
     dgetri_lwork,
     singular_extremes,
 )
-from .stats import SlopeFit, fit_loglog_slope, wilson_interval
+from .stats import SlopeFit, determined_slope, wilson_interval
 from .structure import sparse_tail_distance
 
 
 @dataclass(frozen=True)
 class DistanceRecord:
-    j: int
     geometric_distance: float
     quadratic_form_distance: float | None
     b_singular: bool
@@ -106,9 +105,9 @@ def quadratic_form_distance(A) -> DistanceRecord:
     a11 = float(dense[0, 0])
     y = _extreme_singular_values(dense[1:, 1:], X)[2]
     if y is None:
-        return DistanceRecord(0, geometric, None, True)
+        return DistanceRecord(geometric, None, True)
     value = abs(float(y @ X) - a11) / math.sqrt(1.0 + float(y @ y))
-    return DistanceRecord(0, geometric, value, False)
+    return DistanceRecord(geometric, value, False)
 
 
 def all_column_distances(A, singular: bool) -> np.ndarray:
@@ -127,14 +126,8 @@ def all_column_distances(A, singular: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InverseImageReport:
-    matrices: int
-    x_draws: int
     excluded_singular: int
     identity_mean: float
-    freq_lower_abs: float
-    freq_markov_upper: float
-    freq_hs_lower: float
-    eps: float
 
 
 def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
@@ -151,21 +144,16 @@ def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams,
 
 def inverse_image_experiment(
     params: EnsembleParams,
-    eps: float,
     matrices: int,
     x_draws: int,
     master_seed: int,
 ) -> InverseImageReport:
-    """Frequencies of the three inverse-image events plus the first-moment identity.
+    """The first-moment identity of the inverse image.
 
-    identity_mean averages |A^-1 X|^2 / (p |A^-1|_HS^2) over fresh X; its
-    population value is exactly 1.  The three frequencies correspond to
-    |A^-1 X| >= 1/10, the Markov-style upper bound
-    |A^-1 X| <= sqrt(p) eps^{-1/2} |A^-1|_HS, and the lower bound
-    |A^-1 X| >= sqrt(p) eps |A^-1|_HS.
+    identity_mean averages |A^-1 X|^2 / (p |A^-1|_HS^2) over ``x_draws``
+    fresh X for each of ``matrices`` matrices; its population value is
+    exactly 1.
     """
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("eps must lie in (0, 1)")
     if matrices < 1 or x_draws < 1:
         raise ParameterError("need at least one matrix and one draw")
     records = run_trials(partial(_inverse_image_trial, master_seed, x_draws), [params], matrices)[0]
@@ -174,17 +162,7 @@ def inverse_image_experiment(
         raise ParameterError("all sampled matrices were singular")
     imgs = np.concatenate([img for img, _ in kept])
     hs = np.repeat([h for _, h in kept], x_draws)
-    p = params.p
-    return InverseImageReport(
-        matrices=matrices,
-        x_draws=x_draws,
-        excluded_singular=matrices - len(kept),
-        identity_mean=float(np.mean(imgs**2 / (p * hs * hs))),
-        freq_lower_abs=float(np.mean(imgs >= 0.1)),
-        freq_markov_upper=float(np.mean(imgs <= math.sqrt(p) * eps**-0.5 * hs)),
-        freq_hs_lower=float(np.mean(imgs >= math.sqrt(p) * eps * hs)),
-        eps=eps,
-    )
+    return InverseImageReport(matrices - len(kept), float(np.mean(imgs**2 / (params.p * hs * hs))))
 
 
 @dataclass(frozen=True)
@@ -213,8 +191,7 @@ def _distance_trial(
     A = sample_matrix(params, trial_stream(master_seed, c, t))
     evals, _, vectors = _certified_spectrum(A)
     smin, _ = singular_extremes(evals)
-    dist, _ = sparse_tail_distance(vectors[:, 0], M)
-    incomp = dist > rho
+    incomp = sparse_tail_distance(vectors[:, 0], M) > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
     dists = all_column_distances(A, smin == 0.0)
     rhs_value = float(np.sum(dists <= math.sqrt(p) * eps)) / M
@@ -316,8 +293,7 @@ def quadratic_smallball_experiment(
     p_med = curve(float(np.median(qs_arr)))
 
     def try_fit(phats) -> SlopeFit | None:
-        points = [(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0]
-        return fit_loglog_slope(*zip(*points)) if len(points) >= 4 and len({e for e, _ in points}) > 1 else None
+        return determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
 
     return QuadraticSmallballReport(
         eps_grid=eps_grid,

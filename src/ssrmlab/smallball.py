@@ -34,9 +34,7 @@ def dkw_halfwidth(n: int) -> float:
 
 @dataclass(frozen=True)
 class ConcentrationEstimate:
-    epsilon: float
     value: float
-    samples: int
     ci_halfwidth: float
 
 
@@ -59,7 +57,7 @@ def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
     else:
         upper = np.searchsorted(s, s + 2.0 * eps, side="left")
         best = int((upper - np.arange(n)).max())
-    return ConcentrationEstimate(eps, best / n, n, dkw_halfwidth(n))
+    return ConcentrationEstimate(best / n, dkw_halfwidth(n))
 
 
 def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:
@@ -73,8 +71,8 @@ def sparse_sum_samples(
     return np.array(run_trials(partial(_sparse_sum_trial, master_seed, p, dist), [x], trials, workers)[0])
 
 
-def lcd_smallball_bound(x, L: float, p: float, eps: float, lcd_value: float) -> float:
-    """LCD small-ball bracket eps + 1 / (sqrt(p) D).
+def lcd_smallball_bound(p: float, eps: float, lcd_value: float) -> float:
+    """LCD small-ball bracket eps + 1 / (sqrt(p) D), with D = ``lcd_value``.
 
     The accompanying absolute constant is unknown and not applied;
     callers compare shapes and orderings, not levels.
@@ -83,8 +81,6 @@ def lcd_smallball_bound(x, L: float, p: float, eps: float, lcd_value: float) -> 
         raise ParameterError("p must lie in (0, 1]")
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    if L < 1.0:
-        raise ParameterError("L must be >= 1")
     if lcd_value <= 0:
         raise ParameterError("lcd_value must be positive")
     tail = 0.0 if math.isinf(lcd_value) else 1.0 / (math.sqrt(p) * lcd_value)
@@ -95,11 +91,7 @@ def lcd_smallball_bound(x, L: float, p: float, eps: float, lcd_value: float) -> 
 class DecouplingCheck:
     lhs: ConcentrationEstimate
     rhs: ConcentrationEstimate
-    slack: float
     holds: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def decoupling_consequence_check(
@@ -145,4 +137,4 @@ def decoupling_consequence_check(
     rhs = levy_concentration_scalar(bilinear, eps)
 
     slack = lhs.ci_halfwidth + rhs.ci_halfwidth
-    return DecouplingCheck(lhs, rhs, slack, lhs.value**2 <= rhs.value + slack)
+    return DecouplingCheck(lhs, rhs, lhs.value**2 <= rhs.value + slack)

@@ -130,20 +130,6 @@ def _as_dense(A) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MaskProfile:
-    """Row-norm and entry-magnitude summary of a variance mask b_ij."""
-
-    sigma: float
-    sigma_star: float
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.sigma_star < 0:
-            raise ParameterError("mask profile norms must be nonnegative")
-        if self.sigma_star > self.sigma + 1e-12:
-            raise ParameterError("sigma_star cannot exceed sigma")
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     s_min: float
     s_max: float
@@ -324,18 +310,23 @@ def spectral_summary(A) -> SpectralSummary:
     return SpectralSummary(smin, smax, cond, residual)
 
 
-def bvh_bound(profile: MaskProfile, n: int, eps: float) -> float:
+def bvh_bound(sigma: float, sigma_star: float, n: int, eps: float) -> float:
     """Gaussian comparison bound (1+eps)(2 sigma + 6 sigma* sqrt(log n) / sqrt(log(1+eps))).
 
-    eps up to and including 0.5 is accepted; experiments evaluate at the
-    endpoint.
+    sigma is the largest row norm of a variance mask b_ij and sigma* its
+    largest entry magnitude.  eps up to and including 0.5 is accepted;
+    experiments evaluate at the endpoint.
     """
+    if sigma < 0 or sigma_star < 0:
+        raise ParameterError("mask profile norms must be nonnegative")
+    if sigma_star > sigma + 1e-12:
+        raise ParameterError("sigma_star cannot exceed sigma")
     if not 0.0 < eps <= 0.5:
         raise ParameterError("eps must lie in (0, 1/2]")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    star_term = 6.0 / math.sqrt(math.log1p(eps)) * profile.sigma_star * math.sqrt(math.log(n)) if n > 1 else 0.0
-    return (1.0 + eps) * (2.0 * profile.sigma + star_term)
+    star_term = 6.0 / math.sqrt(math.log1p(eps)) * sigma_star * math.sqrt(math.log(n)) if n > 1 else 0.0
+    return (1.0 + eps) * (2.0 * sigma + star_term)
 
 
 @dataclass(frozen=True)
@@ -389,7 +380,7 @@ def _norm_bound_trial(
     wnorm = spectral_norm(g)
     # The profile of the 0/1 mask: sigma = sqrt(max row count), sigma* = 1
     # unless the mask is empty.
-    bound = bvh_bound(MaskProfile(math.sqrt(max_count), float(mask.any())), n, eps)
+    bound = bvh_bound(math.sqrt(max_count), float(mask.any()), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
 

@@ -58,3 +58,11 @@ def fit_loglog_slope(x, y) -> SlopeFit:
     else:
         se = 0.0
     return SlopeFit(slope, Z95 * se, intercept, int(x.size))
+
+
+def determined_slope(points) -> SlopeFit | None:
+    """The log-log slope through (x, y) ``points``, or None when there are
+    fewer than four of them or they share one x value."""
+    if len(points) < 4 or len({x for x, _ in points}) < 2:
+        return None
+    return fit_loglog_slope(*zip(*points))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import RngStream
-from .errors import CapabilityError, ParameterError
+from .errors import ParameterError
 
 _UNIT_TOL = 1e-9
 
@@ -107,21 +107,19 @@ def _check_unit(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return x
 
 
-def sparse_tail_distance(x, m: int) -> tuple[float, np.ndarray]:
-    """Distance from unit x to Sparse(m), with the nearest m-sparse vector.
+def sparse_tail_distance(x, m: int) -> float:
+    """Distance from unit x to Sparse(m).
 
-    The minimizer keeps the m largest-magnitude coordinates; ties are
-    broken by lowest index (the distance itself is tie-independent).
+    The nearest m-sparse vector keeps the m largest-magnitude coordinates,
+    so the distance is the norm of the rest (whichever of tied
+    coordinates is kept).
     """
     x = _check_unit(x)
     n = x.size
     if not 1 <= m < n:
         raise ParameterError(f"budget m must satisfy 1 <= m < n, got {m}")
     order = np.argsort(-np.abs(x), kind="stable")
-    nearest = np.zeros_like(x)
-    keep = order[:m]
-    nearest[keep] = x[keep]
-    return float(np.linalg.norm(x[order[m:]])), nearest
+    return float(np.linalg.norm(x[order[m:]]))
 
 
 def is_dominated(x, m: int, alpha: float) -> bool:
@@ -151,8 +149,7 @@ def spread_set(x, consts: StructureConstants) -> np.ndarray | None:
     m = consts.sparsity_budget(n)
     if m >= n:
         return None
-    dist, _ = sparse_tail_distance(x, m)
-    if dist <= consts.c_d:
+    if sparse_tail_distance(x, m) <= consts.c_d:
         return None
     lo = consts.c_d / math.sqrt(2.0 * n)
     hi = 1.0 / math.sqrt(consts.c_s * n)
@@ -368,10 +365,10 @@ def regularized_lcd(x, consts: StructureConstants, budget: int, stream: RngStrea
     n = x.size
     spread = spread_set(x, consts)
     if spread is None:
-        raise CapabilityError("spread set undefined; regularized LCD needs an incompressible vector")
+        raise ParameterError("spread set undefined; regularized LCD needs an incompressible vector")
     k = consts.subset_size(n)
     if k > spread.size:
-        raise CapabilityError("subset size exceeds the spread set")
+        raise ParameterError("subset size exceeds the spread set")
     if budget < 1:
         raise ParameterError("budget must be >= 1")
 
@@ -413,7 +410,7 @@ def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> Struct
     x = _check_unit(x)
     n = x.size
     m = consts.sparsity_budget(n)
-    dist, _ = sparse_tail_distance(x, m)
+    dist = sparse_tail_distance(x, m)
     spread = spread_set(x, consts)
     return StructureReport(
         m=m,

@@ -208,7 +208,7 @@ def test_criterion_05_masked_concentration():
 def test_criterion_06_first_moment_identity():
     t0 = time.monotonic()
     rep = inverse_image_experiment(
-        EnsembleParams(100, 0.5, RAD), eps=0.1, matrices=20, x_draws=500, master_seed=1006
+        EnsembleParams(100, 0.5, RAD), matrices=20, x_draws=500, master_seed=1006
     )
     elapsed = time.monotonic() - t0
     _report(

@@ -184,3 +184,58 @@ def test_every_knob_is_read():
         }
         unread += [f"{name}.{f.target.id}" for f in cls.body if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
     assert not unread, f"fields no result reads: {', '.join(unread)}"
+
+
+# Classes that ``harness`` writes whole into a sidecar with
+# ``dataclasses.asdict``: each field is read there, by no attribute name.
+_ASDICT_CLASSES = ("SlopeFit",)
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any("dataclass" in _identifiers(decorator) for decorator in node.decorator_list)
+
+
+def test_every_result_field_is_read():
+    # A dataclass field that nothing loads, outside its own class's
+    # __post_init__, is carried by every result and read by no CLI kind,
+    # benchmark workload or acceptance criterion.  Reads are matched by
+    # attribute name only, whatever the receiver, in src/ and in the code
+    # that uses the package as a user would.
+    trees = _src_trees()
+    nodes = (node for tree in trees + _user_trees() for node in ast.walk(tree))
+    loads = [node for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    classes = [node for tree in trees for node in tree.body if _is_dataclass(node)]
+    assert set(_ASDICT_CLASSES) <= {cls.name for cls in classes}
+    unread = []
+    for cls in classes:
+        if cls.name in _ASDICT_CLASSES:
+            continue
+        checks = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for node in ast.walk(f)}
+        reads = {node.attr for node in loads if id(node) not in checks}
+        unread += [f"{cls.name}.{f.target.id}" for f in cls.body if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+    assert not unread, f"fields nothing reads: {', '.join(unread)}"
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) for every def under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, f"{name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_every_parameter_is_read():
+    # A parameter that its function's body never loads cannot change what
+    # the function returns: every caller passes a value that is dropped.
+    unused = []
+    for tree in _src_trees():
+        for qualname, node in _functions(tree):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unused += [f"{qualname}({arg.arg})" for arg in params if arg.arg not in loaded]
+    assert not unused, f"parameters no body reads: {', '.join(unused)}"

@@ -91,23 +91,17 @@ class TestLevyScalar:
 
 class TestBoundBrackets:
     def test_lcd_bracket_limits(self):
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        assert lcd_smallball_bound(e1, 1.0, 0.5, 0.0, math.inf) == 0.0
-        assert lcd_smallball_bound(e1, 1.0, 0.25, 0.1, 20.0) == pytest.approx(0.2, abs=1e-15)
+        assert lcd_smallball_bound(0.5, 0.0, math.inf) == 0.0
+        assert lcd_smallball_bound(0.25, 0.1, 20.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_lcd_bracket_monotone(self):
-        e1 = np.zeros(4)
-        e1[0] = 1.0
-        base = lcd_smallball_bound(e1, 1.0, 0.5, 0.1, 10.0)
-        assert lcd_smallball_bound(e1, 1.0, 0.5, 0.2, 10.0) >= base
-        assert lcd_smallball_bound(e1, 1.0, 0.5, 0.1, 20.0) <= base
+        base = lcd_smallball_bound(0.5, 0.1, 10.0)
+        assert lcd_smallball_bound(0.5, 0.2, 10.0) >= base
+        assert lcd_smallball_bound(0.5, 0.1, 20.0) <= base
 
     def test_validation(self):
-        e1 = np.zeros(2)
-        e1[0] = 1.0
         with pytest.raises(ParameterError):
-            lcd_smallball_bound(e1, 1.0, 0.0, 0.1, 10.0)
+            lcd_smallball_bound(0.0, 0.1, 10.0)
 
 
 class TestDecoupling:

@@ -10,7 +10,6 @@ from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import (
     C_OP,
-    MaskProfile,
     NormBoundReport,
     NormBoundRow,
     bvh_bound,
@@ -207,34 +206,34 @@ class TestSpectralNorm:
 
 class TestBvhBound:
     def test_second_term_vanishes(self):
-        assert bvh_bound(MaskProfile(1.0, 0.0), 100, 0.5) == pytest.approx(3.0, abs=1e-12)
+        assert bvh_bound(1.0, 0.0, 100, 0.5) == pytest.approx(3.0, abs=1e-12)
 
     def test_zero_profile(self):
-        assert bvh_bound(MaskProfile(0.0, 0.0), 100, 0.25) == 0.0
+        assert bvh_bound(0.0, 0.0, 100, 0.25) == 0.0
 
     def test_plug_in_arithmetic(self):
         # log(1+eps) = 0.25, n = e: (1+eps) * (2*2 + (6/0.5)*1*1) = 16 (1+eps).
         eps = math.exp(0.25) - 1.0
         n_e = 3  # closest integer; evaluate exactly via formula instead
-        got = bvh_bound(MaskProfile(2.0, 1.0), n_e, eps)
+        got = bvh_bound(2.0, 1.0, n_e, eps)
         expected = (1 + eps) * (4.0 + (6.0 / 0.5) * math.sqrt(math.log(n_e)))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_all_arguments(self):
-        base = bvh_bound(MaskProfile(1.0, 0.5), 50, 0.3)
-        assert bvh_bound(MaskProfile(2.0, 0.5), 50, 0.3) >= base
-        assert bvh_bound(MaskProfile(1.0, 0.9), 50, 0.3) >= base
-        assert bvh_bound(MaskProfile(1.0, 0.5), 500, 0.3) >= base
+        base = bvh_bound(1.0, 0.5, 50, 0.3)
+        assert bvh_bound(2.0, 0.5, 50, 0.3) >= base
+        assert bvh_bound(1.0, 0.9, 50, 0.3) >= base
+        assert bvh_bound(1.0, 0.5, 500, 0.3) >= base
 
     def test_eps_range(self):
         with pytest.raises(ParameterError):
-            bvh_bound(MaskProfile(1.0, 0.0), 10, 0.0)
+            bvh_bound(1.0, 0.0, 10, 0.0)
         with pytest.raises(ParameterError):
-            bvh_bound(MaskProfile(1.0, 0.0), 10, 0.6)
+            bvh_bound(1.0, 0.0, 10, 0.6)
 
     def test_profile_validation(self):
         with pytest.raises(ParameterError):
-            MaskProfile(1.0, 2.0)
+            bvh_bound(1.0, 2.0, 10, 0.5)
 
 
 class TestNormBoundExperiment:
@@ -282,8 +281,7 @@ class TestNormBoundExperiment:
             g = trial_stream(seed, 1, t).generator().standard_normal((n, n))
             W = mask * (np.triu(g) + np.triu(g, k=1).T)
             norm = real(dense)
-            profile = MaskProfile(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()))
-            bound = bvh_bound(profile, n, eps)
+            bound = bvh_bound(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()), n, eps)
             omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
             want = spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, real(W) <= bound)
             seen.clear()

@@ -22,6 +22,7 @@ EXIT_TABLE = (
     (ConfigError, 2, "config error"),
     (ParameterError, 2, "error"),
     (NumericalError, 1, "numerical error"),
+    (MemoryError, 1, "memory error"),
     (OSError, 1, "io error"),
 )
 

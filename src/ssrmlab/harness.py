@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
+from . import __version__ as ARTIFACT_VERSION
 from .errors import REPORTED, ConfigError, ParameterError, report
 from .model import EnsembleParams, EntryDistribution, parse_distribution
 
@@ -46,16 +47,6 @@ if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lc
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
-ARTIFACT_VERSION = "0.8.1"
-
-EXPERIMENT_KINDS = (
-    "tail-sweep",
-    "scaling",
-    "norm-check",
-    "distance-check",
-    "smallball",
-    "quadratic",
-)
 
 # Kinds that run the first (n, p) cell only, so their grids hold one point.
 SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
@@ -131,11 +122,18 @@ class ExperimentConfig:
             raise ConfigError("experiment.trials must be >= 1")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"experiment.seed must lie in [0, 2^64), got {self.master_seed}")
         if self.kind in SINGLE_CELL_KINDS and self.cell_count() > 1:
             raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
         for key in self.extras:
             self.param(key)
-        if self.kind != "smallball":  # every other kind samples matrices
+        if self.kind == "smallball":  # samples vectors, not matrices
+            if self.n_grid[0] < 1:
+                raise ConfigError(f"smallball needs grid.n >= 1, got {self.n_grid[0]}")
+            if not 0.0 < self.p_grid[0] <= 1.0:
+                raise ConfigError(f"smallball needs grid.p in (0, 1], got {self.p_grid[0]:g}")
+        else:
             for n in self.n_grid:
                 for p in self.p_grid:
                     try:
@@ -341,12 +339,7 @@ class ScalingCell:
     ratio_to_prev: float | None
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    cells: tuple[ScalingCell, ...]
-
-
-def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
+def scaling_consistency(cfg: ExperimentConfig) -> tuple[ScalingCell, ...]:
     """Medians of s_min sqrt(n/p) and of the condition number over n.
 
     Exactly singular realizations are counted separately, never folded
@@ -370,7 +363,7 @@ def scaling_consistency(cfg: ExperimentConfig) -> ScalingReport:
             ratio = med_smin / prev_by_p[p]
         prev_by_p[p] = med_smin
         out.append(ScalingCell(n, p, cfg.trials, med_smin, med_cond, singular_count, ratio))
-    return ScalingReport(tuple(out))
+    return tuple(out)
 
 
 def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
@@ -458,13 +451,12 @@ def _run_tail_sweep(cfg: ExperimentConfig) -> _Table:
 
 
 def _run_scaling(cfg: ExperimentConfig) -> _Table:
-    report = scaling_consistency(cfg)
     return (
         ["n", "p", "trials", "median_smin_scaled", "median_cond_over_n", "singular_count", "ratio_to_prev"],
         [
             [c.n, c.p, c.trials, c.median_smin_scaled, c.median_cond_over_n, c.singular_count,
              "" if c.ratio_to_prev is None else _fmt(c.ratio_to_prev)]
-            for c in report.cells
+            for c in scaling_consistency(cfg)
         ],
         {},
     )
@@ -562,6 +554,9 @@ _RUNNERS = {
     "smallball": _run_smallball,
     "quadratic": _run_quadratic,
 }
+
+# The experiment kinds, in the order ``--help`` lists their subcommands.
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list], extra: dict) -> None:

@@ -10,9 +10,10 @@ singular checks, and the quadratic trial's operator norm and its solve
 A^-1 X, both from the one reduction it runs.  Realizations singular to
 working precision are excluded and counted, never silently folded into
 averages.  Inverses (``_inverse``) run spectra's dgetrf and dgetri in the
-caller's buffer; only ``distance_to_complement_span`` (the singular
+caller's buffer, and ``distance_to_complement_span`` (the singular
 fallback of ``all_column_distances``, and ``quadratic_form_distance``)
-imports the scipy.linalg package, for its pivoted QR.
+runs spectra's dgeqp3 and dorgqr for its pivoted QR, so nothing here
+imports the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from .spectra import (
     _as_dense,
     _certified_spectrum,
     _extreme_singular_values,
+    dgeqp3,
     dgetrf,
     dgetri,
     dgetri_lwork,
+    dorgqr,
     singular_extremes,
 )
 from .stats import SlopeFit, determined_slope, wilson_interval
@@ -67,9 +70,11 @@ def _inverse(dense: np.ndarray) -> np.ndarray:
 def distance_to_complement_span(A, j: int) -> float:
     """Euclidean distance from column j to the span of the other columns.
 
-    Rank-revealing QR of the n x (n-1) block; the projection uses only
-    the numerically independent columns, so rank-deficient spans are
-    handled without error.
+    Rank-revealing QR of the n x (n-1) block (dgeqp3, then dorgqr for the
+    economic Q, each with its workspace queried by lwork=-1, as
+    ``scipy.linalg.qr(mode="economic", pivoting=True)`` runs them); the
+    projection uses only the numerically independent columns, so
+    rank-deficient spans are handled without error.
     """
     dense = _as_dense(A)
     n = dense.shape[0]
@@ -77,14 +82,17 @@ def distance_to_complement_span(A, j: int) -> float:
         raise ParameterError("need n >= 2")
     if not 0 <= j < n:
         raise ParameterError("column index out of range")
-    import scipy.linalg  # the package costs 0.25 s of start-up; only the singular paths get here
-
     block = np.delete(dense, j, axis=1)
     col = dense[:, j]
-    Q, R, _ = scipy.linalg.qr(block, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
+    qr, _, tau, _, info = dgeqp3(block, lwork=int(dgeqp3(block, lwork=-1)[3][0]), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dgeqp3 failed with info={info}")
+    diag = np.abs(np.diag(qr))
+    if diag[0] == 0.0:
         return float(np.linalg.norm(col))
+    Q, _, info = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"dorgqr failed with info={info}")
     rank = int(np.sum(diag > diag[0] * n * np.finfo(np.float64).eps))
     Qr = Q[:, :rank]
     return float(np.linalg.norm(col - Qr @ (Qr.T @ col)))

@@ -29,7 +29,8 @@ Every LAPACK and BLAS routine in the package is bound here, from scipy's
 two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
 ``_compiled_linalg`` loads without the scipy.linalg package; the
 certified eigenvectors come from dstebz and dstein directly.
-``inverse_geometry`` takes dgetrf and dgetri from here for its inverse.
+``inverse_geometry`` takes dgetrf and dgetri from here for its inverse,
+and dgeqp3 and dorgqr for its pivoted QR.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _compiled_linalg(name: str):
 
 
 _flapack, _fblas = _compiled_linalg("_flapack"), _compiled_linalg("_fblas")
-dgetrf, dgetri, dgetri_lwork, dgtsv = _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork, _flapack.dgtsv
-dormqr, dstebz, dstein = _flapack.dormqr, _flapack.dstebz, _flapack.dstein
+dgeqp3, dgetrf, dgetri, dgetri_lwork = _flapack.dgeqp3, _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork
+dgtsv, dorgqr, dormqr, dstebz, dstein = _flapack.dgtsv, _flapack.dorgqr, _flapack.dormqr, _flapack.dstebz, _flapack.dstein
 dsterf, dsytrd, dsytrd_lwork = _flapack.dsterf, _flapack.dsytrd, _flapack.dsytrd_lwork
 dsymm = _fblas.dsymm
 

@@ -239,11 +239,11 @@ def _tail_config(**overrides):
 def test_criterion_07_scaling_shape():
     t0 = time.monotonic()
     cfg = _tail_config(kind="scaling", n_grid=(100, 200, 400), p_grid=(0.5,), trials=300, master_seed=1007)
-    rep = scaling_consistency(cfg)
-    ratios = [c.ratio_to_prev for c in rep.cells if c.ratio_to_prev is not None]
+    cells = scaling_consistency(cfg)
+    ratios = [c.ratio_to_prev for c in cells if c.ratio_to_prev is not None]
     elapsed = time.monotonic() - t0
     ok = len(ratios) == 2 and all(1 / 3 <= r <= 3 for r in ratios)
-    medians = [f"{c.median_smin_scaled:.3f}" for c in rep.cells]
+    medians = [f"{c.median_smin_scaled:.3f}" for c in cells]
     _report(
         7,
         ok and elapsed < 300,

@@ -444,8 +444,8 @@ def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
         "from ssrmlab import spectra\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.blas, scipy.linalg.lapack\n"
-        "names = ['dgetrf', 'dgetri', 'dgetri_lwork', 'dgtsv', 'dormqr', 'dstebz', 'dstein', 'dsterf', 'dsytrd',"
-        " 'dsytrd_lwork']\n"
+        "names = ['dgeqp3', 'dgetrf', 'dgetri', 'dgetri_lwork', 'dgtsv', 'dorgqr', 'dormqr', 'dstebz', 'dstein',"
+        " 'dsterf', 'dsytrd', 'dsytrd_lwork']\n"
         "same = [getattr(scipy.linalg.lapack, n) is getattr(spectra, n) for n in names]\n"
         "same.append(scipy.linalg.blas.dsymm is spectra.dsymm)\n"
         "same.append(sys.modules['scipy.linalg._flapack'] is spectra._flapack)\n"
@@ -453,6 +453,19 @@ def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
         "print(all(same))"
     )
     assert _python(code, tmp_path) == "True"
+
+
+def test_singular_column_distances_skip_scipy_linalg(tmp_path):
+    # The singular fallback's pivoted QR runs spectra's dgeqp3 and dorgqr,
+    # not scipy.linalg.qr, so the package is never imported.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ssrmlab.inverse_geometry import all_column_distances\n"
+        "all_column_distances(np.ones((4, 4)), True)\n"
+        "print('scipy.linalg' in sys.modules)"
+    )
+    assert _python(code, tmp_path) == "False"
 
 
 def test_loader_fallback_gives_the_same_spectrum(tmp_path):

@@ -1,7 +1,7 @@
 import configparser
 import json
-import re
 import string
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +77,17 @@ def _kind_config(kind: str) -> str:
 
 
 def test_versions_agree():
-    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
-    assert ssrmlab.__version__ == ARTIFACT_VERSION == declared
+    # The version has one home, ssrmlab.__version__: the build reads it from
+    # there and the sidecars' artifact string is bound to it.
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        declared = read_configuration(pyproject, expand=False)["project"]
+        built = read_configuration(pyproject)["project"]
+    assert "version" not in declared and built["version"] == ssrmlab.__version__
+    assert ARTIFACT_VERSION is ssrmlab.__version__
 
 
 class TestWilson:
@@ -221,16 +229,16 @@ class TestExponentFit:
 class TestScaling:
     def test_single_n_no_ratio(self):
         cfg = _config(kind="scaling", n_grid=(16,), trials=8)
-        rep = scaling_consistency(cfg)
-        assert rep.cells[0].ratio_to_prev is None
+        cells = scaling_consistency(cfg)
+        assert cells[0].ratio_to_prev is None
 
     def test_two_point_grid(self):
         cfg = _config(kind="scaling", n_grid=(16, 32), trials=12)
-        rep = scaling_consistency(cfg)
-        assert len(rep.cells) == 2
-        ratio = rep.cells[1].ratio_to_prev
+        cells = scaling_consistency(cfg)
+        assert len(cells) == 2
+        ratio = cells[1].ratio_to_prev
         assert ratio is not None and 0.05 < ratio < 20
-        for cell in rep.cells:
+        for cell in cells:
             assert cell.median_cond_over_n > 0
 
     def test_trial_above_2048_reduces_once(self, monkeypatch):
@@ -247,8 +255,7 @@ class TestScaling:
     def test_dense_regime_p_one(self):
         # p = 1 runs the same pipeline in the dense-matrix regime.
         cfg = _config(kind="scaling", n_grid=(24, 48), p_grid=(1.0,), trials=20)
-        rep = scaling_consistency(cfg)
-        ratio = rep.cells[1].ratio_to_prev
+        ratio = scaling_consistency(cfg)[1].ratio_to_prev
         assert ratio is not None and 1 / 3 <= ratio <= 3
 
 
@@ -282,6 +289,16 @@ class TestRun:
         assert meta["config"]["seed"] == 7
         assert "structure_constants" not in meta
         assert meta["artifact"].startswith("ssrmlab-")
+
+    def test_grid_point_too_large_to_allocate(self, tmp_path, capsys):
+        # At n = 10^7 the first draw asks numpy for about 364 TiB, more than
+        # any address space holds, so it fails at once.
+        out = tmp_path / "r.csv"
+        path = self._write_config(tmp_path, CONFIG_TEXT.replace("n = 24", "n = 10000000").replace("out.csv", str(out)))
+        assert run(path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("memory error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
 
     @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
     def test_worker_count_does_not_change_csv(self, tmp_path, kind):
@@ -456,6 +473,30 @@ class TestConfigRejected:
         text = _kind_config("distance-check").replace("eps = 0.001,0.01,0.1", "eps = -0.1")
         self._assert_rejected(tmp_path, capsys, text, "got eps=-0.1")
 
+    @pytest.mark.parametrize(
+        "grid,needle",
+        [(("n = 24", "n = 0"), "grid.n >= 1"), (("p = 0.5", "p = 0"), "grid.p in (0, 1]"), (("p = 0.5", "p = 1.5"), "grid.p in (0, 1]")],
+    )
+    def test_smallball_cell_out_of_range(self, tmp_path, capsys, grid, needle):
+        self._assert_rejected(tmp_path, capsys, _kind_config("smallball").replace(*grid), needle)
+
+    def test_smallball_runs_at_n_one(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        path = tmp_path / "cfg.ini"
+        path.write_text(_kind_config("smallball").replace("n = 24", "n = 1"))
+        assert run(str(path), out=str(out)) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("seed = 7", f"seed = {seed}"), "experiment.seed")
+
+    def test_seed_override_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(CONFIG_TEXT)
+        assert run(str(path), dry_run=True, seed=-1) == 2
+        assert capsys.readouterr().err.startswith("config error: experiment.seed must lie in [0, 2^64)")
+
     def test_smallball_samples_no_matrix(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         path = tmp_path / "cfg.ini"
@@ -522,7 +563,7 @@ def _configs(draw) -> ExperimentConfig:
         n_grid=n_grid,
         p_grid=p_grid,
         trials=draw(st.integers(1, 10**9)),
-        master_seed=draw(st.integers(-(2**70), 2**70)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
         workers=draw(st.integers(1, 64)),
         out=draw(st.text(string.ascii_letters + string.digits + "._-/%", min_size=1)),
         extras=extras,

@@ -98,6 +98,38 @@ class TestAllColumnDistances:
         assert dists[1] == pytest.approx(0.0, abs=1e-12)
 
 
+def _scipy_qr_distances(A) -> np.ndarray:
+    """distance_to_complement_span for every column, through scipy.linalg.qr."""
+    import scipy.linalg
+
+    n = A.shape[0]
+    dists = []
+    for j in range(n):
+        col = A[:, j]
+        Q, R, _ = scipy.linalg.qr(np.delete(A, j, axis=1), mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        rank = int(np.sum(diag > diag[0] * n * np.finfo(np.float64).eps)) if diag[0] > 0 else 0
+        dists.append(np.linalg.norm(col - Q[:, :rank] @ (Q[:, :rank].T @ col)))
+    return np.array(dists)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.ones((4, 4)),
+        lambda: np.diag([1.0, 0.0, 0.0]),  # TestAllColumnDistances.test_singular_fallback's
+        lambda: np.array([[1.0, 1.0], [1.0, 1.0]]),
+        lambda: sample_matrix(EnsembleParams(8, 0.25, RAD), trial_stream(1, 0, 0)).to_dense(),
+    ],
+    ids=["ones", "one-entry", "rank-one", "singular-realization"],
+)
+def test_singular_distances_match_scipy_qr(make):
+    A = make()
+    want = _scipy_qr_distances(A)
+    scale = np.linalg.norm(A, axis=0).max()
+    np.testing.assert_allclose(all_column_distances(A, True), want, rtol=1e-12, atol=1e-12 * scale)
+
+
 class TestInverse:
     @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
     def test_column_norms_match_numpy(self, dist):

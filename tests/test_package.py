@@ -1,39 +1,32 @@
-"""The package's lazy re-exports behave like plain module attributes, and
-every definition in it has a caller outside its own unit tests."""
+"""The package module holds only its version, and every definition in the
+package has a caller outside its own unit tests."""
 
 import ast
-import importlib
 import pathlib
 
 import pytest
 
 import ssrmlab
 
-
-@pytest.mark.parametrize("name", ssrmlab.__all__)
-def test_export_is_the_defining_modules_object(name):
-    value = getattr(ssrmlab, name)
-    module = importlib.import_module(value.__module__)
-    assert module.__name__.startswith("ssrmlab.")
-    assert getattr(module, name) is value
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_dir_lists_all_and_every_export():
-    names = dir(ssrmlab)
-    assert "__all__" in names and "__version__" in names
-    assert set(ssrmlab.__all__) <= set(names)
+def test_package_holds_only_its_version():
+    # Callers import each name from the module that defines it, so the
+    # package module re-exports nothing: its body is its docstring and
+    # __version__.
+    tree = ast.parse((_ROOT / "src" / "ssrmlab" / "__init__.py").read_text(encoding="utf-8"))
+    docstring, *rest = tree.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert [ast.unparse(node) for node in rest] == [f"__version__ = {ssrmlab.__version__!r}"]
+    with pytest.raises(AttributeError):
+        ssrmlab.lcd
 
 
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         ssrmlab.no_such_name
     assert not hasattr(ssrmlab, "no_such_name")
-
-
-def test_star_import():
-    namespace = {}
-    exec("from ssrmlab import *", namespace)
-    assert {name: namespace[name] for name in ssrmlab.__all__} == {name: getattr(ssrmlab, name) for name in ssrmlab.__all__}
 
 
 def _identifiers(tree) -> set[str]:
@@ -47,9 +40,6 @@ def _identifiers(tree) -> set[str]:
         elif isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
     return names
-
-
-_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _src_trees() -> list:

@@ -20,9 +20,13 @@ Configs are parsed and checked without numpy: each kernel and runner
 imports numpy, ``ensemble`` and the modules it runs where it runs.
 
 Config schema: sections [experiment], [ensemble] and [grid], plus
-[params] with the keys of ``_PARAMS`` for the kind.  Any other section
-or key is a ConfigError.  C_op of the event |A| <= C_op sqrt(pn) is the
-constant ``spectra.C_OP``, not a key.
+[params] with the keys of the kind's record in ``_KINDS``.  Any other
+section or key is a ConfigError.  C_op of the event |A| <= C_op sqrt(pn)
+is the constant ``spectra.C_OP``, not a key.  ``ExperimentConfig`` checks
+every rule of the record, so a runner may assume: one (n, p) cell unless
+the kind sweeps the grid; every matrix cell in the ensemble, with p >= 1/n;
+one eps point or more, each >= 0, if the kind reads eps; and every [params]
+value, set or default, within its rule.
 """
 
 from __future__ import annotations
@@ -42,16 +46,14 @@ from .model import EnsembleParams, EntryDistribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
     import configparser
+    from collections.abc import Callable
 
     from .stats import SlopeFit
 
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
 
-# Kinds that run the first (n, p) cell only, so their grids hold one point.
-SINGLE_CELL_KINDS = ("norm-check", "distance-check", "smallball", "quadratic")
-
-# The keys each section admits; [params] keys depend on the kind.
+# The keys each section admits; [params] keys depend on the kind (``_KINDS``).
 _SECTION_KEYS = {
     "experiment": ("kind", "trials", "seed", "workers", "out"),
     "ensemble": ("dist",),
@@ -66,11 +68,25 @@ def _finite(text: str) -> float:
     return value
 
 
-# [params] keys each kind reads, with their parsers; other kinds take none.
-_PARAMS = {
-    "norm-check": {"cbar": _finite, "bvh_eps": _finite},
-    "distance-check": {"m": int, "rho": _finite},
-}
+@dataclass(frozen=True)
+class _Param:
+    """A [params] key's parser, default and rule; n is the first grid.n point."""
+
+    parse: Callable[[str], float]
+    default: Callable[[int], float]
+    holds: Callable[[float, int], bool]
+    rule: str  # ``holds`` as the config error states it; ``{n}`` is n
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind; ``ExperimentConfig`` checks every rule here before its runner runs."""
+
+    runner: Callable[[ExperimentConfig], _Table]
+    sweeps: bool = False  # every (n, p) cell of the grid, else one
+    vectors: bool = False  # samples vectors, not matrices
+    reads_eps: bool = False  # grid.eps: one point or more, each >= 0, any order
+    params: dict[str, _Param] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -114,9 +130,10 @@ class ExperimentConfig:
     extras: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        kind = _KINDS.get(self.kind)
+        if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r} (key experiment.kind)")
-        if not self.n_grid or not self.p_grid or not self.eps_grid:
+        if not self.n_grid or not self.p_grid:
             raise ConfigError("grids must be nonempty (section [grid])")
         if self.trials < 1:
             raise ConfigError("experiment.trials must be >= 1")
@@ -124,15 +141,13 @@ class ExperimentConfig:
             raise ConfigError("experiment.workers must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"experiment.seed must lie in [0, 2^64), got {self.master_seed}")
-        if self.kind in SINGLE_CELL_KINDS and self.cell_count() > 1:
+        if not kind.sweeps and self.cell_count() > 1:
             raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
-        for key in self.extras:
-            self.param(key)
-        if self.kind == "smallball":  # samples vectors, not matrices
+        if kind.vectors:
             if self.n_grid[0] < 1:
-                raise ConfigError(f"smallball needs grid.n >= 1, got {self.n_grid[0]}")
+                raise ConfigError(f"{self.kind} needs grid.n >= 1, got {self.n_grid[0]}")
             if not 0.0 < self.p_grid[0] <= 1.0:
-                raise ConfigError(f"smallball needs grid.p in (0, 1], got {self.p_grid[0]:g}")
+                raise ConfigError(f"{self.kind} needs grid.p in (0, 1], got {self.p_grid[0]:g}")
         else:
             for n in self.n_grid:
                 for p in self.p_grid:
@@ -142,35 +157,27 @@ class ExperimentConfig:
                         raise ConfigError(f"bad cell n={n}, p={p:g} (section [grid]): {exc}") from None
                     if p < 1.0 / n:
                         raise ConfigError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
-        if self.kind == "distance-check":
-            n, (eps, m, rho) = self.n_grid[0], self.distance_params()
-            if not 1 <= m < n:
-                raise ConfigError(f"distance-check needs 1 <= params.m < n, got m={m}, n={n}")
-            if eps < 0 or rho <= 0:
-                raise ConfigError(f"distance-check needs grid.eps >= 0 and params.rho > 0, got eps={eps:g}, rho={rho:g}")
-        if self.kind == "norm-check" and not 0.0 < self.param("bvh_eps", 0.5) <= 0.5:
-            raise ConfigError(f"norm-check needs params.bvh_eps in (0, 1/2], got {self.param('bvh_eps'):g}")
-        if self.kind in ("smallball", "quadratic") and min(self.eps_grid) < 0:
-            raise ConfigError(f"{self.kind} needs grid.eps >= 0, got {min(self.eps_grid):g}")
-        if self.kind == "quadratic" and list(self.eps_grid) != sorted(self.eps_grid):
-            raise ConfigError("quadratic needs grid.eps sorted ascending")
+        n = self.n_grid[0]
+        for key in dict.fromkeys([*self.extras, *kind.params]):
+            value, param = self.param(key), kind.params[key]
+            if not param.holds(value, n):
+                raise ConfigError(f"{self.kind} needs {param.rule.format(n=n)}, got params.{key} = {value:g}")
+        if kind.reads_eps and not (self.eps_grid and min(self.eps_grid) >= 0):
+            points = ",".join(f"{e:g}" for e in self.eps_grid) or "none"
+            raise ConfigError(f"{self.kind} needs grid.eps of one point or more, each >= 0, got eps={points}")
 
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
 
-    def param(self, key: str, default=None):
-        """[params] value ``key`` parsed for this kind, or ``default`` when unset."""
-        parse = _PARAMS.get(self.kind, {}).get(key)
-        if parse is None:
+    def param(self, key: str):
+        """[params] value ``key`` parsed for this kind, or its ``_KINDS`` default when unset."""
+        param = _KINDS[self.kind].params.get(key)
+        if param is None:
             raise ConfigError(f"unknown config key params.{key} for kind {self.kind}")
         try:
-            return parse(self.extras[key]) if key in self.extras else default
+            return param.parse(self.extras[key]) if key in self.extras else param.default(self.n_grid[0])
         except ValueError:
             raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
-
-    def distance_params(self) -> tuple[float, int, float]:
-        """distance-check's (eps, m, rho): grid.eps[0], and params.m and params.rho (n // 2 and 0.1 when unset)."""
-        return self.eps_grid[0], self.param("m", self.n_grid[0] // 2), self.param("rho", 0.1)
 
     def params_for(self, n: int, p: float) -> EnsembleParams:
         return EnsembleParams(n=n, p=p, dist=self.dist)
@@ -195,11 +202,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "out": cfg.out,
     }
     cp["ensemble"] = {"dist": _dist_to_text(cfg.dist)}
-    cp["grid"] = {
-        "n": ",".join(str(v) for v in cfg.n_grid),
-        "p": ",".join(f"{v:.17g}" for v in cfg.p_grid),
-        "eps": ",".join(f"{v:.17g}" for v in cfg.eps_grid),
-    }
+    cp["grid"] = {"n": ",".join(str(v) for v in cfg.n_grid), "p": ",".join(f"{v:.17g}" for v in cfg.p_grid)}
+    if cfg.eps_grid:
+        cp["grid"]["eps"] = ",".join(f"{v:.17g}" for v in cfg.eps_grid)
     if cfg.extras:
         cp["params"] = dict(cfg.extras)
     buf = io.StringIO()
@@ -261,7 +266,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"grid.n must hold integers: {cp['grid']['n']!r}")
     n_grid = tuple(int(v) for v in n_grid_f)
     p_grid = _parse_floats(_get(cp, "grid", "p", ""), "grid.p")
-    eps_grid = _parse_floats(_get(cp, "grid", "eps", "0.001"), "grid.eps")
+    eps_grid = _parse_floats(_get(cp, "grid", "eps", ""), "grid.eps")
     extras = dict(cp["params"]) if cp.has_section("params") else {}
     return ExperimentConfig(
         kind=kind,
@@ -313,7 +318,6 @@ def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
 
     One realization per (cell, trial) serves the whole eps grid, so
     success counts are exactly nondecreasing in eps within a cell.
-    ``ExperimentConfig`` has already rejected cells with p < 1/n.
     """
     from .spectra import C_OP
 
@@ -466,8 +470,9 @@ def _run_norm_check(cfg: ExperimentConfig) -> _Table:
     from .spectra import norm_bound_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
-    cbar, eps = cfg.param("cbar", 2.0), cfg.param("bvh_eps", 0.5)
-    rep = norm_bound_experiment(cfg.params_for(n, p), cfg.trials, cfg.master_seed, cbar, eps, cfg.workers)
+    rep = norm_bound_experiment(
+        cfg.params_for(n, p), cfg.trials, cfg.master_seed, cfg.param("cbar"), cfg.param("bvh_eps"), cfg.workers
+    )
     return (
         ["trial", "norm", "norm_over_sqrt_pn", "omega_event", "bvh_bound", "bvh_satisfied"],
         [[r.trial, r.norm, r.norm_over_sqrt_pn, r.omega_event, r.bvh_bound, r.bvh_satisfied] for r in rep.rows],
@@ -486,9 +491,8 @@ def _run_distance_check(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import invertibility_via_distance_experiment
 
     n, p = cfg.n_grid[0], cfg.p_grid[0]
-    eps, M, rho = cfg.distance_params()
     rep = invertibility_via_distance_experiment(
-        cfg.params_for(n, p), eps, M, rho, cfg.trials, cfg.master_seed, workers=cfg.workers
+        cfg.params_for(n, p), cfg.eps_grid[0], cfg.param("m"), cfg.param("rho"), cfg.trials, cfg.master_seed, cfg.workers
     )
     return (
         ["trial", "s_min", "minimizer_incompressible", "lhs_event", "rhs_value"],
@@ -546,17 +550,23 @@ def _run_quadratic(cfg: ExperimentConfig) -> _Table:
     )
 
 
-_RUNNERS = {
-    "tail-sweep": _run_tail_sweep,
-    "scaling": _run_scaling,
-    "norm-check": _run_norm_check,
-    "distance-check": _run_distance_check,
-    "smallball": _run_smallball,
-    "quadratic": _run_quadratic,
+# One record per experiment kind, in the order ``--help`` lists their subcommands.
+_KINDS = {
+    "tail-sweep": _Kind(_run_tail_sweep, sweeps=True, reads_eps=True),
+    "scaling": _Kind(_run_scaling, sweeps=True),
+    "norm-check": _Kind(_run_norm_check, params={
+        "cbar": _Param(_finite, lambda n: 2.0, lambda v, n: v > 0, "params.cbar > 0"),
+        "bvh_eps": _Param(_finite, lambda n: 0.5, lambda v, n: 0 < v <= 0.5, "params.bvh_eps in (0, 1/2]"),
+    }),
+    "distance-check": _Kind(_run_distance_check, reads_eps=True, params={
+        "m": _Param(int, lambda n: n // 2, lambda v, n: 1 <= v < n, "1 <= params.m < n = {n}"),
+        "rho": _Param(_finite, lambda n: 0.1, lambda v, n: v > 0, "params.rho > 0"),
+    }),
+    "smallball": _Kind(_run_smallball, vectors=True, reads_eps=True),
+    "quadratic": _Kind(_run_quadratic, reads_eps=True),
 }
 
-# The experiment kinds, in the order ``--help`` lists their subcommands.
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list], extra: dict) -> None:
@@ -607,7 +617,7 @@ def run(
                 f"trials/cell={cfg.trials} eps points={len(cfg.eps_grid)} -> {cfg.out}"
             )
             return 0
-        _write_outputs(cfg, *_RUNNERS[cfg.kind](cfg))
+        _write_outputs(cfg, *_KINDS[cfg.kind].runner(cfg))
     except REPORTED as exc:
         return report(exc)
     return 0

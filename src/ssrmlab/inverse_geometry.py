@@ -221,16 +221,10 @@ def invertibility_via_distance_experiment(
     minimizing eigenvector is (M, rho)-incompressible.  Right side: mean
     over trials of (1/M) #{j : dist(A_j, H_j) <= sqrt(p) eps}.  The
     certified comparison allows one-sided CI slack on both estimates.
+    Needs eps >= 0, rho > 0, trials >= 1 (checked by ``harness``) and
+    1 <= M < n (by ``sparse_tail_distance``).
     """
-    if not 1 <= M < params.n:
-        raise ParameterError("need 1 <= M < n")
-    if eps < 0 or rho <= 0:
-        raise ParameterError("need eps >= 0 and rho > 0")
-    if trials < 0:
-        raise ParameterError("trials must be nonnegative")
     rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
-    if trials == 0:
-        return DistanceExperimentReport((), math.nan, (0.0, 1.0), math.nan, math.nan, True)
     lhs_hits = sum(r.lhs_event for r in rows)
     lhs_hat = lhs_hits / trials
     lhs_ci = wilson_interval(lhs_hits, trials)
@@ -277,15 +271,9 @@ def quadratic_smallball_experiment(
     sqrt(1 + |A^-1 X|^2), and counts |q - u| / normalizer <= eps sqrt(p)
     jointly with the operator-norm event |A| <= C_OP sqrt(pn), at u = 0
     and at the empirical median of q.  Realizations are reused across the
-    whole eps grid, so the curves are exactly monotone.
+    whole eps grid, in any order, so the curves are exactly monotone in eps.
+    Needs eps points >= 0, one or more, and trials >= 1 (checked by ``harness``).
     """
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if any(e < 0 for e in eps_grid) or not eps_grid:
-        raise ParameterError("eps grid must be nonempty and nonnegative")
-    if sorted(eps_grid) != list(eps_grid):
-        raise ParameterError("eps grid must be sorted ascending")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
     records = run_trials(partial(_quadratic_trial, master_seed), [params], trials, workers)[0]
     kept = [r for r in records if r is not None]
     if not kept:

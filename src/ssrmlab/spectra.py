@@ -390,8 +390,8 @@ def norm_bound_experiment(
     params: EnsembleParams,
     trials: int,
     master_seed: int,
-    cbar: float = 2.0,
-    eps: float = 0.5,
+    cbar: float,
+    eps: float,
     workers: int = 1,
 ) -> NormBoundReport:
     """Per-trial spectral norms plus the Gaussian comparison check.
@@ -401,9 +401,9 @@ def norm_bound_experiment(
     reuses A's mask for a Gaussian matrix W and compares |W| against the
     comparison bound of the realized mask profile.  The report's
     ``violation_fraction`` counts the trials with |A| > C_OP sqrt(pn).
+    Needs cbar > 0, trials >= 1 (checked by ``harness``) and eps in (0, 1/2]
+    (by ``bvh_bound``).
     """
-    if trials < 0:
-        raise ParameterError("trials must be nonnegative")
     kernel = partial(_norm_bound_trial, master_seed, cbar, eps)
     rows = run_trials(kernel, [params], trials, workers)[0]
     return NormBoundReport(tuple(rows))

@@ -17,7 +17,6 @@ from ssrmlab import harness
 from ssrmlab.harness import (
     ARTIFACT_VERSION,
     EXPERIMENT_KINDS,
-    SINGLE_CELL_KINDS,
     ExperimentConfig,
     TailEstimate,
     config_from_text,
@@ -74,6 +73,10 @@ def _kind_config(kind: str) -> str:
     if kind == "quadratic":
         text = text.replace("eps = 0.001,0.01,0.1", "eps = 0.01,0.1,1.0,3.0,10.0")
     return text
+
+
+# The kinds whose record reads grid.eps.
+_EPS_KINDS = [k for k in EXPERIMENT_KINDS if harness._KINDS[k].reads_eps]
 
 
 def test_versions_agree():
@@ -362,6 +365,34 @@ class TestRun:
         assert len(lines) > 2
         assert (tmp_path / f"{kind}.csv.meta.json").exists()
 
+    def test_quadratic_eps_in_any_order(self, tmp_path):
+        # One set of realizations serves every eps point, so a permuted grid
+        # writes the same rows, permuted, and fits the same slopes (to a last
+        # bit, which the order of the fit's sums may move).
+        grid = "eps = 0.01,0.1,1.0,3.0,10.0"
+        outputs = []
+        for name, eps in (("sorted", grid), ("permuted", "eps = 3.0,0.01,10.0,1.0,0.1")):
+            out = tmp_path / f"{name}.csv"
+            path = self._write_config(tmp_path, _kind_config("quadratic").replace(grid, eps).replace("out.csv", str(out)))
+            assert run(path) == 0
+            meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+            outputs.append((out.read_text().splitlines(), meta["results"]))
+        (lines, results), (permuted_lines, permuted_results) = outputs
+        assert permuted_lines[:2] == lines[:2]
+        assert permuted_lines[2:] == [lines[2 + k] for k in (3, 0, 4, 2, 1)]
+        assert permuted_results["excluded_singular"] == results["excluded_singular"]
+        for fit in ("slope_zero", "slope_median"):
+            assert permuted_results[fit] == pytest.approx(results[fit], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k not in _EPS_KINDS])
+    def test_eps_unset_is_empty(self, kind):
+        # A kind that reads no eps takes an empty grid when none is written,
+        # and its config text then writes none.
+        text = "\n".join(line for line in _kind_config(kind).splitlines() if not line.startswith("eps ="))
+        cfg = config_from_text(text)
+        assert cfg.eps_grid == ()
+        assert "eps" not in config_to_text(cfg)
+
 
 class TestConfigRejected:
     """Each bad config ends in exit 2, one stderr line and no output, under --dry-run too."""
@@ -377,7 +408,7 @@ class TestConfigRejected:
             assert captured.err.count("\n") == 1 and needle in captured.err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["norm-check", "distance-check", "smallball", "quadratic"])
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if not harness._KINDS[k].sweeps])
     @pytest.mark.parametrize("grid", [("n = 24", "n = 24,32"), ("p = 0.5", "p = 0.5,0.2")])
     def test_single_cell_kind_rejects_grid(self, tmp_path, capsys, kind, grid):
         self._assert_rejected(tmp_path, capsys, _kind_config(kind).replace(*grid), "one (n, p) cell")
@@ -416,6 +447,11 @@ class TestConfigRejected:
     def test_non_finite_value(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, _kind_config("norm-check") + "\n[params]\ncbar = nan\n", "params.cbar")
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_cbar_not_positive(self, tmp_path, capsys, value):
+        text = _kind_config("norm-check") + f"\n[params]\ncbar = {value}\n"
+        self._assert_rejected(tmp_path, capsys, text, "norm-check needs params.cbar > 0")
+
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_ensemble_c_op(self, tmp_path, capsys, kind):
         text = _kind_config(kind).replace("dist = rademacher", "dist = rademacher\nc_op = 3.0")
@@ -433,7 +469,7 @@ class TestConfigRejected:
         text = _kind_config("distance-check").replace("n = 24", "n = 20") + f"\n[params]\nm = {m}\n"
         self._assert_rejected(tmp_path, capsys, text, "1 <= params.m < n")
 
-    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k != "smallball"])
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if not harness._KINDS[k].vectors])
     def test_sparsity_below_one_over_n(self, tmp_path, capsys, kind):
         text = _kind_config(kind).replace("n = 24", "n = 20").replace("p = 0.5", "p = 0.01")
         self._assert_rejected(tmp_path, capsys, text, "infeasible cell n=20, p=0.01")
@@ -451,22 +487,24 @@ class TestConfigRejected:
         text = _kind_config("norm-check") + f"\n[params]\nbvh_eps = {value}\n"
         self._assert_rejected(tmp_path, capsys, text, "params.bvh_eps in (0, 1/2]")
 
-    def test_quadratic_eps_not_ascending(self, tmp_path, capsys):
-        text = _kind_config("quadratic").replace("eps = 0.01,0.1,1.0,3.0,10.0", "eps = 1.0,0.1")
-        self._assert_rejected(tmp_path, capsys, text, "grid.eps sorted ascending")
-
-    @pytest.mark.parametrize("kind", ["quadratic", "smallball"])
+    @pytest.mark.parametrize("kind", _EPS_KINDS)
     def test_negative_eps(self, tmp_path, capsys, kind):
         text = _kind_config(kind).replace("eps = 0.001,0.01,0.1", "eps = -0.5,0.1").replace(
             "eps = 0.01,0.1,1.0,3.0,10.0", "eps = -0.5,0.1"
         )
-        self._assert_rejected(tmp_path, capsys, text, "grid.eps >= 0")
+        self._assert_rejected(tmp_path, capsys, text, f"{kind} needs grid.eps of one point or more, each >= 0, got eps=-0.5,0.1")
+
+    @pytest.mark.parametrize("kind", _EPS_KINDS)
+    def test_missing_eps(self, tmp_path, capsys, kind):
+        # No silent default eps: a kind that reads grid.eps needs it written.
+        text = "\n".join(line for line in _kind_config(kind).splitlines() if not line.startswith("eps ="))
+        self._assert_rejected(tmp_path, capsys, text, f"{kind} needs grid.eps of one point or more, each >= 0, got eps=none")
 
     @pytest.mark.parametrize("params", ["eps = -1", "rho = 0", "rho = -0.5"])
     def test_distance_check_eps_rho(self, tmp_path, capsys, params):
         # distance-check's threshold is grid.eps alone: params.eps is unknown.
         text = _kind_config("distance-check") + f"\n[params]\n{params}\n"
-        needle = "unknown config key params.eps" if params.startswith("eps") else "grid.eps >= 0 and params.rho > 0"
+        needle = "unknown config key params.eps" if params.startswith("eps") else "distance-check needs params.rho > 0"
         self._assert_rejected(tmp_path, capsys, text, needle)
 
     def test_distance_check_default_eps_from_grid(self, tmp_path, capsys):
@@ -531,7 +569,8 @@ def _finite_floats(**kwargs):
 @st.composite
 def _configs(draw) -> ExperimentConfig:
     kind = draw(st.sampled_from(EXPERIMENT_KINDS))
-    cells = 1 if kind in SINGLE_CELL_KINDS else 3
+    record = harness._KINDS[kind]
+    cells = 3 if record.sweeps else 1
     n_grid = tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=cells)))
     p_grid = tuple(draw(st.lists(_finite_floats(min_value=1.0 / min(n_grid), max_value=1.0), min_size=1, max_size=cells)))
     dist = draw(
@@ -542,14 +581,11 @@ def _configs(draw) -> ExperimentConfig:
             _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(EntryDistribution.two_point),
         )
     )
-    number = _finite_floats().map(repr)
-    eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=1, max_size=4)))
-    if kind in ("distance-check", "smallball", "quadratic"):  # these read eps >= 0
+    eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=int(record.reads_eps), max_size=4)))
+    if record.reads_eps:
         eps_grid = tuple(abs(e) for e in eps_grid)
-    if kind == "quadratic":
-        eps_grid = tuple(sorted(eps_grid))
     if kind == "norm-check":
-        extras = draw(st.dictionaries(st.just("cbar"), number))
+        extras = draw(st.dictionaries(st.just("cbar"), _finite_floats(min_value=0.0, exclude_min=True).map(repr)))
         extras.update(draw(st.dictionaries(st.just("bvh_eps"), _finite_floats(min_value=0.0, max_value=0.5, exclude_min=True).map(repr))))
     elif kind == "distance-check":
         extras = draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True).map(repr)))
@@ -663,7 +699,7 @@ _NOT_VALUES = ("experiment.kind", "experiment.workers", "experiment.out")
 
 # Known gaps: no scaling or norm-check result reads grid.eps, and
 # distance-check reads its first point only, yet all three admit it.
-_EPS_UNREAD = {"scaling": "0.5,0.7", "norm-check": "0.5,0.7"}
+_EPS_UNREAD = {kind: "0.5,0.7" for kind in EXPERIMENT_KINDS if kind not in _EPS_KINDS}
 _EPS_GAP = pytest.mark.xfail(
     strict=True, reason="perfbench writes grid.eps for every kind, so rejecting it needs a benchmark-only change first"
 )
@@ -671,7 +707,7 @@ _EPS_GAP = pytest.mark.xfail(
 
 def _admitted(kind: str) -> list[str]:
     keys = [f"{section}.{key}" for section, keys in harness._SECTION_KEYS.items() for key in keys]
-    return [k for k in keys if k not in _NOT_VALUES] + [f"params.{key}" for key in harness._PARAMS.get(kind, {})]
+    return [k for k in keys if k not in _NOT_VALUES] + [f"params.{key}" for key in harness._KINDS[kind].params]
 
 
 _KEY_CASES = [

@@ -229,3 +229,21 @@ def test_every_parameter_is_read():
             loaded = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unused += [f"{qualname}({arg.arg})" for arg in params if arg.arg not in loaded]
     assert not unused, f"parameters no body reads: {', '.join(unused)}"
+
+
+def test_each_kind_is_named_once():
+    # A kind's facts live in its one harness._KINDS record, so its name is a
+    # string constant exactly once in src/: the record's key.
+    from ssrmlab import harness
+
+    trees = _src_trees()
+    named = [node.value for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in harness._KINDS]
+    table = next(
+        node.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_KINDS"]
+    )
+    keys = [key.value for key in table.keys]
+    assert keys == list(harness._KINDS)
+    assert sorted(named) == sorted(keys), f"kind names outside the _KINDS keys: {sorted(set(named) - set(keys)) or named}"

@@ -238,11 +238,11 @@ class TestBvhBound:
 
 class TestNormBoundExperiment:
     def test_empty(self):
-        report = norm_bound_experiment(EnsembleParams(50, 0.5, RAD), 0, master_seed=1)
+        report = norm_bound_experiment(EnsembleParams(50, 0.5, RAD), 0, master_seed=1, cbar=2.0, eps=0.5)
         assert report.rows == ()
 
     def test_omega_event_fraction(self):
-        report = norm_bound_experiment(EnsembleParams(400, 0.5, RAD), 50, master_seed=2)
+        report = norm_bound_experiment(EnsembleParams(400, 0.5, RAD), 50, master_seed=2, cbar=2.0, eps=0.5)
         assert len(report.rows) == 50
         assert report.omega_fraction >= 0.98
         assert 1.5 <= report.mean_ratio <= 3.0
@@ -251,16 +251,16 @@ class TestNormBoundExperiment:
     def test_omega_event_nonvacuous_sparsity(self):
         # At p=0.2 the row-count threshold 2pn = 160 < n, so the event is
         # a real constraint; binomial rows at mean 80 still clear it.
-        report = norm_bound_experiment(EnsembleParams(400, 0.2, RAD), 15, master_seed=4)
+        report = norm_bound_experiment(EnsembleParams(400, 0.2, RAD), 15, master_seed=4, cbar=2.0, eps=0.5)
         assert report.omega_fraction == 1.0
 
     def test_gaussian_comparison_bound_holds(self):
-        report = norm_bound_experiment(EnsembleParams(200, 0.5, GAUSS), 10, master_seed=3)
+        report = norm_bound_experiment(EnsembleParams(200, 0.5, GAUSS), 10, master_seed=3, cbar=2.0, eps=0.5)
         assert report.bvh_fraction >= 0.9
 
     def test_violation_fraction_reads_c_op(self):
         # |A| / sqrt(pn) lies near 2 here, below C_OP = 3.
-        assert norm_bound_experiment(EnsembleParams(100, 0.5, RAD), 5, master_seed=2).violation_fraction == 0.0
+        assert norm_bound_experiment(EnsembleParams(100, 0.5, RAD), 5, master_seed=2, cbar=2.0, eps=0.5).violation_fraction == 0.0
         rows = tuple(NormBoundRow(t, 1.0, ratio, True, 1.0, True) for t, ratio in enumerate((C_OP, C_OP + 1e-9)))
         assert NormBoundReport(rows).violation_fraction == 0.5
 

@@ -220,56 +220,6 @@ def sample_sparse_vector(
     return out
 
 
-def row_witness_sets(
-    A: SparseSymmetricMatrix,
-    J: Sequence[int],
-    Jp: Sequence[int],
-    s: Sequence[int],
-    c1: float,
-) -> tuple[set[int], set[int]]:
-    """Witness row sets for the sparse-vector lower-bound argument.
-
-    I1: rows outside J u J' whose restriction to the J columns has exactly
-    one nonzero entry, and that entry has magnitude >= c1 with the sign
-    prescribed for its column.  I0: rows outside J u J' with all J'
-    columns zero.  ``s`` is aligned with the order of ``J``.
-    """
-    J = list(J)
-    Jp = list(Jp)
-    if set(J) & set(Jp):
-        raise ParameterError("J and J' must be disjoint")
-    if len(s) != len(J):
-        raise ParameterError("sign vector must align with J")
-    if c1 <= 0:
-        raise ParameterError("c1 must be positive")
-    sgn = np.asarray(s, dtype=np.float64)
-    if np.any(np.abs(sgn) != 1.0):
-        raise ParameterError("signs must be +-1")
-
-    dense = A.to_dense()
-    excluded = set(J) | set(Jp)
-    rows = np.array([i for i in range(A.n) if i not in excluded], dtype=np.int64)
-    if rows.size == 0:
-        return set(), set()
-
-    if J:
-        sub = dense[np.ix_(rows, J)]
-        nonzero = sub != 0.0
-        counts = nonzero.sum(axis=1)
-        good = (np.abs(sub) >= c1) & (np.sign(sub) == sgn)
-        one_hit = (counts == 1) & ((nonzero & good).sum(axis=1) == 1)
-        i1 = set(int(r) for r in rows[one_hit])
-    else:
-        i1 = set()
-
-    if Jp:
-        zero_rows = (dense[np.ix_(rows, Jp)] != 0.0).sum(axis=1) == 0
-        i0 = set(int(r) for r in rows[zero_rows])
-    else:
-        i0 = set(int(r) for r in rows)
-    return i1, i0
-
-
 def dump_matrix(
     target: str | TextIO,
     A: SparseSymmetricMatrix,

@@ -1,19 +1,19 @@
-"""Distance-to-subspace identities and the incompressible-vector experiments.
+"""The distance-check and quadratic experiments: column distances to the
+complementary spans, and the quadratic form of the inverse.
 
 Every eigenvalue here comes from the one kernel in ``spectra``, at any
 n.  The distance-check trial reduces its matrix once: its
 ``_certified_spectrum`` gives s_min, the singular verdict (by
 ``singular_extremes``, the package's one singular rule) and the certified
 eigenvector, and ``all_column_distances`` takes that verdict rather than
-reducing the matrix again.  ``_extreme_singular_values`` serves the other
-singular checks, and the quadratic trial's operator norm and its solve
-A^-1 X, both from the one reduction it runs.  Realizations singular to
-working precision are excluded and counted, never silently folded into
+reducing the matrix again.  The quadratic trial's one reduction, by
+``_extreme_singular_values``, gives its operator norm, its singular
+verdict and its solve A^-1 X.  Realizations singular to working
+precision are excluded and counted, never silently folded into
 averages.  Inverses (``_inverse``) run spectra's dgetrf and dgetri in the
 caller's buffer, and ``distance_to_complement_span`` (the singular
-fallback of ``all_column_distances``, and ``quadratic_form_distance``)
-runs spectra's dgeqp3 and dorgqr for its pivoted QR, so nothing here
-imports the scipy.linalg package.
+fallback of ``all_column_distances``) runs spectra's dgeqp3 and dorgqr
+for its pivoted QR, so nothing here imports the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ from .spectra import (
 )
 from .stats import SlopeFit, determined_slope, wilson_interval
 from .structure import sparse_tail_distance
-
-
-@dataclass(frozen=True)
-class DistanceRecord:
-    geometric_distance: float
-    quadratic_form_distance: float | None
-    b_singular: bool
 
 
 def _inverse(dense: np.ndarray) -> np.ndarray:
@@ -98,26 +91,6 @@ def distance_to_complement_span(A, j: int) -> float:
     return float(np.linalg.norm(col - Qr @ (Qr.T @ col)))
 
 
-def quadratic_form_distance(A) -> DistanceRecord:
-    """dist(A_1, H_1) through the quadratic-form identity, for column 0.
-
-    With B the trailing minor and X the first column below the diagonal,
-    the distance equals |<B^-1 X, X> - a_11| / sqrt(1 + |B^-1 X|^2).
-    A singular minor is flagged rather than raised.
-    """
-    dense = _as_dense(A)
-    if dense.shape[0] < 2:
-        raise ParameterError("need n >= 2")
-    geometric = distance_to_complement_span(dense, 0)
-    X = dense[1:, 0]
-    a11 = float(dense[0, 0])
-    y = _extreme_singular_values(dense[1:, 1:], X)[2]
-    if y is None:
-        return DistanceRecord(geometric, None, True)
-    value = abs(float(y @ X) - a11) / math.sqrt(1.0 + float(y @ y))
-    return DistanceRecord(geometric, value, False)
-
-
 def all_column_distances(A, singular: bool) -> np.ndarray:
     """dist(A_j, H_j) for every j, given A's verdict under ``spectra.is_singular``.
 
@@ -130,47 +103,6 @@ def all_column_distances(A, singular: bool) -> np.ndarray:
     if not singular:
         return 1.0 / np.linalg.norm(_inverse(dense), axis=0)
     return np.array([distance_to_complement_span(dense, j) for j in range(dense.shape[0])])
-
-
-@dataclass(frozen=True)
-class InverseImageReport:
-    excluded_singular: int
-    identity_mean: float
-
-
-def _inverse_image_trial(master_seed: int, x_draws: int, params: EnsembleParams, c: int, t: int):
-    """(|A^-1 X_k| over the draws, |A^-1|_HS), or None for a singular A."""
-    # The trial's own Fortran-ordered buffer, which _inverse overwrites.
-    dense = _as_dense(sample_matrix(params, trial_stream(master_seed, c, t)))
-    if _extreme_singular_values(dense)[0] == 0.0:
-        return None
-    inv = _inverse(dense)
-    streams = [trial_stream(master_seed, 2, t * x_draws + k) for k in range(x_draws)]
-    Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
-    return np.linalg.norm(inv @ Xs, axis=0), np.linalg.norm(inv)
-
-
-def inverse_image_experiment(
-    params: EnsembleParams,
-    matrices: int,
-    x_draws: int,
-    master_seed: int,
-) -> InverseImageReport:
-    """The first-moment identity of the inverse image.
-
-    identity_mean averages |A^-1 X|^2 / (p |A^-1|_HS^2) over ``x_draws``
-    fresh X for each of ``matrices`` matrices; its population value is
-    exactly 1.
-    """
-    if matrices < 1 or x_draws < 1:
-        raise ParameterError("need at least one matrix and one draw")
-    records = run_trials(partial(_inverse_image_trial, master_seed, x_draws), [params], matrices)[0]
-    kept = [r for r in records if r is not None]
-    if not kept:
-        raise ParameterError("all sampled matrices were singular")
-    imgs = np.concatenate([img for img, _ in kept])
-    hs = np.repeat([h for _, h in kept], x_draws)
-    return InverseImageReport(matrices - len(kept), float(np.mean(imgs**2 / (params.p * hs * hs))))
 
 
 @dataclass(frozen=True)

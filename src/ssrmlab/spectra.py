@@ -8,13 +8,14 @@ eigenvectors of the smallest and largest in magnitude, certified by
 their residuals; it serves ``full_symmetric_spectrum`` (and so every
 tail-sweep and scaling trial), ``spectral_summary`` and the
 distance-check trial.  ``_extreme_singular_values``: (s_min, s_max) by
-dstebz at single indices, a different eigenvalue algorithm, so the
-routes cross-check each other; it serves ``smallest_singular_value``,
-``spectral_norm`` and the other singular checks in ``inverse_geometry``.
-Given a right-hand side b it also solves A y = b from the same
-reduction, y = Q T^-1 Q^T b with T by dgtsv, unless A is singular: the
-quadratic trial's one solve.  Both routes turn eigenvalues into
-(s_min, s_max) with ``singular_extremes``.
+dstebz at single indices, a different eigenvalue algorithm; it serves
+``smallest_singular_value``, ``spectral_norm`` and the quadratic trial in
+``inverse_geometry``.  Given a right-hand side b it also solves A y = b
+from the same reduction, y = Q T^-1 Q^T b with T by dgtsv, unless A is
+singular: the quadratic trial's one solve.  Both routes turn eigenvalues
+into (s_min, s_max) with ``singular_extremes``.  No run checks one route
+against the other; only acceptance criterion 2 cross-checks, comparing
+``smallest_singular_value`` with numpy's eigvalsh.
 
 Ownership: both routes take a ``SparseSymmetricMatrix`` or an array and
 never write to the caller's array.  ``_as_dense`` gives each call one

@@ -11,13 +11,11 @@ scan walks the intervals in order and brackets the first sign change.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import RngStream
 from .errors import ParameterError
 
 _UNIT_TOL = 1e-9
@@ -30,18 +28,14 @@ _LCD_WINDOW = 1 << 14
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Tunable constants for the structure classification and LCD search.
+    """The constants of ``classify_vector`` and ``spread_set``.
 
-    Defaults satisfy the convention (1/4) c_s c_d^2 <= c_oo <= 1/4 and
-    0 < lambda < c_oo.  ``classify_vector`` reads c_s, c_d and c_oo; lam
-    and L are the regularized LCD's subset fraction and scale.
+    Defaults satisfy the convention (1/4) c_s c_d^2 <= c_oo <= 1/4.
     """
 
     c_s: float = 0.1
     c_d: float = 0.1
     c_oo: float = 0.025
-    lam: float = 0.01
-    L: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.c_s < 1.0:
@@ -53,10 +47,6 @@ class StructureConstants:
             raise ParameterError(
                 f"c_oo must lie in [{lo:g}, 0.25], got {self.c_oo!r}"
             )
-        if not 0.0 < self.lam < self.c_oo:
-            raise ParameterError("lambda must lie in (0, c_oo)")
-        if not 1.0 <= self.L < math.inf:
-            raise ParameterError("L must be finite and >= 1")
 
     def sparsity_budget(self, n: int) -> int:
         """Integer sparsity budget m for Comp(c_s n, c_d) at dimension n."""
@@ -64,9 +54,6 @@ class StructureConstants:
 
     def spread_size(self, n: int) -> int:
         return int(math.ceil(self.c_oo * n))
-
-    def subset_size(self, n: int) -> int:
-        return int(math.ceil(self.lam * n))
 
 
 @dataclass(frozen=True)
@@ -84,13 +71,6 @@ class LcdResult:
     witness_theta: float
     witness_dist: float
     capped: bool
-
-
-@dataclass(frozen=True)
-class RegularizedLcdResult:
-    lower_bound: float
-    witness_subset: tuple[int, ...]
-    exact: bool
 
 
 def _check_unit(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -350,59 +330,6 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
         witness_dist=math.nan,
         capped=True,
     )
-
-
-def regularized_lcd(x, consts: StructureConstants, budget: int, stream: RngStream) -> RegularizedLcdResult:
-    """max D_L(x_I / |x_I|) over subsets I of spread(x) with |I| = ceil(lambda n),
-    each D_L from ``lcd`` at its default cap and tolerance.
-
-    Exact (full enumeration) when the subset count fits in ``budget``;
-    otherwise the best of ``budget`` uniformly sampled subsets, which is
-    a certified lower bound.  Sampling consumes the stream one subset at
-    a time, so a larger budget extends a smaller one's candidate list.
-    """
-    x = _check_unit(x)
-    n = x.size
-    spread = spread_set(x, consts)
-    if spread is None:
-        raise ParameterError("spread set undefined; regularized LCD needs an incompressible vector")
-    k = consts.subset_size(n)
-    if k > spread.size:
-        raise ParameterError("subset size exceeds the spread set")
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
-
-    total = math.comb(spread.size, k)
-    best_val = -math.inf
-    best_subset: tuple[int, ...] | None = None
-    any_capped = False
-
-    def eval_subset(idx: np.ndarray) -> float:
-        nonlocal any_capped
-        sub = x[idx]
-        sub = sub / np.linalg.norm(sub)
-        res = lcd(sub, consts.L)
-        if res.capped:
-            any_capped = True
-        return res.value
-
-    if total <= budget:
-        for combo in itertools.combinations(spread.tolist(), k):
-            idx = np.array(combo, dtype=np.int64)
-            val = eval_subset(idx)
-            if val > best_val:
-                best_val, best_subset = val, tuple(int(i) for i in idx)
-        exact = not any_capped
-    else:
-        rng = stream.generator()
-        for _ in range(budget):
-            pick = rng.choice(spread.size, size=k, replace=False)
-            idx = np.sort(spread[pick])
-            val = eval_subset(idx)
-            if val > best_val:
-                best_val, best_subset = val, tuple(int(i) for i in idx)
-        exact = False
-    return RegularizedLcdResult(float(best_val), best_subset, exact)
 
 
 def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> StructureReport:

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 3 asserts the provable LCD lower bound
-D_L(x) >= 1/(2||x||inf) and replays the witness of every counterexample
-to the unhalved bound D_L(x) >= 1/||x||inf, which is false as stated.
-Every criterion must pass.
+lines.  Criteria 1, 4, 6, 10 and 11 check lemmas of the argument with
+the helpers in ``tests/lemmas.py``, which no CLI kind runs.  Criterion 3
+asserts the provable LCD lower bound D_L(x) >= 1/(2||x||inf) and replays
+the witness of every counterexample to the unhalved bound
+D_L(x) >= 1/||x||inf, which is false as stated.  Every criterion must
+pass.
 """
 
 import itertools
@@ -13,16 +15,19 @@ import time
 
 import numpy as np
 
-from ssrmlab.ensemble import RngStream, row_witness_sets, sample_matrix, sample_sparse_vector
-from ssrmlab.harness import ExperimentConfig, run, scaling_consistency, tail_sweep
-from ssrmlab.inverse_geometry import (
+from lemmas import (
+    decoupling_consequence_check,
     inverse_image_experiment,
     quadratic_form_distance,
+    regularized_lcd,
+    row_witness_sets,
 )
+from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector
+from ssrmlab.harness import ExperimentConfig, run, scaling_consistency, tail_sweep
 from ssrmlab.model import EnsembleParams, EntryDistribution
-from ssrmlab.smallball import decoupling_consequence_check, levy_concentration_scalar
+from ssrmlab.smallball import levy_concentration_scalar
 from ssrmlab.spectra import norm_bound_experiment, smallest_singular_value
-from ssrmlab.structure import StructureConstants, lcd, regularized_lcd, spread_set
+from ssrmlab.structure import StructureConstants, lcd, spread_set
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
@@ -166,31 +171,31 @@ def test_criterion_03_lcd_correctness():
 
 def test_criterion_04_regularized_lcd():
     # n = 12 with |spread| = 3 and subsets of size 2: exhaustive coverage.
-    consts = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25, lam=0.16)
+    consts, lam = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25), 0.16
     rng = np.random.default_rng(1004)
     x = rng.standard_normal(12)
     x /= np.linalg.norm(x)
     spread = spread_set(x, consts)
     assert spread is not None and spread.size == 3
-    assert consts.subset_size(12) == 2
+    assert math.ceil(lam * 12) == 2
 
-    exact = regularized_lcd(x, consts, budget=3, stream=RngStream(0, 0))
+    exact = regularized_lcd(x, consts, lam, budget=3, stream=RngStream(0, 0))
     assert exact.exact
     best = -math.inf
     for combo in itertools.combinations(spread.tolist(), 2):
         sub = x[list(combo)]
         sub /= np.linalg.norm(sub)
-        best = max(best, lcd(sub, consts.L).value)
+        best = max(best, lcd(sub, 1.0).value)
     agree = abs(exact.lower_bound - best) <= 1e-9
 
     below = 0
     replay_worst = 0.0
     for t in range(100):
-        rand = regularized_lcd(x, consts, budget=2, stream=RngStream(2000, t))
+        rand = regularized_lcd(x, consts, lam, budget=2, stream=RngStream(2000, t))
         below += rand.lower_bound <= exact.lower_bound + 1e-12
         sub = x[list(rand.witness_subset)]
         sub /= np.linalg.norm(sub)
-        replay_worst = max(replay_worst, abs(lcd(sub, consts.L).value - rand.lower_bound))
+        replay_worst = max(replay_worst, abs(lcd(sub, 1.0).value - rand.lower_bound))
     _report(
         4,
         agree and below == 100 and replay_worst <= 1e-9,

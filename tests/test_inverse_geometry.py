@@ -4,15 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lemmas import inverse_image_experiment, quadratic_form_distance
 from ssrmlab import inverse_geometry, spectra
 from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
     distance_to_complement_span,
-    inverse_image_experiment,
     invertibility_via_distance_experiment,
-    quadratic_form_distance,
     quadratic_smallball_experiment,
 )
 from ssrmlab.model import EnsembleParams, EntryDistribution

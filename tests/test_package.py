@@ -1,5 +1,7 @@
 """The package module holds only its version, and every definition in the
-package has a caller outside its own unit tests."""
+package is reached from what runs it as a user would: the CLI, the
+benchmark or the CLI tests.  Acceptance criteria and unit tests are not
+callers; the lemma helpers that only they need live in ``tests/lemmas.py``."""
 
 import ast
 import pathlib
@@ -7,6 +9,7 @@ import pathlib
 import pytest
 
 import ssrmlab
+from test_benchmark_hooks import perfbench_module
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -47,9 +50,9 @@ def _src_trees() -> list:
 
 
 def _user_trees() -> list:
-    """The code that uses the package as a user would: the benchmark
-    workloads, the acceptance criteria and the CLI tests."""
-    paths = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "test_cli.py"]
+    """The code that uses the package as a user would: the benchmark and the
+    CLI tests."""
+    paths = [*sorted((_ROOT / "perfbench").glob("*.py")), _ROOT / "tests" / "test_cli.py"]
     return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
@@ -71,13 +74,14 @@ def _definitions(tree):
 
 def test_every_definition_is_reached():
     # A top-level def or class, or a method or property, must be reached from
-    # module-level code (the CLI's dispatch tables and entry point), a
-    # benchmark workload, an acceptance criterion or a CLI test, directly or
-    # through the bodies of other reached definitions.  Names are matched
-    # alone, whatever the receiver: a method counts as reached when reached
-    # code loads an attribute of its name.  A class's body reaches its dunder
-    # methods, not its other methods.  A re-export is not a caller, and what
-    # only its own unit tests call is dead code.
+    # module-level code (the CLI's dispatch tables and entry point), the
+    # benchmark (its code, or a name in its tracer's TRACED table, which
+    # Tracer.install needs to exist) or a CLI test, directly or through the
+    # bodies of other reached definitions.  Names are matched alone, whatever
+    # the receiver: a method counts as reached when reached code loads an
+    # attribute of its name.  A class's body reaches its dunder methods, not
+    # its other methods.  A re-export is not a caller, and what only its own
+    # unit tests or an acceptance criterion call is dead code.
     trees = _src_trees()
     bodies = {}
     reached = set()
@@ -93,13 +97,14 @@ def test_every_definition_is_reached():
             bodies.setdefault(node.name, set()).update(*map(_identifiers, parts))
     for tree in _user_trees():
         reached |= _identifiers(tree)
+    reached |= {part for _, attr in perfbench_module("tracer").TRACED for part in attr.split(".")}
     todo = list(reached)
     while todo:
         new = bodies.get(todo.pop(), set()) - reached
         reached |= new
         todo += new
     dead = sorted(q for tree in trees for q, node in _definitions(tree) if node.name not in reached and not node.name.startswith("__"))
-    assert not dead, f"no caller outside their own unit tests: {', '.join(dead)}"
+    assert not dead, f"not reached from the CLI, the benchmark or the CLI tests: {', '.join(dead)}"
 
 
 def _passed(calls) -> dict:
@@ -120,8 +125,8 @@ def _passed(calls) -> dict:
 
 
 def test_every_keyword_default_is_passed():
-    # A parameter with a default that no call in src/, the benchmark, the
-    # acceptance criteria or the CLI tests passes is a knob nobody turns:
+    # A parameter with a default that no call in src/, the benchmark or the
+    # CLI tests passes is a knob nobody turns:
     # every run takes the default.  Calls are matched by the callee's name
     # alone, and a call that spreads * or ** counts as passing every
     # parameter.  A method's first positional parameter is its receiver.
@@ -188,7 +193,7 @@ def _is_dataclass(node) -> bool:
 def test_every_result_field_is_read():
     # A dataclass field that nothing loads, outside its own class's
     # __post_init__, is carried by every result and read by no CLI kind,
-    # benchmark workload or acceptance criterion.  Reads are matched by
+    # benchmark workload or CLI test.  Reads are matched by
     # attribute name only, whatever the receiver, in src/ and in the code
     # that uses the package as a user would.
     trees = _src_trees()

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import decoupling_consequence_check
 from ssrmlab.ensemble import RngStream
 from ssrmlab.errors import ParameterError
 from ssrmlab.model import EntryDistribution
-from ssrmlab.smallball import (
-    decoupling_consequence_check,
-    lcd_smallball_bound,
-    levy_concentration_scalar,
-)
+from ssrmlab.smallball import lcd_smallball_bound, levy_concentration_scalar
 
 RAD = EntryDistribution.rademacher()
 
@@ -99,10 +96,6 @@ class TestBoundBrackets:
         assert lcd_smallball_bound(0.5, 0.2, 10.0) >= base
         assert lcd_smallball_bound(0.5, 0.1, 20.0) <= base
 
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            lcd_smallball_bound(0.0, 0.1, 10.0)
-
 
 class TestDecoupling:
     def test_zero_matrix(self):
@@ -141,11 +134,3 @@ class TestDecoupling:
             J = rng.choice(6, size=size, replace=False).tolist()
             check = decoupling_consequence_check(G, J, RAD, 0.75, 4000, RngStream(39, t))
             assert check.holds
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            decoupling_consequence_check(np.eye(3), [], RAD, 0.5, 100, RngStream(0, 0))
-        with pytest.raises(ParameterError):
-            decoupling_consequence_check(np.eye(3), [0, 1, 2], RAD, 0.5, 100, RngStream(0, 0))
-        with pytest.raises(ParameterError):
-            decoupling_consequence_check(np.array([[0.0, 1.0], [0.0, 0.0]]), [0], RAD, 0.5, 100, RngStream(0, 0))

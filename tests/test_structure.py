@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import regularized_lcd
 from ssrmlab import structure
 from ssrmlab.ensemble import RngStream
 from ssrmlab.errors import ParameterError
@@ -15,7 +16,6 @@ from ssrmlab.structure import (
     classify_vector,
     is_dominated,
     lcd,
-    regularized_lcd,
     sparse_tail_distance,
     spread_set,
 )
@@ -153,30 +153,22 @@ def _lcd_test_vectors(count, seed):
         yield x / np.linalg.norm(x), L, (L + 5.0 if t % 4 == 3 else None)
 
 
-# Constants sized so that n=24 vectors have a 6-element spread set and
-# 2-element restriction subsets (15 candidate subsets in total).
-WIDE = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25, lam=0.05)
+# Constants sized so that n=24 vectors have a 6-element spread set, and a
+# subset fraction giving 2-element restriction subsets (15 candidate
+# subsets in total).
+WIDE, WIDE_LAM = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25), 0.05
 
 
 class TestStructureConstants:
     def test_defaults_valid(self):
         c = StructureConstants()
         assert 0.25 * c.c_s * c.c_d**2 <= c.c_oo <= 0.25
-        assert 0 < c.lam < c.c_oo
 
     def test_c_oo_window_enforced(self):
         with pytest.raises(ParameterError):
             StructureConstants(c_oo=0.3)
         with pytest.raises(ParameterError):
             StructureConstants(c_s=0.5, c_d=0.9, c_oo=0.05)  # below (1/4) c_s c_d^2
-
-    def test_lambda_window(self):
-        with pytest.raises(ParameterError):
-            StructureConstants(lam=0.5)
-
-    def test_scale_l(self):
-        with pytest.raises(ParameterError):
-            StructureConstants(L=0.5)
 
 
 class TestSparseTailDistance:
@@ -262,7 +254,7 @@ class TestIsDominated:
 class TestSpreadSet:
     def test_uniform_vector_first_indices(self):
         n = 40
-        consts = StructureConstants(c_s=0.1, c_d=0.5, c_oo=0.025, lam=0.01)
+        consts = StructureConstants(c_s=0.1, c_d=0.5, c_oo=0.025)
         x = np.full(n, 1 / math.sqrt(n))
         got = spread_set(x, consts)
         assert got is not None
@@ -433,60 +425,54 @@ class TestRegularizedLcd:
         x = _unit(rng, 24)
         spread = spread_set(x, WIDE)
         assert spread is not None and spread.size == 6
-        k = WIDE.subset_size(24)
+        k = math.ceil(WIDE_LAM * 24)
         assert k == 2
-        res = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
+        res = regularized_lcd(x, WIDE, WIDE_LAM, budget=15, stream=RngStream(0, 0))
         assert res.exact
         best = -math.inf
         for combo in itertools.combinations(spread.tolist(), k):
             sub = x[list(combo)]
             sub = sub / np.linalg.norm(sub)
-            best = max(best, lcd(sub, WIDE.L).value)
+            best = max(best, lcd(sub, 1.0).value)
         assert res.lower_bound == pytest.approx(best, abs=1e-9)
 
     def test_randomized_below_exact(self):
         rng = np.random.default_rng(15)
         x = _unit(rng, 24)
-        exact = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
+        exact = regularized_lcd(x, WIDE, WIDE_LAM, budget=15, stream=RngStream(0, 0))
         for t in range(20):
-            rand = regularized_lcd(x, WIDE, budget=4, stream=RngStream(1, t))
+            rand = regularized_lcd(x, WIDE, WIDE_LAM, budget=4, stream=RngStream(1, t))
             assert not rand.exact
             assert rand.lower_bound <= exact.lower_bound + 1e-9
 
     def test_budget_prefix_monotonicity(self):
         rng = np.random.default_rng(16)
         x = _unit(rng, 24)
-        small = regularized_lcd(x, WIDE, budget=3, stream=RngStream(7, 7))
-        large = regularized_lcd(x, WIDE, budget=9, stream=RngStream(7, 7))
+        small = regularized_lcd(x, WIDE, WIDE_LAM, budget=3, stream=RngStream(7, 7))
+        large = regularized_lcd(x, WIDE, WIDE_LAM, budget=9, stream=RngStream(7, 7))
         assert small.lower_bound <= large.lower_bound + 1e-12
 
     def test_certificate_replay(self):
         rng = np.random.default_rng(17)
         x = _unit(rng, 24)
-        res = regularized_lcd(x, WIDE, budget=15, stream=RngStream(0, 0))
+        res = regularized_lcd(x, WIDE, WIDE_LAM, budget=15, stream=RngStream(0, 0))
         sub = x[list(res.witness_subset)]
         sub = sub / np.linalg.norm(sub)
-        assert lcd(sub, WIDE.L).value == pytest.approx(res.lower_bound, abs=1e-9)
+        assert lcd(sub, 1.0).value == pytest.approx(res.lower_bound, abs=1e-9)
 
     def test_single_subset_case(self):
         # lambda close to c_oo so ceil(lam n) == |spread|: one candidate only.
-        consts = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25, lam=0.24)
+        consts, lam = StructureConstants(c_s=0.1, c_d=0.1, c_oo=0.25), 0.24
         rng = np.random.default_rng(18)
         x = _unit(rng, 12)
         spread = spread_set(x, consts)
         assert spread is not None
-        assert consts.subset_size(12) == spread.size == 3
-        res = regularized_lcd(x, consts, budget=1, stream=RngStream(0, 0))
+        assert math.ceil(lam * 12) == spread.size == 3
+        res = regularized_lcd(x, consts, lam, budget=1, stream=RngStream(0, 0))
         sub = x[spread]
         sub = sub / np.linalg.norm(sub)
         assert res.exact
-        assert res.lower_bound == pytest.approx(lcd(sub, consts.L).value, abs=1e-12)
-
-    def test_compressible_vector_rejected(self):
-        e1 = np.zeros(24)
-        e1[0] = 1.0
-        with pytest.raises(ParameterError):
-            regularized_lcd(e1, WIDE, budget=5, stream=RngStream(0, 0))
+        assert res.lower_bound == pytest.approx(lcd(sub, 1.0).value, abs=1e-12)
 
 
 class TestClassificationInvariance:
@@ -521,12 +507,6 @@ def test_lcd_non_finite_argument_rejected(kwargs, word):
     x = np.full(4, 0.5)
     with pytest.raises(ParameterError, match=word):
         lcd(x, **{"L": 1.0, **kwargs})
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_structure_constants_non_finite_L_rejected(value):
-    with pytest.raises(ParameterError, match="L must"):
-        StructureConstants(L=value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -4,16 +4,13 @@ complementary spans, and the quadratic form of the inverse.
 Every eigenvalue here comes from the one kernel in ``spectra``, at any
 n.  The distance-check trial reduces its matrix once: its
 ``_certified_spectrum`` gives s_min, the singular verdict (by
-``singular_extremes``, the package's one singular rule) and the certified
-eigenvector, and ``all_column_distances`` takes that verdict rather than
-reducing the matrix again.  The quadratic trial's one reduction, by
-``_extreme_singular_values``, gives its operator norm, its singular
-verdict and its solve A^-1 X.  Realizations singular to working
-precision are excluded and counted, never silently folded into
-averages.  Inverses (``_inverse``) run spectra's dgetrf and dgetri in the
-caller's buffer, and ``distance_to_complement_span`` (the singular
-fallback of ``all_column_distances``) runs spectra's dgeqp3 and dorgqr
-for its pivoted QR, so nothing here imports the scipy.linalg package.
+``singular_extremes``, the package's one singular rule), the certified
+eigenvector and the null block, which ``all_column_distances`` takes to
+give every distance by one rule, singular or not.  The quadratic trial's
+one reduction, by ``_extreme_singular_values``, gives its operator norm,
+its singular verdict and its solve A^-1 X; its singular realizations are
+excluded and counted, never folded into averages.  The LAPACK and BLAS
+routines are spectra's, so nothing here imports the scipy.linalg package.
 """
 
 from __future__ import annotations
@@ -32,15 +29,17 @@ from .spectra import (
     _as_dense,
     _certified_spectrum,
     _extreme_singular_values,
-    dgeqp3,
+    dgemm,
     dgetrf,
     dgetri,
     dgetri_lwork,
-    dorgqr,
     singular_extremes,
 )
 from .stats import SlopeFit, determined_slope, wilson_interval
 from .structure import sparse_tail_distance
+
+# Leverage |N_j|^2 above which column j lies in the span of the others.
+_LEVERAGE_FLOOR = np.finfo(np.float64).eps
 
 
 def _inverse(dense: np.ndarray) -> np.ndarray:
@@ -60,49 +59,28 @@ def _inverse(dense: np.ndarray) -> np.ndarray:
     return inv
 
 
-def distance_to_complement_span(A, j: int) -> float:
-    """Euclidean distance from column j to the span of the other columns.
+def all_column_distances(A, null: np.ndarray) -> np.ndarray:
+    """dist(A_j, H_j) for every j, given an orthonormal basis ``null`` of A's
+    numerical null space (n x k, k >= 0: ``_certified_spectrum(A, null=True)``'s
+    columns after the first two).
 
-    Rank-revealing QR of the n x (n-1) block (dgeqp3, then dorgqr for the
-    economic Q, each with its workspace queried by lwork=-1, as
-    ``scipy.linalg.qr(mode="economic", pivoting=True)`` runs them); the
-    projection uses only the numerically independent columns, so
-    rank-deficient spans are handled without error.
+    One rule, singular or not: with N = ``null``, (A + N N^T)^-1 = A^+ + N N^T,
+    whose j-th column has norm 1 / dist(A_j, H_j) when row j of N is zero;
+    when it is not, a null vector writes A_j in the other columns, and the
+    distance is 0.  Row j counts as nonzero when its leverage |N_j|^2 exceeds
+    ``_LEVERAGE_FLOOR`` = eps: v = N N_j^T / |N_j|^2 has v_j = 1, so A_j lies
+    within |A N| / |N_j|, about n eps |A| / sqrt(eps), of the span of the
+    others.  A row zero in exact arithmetic has a rounding-level leverage,
+    about (n eps |A| / gap)^2 for the null block's spectral gap, which adds
+    to |A^+ e_j|^2 no more than that.  (Singular draws at n = 60 to 200,
+    p = log n / n and 1.5 / n, had leverages above 2e-8 or below 1e-20.)
+    A + N N^T (dgemm) is inverted in this call's own copy of A.
     """
     dense = _as_dense(A)
-    n = dense.shape[0]
-    if n < 2:
-        raise ParameterError("need n >= 2")
-    if not 0 <= j < n:
-        raise ParameterError("column index out of range")
-    block = np.delete(dense, j, axis=1)
-    col = dense[:, j]
-    qr, _, tau, _, info = dgeqp3(block, lwork=int(dgeqp3(block, lwork=-1)[3][0]), overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"dgeqp3 failed with info={info}")
-    diag = np.abs(np.diag(qr))
-    if diag[0] == 0.0:
-        return float(np.linalg.norm(col))
-    Q, _, info = dorgqr(qr, tau, lwork=int(dorgqr(qr, tau, lwork=-1)[1][0]), overwrite_a=1)
-    if info != 0:
-        raise NumericalError(f"dorgqr failed with info={info}")
-    rank = int(np.sum(diag > diag[0] * n * np.finfo(np.float64).eps))
-    Qr = Q[:, :rank]
-    return float(np.linalg.norm(col - Qr @ (Qr.T @ col)))
-
-
-def all_column_distances(A, singular: bool) -> np.ndarray:
-    """dist(A_j, H_j) for every j, given A's verdict under ``spectra.is_singular``.
-
-    For invertible A the j-th distance is 1 / |(A^-1) e_j| (the inverse's
-    rows are orthogonal to the complementary column spans), inverted in
-    this call's own copy of A; singular A falls back to per-column
-    projections.
-    """
-    dense = _as_dense(A)
-    if not singular:
-        return 1.0 / np.linalg.norm(_inverse(dense), axis=0)
-    return np.array([distance_to_complement_span(dense, j) for j in range(dense.shape[0])])
+    dense = dgemm(1.0, null, null, beta=1.0, c=dense, trans_b=1, overwrite_c=1)
+    dists = 1.0 / np.linalg.norm(_inverse(dense), axis=0)
+    dists[np.einsum("ij,ij->i", null, null) > _LEVERAGE_FLOOR] = 0.0
+    return dists
 
 
 @dataclass(frozen=True)
@@ -129,11 +107,11 @@ def _distance_trial(
 ) -> DistanceExperimentRow:
     n, p = params.n, params.p
     A = sample_matrix(params, trial_stream(master_seed, c, t))
-    evals, _, vectors = _certified_spectrum(A)
+    evals, _, vectors = _certified_spectrum(A, null=True)
     smin, _ = singular_extremes(evals)
     incomp = sparse_tail_distance(vectors[:, 0], M) > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
-    dists = all_column_distances(A, smin == 0.0)
+    dists = all_column_distances(A, vectors[:, 2:])
     rhs_value = float(np.sum(dists <= math.sqrt(p) * eps)) / M
     return DistanceExperimentRow(t, smin, incomp, lhs_event, rhs_value)
 

@@ -7,7 +7,9 @@ routes at every n, chosen by what the caller reads.
 eigenvectors of the smallest and largest in magnitude, certified by
 their residuals; it serves ``full_symmetric_spectrum`` (and so every
 tail-sweep and scaling trial), ``spectral_summary`` and the
-distance-check trial.  ``_extreme_singular_values``: (s_min, s_max) by
+distance-check trial, which alone also asks for the null block (the
+eigenvectors of every eigenvalue the singular rule calls zero, none for
+an invertible matrix).  ``_extreme_singular_values``: (s_min, s_max) by
 dstebz at single indices, a different eigenvalue algorithm; it serves
 ``smallest_singular_value``, ``spectral_norm`` and the quadratic trial in
 ``inverse_geometry``.  Given a right-hand side b it also solves A y = b
@@ -31,7 +33,7 @@ two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
 ``_compiled_linalg`` loads without the scipy.linalg package; the
 certified eigenvectors come from dstebz and dstein directly.
 ``inverse_geometry`` takes dgetrf and dgetri from here for its inverse,
-and dgeqp3 and dorgqr for its pivoted QR.
+and dgemm for the update A + N N^T by the null block.
 """
 
 from __future__ import annotations
@@ -78,10 +80,10 @@ def _compiled_linalg(name: str):
 
 
 _flapack, _fblas = _compiled_linalg("_flapack"), _compiled_linalg("_fblas")
-dgeqp3, dgetrf, dgetri, dgetri_lwork = _flapack.dgeqp3, _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork
-dgtsv, dorgqr, dormqr, dstebz, dstein = _flapack.dgtsv, _flapack.dorgqr, _flapack.dormqr, _flapack.dstebz, _flapack.dstein
-dsterf, dsytrd, dsytrd_lwork = _flapack.dsterf, _flapack.dsytrd, _flapack.dsytrd_lwork
-dsymm = _fblas.dsymm
+dgetrf, dgetri, dgetri_lwork, dgtsv = _flapack.dgetrf, _flapack.dgetri, _flapack.dgetri_lwork, _flapack.dgtsv
+dormqr, dstebz, dstein, dsterf = _flapack.dormqr, _flapack.dstebz, _flapack.dstein, _flapack.dsterf
+dsytrd, dsytrd_lwork = _flapack.dsytrd, _flapack.dsytrd_lwork
+dgemm, dsymm = _fblas.dgemm, _fblas.dsymm
 
 # C_op of the operator-norm event |A| <= C_op sqrt(pn).
 C_OP = 3.0
@@ -181,25 +183,36 @@ def _apply_q(reflectors: np.ndarray, tau: np.ndarray, V: np.ndarray, trans: str)
     return V
 
 
-def _tridiagonal_eigenvector(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The unit eigenvector of the k-th smallest eigenvalue (0-based) of the tridiagonal
-    (diag, off): dstebz by bisection, then dstein by inverse iteration."""
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "B")
-    if info != 0 or m != 1:
-        raise NumericalError(f"dstebz gave {m} eigenvalues with info={info} for index {k + 1}")
+def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Unit eigenvectors, as columns, of the lo-th to (hi-1)-th smallest eigenvalues
+    (0-based) of the tridiagonal (diag, off): dstebz by bisection over the index
+    range, then one dstein by inverse iteration, which reorthogonalizes clusters."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi, 0.0, "B")
+    if info != 0 or m != hi - lo:
+        raise NumericalError(f"dstebz gave {m} eigenvalues with info={info} for indices {lo + 1} to {hi}")
     z, info = dstein(diag, off, w[:m], iblock, isplit)
     if info != 0:
-        raise NumericalError(f"dstein failed with info={info} for eigenvalue {k + 1}")
-    return z[:, 0]
+        raise NumericalError(f"dstein failed with info={info} for eigenvalues {lo + 1} to {hi}")
+    return z[:, np.argsort(w[:m], kind="stable")]  # ascending, not by split block
 
 
-def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
-    """(ascending eigenvalues, worst residual of the two certified eigenpairs,
-    their unit eigenvectors as columns: smallest magnitude first, then largest)."""
+def _null_range(evals: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): the ascending eigenvalues that the singular rule calls zero (every
+    one when s_max = 0); nonempty exactly when ``singular_extremes`` gives s_min = 0."""
+    cut = _SINGULAR_FLOOR * float(np.abs(evals).max(initial=0.0))
+    if cut == 0.0:
+        return 0, evals.size
+    return int(np.searchsorted(evals, -cut, "right")), int(np.searchsorted(evals, cut))
+
+
+def _certified_spectrum(A, null: bool = False) -> tuple[np.ndarray, float, np.ndarray]:
+    """(ascending eigenvalues, worst residual of the certified eigenpairs, their
+    unit eigenvectors as columns: smallest magnitude first, then largest, then,
+    given ``null``, those of ``_null_range`` from one dstein: the null block)."""
     work = _as_dense(A)
     n = work.shape[0]
     if n <= 1:
-        return work.diagonal().copy(), 0.0, np.ones((n, 2))
+        return work.diagonal().copy(), 0.0, np.ones((n, 2 + int(null and not work.any())))
     shift = _balance(work)
     saved = work.diagonal().copy()
     reflectors, diag, off, tau = _tridiagonal(work)
@@ -207,18 +220,23 @@ def _certified_spectrum(A) -> tuple[np.ndarray, float, np.ndarray]:
     if info != 0:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
     norm = float(max(-evals[0], evals[-1]))
+    if math.frexp(norm)[1] + shift > sys.float_info.max_exp:
+        raise NumericalError("the spectral norm overflows float64")
+    spectrum = np.ldexp(evals, shift)
     picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
-    V = _apply_q(reflectors, tau, np.column_stack([_tridiagonal_eigenvector(diag, off, k) for k in picks]), "N")
+    lo, hi = _null_range(spectrum) if null else (0, 0)
+    ranges = [(k, k + 1) for k in picks] + ([(lo, hi)] if hi > lo else [])
+    V = _apply_q(reflectors, tau, np.hstack([_tridiagonal_eigenvectors(diag, off, *r) for r in ranges]), "N")
     lengths = np.linalg.norm(V, axis=0)
     # A V from the upper triangle, which dsytrd left as it was, once the
     # diagonal is back; on scipy's BLAS like dsytrd (numpy's own OpenBLAS
     # pool contends with scipy's).
     np.fill_diagonal(work, saved)
     AV = dsymm(1.0, work, V)
-    worst = float((np.linalg.norm(AV - V * evals[picks], axis=0) / lengths).max())
+    worst = float((np.linalg.norm(AV - V * evals[np.r_[picks, lo:hi]], axis=0) / lengths).max())
     if norm > 0 and not worst <= 1e-10 * norm * n:
         raise NumericalError(f"eigenpair residual {worst:g} out of contract")
-    return np.ldexp(evals, shift), math.ldexp(worst, shift), V / lengths
+    return spectrum, math.ldexp(worst, shift), V / lengths
 
 
 def full_symmetric_spectrum(A) -> np.ndarray:

@@ -1,11 +1,15 @@
-"""The lemma checks of acceptance criteria 1, 4, 6, 10 and 11.
+"""The lemma checks of acceptance criteria 1, 4, 6, 10 and 11, and the
+column-distance reference.
 
 No CLI kind or benchmark runs them: each is one pass/fail check on an
 identity or inequality of the paper's argument, not a table that a grid
 sweeps.  They are built from ssrmlab's public functions and numpy, take
 their arguments unchecked (only tests call them), and return named
 tuples.  A singular verdict is the package's one rule,
-``smallest_singular_value(A) == 0.0``.
+``smallest_singular_value(A) == 0.0``.  ``distance_to_complement_span``,
+one pivoted QR (``scipy.linalg.qr``) per column, is criterion 1's
+geometric side and the reference that ``all_column_distances`` is tested
+against.
 """
 
 from __future__ import annotations
@@ -17,10 +21,26 @@ from typing import NamedTuple
 import numpy as np
 
 from ssrmlab.ensemble import sample_entries, sample_matrix, sample_sparse_vector, trial_stream
-from ssrmlab.inverse_geometry import distance_to_complement_span
 from ssrmlab.smallball import ConcentrationEstimate, levy_concentration_scalar
 from ssrmlab.spectra import smallest_singular_value
 from ssrmlab.structure import lcd, spread_set
+
+
+def distance_to_complement_span(A, j: int) -> float:
+    """Euclidean distance from column j to the span of the other columns.
+
+    Rank-revealing QR of the n x (n-1) block (``scipy.linalg.qr``, economic,
+    with pivoting); the projection uses only the columns whose |R_ii| exceed
+    n eps |R_00|, so rank-deficient spans are handled without error.
+    """
+    import scipy.linalg  # the reference only; ssrmlab never loads the package
+
+    A = np.asarray(A, dtype=np.float64)
+    n, col = A.shape[0], A[:, j]
+    Q, R, _ = scipy.linalg.qr(np.delete(A, j, axis=1), mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * n * np.finfo(np.float64).eps)) if diag[0] > 0 else 0
+    return float(np.linalg.norm(col - Q[:, :rank] @ (Q[:, :rank].T @ col)))
 
 
 class DistanceRecord(NamedTuple):

@@ -278,6 +278,23 @@ def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, va
     assert captured.err == "error: stored values must be finite\n"
 
 
+def test_spectra_norm_overflow_is_one_line(tmp_path):
+    # Every entry is finite, but the eigenvalue 2e308 of the leading 2 x 2
+    # block is not: one line and exit 1, with no overflow warning and no
+    # "Infinity" (not JSON) on stdout.  A fresh process, so that stderr
+    # holds whatever a warning would print.
+    path = tmp_path / "m.txt"
+    path.write_text("3 0.5 0 0\n0 0 1e308\n1 1 1e308\n2 2 -1e308\n0 1 1e308\n")
+    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssrmlab.cli", "spectra", "--matrix", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert _one_line_numerical_error(proc.stderr) and "overflow" in proc.stderr
+
+
 def _python(code: str, cwd) -> str:
     """Last stdout line of ``code`` run in a fresh interpreter that imports ssrmlab from this checkout."""
     src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
@@ -444,10 +461,10 @@ def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
         "from ssrmlab import spectra\n"
         "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg.blas, scipy.linalg.lapack\n"
-        "names = ['dgeqp3', 'dgetrf', 'dgetri', 'dgetri_lwork', 'dgtsv', 'dorgqr', 'dormqr', 'dstebz', 'dstein',"
-        " 'dsterf', 'dsytrd', 'dsytrd_lwork']\n"
+        "names = ['dgetrf', 'dgetri', 'dgetri_lwork', 'dgtsv', 'dormqr', 'dstebz', 'dstein', 'dsterf', 'dsytrd',"
+        " 'dsytrd_lwork']\n"
         "same = [getattr(scipy.linalg.lapack, n) is getattr(spectra, n) for n in names]\n"
-        "same.append(scipy.linalg.blas.dsymm is spectra.dsymm)\n"
+        "same += [getattr(scipy.linalg.blas, n) is getattr(spectra, n) for n in ['dgemm', 'dsymm']]\n"
         "same.append(sys.modules['scipy.linalg._flapack'] is spectra._flapack)\n"
         "same.append(sys.modules['scipy.linalg._fblas'] is spectra._fblas)\n"
         "print(all(same))"
@@ -456,13 +473,15 @@ def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):
 
 
 def test_singular_column_distances_skip_scipy_linalg(tmp_path):
-    # The singular fallback's pivoted QR runs spectra's dgeqp3 and dorgqr,
-    # not scipy.linalg.qr, so the package is never imported.
+    # A singular matrix's null block comes from spectra's dstebz and dstein,
+    # and A + N N^T from its dgemm, so the package is never imported.
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from ssrmlab.inverse_geometry import all_column_distances\n"
-        "all_column_distances(np.ones((4, 4)), True)\n"
+        "from ssrmlab.spectra import _certified_spectrum\n"
+        "A = np.ones((4, 4))\n"
+        "all_column_distances(A, _certified_spectrum(A, null=True)[2][:, 2:])\n"
         "print('scipy.linalg' in sys.modules)"
     )
     assert _python(code, tmp_path) == "False"

@@ -3,7 +3,7 @@
 ``tests/golden/`` holds one tiny config per experiment kind, a vector file
 and a matrix file, plus ``distance-check-singular.ini``: a
 ``distance-check`` run at small p whose realizations are all singular,
-which pins the per-column fallback of ``all_column_distances``.
+which pins ``all_column_distances`` with a nonempty null block.
 ``digests.json`` records the SHA-256 of each kind's CSV
 and of the ``lcd``/``structure`` records of the vector and the ``spectra``
 record of the matrix, together with the ``ARTIFACT_VERSION`` they were
@@ -68,7 +68,7 @@ def test_every_kind_and_record_is_pinned():
 
 
 def test_singular_case_draws_singular_matrices(tmp_path):
-    # The case pins the singular fallback only while some realization is singular.
+    # The case pins the null block only while some realization is singular.
     rows = _output("distance-check-singular", tmp_path).decode().splitlines()[2:]
     assert any(row.split(",")[1] == "0" for row in rows)
 

@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lemmas import inverse_image_experiment, quadratic_form_distance
+from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance
 from ssrmlab import inverse_geometry, spectra
 from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
-    distance_to_complement_span,
     invertibility_via_distance_experiment,
     quadratic_smallball_experiment,
 )
@@ -20,6 +19,11 @@ from ssrmlab.spectra import singular_extremes
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
 LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+
+
+def _null(A) -> np.ndarray:
+    """A's null block, as the distance-check trial gets it from its certified spectrum."""
+    return spectra._certified_spectrum(A, null=True)[2][:, 2:]
 
 
 class TestDistanceToComplementSpan:
@@ -85,48 +89,72 @@ class TestQuadraticFormDistance:
 class TestAllColumnDistances:
     def test_matches_projection_oracle(self):
         A = sample_matrix(EnsembleParams(12, 0.7, GAUSS), RngStream(42, 0)).to_dense()
-        fast = all_column_distances(A, False)
+        fast = all_column_distances(A, _null(A))
         slow = [distance_to_complement_span(A, j) for j in range(12)]
         assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
 
     def test_singular_fallback(self):
+        # The null block is e_1, e_2: columns 1 and 2 read exactly 0, and
+        # column 0 reads 1 / |(A + N N^T)^-1 e_0| = 1.
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
-        dists = all_column_distances(A, True)
-        assert dists[0] == pytest.approx(1.0, abs=1e-12)
-        assert dists[1] == pytest.approx(0.0, abs=1e-12)
+        assert all_column_distances(A, _null(A)).tolist() == [1.0, 0.0, 0.0]
 
 
-def _scipy_qr_distances(A) -> np.ndarray:
-    """distance_to_complement_span for every column, through scipy.linalg.qr."""
-    import scipy.linalg
+def _hand_built() -> dict:
+    """Singular symmetric matrices by name, each with a known null space."""
+    zero_row = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+    two_zero_rows = np.diag([0.0, 2.0, 0.0, -1.0])
+    two_zero_rows[1, 3] = two_zero_rows[3, 1] = 1.0
+    block = np.zeros((7, 7))
+    block[:4, :4] = sample_matrix(EnsembleParams(4, 1.0, GAUSS), RngStream(47, 0)).to_dense()
+    block[4:, 4:] = np.ones((3, 3))
+    return {
+        "ones": np.ones((4, 4)),
+        "one-entry": np.diag([1.0, 0.0, 0.0]),  # TestAllColumnDistances.test_singular_fallback's
+        "rank-one": np.array([[1.0, 1.0], [1.0, 1.0]]),
+        "zero-row": zero_row,
+        "two-zero-rows": two_zero_rows,
+        "equal-rows": np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+        "negated-rows": np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+        "all-in-span": np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]),
+        "block-diagonal": block,
+        "zero": np.zeros((2, 2)),
+    }
 
-    n = A.shape[0]
-    dists = []
-    for j in range(n):
-        col = A[:, j]
-        Q, R, _ = scipy.linalg.qr(np.delete(A, j, axis=1), mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        rank = int(np.sum(diag > diag[0] * n * np.finfo(np.float64).eps)) if diag[0] > 0 else 0
-        dists.append(np.linalg.norm(col - Q[:, :rank] @ (Q[:, :rank].T @ col)))
-    return np.array(dists)
+
+def _singular_draws(n: int, p: float, trials: int) -> list:
+    """The singular realizations among the first ``trials`` at seed 5."""
+    draws = [sample_matrix(EnsembleParams(n, p, RAD), trial_stream(5, 0, t)).to_dense() for t in range(trials)]
+    return [A for A in draws if spectra.smallest_singular_value(A) == 0.0]
 
 
 @pytest.mark.parametrize(
-    "make",
-    [
-        lambda: np.ones((4, 4)),
-        lambda: np.diag([1.0, 0.0, 0.0]),  # TestAllColumnDistances.test_singular_fallback's
-        lambda: np.array([[1.0, 1.0], [1.0, 1.0]]),
-        lambda: sample_matrix(EnsembleParams(8, 0.25, RAD), trial_stream(1, 0, 0)).to_dense(),
+    "matrices",
+    [pytest.param([A], id=name) for name, A in _hand_built().items()]
+    + [
+        pytest.param(_singular_draws(8, 0.25, 1), id="singular-realization"),
+        pytest.param(_singular_draws(60, math.log(60) / 60, 6), id="draws-log-n-over-n"),
+        pytest.param(_singular_draws(60, 1.5 / 60, 6), id="draws-1.5-over-n"),
     ],
-    ids=["ones", "one-entry", "rank-one", "singular-realization"],
 )
-def test_singular_distances_match_scipy_qr(make):
-    A = make()
-    want = _scipy_qr_distances(A)
-    scale = np.linalg.norm(A, axis=0).max()
-    np.testing.assert_allclose(all_column_distances(A, True), want, rtol=1e-12, atol=1e-12 * scale)
+def test_singular_distances_match_scipy_qr(matrices):
+    # The one rule against one pivoted QR per column (lemmas'
+    # distance_to_complement_span): the same columns read 0, where the
+    # reference is at the rounding level, and the others agree to 1e-12.
+    assert matrices
+    for A in matrices:
+        n = A.shape[0]
+        N = _null(A)
+        assert N.shape[1] > 0
+        assert np.abs(N.T @ N - np.eye(N.shape[1])).max() <= 1e-10
+        norm = np.abs(np.linalg.eigvalsh(A)).max()
+        assert np.linalg.norm(A @ N, axis=0).max() <= 1e-10 * norm * n
+        want = np.array([distance_to_complement_span(A, j) for j in range(n)])
+        got = all_column_distances(A, N)
+        in_span = want <= 1e-12 * np.linalg.norm(A, axis=0).max()
+        assert np.array_equal(got == 0.0, in_span)
+        np.testing.assert_allclose(got[~in_span], want[~in_span], rtol=1e-12, atol=0)
 
 
 class TestInverse:
@@ -152,7 +180,7 @@ class TestInverse:
     def test_all_column_distances_leaves_caller_array(self, order):
         A = np.array(sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(46, 0)).to_dense(), order=order)
         before = A.copy(order="K")
-        all_column_distances(A, False)
+        all_column_distances(A, _null(A))
         assert A.tobytes(order="A") == before.tobytes(order="A")
 
 
@@ -264,12 +292,8 @@ _A = sample_matrix(_PARAMS, RngStream(31, 0)).to_dense()
 
 # Every public entry point, on inputs that reach its spectral checks.
 _ENTRY_POINTS = {
-    "distance_to_complement_span": lambda: distance_to_complement_span(_A, 3),
-    "quadratic_form_distance": lambda: quadratic_form_distance(_A),
-    "quadratic_form_distance_singular": lambda: quadratic_form_distance(np.ones((4, 4))),
-    "all_column_distances": lambda: all_column_distances(_A, False),
-    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4)), True),
-    "inverse_image_experiment": lambda: inverse_image_experiment(_PARAMS, 3, 2, master_seed=1),
+    "all_column_distances": lambda: all_column_distances(_A, _null(_A)),
+    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4)), _null(np.ones((4, 4)))),
     "invertibility_via_distance_experiment": lambda: invertibility_via_distance_experiment(
         _PARAMS, 0.1, 4, 0.1, 3, master_seed=1
     ),
@@ -293,7 +317,7 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
     calls = []
     real = inverse_geometry.all_column_distances
     # Each call gets the trial's sparse realization, not a dense copy of it.
-    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A, singular: calls.append(A.n) or real(A, singular))
+    monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A, null: calls.append(A.n) or real(A, null))
     rep = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
     assert len(rep.rows) == 5 and calls == [16] * 5
 
@@ -304,8 +328,8 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
     ids=["invertible", "singular"],
 )
 def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
-    # One dsytrd per trial: all_column_distances takes the certified
-    # spectrum's singular verdict.  The singular realization (n=8, p=0.25,
+    # One dsytrd per trial: all_column_distances takes the null block of the
+    # certified spectrum.  The singular realization (n=8, p=0.25,
     # seed 1, trial 0) has a smallest |eigenvalue| of 2.2e-16, which the
     # singular rule reports as exactly 0.
     calls = []
@@ -319,16 +343,18 @@ def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
 def test_distance_trial_peak():
     # The sparse realization goes to both kernels: one n x n buffer for the
     # certified spectrum, then for all_column_distances the densified matrix,
-    # inverted in place, and the column norms' temporary.
+    # updated by N N^T and inverted in place, and the column norms'
+    # temporary.  The second realization (p = 0.01, trial 0) has nullity 8.
     n = 400
-    params = EnsembleParams(n, 0.1, RAD)
-    tracemalloc.start()
-    try:
-        inverse_geometry._distance_trial(1, 0.1, 40, 0.1, params, 0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * 8 * n * n
+    for p, singular in ((0.1, False), (0.01, True)):
+        tracemalloc.start()
+        try:
+            row = inverse_geometry._distance_trial(1, 0.1, 40, 0.1, EnsembleParams(n, p, RAD), 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (row.s_min == 0.0) == singular
+        assert peak <= 2.5 * 8 * n * n
 
 
 def test_quadratic_trial_peak():
@@ -350,10 +376,10 @@ def test_distance_trial_matches_dense_input(t):
     # passed as the trial's C-ordered array: the same row bit for bit.
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
     dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
-    evals, _, vectors = inverse_geometry._certified_spectrum(dense)
+    evals, _, vectors = inverse_geometry._certified_spectrum(dense, null=True)
     smin, _ = singular_extremes(evals)
     incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M) > rho
-    rhs = float(np.sum(all_column_distances(dense, smin == 0.0) <= math.sqrt(params.p) * eps)) / M
+    rhs = float(np.sum(all_column_distances(dense, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
     assert inverse_geometry._distance_trial(seed, eps, M, rho, params, 0, t) == want
 

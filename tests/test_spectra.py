@@ -535,6 +535,23 @@ class TestCertifiedEigenvectors:
     def test_one_by_one(self):
         evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]))
         assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
+        assert spectra._certified_spectrum(np.array([[0.0]]), null=True)[2].tolist() == [[1.0, 1.0, 1.0]]
+
+    @pytest.mark.parametrize("p, nullity", [(0.3, 0), (0.03, 5)])
+    def test_null_block_adds_columns_only(self, p, nullity):
+        # The eigenvalues are the same bytes with or without the null block,
+        # and so is everything else when the block is empty; the block is
+        # the singular rule's zeros.  Q applied to more columns may round
+        # the two picks differently in the last digit.
+        A = sample_matrix(EnsembleParams(100, p, RAD), RngStream(818, 0))
+        evals, worst, V = spectra._certified_spectrum(A)
+        evals_n, worst_n, V_n = spectra._certified_spectrum(A, null=True)
+        assert evals_n.tobytes() == evals.tobytes()
+        assert V_n.shape[1] - 2 == nullity == np.sum(np.abs(evals) < spectra._SINGULAR_FLOOR * np.abs(evals).max())
+        assert (singular_extremes(evals)[0] == 0.0) == (nullity > 0)
+        if nullity == 0:
+            assert V_n.tobytes() == V.tobytes() and worst_n == worst
+        np.testing.assert_allclose(V_n[:, :2], V, rtol=0, atol=1e-14)
 
 
 def _tridiagonals() -> dict:
@@ -562,7 +579,7 @@ class TestTridiagonalEigenvector:
         picks = {int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else len(diag) - 1}
         for k in sorted(picks | {0, len(diag) // 2, len(diag) - 1}):
             want = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))[1][:, 0]
-            got = spectra._tridiagonal_eigenvector(diag, off, k)
+            got = spectra._tridiagonal_eigenvectors(diag, off, k, k + 1)[:, 0]
             assert got.tobytes() == want.tobytes(), k
 
     def test_repeated_eigenvalue_both_indices(self):
@@ -571,14 +588,28 @@ class TestTridiagonalEigenvector:
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         lam = np.sort(np.linalg.eigvalsh(T))
         for k in (6, 7):
-            z = spectra._tridiagonal_eigenvector(diag, off, k)
+            z = spectra._tridiagonal_eigenvectors(diag, off, k, k + 1)[:, 0]
             assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-14)
             assert np.linalg.norm(T @ z - lam[k] * z) <= 1e-12
+        # Both at once: one dstein call, which orthogonalizes the pair.
+        Z = spectra._tridiagonal_eigenvectors(diag, off, 6, 8)
+        assert np.abs(Z.T @ Z - np.eye(2)).max() <= 1e-14
+        assert np.linalg.norm(T @ Z - Z * lam[6:8], axis=0).max() <= 1e-12
+
+    def test_range_across_split_blocks_is_ascending(self):
+        # dstebz lists the eigenvalues block by block; column i belongs to
+        # eigenvalue lo + i all the same.
+        diag, off = _tridiagonals()["split"]
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        lam = np.linalg.eigvalsh(T)
+        Z = spectra._tridiagonal_eigenvectors(diag, off, 10, 50)
+        assert np.abs(Z.T @ Z - np.eye(40)).max() <= 1e-12
+        assert np.linalg.norm(T @ Z - Z * lam[10:50], axis=0).max() <= 1e-12
 
     def test_failure_raises_numerical_error(self, monkeypatch):
         monkeypatch.setattr(spectra, "dstein", lambda d, e, w, iblock, isplit: (np.zeros((d.size, 1)), 1))
         with pytest.raises(NumericalError, match="dstein"):
-            spectra._tridiagonal_eigenvector(np.ones(3), np.ones(2), 0)
+            spectra._tridiagonal_eigenvectors(np.ones(3), np.ones(2), 0, 1)
 
 
 def _peak_in_matrices(n, fn, *args):

@@ -73,10 +73,8 @@ def lcd_smallball_bound(p: float, eps: float, lcd_value: float) -> float:
     """LCD small-ball bracket eps + 1 / (sqrt(p) D), with D = ``lcd_value``.
 
     The accompanying absolute constant is unknown and not applied;
-    callers compare shapes and orderings, not levels.  Needs 0 < p <= 1
-    and eps >= 0 (checked by ``harness``'s smallball record).
+    callers compare shapes and orderings, not levels.  Needs 0 < p <= 1,
+    eps >= 0 (``harness``'s smallball record) and D > 0 (an ``lcd`` value).
     """
-    if lcd_value <= 0:
-        raise ParameterError("lcd_value must be positive")
     tail = 0.0 if math.isinf(lcd_value) else 1.0 / (math.sqrt(p) * lcd_value)
     return eps + tail

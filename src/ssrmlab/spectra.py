@@ -22,11 +22,11 @@ against the other; only acceptance criterion 2 cross-checks, comparing
 Ownership: both routes take a ``SparseSymmetricMatrix`` or an array and
 never write to the caller's array.  ``_as_dense`` gives each call one
 n x n buffer of its own (the densified matrix, or one Fortran-ordered
-copy of an array), and dsytrd reduces that buffer in place.  So a trial
-that passes its sparse realization holds one n x n array: the certified
-route saves the diagonal, applies Q panel by panel to its two vectors
-(``_apply_q``), restores the diagonal and forms A V from the untouched
-upper triangle.
+copy of an array), and dsytrd reduces that buffer in place.  Every kind
+passes its sparse realization (norm-check also its Gaussian comparison),
+so a call holds one n x n array: the certified route saves the diagonal,
+applies Q panel by panel to its vectors (``_apply_q``), restores the
+diagonal and forms A V from the untouched upper triangle.
 
 Every LAPACK and BLAS routine in the package is bound here, from scipy's
 two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
@@ -151,6 +151,13 @@ def _balance(work: np.ndarray) -> int:
     return shift
 
 
+def _scale_back(values, shift: int) -> np.ndarray:
+    """2^shift times eigenvalues after ``_balance``, exactly; NumericalError if one overflows."""
+    if math.frexp(float(np.abs(values).max(initial=0.0)))[1] + shift > sys.float_info.max_exp:
+        raise NumericalError("the spectral norm overflows float64")
+    return np.ldexp(values, shift)
+
+
 def _tridiagonal(work: np.ndarray):
     """dsytrd on the lower triangle of an owned Fortran-ordered buffer, in place:
     (reflectors, diagonal, off-diagonal, tau).  The diagonal and below are
@@ -219,10 +226,8 @@ def _certified_spectrum(A, null: bool = False) -> tuple[np.ndarray, float, np.nd
     evals, info = dsterf(diag, off)
     if info != 0:
         raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
+    spectrum = _scale_back(evals, shift)
     norm = float(max(-evals[0], evals[-1]))
-    if math.frexp(norm)[1] + shift > sys.float_info.max_exp:
-        raise NumericalError("the spectral norm overflows float64")
-    spectrum = np.ldexp(evals, shift)
     picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
     lo, hi = _null_range(spectrum) if null else (0, 0)
     ranges = [(k, k + 1) for k in picks] + ([(lo, hi)] if hi > lo else [])
@@ -304,7 +309,7 @@ def _extreme_singular_values(A, b=None):
             if info != 0:
                 raise NumericalError(f"dgtsv met an exactly singular pivot (info={info})")
             y = np.ldexp(_apply_q(reflectors, tau, x, "N")[:, 0], -shift)
-        smin, smax = math.ldexp(smin, shift), math.ldexp(smax, shift)
+        smin, smax = _scale_back((smin, smax), shift).tolist()
     return (smin, smax) if b is None else (smin, smax, y)
 
 
@@ -385,22 +390,19 @@ def _norm_bound_trial(
     master_seed: int, cbar: float, eps: float, params: EnsembleParams, c: int, t: int
 ) -> NormBoundRow:
     n, p = params.n, params.p
-    dense = sample_matrix(params, trial_stream(master_seed, c, t)).to_dense()
-    norm = spectral_norm(dense)
-    mask = dense != 0.0
-    del dense
-    max_count = int(mask.sum(axis=1).max(initial=0))
+    A = sample_matrix(params, trial_stream(master_seed, c, t))
+    norm = spectral_norm(A)
+    # The 0/1 mask's profile: sigma = sqrt(max row count), row i counting its
+    # stored (i, j) and, off the diagonal, its (j, i); sigma* = 1 unless A = 0.
+    max_count = int((np.bincount(A.row, minlength=n) + np.bincount(A.col[A.col != A.row], minlength=n)).max())
     omega = max_count <= cbar * p * n
-    # Gaussian comparison on the same realized mask, built in g's own buffer:
-    # the strict upper triangle copied to the lower, then masked.
-    g = trial_stream(master_seed, 1, t).generator().standard_normal((n, n))
-    for i in range(1, n):
-        g[i, :i] = g[:i, i]
-    g *= mask
-    wnorm = spectral_norm(g)
-    # The profile of the 0/1 mask: sigma = sqrt(max row count), sigma* = 1
-    # unless the mask is empty.
-    bound = bvh_bound(math.sqrt(max_count), float(mask.any()), n, eps)
+    # Gaussian comparison W on A's pattern: w_ij = w_ji is entry (i, j), i <= j, of
+    # one row-major n x n draw, kept whole so that the stream does not move; all
+    # of A's pattern, as views, unless standard_normal returned an exact 0.0.
+    g = trial_stream(master_seed, 1, t).generator().standard_normal(n * n)[A.row * n + A.col]
+    keep = slice(None) if g.all() else g != 0.0
+    wnorm = spectral_norm(SparseSymmetricMatrix(n, A.row[keep], A.col[keep], g[keep]))
+    bound = bvh_bound(math.sqrt(max_count), float(A.nnz_upper > 0), n, eps)
     scale = math.sqrt(p * n) if p > 0 else 1.0
     return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
 

@@ -252,3 +252,20 @@ def test_each_kind_is_named_once():
     keys = [key.value for key in table.keys]
     assert keys == list(harness._KINDS)
     assert sorted(named) == sorted(keys), f"kind names outside the _KINDS keys: {sorted(set(named) - set(keys)) or named}"
+
+
+def test_only_as_dense_densifies():
+    # Every kernel hands spectra its sparse realization, and spectra._as_dense
+    # alone densifies it, into the one buffer dsytrd reduces: no kernel holds
+    # an n x n array of its own beside it.  Each .to_dense() call in src/ is
+    # named by its innermost enclosing def.
+    owners = []
+    for path in sorted((_ROOT / "src" / "ssrmlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): f"{path.stem}.{name}" for name, fn in _functions(tree) for node in ast.walk(fn)}
+        owners += [
+            owner.get(id(node), path.stem)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "to_dense"
+        ]
+    assert owners == ["spectra._as_dense"], f".to_dense() called from {owners}"

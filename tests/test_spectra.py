@@ -264,29 +264,57 @@ class TestNormBoundExperiment:
         rows = tuple(NormBoundRow(t, 1.0, ratio, True, 1.0, True) for t, ratio in enumerate((C_OP, C_OP + 1e-9)))
         assert NormBoundReport(rows).violation_fraction == 0.5
 
+    @staticmethod
+    def _dense_mask_reference(params, seed, cbar, eps, t, draw):
+        """The row and the W the trial used to build from the float mask, np.triu
+        symmetrization and mask profile (sigma from the largest row sum of
+        mask^2, sigma* the largest |mask|), given the n x n Gaussian draw.  The
+        masked product writes -0.0 where it masks out a negative draw; + 0.0
+        makes that +0.0, the zero a densified sparse W holds."""
+        n, p = params.n, params.p
+        dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
+        mask = (dense != 0.0).astype(np.float64)
+        W = mask * (np.triu(draw) + np.triu(draw, k=1).T) + 0.0
+        norm = spectral_norm(dense)
+        bound = bvh_bound(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()), n, eps)
+        omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
+        return spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, spectral_norm(W) <= bound), W
 
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
     def test_trial_matches_dense_mask_reference(self, monkeypatch, p):
-        # The float mask, np.triu symmetrization and mask profile (sigma from
-        # the largest row sum of mask^2, sigma* the largest |mask|) the trial
-        # used to build: the same W bit for bit and the same row.
+        # The same W bit for bit and the same row.
         n, seed, cbar, eps = 80, 6, 2.0, 0.5
         params = EnsembleParams(n, p, GAUSS)
         seen = []
         real = spectra.spectral_norm
-        monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(np.array(A)) or real(A))
+        monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(A) or real(A))
         for t in range(3):
-            dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
-            mask = (dense != 0.0).astype(np.float64)
-            g = trial_stream(seed, 1, t).generator().standard_normal((n, n))
-            W = mask * (np.triu(g) + np.triu(g, k=1).T)
-            norm = real(dense)
-            bound = bvh_bound(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()), n, eps)
-            omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
-            want = spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, real(W) <= bound)
+            draw = trial_stream(seed, 1, t).generator().standard_normal((n, n))
+            want, W = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
             seen.clear()
             assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
-            assert seen[1].tobytes() == W.tobytes()
+            assert seen[1].to_dense().tobytes() == W.tobytes()
+
+    def test_zero_draws_are_not_stored(self, monkeypatch):
+        # standard_normal can return 0.0; the trial drops it from W's pattern,
+        # which SparseSymmetricMatrix would reject, and W is unchanged.
+        n, seed, cbar, eps, t = 60, 7, 2.0, 0.5, 0
+        params = EnsembleParams(n, 0.3, GAUSS)
+        draw = trial_stream(seed, 1, t).generator().standard_normal(n * n)
+        draw[::3] = 0.0
+        real_stream = spectra.trial_stream
+
+        class ZeroedStream:
+            def generator(self):
+                return self
+
+            def standard_normal(self, size):
+                assert size == n * n
+                return draw.copy()
+
+        monkeypatch.setattr(spectra, "trial_stream", lambda s, lane, i: ZeroedStream() if lane == 1 else real_stream(s, lane, i))
+        want, _ = self._dense_mask_reference(params, seed, cbar, eps, t, draw.reshape(n, n))
+        assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
 
 
 class TestSingularExtremes:
@@ -665,10 +693,11 @@ class TestOneBufferPerCall:
         assert A.tobytes(order="A") == before.tobytes(order="A") and A.flags.f_contiguous == (order == "F")
 
     def test_norm_bound_trial_peak(self):
-        # The realization and spectral_norm's copy of it, then a boolean mask,
-        # the Gaussian draw symmetrized and masked in place, and its copy.
+        # Both matrices reach spectral_norm sparse, so the trial holds one n x n
+        # array at a time (A densified, the flat Gaussian draw, W densified) next
+        # to O(nnz) coordinates: about 1.3 here, 1 + 2.5p at density p.
         params = EnsembleParams(self.N, 0.1, RAD)
-        assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 3.5
+        assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 2.0
 
     def test_tridiagonal_reduces_in_place(self):
         work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T
@@ -691,3 +720,22 @@ def test_both_routes_at_extreme_scales(scale):
     summary = spectral_summary(A)
     assert summary.s_min == pytest.approx(float(np.abs(oracle).min()), rel=1e-9)
     assert summary.residual <= 1e-10 * norm * A.shape[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        spectral_summary,
+        full_symmetric_spectrum,
+        spectral_norm,
+        smallest_singular_value,
+        lambda A: spectra._extreme_singular_values(A, np.ones(3)),
+    ],
+    ids=["spectral_summary", "full_symmetric_spectrum", "spectral_norm", "smallest_singular_value", "with_rhs"],
+)
+def test_norm_overflow_is_a_numerical_error(call):
+    # Every entry is finite, but the eigenvalue 2e308 of the leading 2 x 2
+    # block is not: both routes scale back through one overflow check.
+    A = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -1e308]])
+    with pytest.raises(NumericalError, match="the spectral norm overflows float64"):
+        call(A)

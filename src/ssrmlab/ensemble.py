@@ -6,10 +6,13 @@ xi_ij is a centered unit-variance law with finite fourth moment.  The
 laws and the (n, p, law) parameters are defined in ``ssrmlab.model``.
 
 Randomness flows through Philox streams keyed by ``(seed, stream_id)``.
-Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``:
-lane = cell index for trial t's matrix (single-cell experiments are cell
-0), lane 1 for trial t's auxiliary draw (comparison matrix, vector X),
-lane 2 at index t * x_draws + k for the k-th of x_draws vectors.
+Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``,
+at index t for trial t: lane c for the matrix of cell c (single-cell
+experiments are cell 0), lane 0 for smallball's vectors, and lane 1 for
+the auxiliary draw (norm-check's comparison matrix, quadratic's vector
+X).  Lane 1 is cell 1's matrix lane in a sweep, so only single-cell kinds
+may draw it.  No experiment draws lane 2; the test suite's lemma checks
+take their k-th of x_draws vectors there, at index t * x_draws + k.
 :func:`run_trials`, the one trial engine, keys every trial by its
 (cell, trial), so its records are the same at any worker count.
 """

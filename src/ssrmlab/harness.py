@@ -38,7 +38,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as ARTIFACT_VERSION
 from .errors import REPORTED, ConfigError, ParameterError, report
@@ -87,33 +87,6 @@ class _Kind:
     vectors: bool = False  # samples vectors, not matrices
     reads_eps: bool = False  # grid.eps: one point or more, each >= 0, any order
     params: dict[str, _Param] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """One (n, p, eps) cell of a tail sweep."""
-
-    n: int
-    p: float
-    eps: float
-    successes: int
-    trials: int
-    p_hat: float
-    wilson_lo: float
-    wilson_hi: float
-
-    def __post_init__(self):
-        if not 0 <= self.successes <= self.trials:
-            raise ParameterError("successes must lie in [0, trials]")
-        if not 0.0 <= self.wilson_lo <= self.p_hat + 1e-12 or not self.p_hat <= self.wilson_hi + 1e-12 <= 1.0 + 1e-12:
-            raise ParameterError("interval must satisfy 0 <= lo <= p_hat <= hi <= 1")
-
-    @classmethod
-    def from_counts(cls, n: int, p: float, eps: float, successes: int, trials: int) -> "TailEstimate":
-        from .stats import wilson_interval
-
-        lo, hi = wilson_interval(successes, trials)
-        return cls(n, p, eps, successes, trials, successes / trials if trials else math.nan, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -313,27 +286,42 @@ def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> li
     return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
 
 
-def tail_sweep(cfg: ExperimentConfig) -> list[TailEstimate]:
+class TailRow(NamedTuple):
+    """One (n, p, eps) cell of a tail sweep; the fields, in order, are the CSV columns."""
+
+    n: int
+    p: float
+    eps: float
+    successes: int
+    trials: int
+    p_hat: float
+    wilson_lo: float
+    wilson_hi: float
+
+
+def tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
     """Joint tail frequencies of {s_min <= eps sqrt(p/n)} and the norm event.
 
     One realization per (cell, trial) serves the whole eps grid, so
     success counts are exactly nondecreasing in eps within a cell.
     """
     from .spectra import C_OP
+    from .stats import wilson_interval
 
     cells = [(n, p) for n in cfg.n_grid for p in cfg.p_grid]
-    rows: list[TailEstimate] = []
+    rows = []
     for (n, p), vals in zip(cells, _extreme_values(cfg, cells)):
         op_thr = C_OP * math.sqrt(p * n)
         for eps in cfg.eps_grid:
             thr = eps * math.sqrt(p / n)
-            successes = sum(1 for smin, smax in vals if smin <= thr and smax <= op_thr)
-            rows.append(TailEstimate.from_counts(n, p, eps, successes, cfg.trials))
+            hits = sum(1 for smin, smax in vals if smin <= thr and smax <= op_thr)
+            rows.append(TailRow(n, p, eps, hits, cfg.trials, hits / cfg.trials, *wilson_interval(hits, cfg.trials)))
     return rows
 
 
-@dataclass(frozen=True)
-class ScalingCell:
+class ScalingCell(NamedTuple):
+    """One (n, p) cell of the scaling experiment; the fields, in order, are the CSV columns."""
+
     n: int
     p: float
     trials: int
@@ -343,7 +331,7 @@ class ScalingCell:
     ratio_to_prev: float | None
 
 
-def scaling_consistency(cfg: ExperimentConfig) -> tuple[ScalingCell, ...]:
+def scaling_consistency(cfg: ExperimentConfig) -> list[ScalingCell]:
     """Medians of s_min sqrt(n/p) and of the condition number over n.
 
     Exactly singular realizations are counted separately, never folded
@@ -367,10 +355,10 @@ def scaling_consistency(cfg: ExperimentConfig) -> tuple[ScalingCell, ...]:
             ratio = med_smin / prev_by_p[p]
         prev_by_p[p] = med_smin
         out.append(ScalingCell(n, p, cfg.trials, med_smin, med_cond, singular_count, ratio))
-    return tuple(out)
+    return out
 
 
-def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
+def exponent_fit(rows: list[TailRow]) -> SlopeFit | None:
     """Log-log slope of p_hat against eps over CI-solid cells.
 
     The points are the (cell, eps) pairs with eps > 0 and p_hat > 0 whose
@@ -386,18 +374,16 @@ def exponent_fit(rows: list[TailEstimate]) -> SlopeFit | None:
 # CSV + sidecar emission.
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".12g")
     return str(value)
 
 
-def write_csv(path: str, schema: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, schema: str, header: list[str], rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# {ARTIFACT_NAME} {schema} v{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
@@ -439,71 +425,37 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
 
 # ---------------------------------------------------------------------------
 # run(): dispatch a named experiment from a config file.  Each runner
-# returns the CSV header, the CSV rows and the sidecar's results block.
+# returns the CSV header, the CSV rows and the sidecar's results block;
+# a header is its row type's fields.
 
-_Table = tuple[list[str], list[list], dict]
+_Table = tuple[list[str], list, dict]
 
 
 def _run_tail_sweep(cfg: ExperimentConfig) -> _Table:
     rows = tail_sweep(cfg)
     fit = exponent_fit(rows)
-    return (
-        ["n", "p", "eps", "successes", "trials", "p_hat", "wilson_lo", "wilson_hi"],
-        [[r.n, r.p, r.eps, r.successes, r.trials, r.p_hat, r.wilson_lo, r.wilson_hi] for r in rows],
-        {"exponent_fit": None if fit is None else asdict(fit)},
-    )
+    return list(TailRow._fields), rows, {"exponent_fit": None if fit is None else asdict(fit)}
 
 
 def _run_scaling(cfg: ExperimentConfig) -> _Table:
-    return (
-        ["n", "p", "trials", "median_smin_scaled", "median_cond_over_n", "singular_count", "ratio_to_prev"],
-        [
-            [c.n, c.p, c.trials, c.median_smin_scaled, c.median_cond_over_n, c.singular_count,
-             "" if c.ratio_to_prev is None else _fmt(c.ratio_to_prev)]
-            for c in scaling_consistency(cfg)
-        ],
-        {},
-    )
+    return list(ScalingCell._fields), scaling_consistency(cfg), {}
 
 
 def _run_norm_check(cfg: ExperimentConfig) -> _Table:
-    from .spectra import norm_bound_experiment
+    from .spectra import NormBoundRow, norm_bound_experiment
 
-    n, p = cfg.n_grid[0], cfg.p_grid[0]
-    rep = norm_bound_experiment(
-        cfg.params_for(n, p), cfg.trials, cfg.master_seed, cfg.param("cbar"), cfg.param("bvh_eps"), cfg.workers
-    )
-    return (
-        ["trial", "norm", "norm_over_sqrt_pn", "omega_event", "bvh_bound", "bvh_satisfied"],
-        [[r.trial, r.norm, r.norm_over_sqrt_pn, r.omega_event, r.bvh_bound, r.bvh_satisfied] for r in rep.rows],
-        {
-            "n": n,
-            "p": p,
-            "mean_ratio": rep.mean_ratio,
-            "violation_fraction": rep.violation_fraction,
-            "omega_fraction": rep.omega_fraction,
-            "bvh_fraction": rep.bvh_fraction,
-        },
+    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    return list(NormBoundRow._fields), *norm_bound_experiment(
+        params, cfg.trials, cfg.master_seed, cfg.param("cbar"), cfg.param("bvh_eps"), cfg.workers
     )
 
 
 def _run_distance_check(cfg: ExperimentConfig) -> _Table:
-    from .inverse_geometry import invertibility_via_distance_experiment
+    from .inverse_geometry import DistanceExperimentRow, invertibility_via_distance_experiment
 
-    n, p = cfg.n_grid[0], cfg.p_grid[0]
-    rep = invertibility_via_distance_experiment(
-        cfg.params_for(n, p), cfg.eps_grid[0], cfg.param("m"), cfg.param("rho"), cfg.trials, cfg.master_seed, cfg.workers
-    )
-    return (
-        ["trial", "s_min", "minimizer_incompressible", "lhs_event", "rhs_value"],
-        [[r.trial, r.s_min, r.minimizer_incompressible, r.lhs_event, r.rhs_value] for r in rep.rows],
-        {
-            "lhs_hat": rep.lhs_hat,
-            "lhs_ci": list(rep.lhs_ci),
-            "rhs_hat": rep.rhs_hat,
-            "rhs_halfwidth": rep.rhs_halfwidth,
-            "holds_within_slack": rep.holds_within_slack,
-        },
+    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    return list(DistanceExperimentRow._fields), *invertibility_via_distance_experiment(
+        params, cfg.eps_grid[0], cfg.param("m"), cfg.param("rho"), cfg.trials, cfg.master_seed, cfg.workers
     )
 
 
@@ -535,18 +487,11 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
 
 
 def _run_quadratic(cfg: ExperimentConfig) -> _Table:
-    from .inverse_geometry import quadratic_smallball_experiment
+    from .inverse_geometry import QuadraticRow, quadratic_smallball_experiment
 
-    n, p = cfg.n_grid[0], cfg.p_grid[0]
-    rep = quadratic_smallball_experiment(cfg.params_for(n, p), cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers)
-    return (
-        ["eps", "p_hat_zero", "p_hat_median"],
-        [list(row) for row in zip(rep.eps_grid, rep.p_hat_zero, rep.p_hat_median)],
-        {
-            "excluded_singular": rep.excluded_singular,
-            "slope_zero": None if rep.slope_zero is None else asdict(rep.slope_zero),
-            "slope_median": None if rep.slope_median is None else asdict(rep.slope_median),
-        },
+    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    return list(QuadraticRow._fields), *quadratic_smallball_experiment(
+        params, cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers
     )
 
 
@@ -569,7 +514,7 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list[list], extra: dict) -> None:
+def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list, extra: dict) -> None:
     """Write the CSV and its sidecar under temporary names beside
     ``cfg.out`` and rename both only once both are complete, so a failed
     write leaves neither file."""

@@ -16,8 +16,9 @@ routines are spectra's, so nothing here imports the scipy.linalg package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .spectra import (
     dgetri_lwork,
     singular_extremes,
 )
-from .stats import SlopeFit, determined_slope, wilson_interval
+from .stats import determined_slope, wilson_interval
 from .structure import sparse_tail_distance
 
 # Leverage |N_j|^2 above which column j lies in the span of the others.
@@ -83,23 +84,14 @@ def all_column_distances(A, null: np.ndarray) -> np.ndarray:
     return dists
 
 
-@dataclass(frozen=True)
-class DistanceExperimentRow:
+class DistanceExperimentRow(NamedTuple):
+    """One distance-check trial; the fields, in order, are the CSV columns."""
+
     trial: int
     s_min: float
     minimizer_incompressible: bool
     lhs_event: bool
     rhs_value: float
-
-
-@dataclass(frozen=True)
-class DistanceExperimentReport:
-    rows: tuple[DistanceExperimentRow, ...]
-    lhs_hat: float
-    lhs_ci: tuple[float, float]
-    rhs_hat: float
-    rhs_halfwidth: float
-    holds_within_slack: bool
 
 
 def _distance_trial(
@@ -124,36 +116,38 @@ def invertibility_via_distance_experiment(
     trials: int,
     master_seed: int = 0,
     workers: int = 1,
-) -> DistanceExperimentReport:
+) -> tuple[list[DistanceExperimentRow], dict]:
     """Monte Carlo check of the invertibility-via-distance inequality.
 
     Left side: fraction of trials where s_min <= eps sqrt(p/n) AND the
     minimizing eigenvector is (M, rho)-incompressible.  Right side: mean
     over trials of (1/M) #{j : dist(A_j, H_j) <= sqrt(p) eps}.  The
     certified comparison allows one-sided CI slack on both estimates.
-    Needs eps >= 0, rho > 0, trials >= 1 (checked by ``harness``) and
+    Returns the rows and the sidecar's summary of both sides.  Needs
+    eps >= 0, rho > 0, trials >= 1 (checked by ``harness``) and
     1 <= M < n (by ``sparse_tail_distance``).
     """
     rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
     lhs_hits = sum(r.lhs_event for r in rows)
-    lhs_hat = lhs_hits / trials
     lhs_ci = wilson_interval(lhs_hits, trials)
     rhs_arr = np.asarray([r.rhs_value for r in rows])
     rhs_hat = float(rhs_arr.mean())
     rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
-    holds = lhs_ci[0] <= rhs_hat + rhs_halfwidth
-    return DistanceExperimentReport(tuple(rows), lhs_hat, lhs_ci, rhs_hat, rhs_halfwidth, holds)
+    return rows, {
+        "lhs_hat": lhs_hits / trials,
+        "lhs_ci": list(lhs_ci),
+        "rhs_hat": rhs_hat,
+        "rhs_halfwidth": rhs_halfwidth,
+        "holds_within_slack": lhs_ci[0] <= rhs_hat + rhs_halfwidth,
+    }
 
 
-@dataclass(frozen=True)
-class QuadraticSmallballReport:
-    eps_grid: tuple[float, ...]
-    p_hat_zero: tuple[float, ...]
-    p_hat_median: tuple[float, ...]
-    trials: int
-    excluded_singular: int
-    slope_zero: SlopeFit | None
-    slope_median: SlopeFit | None
+class QuadraticRow(NamedTuple):
+    """One eps point of the quadratic experiment; the fields, in order, are the CSV columns."""
+
+    eps: float
+    p_hat_zero: float
+    p_hat_median: float
 
 
 def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
@@ -174,7 +168,7 @@ def quadratic_smallball_experiment(
     trials: int,
     master_seed: int = 0,
     workers: int = 1,
-) -> QuadraticSmallballReport:
+) -> tuple[list[QuadraticRow], dict]:
     """Tail curve of the self-normalized quadratic form of the inverse.
 
     Per trial draws (A, X), computes q = <A^-1 X, X> and the normalizer
@@ -182,6 +176,8 @@ def quadratic_smallball_experiment(
     jointly with the operator-norm event |A| <= C_OP sqrt(pn), at u = 0
     and at the empirical median of q.  Realizations are reused across the
     whole eps grid, in any order, so the curves are exactly monotone in eps.
+    Returns one row per eps point and the sidecar's summary: the singular
+    realizations excluded and the log-log slope of each curve.
     Needs eps points >= 0, one or more, and trials >= 1 (checked by ``harness``).
     """
     records = run_trials(partial(_quadratic_trial, master_seed), [params], trials, workers)[0]
@@ -191,22 +187,14 @@ def quadratic_smallball_experiment(
     qs_arr, dens_arr, eops_arr = (np.asarray(col) for col in zip(*kept))
     sqrt_p = math.sqrt(params.p)
 
-    def curve(center: float) -> tuple[float, ...]:
+    def curve(center: float) -> list[float]:
         stat = np.abs(qs_arr - center) / dens_arr
-        return tuple(float(np.mean((stat <= e * sqrt_p) & eops_arr)) for e in eps_grid)
+        return [float(np.mean((stat <= e * sqrt_p) & eops_arr)) for e in eps_grid]
 
-    p_zero = curve(0.0)
-    p_med = curve(float(np.median(qs_arr)))
+    def fit(phats) -> dict | None:
+        slope = determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
+        return None if slope is None else asdict(slope)
 
-    def try_fit(phats) -> SlopeFit | None:
-        return determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
-
-    return QuadraticSmallballReport(
-        eps_grid=eps_grid,
-        p_hat_zero=p_zero,
-        p_hat_median=p_med,
-        trials=trials,
-        excluded_singular=trials - len(kept),
-        slope_zero=try_fit(p_zero),
-        slope_median=try_fit(p_med),
-    )
+    p_zero, p_med = curve(0.0), curve(float(np.median(qs_arr)))
+    rows = [QuadraticRow(*row) for row in zip(eps_grid, p_zero, p_med)]
+    return rows, {"excluded_singular": trials - len(kept), "slope_zero": fit(p_zero), "slope_median": fit(p_med)}

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,51 +340,22 @@ def bvh_bound(sigma: float, sigma_star: float, n: int, eps: float) -> float:
     """Gaussian comparison bound (1+eps)(2 sigma + 6 sigma* sqrt(log n) / sqrt(log(1+eps))).
 
     sigma is the largest row norm of a variance mask b_ij and sigma* its
-    largest entry magnitude.  eps up to and including 0.5 is accepted;
-    experiments evaluate at the endpoint.
+    largest entry magnitude.  Needs 0 <= sigma* <= sigma, n >= 1 and eps in
+    (0, 1/2] (``harness`` checks it as norm-check's ``params.bvh_eps``).
     """
-    if sigma < 0 or sigma_star < 0:
-        raise ParameterError("mask profile norms must be nonnegative")
-    if sigma_star > sigma + 1e-12:
-        raise ParameterError("sigma_star cannot exceed sigma")
-    if not 0.0 < eps <= 0.5:
-        raise ParameterError("eps must lie in (0, 1/2]")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    star_term = 6.0 / math.sqrt(math.log1p(eps)) * sigma_star * math.sqrt(math.log(n)) if n > 1 else 0.0
+    star_term = 6.0 / math.sqrt(math.log1p(eps)) * sigma_star * math.sqrt(math.log(n))
     return (1.0 + eps) * (2.0 * sigma + star_term)
 
 
-@dataclass(frozen=True)
-class NormBoundRow:
+class NormBoundRow(NamedTuple):
+    """One norm-check trial; the fields, in order, are the CSV columns."""
+
     trial: int
     norm: float
     norm_over_sqrt_pn: float
     omega_event: bool
     bvh_bound: float
     bvh_satisfied: bool
-
-
-@dataclass(frozen=True)
-class NormBoundReport:
-    rows: tuple[NormBoundRow, ...]
-
-    @property
-    def mean_ratio(self) -> float:
-        return float(np.mean([r.norm_over_sqrt_pn for r in self.rows])) if self.rows else math.nan
-
-    @property
-    def violation_fraction(self) -> float:
-        """Fraction of trials with |A| > C_op sqrt(pn)."""
-        return float(np.mean([r.norm_over_sqrt_pn > C_OP for r in self.rows])) if self.rows else math.nan
-
-    @property
-    def omega_fraction(self) -> float:
-        return float(np.mean([r.omega_event for r in self.rows])) if self.rows else math.nan
-
-    @property
-    def bvh_fraction(self) -> float:
-        return float(np.mean([r.bvh_satisfied for r in self.rows])) if self.rows else math.nan
 
 
 def _norm_bound_trial(
@@ -414,17 +386,24 @@ def norm_bound_experiment(
     cbar: float,
     eps: float,
     workers: int = 1,
-) -> NormBoundReport:
+) -> tuple[list[NormBoundRow], dict]:
     """Per-trial spectral norms plus the Gaussian comparison check.
 
     Each trial samples one ensemble realization A, records |A|/sqrt(pn)
     and the row-sparsity event (max row mask count <= cbar * p * n), then
     reuses A's mask for a Gaussian matrix W and compares |W| against the
-    comparison bound of the realized mask profile.  The report's
-    ``violation_fraction`` counts the trials with |A| > C_OP sqrt(pn).
-    Needs cbar > 0, trials >= 1 (checked by ``harness``) and eps in (0, 1/2]
-    (by ``bvh_bound``).
+    comparison bound of the realized mask profile.  Returns the rows and
+    the sidecar's summary, whose ``violation_fraction`` counts the trials
+    with |A| > C_OP sqrt(pn).  Needs cbar > 0, eps in (0, 1/2] and
+    trials >= 1 (checked by ``harness``).
     """
     kernel = partial(_norm_bound_trial, master_seed, cbar, eps)
     rows = run_trials(kernel, [params], trials, workers)[0]
-    return NormBoundReport(tuple(rows))
+    return rows, {
+        "n": params.n,
+        "p": params.p,
+        "mean_ratio": float(np.mean([r.norm_over_sqrt_pn for r in rows])),
+        "violation_fraction": float(np.mean([r.norm_over_sqrt_pn > C_OP for r in rows])),
+        "omega_fraction": float(np.mean([r.omega_event for r in rows])),
+        "bvh_fraction": float(np.mean([r.bvh_satisfied for r in rows])),
+    }

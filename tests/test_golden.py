@@ -7,8 +7,11 @@ which pins ``all_column_distances`` with a nonempty null block.
 ``digests.json`` records the SHA-256 of each kind's CSV
 and of the ``lcd``/``structure`` records of the vector and the ``spectra``
 record of the matrix, together with the ``ARTIFACT_VERSION`` they were
-made at.  A change to any of those bytes is deliberate only with a version
-bump, regenerated digests and a CHANGES.md line saying what moved.
+made at.  For every config case it also records the SHA-256 of the
+sidecar's ``results`` block, as ``json.dumps(results, sort_keys=True)``
+(``null`` for a kind that writes none).  A change to any of those bytes
+is deliberate only with a version bump, regenerated digests and a
+CHANGES.md line saying what moved.
 
 The runs pin the BLAS and OpenMP thread counts to 1, as every CLI process
 also does itself (``test_threads.py`` checks that the caller's setting
@@ -63,8 +66,15 @@ def _output(case: str, workdir: Path) -> bytes:
     return proc.stdout if case in _RECORDS else out.read_bytes()
 
 
+def _results_digest(workdir: Path) -> str:
+    """SHA-256 of the ``results`` block of the sidecar the case wrote in ``workdir``."""
+    meta = json.loads((workdir / "out.csv.meta.json").read_text(encoding="utf-8"))
+    return hashlib.sha256(json.dumps(meta.get("results"), sort_keys=True).encode()).hexdigest()
+
+
 def test_every_kind_and_record_is_pinned():
     assert set(RECORDED["sha256"]) == set(harness.EXPERIMENT_KINDS) | set(_RECORDS) | set(_EXTRA_CONFIGS)
+    assert set(RECORDED["results_sha256"]) == set(harness.EXPERIMENT_KINDS) | set(_EXTRA_CONFIGS)
 
 
 def test_singular_case_draws_singular_matrices(tmp_path):
@@ -80,6 +90,9 @@ def test_output_bytes_match_digest(case, tmp_path):
         f"{case} output bytes changed (sha256 {got}). A deliberate byte change needs an "
         "ARTIFACT_VERSION bump, regenerated tests/golden/digests.json and a CHANGES.md line."
     )
+    if case in RECORDED["results_sha256"]:
+        got = _results_digest(tmp_path)
+        assert got == RECORDED["results_sha256"][case], f"{case} sidecar results changed (sha256 {got})."
 
 
 def test_digests_were_made_at_this_version():

@@ -18,7 +18,7 @@ from ssrmlab.harness import (
     ARTIFACT_VERSION,
     EXPERIMENT_KINDS,
     ExperimentConfig,
-    TailEstimate,
+    TailRow,
     config_from_text,
     config_to_text,
     exponent_fit,
@@ -119,16 +119,12 @@ class TestWilson:
                 cover += lo <= p <= hi
             assert 0.93 <= cover / 10_000 <= 0.97
 
-
-class TestTailEstimate:
-    def test_from_counts(self):
-        r = TailEstimate.from_counts(10, 0.5, 0.1, 3, 100)
-        assert r.p_hat == 0.03
-        assert r.wilson_lo <= r.p_hat <= r.wilson_hi
-
-    def test_invalid_counts(self):
-        with pytest.raises(ParameterError):
-            TailEstimate(10, 0.5, 0.1, 5, 3, 1.6, 0.0, 1.0)
+    def test_interval_brackets_the_estimate(self):
+        # 0 <= lo <= p_hat <= hi <= 1, within 1e-12, for every count up to 1000.
+        for t in range(1, 1001):
+            for s in range(t + 1):
+                lo, hi = wilson_interval(s, t)
+                assert 0.0 <= lo <= s / t + 1e-12 and s / t <= hi + 1e-12 and hi <= 1.0, (s, t)
 
 
 class TestConfig:
@@ -190,12 +186,14 @@ class TestTailSweep:
         assert keys == sorted(keys, key=lambda t: (cfg.n_grid.index(t[0]), cfg.p_grid.index(t[1]), cfg.eps_grid.index(t[2])))
 
 
+def _tail_row(n: int, p: float, eps: float, successes: int, trials: int) -> TailRow:
+    """The row ``tail_sweep`` writes for ``successes`` of ``trials``."""
+    return TailRow(n, p, eps, successes, trials, successes / trials, *wilson_interval(successes, trials))
+
+
 class TestExponentFit:
     def test_exact_linear_recovery(self):
-        rows = [
-            TailEstimate.from_counts(10, 0.5, eps, int(1000 * eps), 1000)
-            for eps in (0.1, 0.2, 0.4, 0.8)
-        ]
+        rows = [_tail_row(10, 0.5, eps, int(1000 * eps), 1000) for eps in (0.1, 0.2, 0.4, 0.8)]
         fit = exponent_fit(rows)
         assert fit is not None
         assert fit.slope == pytest.approx(1.0, abs=1e-9)
@@ -206,22 +204,22 @@ class TestExponentFit:
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
             phat = eps ** (1 / 9)
             trials = 10**6
-            rows.append(TailEstimate(10, 0.5, eps, int(round(phat * trials)), trials, phat, phat / 2, min(1.0, phat * 1.5)))
+            rows.append(TailRow(10, 0.5, eps, int(round(phat * trials)), trials, phat, phat / 2, min(1.0, phat * 1.5)))
         fit = exponent_fit(rows)
         assert fit is not None
         assert fit.slope == pytest.approx(1 / 9, abs=1e-9)
 
     def test_too_few_points(self):
-        rows = [TailEstimate.from_counts(10, 0.5, 0.1, 5, 100)]
+        rows = [_tail_row(10, 0.5, 0.1, 5, 100)]
         assert exponent_fit(rows) is None
 
     def test_one_eps_value_no_fit(self):
         # Four cells solid at one eps point only: no slope, and no error.
-        rows = [TailEstimate.from_counts(n, 0.5, eps, 4 if eps == 1.0 else 0, 6) for n in (8, 12, 16, 24) for eps in (0.1, 1.0)]
+        rows = [_tail_row(n, 0.5, eps, 4 if eps == 1.0 else 0, 6) for n in (8, 12, 16, 24) for eps in (0.1, 1.0)]
         assert exponent_fit(rows) is None
 
     def test_zero_rows_excluded(self):
-        rows = [TailEstimate.from_counts(10, 0.5, eps, 0, 100) for eps in (0.1, 0.2, 0.4, 0.8)]
+        rows = [_tail_row(10, 0.5, eps, 0, 100) for eps in (0.1, 0.2, 0.4, 0.8)]
         assert exponent_fit(rows) is None
 
     def test_loglog_needs_positive(self):

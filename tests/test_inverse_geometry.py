@@ -193,19 +193,19 @@ class TestInverseImageExperiment:
 
 class TestInvertibilityViaDistance:
     def test_huge_eps_trivial(self):
-        rep = invertibility_via_distance_experiment(
+        _, summary = invertibility_via_distance_experiment(
             EnsembleParams(20, 0.5, GAUSS), 1e3, 10, 0.1, 10, master_seed=2
         )
-        assert rep.rhs_hat >= 1.0
-        assert rep.holds_within_slack
+        assert summary["rhs_hat"] >= 1.0
+        assert summary["holds_within_slack"]
 
     def test_moderate_config_holds(self):
         # n=100, eps=0.1, M=n/2: the distance side dominates with real margin.
-        rep = invertibility_via_distance_experiment(
+        _, s = invertibility_via_distance_experiment(
             EnsembleParams(100, 0.5, RAD), 0.1, 50, 0.1, 2000, master_seed=3
         )
-        assert rep.holds_within_slack
-        assert rep.lhs_hat <= rep.rhs_hat + rep.rhs_halfwidth + (rep.lhs_ci[1] - rep.lhs_hat)
+        assert s["holds_within_slack"]
+        assert s["lhs_hat"] <= s["rhs_hat"] + s["rhs_halfwidth"] + (s["lhs_ci"][1] - s["lhs_hat"])
 
     def test_m_validated(self):
         with pytest.raises(ParameterError):
@@ -223,37 +223,44 @@ class TestInvertibilityViaDistance:
         )
 
 
+def _curves(rows) -> tuple[list[float], list[float]]:
+    """The p_hat_zero and p_hat_median columns of quadratic rows."""
+    return [r.p_hat_zero for r in rows], [r.p_hat_median for r in rows]
+
+
 class TestQuadraticSmallball:
     def test_eps_zero_null_event(self):
-        rep = quadratic_smallball_experiment(
+        rows, _ = quadratic_smallball_experiment(
             EnsembleParams(16, 1.0, GAUSS), (0.0, 0.1, 1.0), 40, master_seed=6
         )
-        assert rep.p_hat_zero[0] == 0.0
+        assert rows[0].p_hat_zero == 0.0
 
     def test_monotone_in_eps(self):
-        rep = quadratic_smallball_experiment(
+        rows, _ = quadratic_smallball_experiment(
             EnsembleParams(16, 0.8, GAUSS), (0.01, 0.1, 0.5, 1.0, 3.0), 60, master_seed=7
         )
-        assert list(rep.p_hat_zero) == sorted(rep.p_hat_zero)
-        assert list(rep.p_hat_median) == sorted(rep.p_hat_median)
+        zero, median = _curves(rows)
+        assert zero == sorted(zero)
+        assert median == sorted(median)
 
     def test_slope_fitted_on_log_grid(self):
         # Desk-scale slope is reported descriptively; assert only that a
         # finite positive fit with a CI comes out of the stated grid.
         eps_grid = tuple(np.geomspace(0.01, 1.0, 8))
-        rep = quadratic_smallball_experiment(
+        _, summary = quadratic_smallball_experiment(
             EnsembleParams(100, 0.5, GAUSS), eps_grid, 5000, master_seed=8
         )
-        assert rep.slope_zero is not None and rep.slope_median is not None
-        for fit in (rep.slope_zero, rep.slope_median):
-            assert fit.slope > 0
-            assert math.isfinite(fit.ci_halfwidth)
+        assert summary["slope_zero"] is not None and summary["slope_median"] is not None
+        for fit in (summary["slope_zero"], summary["slope_median"]):
+            assert fit["slope"] > 0
+            assert math.isfinite(fit["ci_halfwidth"])
 
     def test_one_eps_value_no_fit(self):
         # Four positive points at one eps: no slope, and no error.
-        rep = quadratic_smallball_experiment(EnsembleParams(16, 0.8, GAUSS), (3.0,) * 4, 20, master_seed=7)
-        assert min(rep.p_hat_zero) > 0 and min(rep.p_hat_median) > 0
-        assert rep.slope_zero is None and rep.slope_median is None
+        rows, summary = quadratic_smallball_experiment(EnsembleParams(16, 0.8, GAUSS), (3.0,) * 4, 20, master_seed=7)
+        zero, median = _curves(rows)
+        assert min(zero) > 0 and min(median) > 0
+        assert summary["slope_zero"] is None and summary["slope_median"] is None
 
     def test_trial_matches_lu_reference(self):
         # The reduction solve against the general LU solve (dgesv) on the
@@ -281,10 +288,10 @@ class TestQuadraticSmallball:
     def test_counts_are_joint_with_the_norm_event(self, monkeypatch):
         # No nonzero matrix meets |A| <= 1e-9 sqrt(pn), so every count is 0.
         args = (EnsembleParams(16, 0.8, GAUSS), (0.1, 1.0, 10.0), 20)
-        assert max(quadratic_smallball_experiment(*args, master_seed=7).p_hat_zero) > 0
+        assert max(_curves(quadratic_smallball_experiment(*args, master_seed=7)[0])[0]) > 0
         monkeypatch.setattr(inverse_geometry, "C_OP", 1e-9)
-        rep = quadratic_smallball_experiment(*args, master_seed=7)
-        assert rep.p_hat_zero == rep.p_hat_median == (0.0, 0.0, 0.0)
+        zero, median = _curves(quadratic_smallball_experiment(*args, master_seed=7)[0])
+        assert zero == median == [0.0, 0.0, 0.0]
 
 
 _PARAMS = EnsembleParams(16, 0.5, GAUSS)
@@ -318,8 +325,8 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
     real = inverse_geometry.all_column_distances
     # Each call gets the trial's sparse realization, not a dense copy of it.
     monkeypatch.setattr(inverse_geometry, "all_column_distances", lambda A, null: calls.append(A.n) or real(A, null))
-    rep = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
-    assert len(rep.rows) == 5 and calls == [16] * 5
+    rows, _ = invertibility_via_distance_experiment(_PARAMS, 0.1, 4, 0.1, 5, master_seed=2)
+    assert len(rows) == 5 and calls == [16] * 5
 
 
 @pytest.mark.parametrize(

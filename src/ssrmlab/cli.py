@@ -107,7 +107,7 @@ def _cmd_lcd(args) -> int:
     from .structure import lcd
 
     x = _read_unit_vector(args.vector)
-    res = lcd(x, args.scale_l, theta_cap=args.cap, tol=args.tol)
+    res = lcd(x, args.scale_l, theta_cap=args.cap)
     _emit(
         {
             "n": int(x.size),
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--vector", required=True)
     l.add_argument("--scale-l", dest="scale_l", type=float, default=1.0)
     l.add_argument("--cap", type=float, default=None)
-    l.add_argument("--tol", type=float, default=1e-9)
     l.set_defaults(func=_cmd_lcd)
 
     st = sub.add_parser("structure", help="classify a vector file")

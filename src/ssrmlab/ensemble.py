@@ -211,11 +211,8 @@ def _rekeyed_generator(stream: RngStream) -> np.random.Generator:
 def sample_sparse_vector(
     n: int, p: float, dist: EntryDistribution, stream: RngStream
 ) -> np.ndarray:
-    """Vector with i.i.d. coordinates delta * xi, delta ~ Bernoulli(p)."""
-    if n < 1:
-        raise ParameterError("vector dimension must be >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"sparsity level p must lie in [0, 1], got {p!r}")
+    """Vector with i.i.d. coordinates delta * xi, delta ~ Bernoulli(p); needs n >= 1
+    and 0 <= p <= 1 (checked by ``EnsembleParams`` or ``harness``'s smallball record)."""
     rng = _rekeyed_generator(stream)
     mask = rng.random(n) < p
     out = np.zeros(n)

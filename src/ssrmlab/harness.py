@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as ARTIFACT_VERSION
 from .errors import REPORTED, ConfigError, ParameterError, report
-from .model import EnsembleParams, EntryDistribution, parse_distribution
+from .model import EnsembleParams, EntryDistribution, format_distribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
     import configparser
@@ -156,12 +156,6 @@ class ExperimentConfig:
         return EnsembleParams(n=n, p=p, dist=self.dist)
 
 
-def _dist_to_text(dist: EntryDistribution) -> str:
-    if dist.kind == "two-point-general":
-        return f"two-point:{dist.prob:.17g}"
-    return dist.kind
-
-
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config to the flat key-value format (lossless round-trip)."""
     import configparser
@@ -174,7 +168,7 @@ def config_to_text(cfg: ExperimentConfig) -> str:
         "workers": str(cfg.workers),
         "out": cfg.out,
     }
-    cp["ensemble"] = {"dist": _dist_to_text(cfg.dist)}
+    cp["ensemble"] = {"dist": format_distribution(cfg.dist)}
     cp["grid"] = {"n": ",".join(str(v) for v in cfg.n_grid), "p": ",".join(f"{v:.17g}" for v in cfg.p_grid)}
     if cfg.eps_grid:
         cp["grid"]["eps"] = ",".join(f"{v:.17g}" for v in cfg.eps_grid)
@@ -406,7 +400,7 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
         "schema_version": SCHEMA_VERSION,
         "config": {
             "kind": cfg.kind,
-            "dist": _dist_to_text(cfg.dist),
+            "dist": format_distribution(cfg.dist),
             "n_grid": list(cfg.n_grid),
             "p_grid": list(cfg.p_grid),
             "eps_grid": list(cfg.eps_grid),

@@ -93,6 +93,13 @@ def parse_distribution(text: str) -> EntryDistribution:
     raise ParameterError(f"unknown distribution {text!r}")
 
 
+def format_distribution(dist: EntryDistribution) -> str:
+    """The text that ``parse_distribution`` reads back as ``dist``."""
+    if dist.kind == "two-point-general":
+        return f"two-point:{dist.prob:.17g}"
+    return dist.kind
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Dimension, sparsity level and entry law: exactly what ``sample_matrix`` reads."""

@@ -18,7 +18,6 @@ from functools import partial
 import numpy as np
 
 from .ensemble import run_trials, sample_sparse_vector, trial_stream
-from .errors import ParameterError
 from .model import EntryDistribution
 
 
@@ -42,12 +41,10 @@ def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
 
     For eps > 0 this computes max_i #{samples in [s_i, s_i + 2 eps)} / N,
     which equals the supremum over open windows of width 2 eps; at
-    eps = 0 it is the largest point multiplicity.  Needs eps >= 0
-    (checked by ``harness``'s smallball record).
+    eps = 0 it is the largest point multiplicity.  Needs one sample or
+    more and eps >= 0 (checked by ``harness``'s smallball record).
     """
     s = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    if s.size == 0:
-        raise ParameterError("empty sample list")
     n = s.size
     if eps == 0.0:
         _, counts = np.unique(s, return_counts=True)
@@ -74,7 +71,6 @@ def lcd_smallball_bound(p: float, eps: float, lcd_value: float) -> float:
 
     The accompanying absolute constant is unknown and not applied;
     callers compare shapes and orderings, not levels.  Needs 0 < p <= 1,
-    eps >= 0 (``harness``'s smallball record) and D > 0 (an ``lcd`` value).
+    eps >= 0 (``harness``'s smallball record) and a finite D > 0 (an ``lcd`` value).
     """
-    tail = 0.0 if math.isinf(lcd_value) else 1.0 / (math.sqrt(p) * lcd_value)
-    return eps + tail
+    return eps + 1.0 / (math.sqrt(p) * lcd_value)

@@ -375,8 +375,7 @@ def _norm_bound_trial(
     keep = slice(None) if g.all() else g != 0.0
     wnorm = spectral_norm(SparseSymmetricMatrix(n, A.row[keep], A.col[keep], g[keep]))
     bound = bvh_bound(math.sqrt(max_count), float(A.nnz_upper > 0), n, eps)
-    scale = math.sqrt(p * n) if p > 0 else 1.0
-    return NormBoundRow(t, norm, norm / scale, omega, bound, wnorm <= bound)
+    return NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, wnorm <= bound)
 
 
 def norm_bound_experiment(
@@ -394,8 +393,8 @@ def norm_bound_experiment(
     reuses A's mask for a Gaussian matrix W and compares |W| against the
     comparison bound of the realized mask profile.  Returns the rows and
     the sidecar's summary, whose ``violation_fraction`` counts the trials
-    with |A| > C_OP sqrt(pn).  Needs cbar > 0, eps in (0, 1/2] and
-    trials >= 1 (checked by ``harness``).
+    with |A| > C_OP sqrt(pn).  Needs cbar > 0, eps in (0, 1/2], p >= 1/n
+    and trials >= 1 (checked by ``harness``).
     """
     kernel = partial(_norm_bound_trial, master_seed, cbar, eps)
     rows = run_trials(kernel, [params], trials, workers)[0]

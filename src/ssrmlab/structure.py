@@ -25,6 +25,8 @@ _UNIT_TOL = 1e-9
 # 1 << 16); at 1 << 12 the per-window overhead slows the scan.
 _LCD_WINDOW = 1 << 14
 
+_LCD_TOL = 1e-9  # ``lcd``'s bisection width, unless its ends are adjacent floats first
+
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -177,7 +179,7 @@ def _interval_minima(a: float, L: float, lo, hi, b, c):
     return f_lo, f_hi, t_star, inside, np.minimum(np.minimum(f_lo, f_hi), f_star)
 
 
-def _confirm(x: np.ndarray, a: float, L: float, left: float, right: float, tol: float) -> LcdResult | None:
+def _confirm(x: np.ndarray, a: float, L: float, left: float, right: float) -> LcdResult | None:
     """The first crossing in [left, right], with b and c from a direct
     rounding at the interval's midpoint, or None when none is confirmed."""
     lo, hi = np.array([left]), np.array([right])
@@ -194,28 +196,31 @@ def _confirm(x: np.ndarray, a: float, L: float, left: float, right: float, tol: 
 
     t_min = float(t_star[0]) if inside[0] else (left if f_lo[0] < f_hi[0] else right)
     if f_scalar(left) < 0.0:
-        root = left
+        root = neg = left
     else:
         # Leftmost crossing lies in [left, t_neg] where f(t_neg) < 0.
         t_neg = t_min
         if f_scalar(t_neg) >= 0.0:
             # Convex dip detected vectorized but endpoint noise: probe.
             probes = np.linspace(left, right, 64)
-            neg = [p for p in probes if f_scalar(float(p)) < 0.0]
-            if not neg:
+            below = [p for p in probes if f_scalar(float(p)) < 0.0]
+            if not below:
                 return None
-            t_neg = float(neg[0])
+            t_neg = float(below[0])
         a_br, b_br = left, t_neg
-        while b_br - a_br > tol:
+        while b_br - a_br > _LCD_TOL:
             m_br = 0.5 * (a_br + b_br)
+            if m_br in (a_br, b_br):
+                break  # adjacent floats: the bracket cannot narrow
             if f_scalar(m_br) < 0.0:
                 b_br = m_br
             else:
                 a_br = m_br
-        root = 0.5 * (a_br + b_br)
-    witness = root + 0.5 * tol
+        root, neg = 0.5 * (a_br + b_br), b_br
+    # f(neg) < 0: the fallback where, at adjacent floats, f = 0 at both.
+    witness = root + 0.5 * _LCD_TOL
     if not (witness < right and f_scalar(witness) < 0.0):
-        witness = root
+        witness = root if f_scalar(root) < 0.0 else neg
     return LcdResult(
         value=float(root),
         witness_theta=float(witness),
@@ -271,7 +276,7 @@ def _interval_windows(x: np.ndarray, L: float, theta_cap: float):
             return
 
 
-def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdResult:
+def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
     """Least common denominator of a unit vector by event-driven scan.
 
     Scans theta in [L, theta_cap]: interval endpoints are the points
@@ -292,8 +297,10 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
     interval the filter flags, within a slack for rounding, is evaluated
     again from a direct rounding before the scalar confirmation.
 
-    Guarantees: an uncapped value exceeds L and is at least
-    1/(2||x||_inf) up to tol, since below that each |theta x_i| < 1/2, so
+    Guarantees: an uncapped value is >= L (the infimum is L when dist(L x,
+    Z^n) = 0); its witness_theta > L satisfies the strict inequality.  The value
+    is >= 1/(2||x||_inf) up to _LCD_TOL (one float spacing past theta =
+    2^23), since below that each |theta x_i| < 1/2, so
     dist(theta x, Z^n) = theta > L sqrt(log+(theta/L)).  1/||x||_inf is
     not a lower bound: past 1/(2||x||_inf) the largest coordinate rounds
     to +-1 and the distance can fall under the threshold.
@@ -307,8 +314,6 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
         theta_cap = max(theta_cap, 2.0 * L)
     if not L < theta_cap < math.inf:
         raise ParameterError("theta_cap must be finite and exceed L")
-    if not 0.0 < tol < math.inf:
-        raise ParameterError("tol must be finite and positive")
 
     a = float(x @ x)  # ~1 for unit input
     eps = np.finfo(np.float64).eps
@@ -321,7 +326,7 @@ def lcd(x, L: float, theta_cap: float | None = None, tol: float = 1e-9) -> LcdRe
         # plus the rounding of the evaluation itself.
         slack = (16.0 * n + 64.0) * eps * (hi + math.sqrt(n)) ** 2
         for j in np.flatnonzero(f_min < slack):
-            hit = _confirm(x, a, L, float(lo[j]), float(hi[j]), tol)
+            hit = _confirm(x, a, L, float(lo[j]), float(hi[j]))
             if hit is not None:
                 return hit
     return LcdResult(

@@ -73,7 +73,7 @@ class RegularizedLcdResult(NamedTuple):
 
 def regularized_lcd(x, consts, lam: float, budget: int, stream) -> RegularizedLcdResult:
     """max D_1(x_I / |x_I|) over subsets I of spread(x) with |I| = ceil(lam n),
-    each D_1 from ``lcd`` at scale L = 1 and its default cap and tolerance.
+    each D_1 from ``lcd`` at scale L = 1 and its default cap.
 
     Exact (full enumeration) when the subset count fits in ``budget`` and
     no subset's scan is capped; otherwise the best of ``budget`` uniformly

@@ -189,7 +189,7 @@ def test_spectra_has_no_tol_flag(tmp_path, capsys, tol):
         (["lcd", "--cap", "nan"], "theta_cap"),
         (["lcd", "--cap", "inf"], "theta_cap"),
         (["lcd", "--scale-l", "nan"], "L must"),
-        (["lcd", "--tol", "nan"], "tol"),
+        (["lcd", "--scale-l", "inf"], "L must"),
         (["structure", "--c-s", "nan"], "c_s must"),
         (["structure", "--c-oo", "inf"], "c_oo must"),
     ],
@@ -278,6 +278,12 @@ def test_spectra_non_finite_file_fails_at_load(tmp_path, capsys, monkeypatch, va
     assert captured.err == "error: stored values must be finite\n"
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports ssrmlab from this checkout."""
+    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_spectra_norm_overflow_is_one_line(tmp_path):
     # Every entry is finite, but the eigenvalue 2e308 of the leading 2 x 2
     # block is not: one line and exit 1, with no overflow warning and no
@@ -285,22 +291,48 @@ def test_spectra_norm_overflow_is_one_line(tmp_path):
     # holds whatever a warning would print.
     path = tmp_path / "m.txt"
     path.write_text("3 0.5 0 0\n0 0 1e308\n1 1 1e308\n2 2 -1e308\n0 1 1e308\n")
-    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ssrmlab.cli", "spectra", "--matrix", str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert _one_line_numerical_error(proc.stderr) and "overflow" in proc.stderr
 
 
+@pytest.mark.parametrize("scale_l", ["2e7", "1e9"])
+def test_lcd_returns_past_float_resolution(tmp_path, scale_l):
+    # L x is a lattice point, so the crossing sits at L, and past theta = 2^23
+    # adjacent floats lie further apart than the bisection width.  A fresh
+    # process with a timeout, so that a bisection that cannot end fails
+    # this test instead of hanging the suite.
+    path = tmp_path / "v.txt"
+    path.write_text("0.6 0.8\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssrmlab.cli", "lcd", "--vector", str(path), "--scale-l", scale_l],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    record = json.loads(proc.stdout)
+    L, theta = float(scale_l), record["witness_theta"]
+    assert not record["capped"] and record["value"] >= L and theta > L
+    x = np.array([0.6, 0.8])
+    y = theta * (x / np.linalg.norm(x))
+    assert float(np.linalg.norm(y - np.round(y))) < L * math.sqrt(math.log(theta / L))
+
+
+def test_lcd_has_no_tol_flag(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_text("0.6 0.8\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lcd", "--vector", str(path), "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def _python(code: str, cwd) -> str:
     """Last stdout line of ``code`` run in a fresh interpreter that imports ssrmlab from this checkout."""
-    src = os.path.dirname(os.path.dirname(ssrmlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-c", code], cwd=cwd, env=_child_env(), capture_output=True, text=True, check=True, timeout=120
     )
     return out.stdout.splitlines()[-1]
 

@@ -312,7 +312,7 @@ class TestLcd:
         for L in (1.0, 2.0):
             for _ in range(20):
                 x = _unit(rng, 6)
-                res = lcd(x, L, tol=tol)
+                res = lcd(x, L)
                 if res.capped:
                     continue
                 y = res.witness_theta * x
@@ -364,7 +364,7 @@ class TestLcd:
     def test_agrees_with_interval_scan(self):
         tol = 1e-9
         for x, L, cap in _lcd_test_vectors(300, seed=15):
-            res = lcd(x, L, theta_cap=cap, tol=tol)
+            res = lcd(x, L, theta_cap=cap)
             value, capped = _lcd_interval_scan(x, L, theta_cap=cap, tol=tol)
             assert res.capped == capped
             assert abs(res.value - value) <= tol
@@ -498,8 +498,6 @@ class TestClassificationInvariance:
         ({"L": math.inf}, "L must"),
         ({"theta_cap": math.nan}, "theta_cap"),
         ({"theta_cap": math.inf}, "theta_cap"),
-        ({"tol": math.nan}, "tol"),
-        ({"tol": math.inf}, "tol"),
     ],
 )
 def test_lcd_non_finite_argument_rejected(kwargs, word):

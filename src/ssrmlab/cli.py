@@ -53,6 +53,8 @@ def _read_unit_vector(path: str) -> np.ndarray:
         raise ParameterError(f"{path!r}: vector entries must be finite")
     if not np.any(x):
         raise ParameterError(f"no nonzero numbers in {path!r}")
+    # A power-of-two scale is exact and keeps the norm from over- or underflowing.
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     return x / np.linalg.norm(x)
 
 

@@ -464,14 +464,12 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
     d = lcd(x, 1.0)
     # One sample set serves the whole eps grid (monotone estimates).
     sums = sparse_sum_samples(x, p, cfg.dist, cfg.trials, cfg.master_seed, cfg.workers)
-    rows, ratios = [], []
+    rows = []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))
-        bracket = lcd_smallball_bound(p, eps, d.value)
-        rows.append([eps, est.value, est.ci_halfwidth, bracket])
-        if bracket > 0:
-            ratios.append(est.value / bracket)
-    c_hat = max(ratios) if ratios else math.nan
+        rows.append([eps, est.value, est.ci_halfwidth, lcd_smallball_bound(p, eps, d.value)])
+    # Each bracket eps + 1/(sqrt(p) D) is > 0: D is finite and p > 0.
+    c_hat = max(row[1] / row[3] for row in rows)
     rows = [row + [row[1] <= c_hat * row[3] + 1e-12] for row in rows]
     return (
         ["eps", "estimate", "ci", "bound_bracket", "pass"],

@@ -124,8 +124,8 @@ def invertibility_via_distance_experiment(
     over trials of (1/M) #{j : dist(A_j, H_j) <= sqrt(p) eps}.  The
     certified comparison allows one-sided CI slack on both estimates.
     Returns the rows and the sidecar's summary of both sides.  Needs
-    eps >= 0, rho > 0, trials >= 1 (checked by ``harness``) and
-    1 <= M < n (by ``sparse_tail_distance``).
+    eps >= 0, rho > 0, trials >= 1 and 1 <= M < n (all checked by
+    ``harness``).
     """
     rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
     lhs_hits = sum(r.lhs_event for r in rows)

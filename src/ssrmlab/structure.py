@@ -7,6 +7,12 @@ half-integer crossings of the coordinates theta * x_i, the squared
 lattice distance is an explicit quadratic in theta, and the squared
 threshold is concave, so their difference is convex per interval; the
 scan walks the intervals in order and brackets the first sign change.
+
+Every function here takes x as a 1-d float64 unit vector (up to
+rounding) and does not check it: ``cli`` reads, checks and normalizes a
+vector file once, and the other callers pass eigenvectors or vectors they
+normalize themselves.  ``classify_vector`` checks the budget rule
+1 <= m < n, and ``harness`` checks distance-check's M.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-
-_UNIT_TOL = 1e-9
 
 # Breakpoints generated, sorted and scanned at a time by ``lcd``.  About 21
 # arrays of this length are live at once (2.7 MB at 1 << 14, 10.6 MB at
@@ -75,45 +79,23 @@ class LcdResult:
     capped: bool
 
 
-def _check_unit(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ParameterError("expected a nonempty 1-d vector")
-    if not np.isfinite(x).all():
-        raise ParameterError("vector entries must be finite")
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ParameterError("zero vector")
-    if abs(nrm - 1.0) > tol:
-        raise ParameterError(f"expected a unit vector, got norm {nrm!r}")
-    return x
-
-
 def sparse_tail_distance(x, m: int) -> float:
-    """Distance from unit x to Sparse(m).
+    """Distance from unit x to Sparse(m), for 1 <= m < n.
 
     The nearest m-sparse vector keeps the m largest-magnitude coordinates,
     so the distance is the norm of the rest (whichever of tied
     coordinates is kept).
     """
-    x = _check_unit(x)
-    n = x.size
-    if not 1 <= m < n:
-        raise ParameterError(f"budget m must satisfy 1 <= m < n, got {m}")
     order = np.argsort(-np.abs(x), kind="stable")
     return float(np.linalg.norm(x[order[m:]]))
 
 
 def is_dominated(x, m: int, alpha: float) -> bool:
     """Dominated-tail test on the non-increasing rearrangement:
-    ||x_[m+1:n]||_2 <= alpha sqrt(m) ||x_[m+1:n]||_inf."""
-    x = _check_unit(x)
-    n = x.size
-    if not 1 <= m < n:
-        raise ParameterError(f"budget m must satisfy 1 <= m < n, got {m}")
+    ||x_[m+1:n]||_2 <= alpha sqrt(m) ||x_[m+1:n]||_inf, for 1 <= m < n."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    tail = np.sort(np.abs(x))[: n - m]
+    tail = np.sort(np.abs(x))[: x.size - m]
     tail_l2 = float(np.linalg.norm(tail))
     tail_inf = float(tail.max(initial=0.0))
     return tail_l2 <= alpha * math.sqrt(m) * tail_inf
@@ -126,12 +108,8 @@ def spread_set(x, consts: StructureConstants) -> np.ndarray | None:
     1 / sqrt(c_s n), preferring larger magnitudes and then lower indices.
     Undefined (None) when x is compressible or too few indices qualify.
     """
-    x = _check_unit(x)
     n = x.size
-    m = consts.sparsity_budget(n)
-    if m >= n:
-        return None
-    if sparse_tail_distance(x, m) <= consts.c_d:
+    if sparse_tail_distance(x, consts.sparsity_budget(n)) <= consts.c_d:
         return None
     lo = consts.c_d / math.sqrt(2.0 * n)
     hi = 1.0 / math.sqrt(consts.c_s * n)
@@ -305,7 +283,6 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
     not a lower bound: past 1/(2||x||_inf) the largest coordinate rounds
     to +-1 and the distance can fall under the threshold.
     """
-    x = _check_unit(x, tol=_UNIT_TOL)
     n = x.size
     if not 1.0 <= L < math.inf:
         raise ParameterError("L must be finite and >= 1")
@@ -339,9 +316,10 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
 
 def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> StructureReport:
     """StructureReport for one unit vector at the configured constants."""
-    x = _check_unit(x)
     n = x.size
     m = consts.sparsity_budget(n)
+    if m >= n:  # m >= 1 always, and m < n exactly when n >= 2
+        raise ParameterError("structure needs a vector of 2 entries or more")
     dist = sparse_tail_distance(x, m)
     spread = spread_set(x, consts)
     return StructureReport(

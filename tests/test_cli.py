@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ssrmlab
 from ssrmlab import spectra
@@ -171,6 +176,79 @@ def test_non_finite_vector_rejected(tmp_path, capsys, command, token):
     assert main([command, "--vector", str(path)]) == 2
     captured = capsys.readouterr()
     assert _one_line_error(captured) and "finite" in captured.err
+
+
+def _vector_runs(text: str) -> list[tuple[int, str, str]]:
+    """Exit status, stdout and stderr of ``lcd`` and then ``structure`` on a
+    vector file holding ``text``.  No fixtures, so hypothesis can call it."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("lcd", "structure"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([command, "--vector", path])
+            runs.append((status, out.getvalue(), err.getvalue()))
+    return runs
+
+
+_VECTORS = st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.booleans()), min_size=2, max_size=12
+).map(lambda pairs: [-mag if neg else mag for mag, neg in pairs])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(x=_VECTORS, k=st.integers(-1000, 1000))
+@example(x=[0.6, -0.8, 3.0], k=700)
+@example(x=[0.6, -0.8, 3.0], k=-700)
+@example(x=[1e-3, -1e3, 7.0, 0.25], k=1000)
+@example(x=[1e-3, -1e3, 7.0, 0.25], k=-1000)
+def test_vector_records_ignore_a_power_of_two_scale(x, k):
+    # Scaling by 2^k is exact, so 2^k x must normalize to the same bits as x.
+    base = _vector_runs(" ".join(map(repr, x)))
+    assert all(status == 0 and err == "" for status, _, err in base)
+    assert _vector_runs(" ".join(repr(math.ldexp(v, k)) for v in x)) == base
+
+
+def _same_record(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        math.isclose(a[key], b[key], rel_tol=1e-15) if isinstance(a[key], float) else a[key] == b[key]
+        for key in a
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("token", ["5e-324", "1e-200", "1e200", "1.7976931348623157e308"])
+def test_extreme_magnitude_vector_normalized(token):
+    # From the least subnormal to the largest float.  1e-200 and 1 differ in
+    # their mantissa bits, so the floats agree only to rounding.
+    runs = _vector_runs(f"{token} {token}\n")
+    assert all(status == 0 and err == "" for status, _, err in runs)
+    for (_, out, _), (_, ref, _) in zip(runs, _vector_runs("1 1\n")):
+        assert _same_record(json.loads(out), json.loads(ref))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["lcd", "structure"])
+def test_zero_vector_rejected(tmp_path, capsys, command):
+    path = tmp_path / "v.txt"
+    path.write_text("0 0 -0.0\n")
+    assert main([command, "--vector", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured) and "no nonzero numbers" in captured.err
+
+
+def test_one_entry_vector(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_text("-3\n")
+    assert main(["structure", "--vector", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_line_error(captured) and "2 entries or more" in captured.err
+    assert main(["lcd", "--vector", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])

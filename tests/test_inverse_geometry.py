@@ -7,7 +7,7 @@ import pytest
 from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance
 from ssrmlab import inverse_geometry, spectra
 from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector, trial_stream
-from ssrmlab.errors import NumericalError, ParameterError
+from ssrmlab.errors import NumericalError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
     invertibility_via_distance_experiment,
@@ -206,12 +206,6 @@ class TestInvertibilityViaDistance:
         )
         assert s["holds_within_slack"]
         assert s["lhs_hat"] <= s["rhs_hat"] + s["rhs_halfwidth"] + (s["lhs_ci"][1] - s["lhs_hat"])
-
-    def test_m_validated(self):
-        with pytest.raises(ParameterError):
-            invertibility_via_distance_experiment(
-                EnsembleParams(20, 0.5, RAD), 0.1, 20, 0.1, 1, master_seed=0
-            )
 
     def test_report_is_pure_function_of_seed(self):
         args = (EnsembleParams(24, 0.5, RAD), 0.2, 12, 0.1, 20)

@@ -201,16 +201,6 @@ class TestSparseTailDistance:
             kept = np.sort(np.abs(x))[-m:]
             assert np.linalg.norm(kept) ** 2 + sparse_tail_distance(x, m) ** 2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ParameterError):
-            sparse_tail_distance(np.ones(4), 2)
-
-    def test_budget_range(self):
-        e = np.zeros(3)
-        e[0] = 1.0
-        with pytest.raises(ParameterError):
-            sparse_tail_distance(e, 3)
-
 
 class TestIsDominated:
     def test_sparse_vectors_always_dominated(self):
@@ -264,6 +254,10 @@ class TestSpreadSet:
         e1 = np.zeros(10)
         e1[0] = 1.0
         assert spread_set(e1, StructureConstants()) is None
+
+    def test_one_entry_undefined(self):
+        # The budget m = 1 keeps the whole vector, so it is compressible.
+        assert spread_set(np.array([-1.0]), StructureConstants()) is None
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -356,10 +350,6 @@ class TestLcd:
         res = lcd(x, 1.0, theta_cap=2.0)
         assert res.capped and res.value == 2.0
         assert math.isnan(res.witness_theta)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ParameterError):
-            lcd(np.zeros(4), 1.0)
 
     def test_agrees_with_interval_scan(self):
         tol = 1e-9
@@ -491,6 +481,12 @@ class TestClassificationInvariance:
         assert base.dist_to_sparse == pytest.approx(other.dist_to_sparse, abs=1e-12)
 
 
+def test_classify_vector_needs_two_entries():
+    # Sparse(m) needs 1 <= m < n, and the budget m is at least 1.
+    with pytest.raises(ParameterError, match="2 entries or more"):
+        classify_vector(np.array([1.0]), StructureConstants())
+
+
 @pytest.mark.parametrize(
     "kwargs,word",
     [
@@ -506,18 +502,3 @@ def test_lcd_non_finite_argument_rejected(kwargs, word):
     with pytest.raises(ParameterError, match=word):
         lcd(x, **{"L": 1.0, **kwargs})
 
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_vector_rejected(value):
-    # abs(nan - 1) > tol is False, so a norm check alone lets nan through.
-    x = np.full(4, 0.5)
-    x[1] = value
-    for call in (
-        lambda: lcd(x, 1.0),
-        lambda: classify_vector(x, StructureConstants()),
-        lambda: sparse_tail_distance(x, 2),
-        lambda: is_dominated(x, 2, 0.5),
-        lambda: spread_set(x, StructureConstants()),
-    ):
-        with pytest.raises(ParameterError, match="finite"):
-            call()

@@ -143,18 +143,10 @@ def _cmd_structure(args) -> int:
     return 0
 
 
-def _make_run_command(kind: str):
-    def _cmd(args) -> int:
-        return harness.run(
-            args.config,
-            dry_run=args.dry_run,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-            kind=kind,
-        )
-
-    return _cmd
+def _cmd_run(args) -> int:
+    return harness.run(
+        args.config, dry_run=args.dry_run, seed=args.seed, workers=args.workers, out=args.out, kind=args.command
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--dry-run", action="store_true")
-        p.set_defaults(func=_make_run_command(kind))
+        p.set_defaults(func=_cmd_run)
 
     return parser
 

@@ -20,6 +20,7 @@ take their k-th of x_draws vectors there, at index t * x_draws + k.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
@@ -82,12 +83,14 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
     """``kernel(cell, c, t)`` for every cell c and trial t; per cell, records in trial order.
 
     With more than one worker and task, a pool of at most one process per
-    task runs the (cell, trial) tasks in grid order, in chunks of
+    task and per CPU this process may run on (``os.sched_getaffinity``)
+    runs the (cell, trial) tasks in grid order, in chunks of
     ceil(trials / (4 workers)) consecutive tasks; the kernel must pickle
-    (a module-level function or a partial of one).
+    (a module-level function or a partial of one).  The records do not
+    depend on the worker count.
     """
     tasks = [(cell, c, t) for c, cell in enumerate(cells) for t in range(trials)]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         records = [kernel(*task) for task in tasks]
     else:

@@ -19,20 +19,21 @@ reduces in place.
 Configs are parsed and checked without numpy: each kernel and runner
 imports numpy, ``ensemble`` and the modules it runs where it runs.
 
-Config schema: sections [experiment], [ensemble] and [grid], plus
-[params] with the keys of the kind's record in ``_KINDS``.  Any other
-section or key is a ConfigError.  C_op of the event |A| <= C_op sqrt(pn)
-is the constant ``spectra.C_OP``, not a key.  ``ExperimentConfig`` checks
-every rule of the record, so a runner may assume: one (n, p) cell unless
-the kind sweeps the grid; every matrix cell in the ensemble, with p >= 1/n;
-one eps point or more, each >= 0, if the kind reads eps; and every [params]
-value, set or default, within its rule.
+Config schema: the [experiment], [ensemble] and [grid] keys of ``_KEYS``,
+which also holds each key's field, parser and default, plus [params] with
+the keys of the kind's record in ``_KINDS``.  Any other section or key is
+a ConfigError.  The sidecar's ``config`` block (``_config_block``) is the
+config's one written form, and the artifact id hashes it.  C_op of the
+event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a key.
+``ExperimentConfig`` checks every rule of the record, so a runner may
+assume: one (n, p) cell unless the kind sweeps the grid; every matrix cell
+in the ensemble, with p >= 1/n; one eps point or more, each >= 0, if the
+kind reads eps; and every [params] value, set or default, within its rule.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
@@ -45,7 +46,6 @@ from .errors import REPORTED, ConfigError, ParameterError, report
 from .model import EnsembleParams, EntryDistribution, format_distribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
-    import configparser
     from collections.abc import Callable
 
     from .stats import SlopeFit
@@ -53,19 +53,39 @@ if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lc
 SCHEMA_VERSION = 1
 ARTIFACT_NAME = "ssrmlab"
 
-# The keys each section admits; [params] keys depend on the kind (``_KINDS``).
-_SECTION_KEYS = {
-    "experiment": ("kind", "trials", "seed", "workers", "out"),
-    "ensemble": ("dist",),
-    "grid": ("n", "p", "eps"),
-}
-
 
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite(v) for v in text.split(",") if v.strip())
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    values = _floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError("integers only")
+    return tuple(int(v) for v in values)
+
+
+# Every key of [experiment], [ensemble] and [grid]: (section, key) ->
+# (ExperimentConfig field, parser, default text, or None when required).
+# [params] keys depend on the kind (``_KINDS``).
+_KEYS = {
+    ("experiment", "kind"): ("kind", str, None),
+    ("experiment", "trials"): ("trials", int, "1"),
+    ("experiment", "seed"): ("master_seed", int, "0"),
+    ("experiment", "workers"): ("workers", int, "1"),
+    ("experiment", "out"): ("out", str, "out.csv"),
+    ("ensemble", "dist"): ("dist", parse_distribution, "rademacher"),
+    ("grid", "n"): ("n_grid", _integers, ""),
+    ("grid", "p"): ("p_grid", _floats, ""),
+    ("grid", "eps"): ("eps_grid", _floats, ""),
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +145,7 @@ class ExperimentConfig:
             for n in self.n_grid:
                 for p in self.p_grid:
                     try:
-                        self.params_for(n, p)
+                        EnsembleParams(n, p, self.dist)
                     except ParameterError as exc:
                         raise ConfigError(f"bad cell n={n}, p={p:g} (section [grid]): {exc}") from None
                     if p < 1.0 / n:
@@ -152,48 +172,6 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
 
-    def params_for(self, n: int, p: float) -> EnsembleParams:
-        return EnsembleParams(n=n, p=p, dist=self.dist)
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Serialize a config to the flat key-value format (lossless round-trip)."""
-    import configparser
-
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["experiment"] = {
-        "kind": cfg.kind,
-        "trials": str(cfg.trials),
-        "seed": str(cfg.master_seed),
-        "workers": str(cfg.workers),
-        "out": cfg.out,
-    }
-    cp["ensemble"] = {"dist": format_distribution(cfg.dist)}
-    cp["grid"] = {"n": ",".join(str(v) for v in cfg.n_grid), "p": ",".join(f"{v:.17g}" for v in cfg.p_grid)}
-    if cfg.eps_grid:
-        cp["grid"]["eps"] = ",".join(f"{v:.17g}" for v in cfg.eps_grid)
-    if cfg.extras:
-        cp["params"] = dict(cfg.extras)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _get(cp: configparser.ConfigParser, section: str, key: str, default: str | None = None) -> str:
-    try:
-        return cp[section][key]
-    except KeyError:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing config key {section}.{key}") from None
-
-
-def _parse_floats(text: str, where: str) -> tuple[float, ...]:
-    try:
-        return tuple(_finite(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list at {where}: {text!r}") from exc
-
 
 def config_from_text(text: str) -> ExperimentConfig:
     import configparser
@@ -201,52 +179,26 @@ def config_from_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"unparseable config: {exc}") from exc
+    except configparser.Error as exc:  # its message may span lines; the report is one
+        raise ConfigError("unparseable config: " + " ".join(str(exc).split())) from exc
     for section in cp.sections():
         if section == "params":
             continue  # checked against the kind by ExperimentConfig
-        if section not in _SECTION_KEYS:
+        if not any(section == known for known, _ in _KEYS):
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown config key {section}.{key}")
-    kind = _get(cp, "experiment", "kind")
-
-    def _int(section: str, key: str, default: str) -> int:
-        raw = _get(cp, section, key, default)
+    values = {}
+    for (section, key), (name, parse, default) in _KEYS.items():
+        raw = cp.get(section, key, fallback=default)
+        if raw is None:
+            raise ConfigError(f"missing config key {section}.{key}")
         try:
-            return int(raw)
+            values[name] = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad integer at {section}.{key}: {raw!r}") from exc
-
-    trials = _int("experiment", "trials", "1")
-    seed = _int("experiment", "seed", "0")
-    workers = _int("experiment", "workers", "1")
-    out = _get(cp, "experiment", "out", "out.csv")
-    try:
-        dist = parse_distribution(_get(cp, "ensemble", "dist", "rademacher"))
-    except ParameterError as exc:
-        raise ConfigError(f"bad value at ensemble.dist: {exc}") from exc
-    n_grid_f = _parse_floats(_get(cp, "grid", "n", ""), "grid.n")
-    if not all(v.is_integer() for v in n_grid_f):
-        raise ConfigError(f"grid.n must hold integers: {cp['grid']['n']!r}")
-    n_grid = tuple(int(v) for v in n_grid_f)
-    p_grid = _parse_floats(_get(cp, "grid", "p", ""), "grid.p")
-    eps_grid = _parse_floats(_get(cp, "grid", "eps", ""), "grid.eps")
-    extras = dict(cp["params"]) if cp.has_section("params") else {}
-    return ExperimentConfig(
-        kind=kind,
-        dist=dist,
-        eps_grid=eps_grid,
-        n_grid=n_grid,
-        p_grid=p_grid,
-        trials=trials,
-        master_seed=seed,
-        workers=workers,
-        out=out,
-        extras=extras,
-    )
+            raise ConfigError(f"bad value at {section}.{key}: {raw!r} ({exc})") from None
+    return ExperimentConfig(**values, extras=dict(cp["params"]) if cp.has_section("params") else {})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -276,7 +228,7 @@ def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> li
     from . import spectra  # noqa: F401
     from .ensemble import run_trials
 
-    params = [cfg.params_for(n, p) for n, p in cells]
+    params = [EnsembleParams(n, p, cfg.dist) for n, p in cells]
     return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
 
 
@@ -385,31 +337,34 @@ def write_csv(path: str, schema: str, header: list[str], rows: list) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _config_block(cfg: ExperimentConfig) -> dict:
+    """The config as the sidecar writes it: every field but the output path."""
+    return {
+        "kind": cfg.kind,
+        "dist": format_distribution(cfg.dist),
+        "n_grid": list(cfg.n_grid),
+        "p_grid": list(cfg.p_grid),
+        "eps_grid": list(cfg.eps_grid),
+        "trials": cfg.trials,
+        "seed": cfg.master_seed,
+        "workers": cfg.workers,
+        "extras": dict(cfg.extras),
+    }
+
+
 def artifact_version_string(cfg: ExperimentConfig) -> str:
-    """Name, version and a hash of the config.  The output path and the
-    worker count are left out of the hash: neither changes the CSV."""
+    """Name, version and a hash of the sidecar's config block without
+    ``workers``, which never changes the CSV (nor does the output path,
+    which the block leaves out)."""
     import hashlib
 
-    digest = hashlib.sha1(config_to_text(replace(cfg, out="", workers=1)).encode()).hexdigest()[:12]
+    block = {key: value for key, value in _config_block(cfg).items() if key != "workers"}
+    digest = hashlib.sha1(json.dumps(block, sort_keys=True).encode()).hexdigest()[:12]
     return f"{ARTIFACT_NAME}-{ARTIFACT_VERSION}+cfg.{digest}"
 
 
 def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = None) -> None:
-    meta = {
-        "artifact": artifact_version_string(cfg),
-        "schema_version": SCHEMA_VERSION,
-        "config": {
-            "kind": cfg.kind,
-            "dist": format_distribution(cfg.dist),
-            "n_grid": list(cfg.n_grid),
-            "p_grid": list(cfg.p_grid),
-            "eps_grid": list(cfg.eps_grid),
-            "trials": cfg.trials,
-            "seed": cfg.master_seed,
-            "workers": cfg.workers,
-            "extras": dict(cfg.extras),
-        },
-    }
+    meta = {"artifact": artifact_version_string(cfg), "schema_version": SCHEMA_VERSION, "config": _config_block(cfg)}
     if extra:
         meta["results"] = extra
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
@@ -438,7 +393,7 @@ def _run_scaling(cfg: ExperimentConfig) -> _Table:
 def _run_norm_check(cfg: ExperimentConfig) -> _Table:
     from .spectra import NormBoundRow, norm_bound_experiment
 
-    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(NormBoundRow._fields), *norm_bound_experiment(
         params, cfg.trials, cfg.master_seed, cfg.param("cbar"), cfg.param("bvh_eps"), cfg.workers
     )
@@ -447,7 +402,7 @@ def _run_norm_check(cfg: ExperimentConfig) -> _Table:
 def _run_distance_check(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import DistanceExperimentRow, invertibility_via_distance_experiment
 
-    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(DistanceExperimentRow._fields), *invertibility_via_distance_experiment(
         params, cfg.eps_grid[0], cfg.param("m"), cfg.param("rho"), cfg.trials, cfg.master_seed, cfg.workers
     )
@@ -481,7 +436,7 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
 def _run_quadratic(cfg: ExperimentConfig) -> _Table:
     from .inverse_geometry import QuadraticRow, quadratic_smallball_experiment
 
-    params = cfg.params_for(cfg.n_grid[0], cfg.p_grid[0])
+    params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(QuadraticRow._fields), *quadratic_smallball_experiment(
         params, cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers
     )

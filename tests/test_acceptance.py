@@ -337,11 +337,12 @@ def test_criterion_11_decoupling():
 
 
 def test_criterion_12_determinism(tmp_path):
-    from ssrmlab.harness import config_to_text
-
-    cfg = _tail_config(n_grid=(50,), p_grid=(0.5,), eps_grid=(1e-3, 0.1), trials=24, master_seed=1016)
     path = tmp_path / "cfg.ini"
-    path.write_text(config_to_text(cfg))
+    path.write_text(
+        "[experiment]\nkind = tail-sweep\ntrials = 24\nseed = 1016\n"
+        "[ensemble]\ndist = rademacher\n"
+        "[grid]\nn = 50\np = 0.5\neps = 0.001,0.1\n"
+    )
     out1, out8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
     assert run(str(path), out=str(out1), workers=1) == 0
     assert run(str(path), out=str(out8), workers=8) == 0

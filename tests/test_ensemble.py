@@ -360,3 +360,31 @@ class TestRunTrials:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         kernel = functools.partial(_draw, 4)
         assert run_trials(kernel, ["a"], 1, 3) == run_trials(kernel, ["a"], 1)
+
+    @pytest.mark.parametrize(
+        "workers,trials,cpus,used", [(10_000, 400, 3, 3), (2, 400, 3, 2), (10_000, 2, 8, 6), (10_000, 1, 5, 3)]
+    )
+    def test_pool_size_is_capped(self, monkeypatch, workers, trials, cpus, used):
+        # The pool gets at most one process per task and per CPU this process
+        # may run on.  A recorder stands in for the pool and maps in-process,
+        # so no process starts whatever the requested count.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+        kernel = functools.partial(_draw, 1)
+        assert run_trials(kernel, self.CELLS, trials, workers) == run_trials(kernel, self.CELLS, trials)
+        assert sizes == [used]

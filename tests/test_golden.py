@@ -99,3 +99,15 @@ def test_digests_were_made_at_this_version():
     assert RECORDED["artifact_version"] == harness.ARTIFACT_VERSION, (
         "ARTIFACT_VERSION moved: re-run tests/golden/ at the new version and record it in digests.json."
     )
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED["results_sha256"]))
+def test_artifact_id_recomputes_from_sidecar(case, tmp_path):
+    # The id hashes the sidecar's own config block without workers, so the
+    # sidecar file alone recomputes it.
+    out = tmp_path / "out.csv"
+    assert harness.run(str(GOLDEN / f"{case}.ini"), out=str(out)) == 0
+    meta = json.loads((tmp_path / "out.csv.meta.json").read_text(encoding="utf-8"))
+    block = {key: value for key, value in meta["config"].items() if key != "workers"}
+    digest = hashlib.sha1(json.dumps(block, sort_keys=True).encode()).hexdigest()[:12]
+    assert meta["artifact"] == f"ssrmlab-{RECORDED['artifact_version']}+cfg.{digest}"

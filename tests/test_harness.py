@@ -1,6 +1,12 @@
 import configparser
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
+import os
 import string
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -12,7 +18,7 @@ from hypothesis import strategies as st
 import ssrmlab
 from ssrmlab import spectra
 from ssrmlab.ensemble import sample_matrix, trial_stream
-from ssrmlab.errors import ConfigError, ParameterError
+from ssrmlab.errors import EXIT_TABLE, ConfigError, ParameterError
 from ssrmlab import harness
 from ssrmlab.harness import (
     ARTIFACT_VERSION,
@@ -20,13 +26,12 @@ from ssrmlab.harness import (
     ExperimentConfig,
     TailRow,
     config_from_text,
-    config_to_text,
     exponent_fit,
     run,
     scaling_consistency,
     tail_sweep,
 )
-from ssrmlab.model import EnsembleParams, EntryDistribution
+from ssrmlab.model import EnsembleParams, EntryDistribution, format_distribution
 from ssrmlab.stats import wilson_interval
 
 RAD = EntryDistribution.rademacher()
@@ -73,6 +78,20 @@ def _kind_config(kind: str) -> str:
     if kind == "quadratic":
         text = text.replace("eps = 0.001,0.01,0.1", "eps = 0.01,0.1,1.0,3.0,10.0")
     return text
+
+
+def _config_text(cfg: ExperimentConfig) -> str:
+    """``cfg`` written as config text, key by key from ``harness._KEYS``."""
+    sections = {}
+    for (section, key), (name, _, _) in harness._KEYS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = ",".join(map(repr, value))
+        elif isinstance(value, EntryDistribution):
+            value = format_distribution(value)
+        sections.setdefault(section, {})[key] = value
+    sections["params"] = cfg.extras
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
 
 
 # The kinds whose record reads grid.eps.
@@ -125,7 +144,7 @@ class TestWilson:
 class TestConfig:
     def test_round_trip_lossless(self):
         cfg = _config(kind="distance-check", extras={"m": "12", "rho": "0.25"})
-        assert config_from_text(config_to_text(cfg)) == cfg
+        assert config_from_text(_config_text(cfg)) == cfg
 
     def test_parse_reference_text(self):
         cfg = config_from_text(CONFIG_TEXT)
@@ -133,6 +152,12 @@ class TestConfig:
         assert cfg.n_grid == (24,)
         assert cfg.eps_grid == (0.001, 0.01, 0.1)
         assert cfg.dist.kind == "rademacher"
+
+    def test_config_block_holds_every_field_but_out(self):
+        # The artifact id hashes this block, so a field it lacked would drop
+        # out of the id unseen.
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"out"}
+        assert set(harness._config_block(_config())) == {"seed" if name == "master_seed" else name for name in names}
 
     def test_missing_kind_named(self):
         with pytest.raises(ConfigError, match="experiment.kind"):
@@ -390,11 +415,11 @@ class TestRun:
     @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS if k not in _EPS_KINDS])
     def test_eps_unset_is_empty(self, kind):
         # A kind that reads no eps takes an empty grid when none is written,
-        # and its config text then writes none.
+        # and its sidecar then shows none.
         text = "\n".join(line for line in _kind_config(kind).splitlines() if not line.startswith("eps ="))
         cfg = config_from_text(text)
         assert cfg.eps_grid == ()
-        assert "eps" not in config_to_text(cfg)
+        assert harness._config_block(cfg)["eps_grid"] == []
 
 
 class TestConfigRejected:
@@ -438,6 +463,11 @@ class TestConfigRejected:
 
     def test_unknown_section(self, tmp_path, capsys):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("[grid]", "[gird]"), "[gird]")
+
+    @pytest.mark.parametrize("edit", [("seed = 7", "seed"), ("[experiment]", "n = 24\n[experiment]")], ids=["no-value", "no-header"])
+    def test_unparseable_text_is_one_line(self, tmp_path, capsys, edit):
+        # configparser's own message for these spans several lines.
+        self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace(*edit, 1), "config error: unparseable config: ")
 
     @pytest.mark.parametrize(
         "kind,section",
@@ -642,11 +672,35 @@ def _config_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _artifact_id(cfg: ExperimentConfig) -> str:
+    """The artifact id by its recipe: the sidecar's config block without workers, hashed."""
+    block = {key: value for key, value in harness._config_block(cfg).items() if key != "workers"}
+    return f"ssrmlab-{ARTIFACT_VERSION}+cfg." + hashlib.sha1(json.dumps(block, sort_keys=True).encode()).hexdigest()[:12]
+
+
 class TestConfigHypothesis:
     @settings(max_examples=200, deadline=None)
     @given(_configs())
     def test_text_round_trip(self, cfg):
-        assert config_from_text(config_to_text(cfg)) == cfg
+        assert config_from_text(_config_text(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_configs(), _configs())
+    def test_artifact_id_tells_configs_apart(self, a, b):
+        # Configs that differ in any field but out and workers get different
+        # ids: a against b, and against a with one field of b's.
+        def hashed(cfg):
+            return dataclasses.replace(cfg, out="", workers=1)
+
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("out", "workers")]
+        others = [b]
+        for name in fields:
+            with contextlib.suppress(ConfigError):
+                others.append(dataclasses.replace(a, **{name: getattr(b, name)}))
+        assert harness.artifact_version_string(a) == _artifact_id(a)
+        for other in others:
+            if hashed(other) != hashed(a):
+                assert harness.artifact_version_string(other) != harness.artifact_version_string(a)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), _config_texts()))
@@ -709,7 +763,7 @@ _EPS_GAP = pytest.mark.xfail(
 
 
 def _admitted(kind: str) -> list[str]:
-    keys = [f"{section}.{key}" for section, keys in harness._SECTION_KEYS.items() for key in keys]
+    keys = [f"{section}.{key}" for section, key in harness._KEYS]
     return [k for k in keys if k not in _NOT_VALUES] + [f"params.{key}" for key in harness._KINDS[kind].params]
 
 
@@ -756,3 +810,71 @@ def golden_base(tmp_path_factory):
 def test_every_admitted_key_changes_a_result(tmp_path, golden_base, kind, key, value):
     assert value is not None, f"no changed value listed for {kind} {key}"
     assert _golden_result(tmp_path, kind, key, value) != golden_base(kind)
+
+
+# ---------------------------------------------------------------------------
+# Every golden config, mutated key by key, still ends cleanly.
+
+_GOLDEN_CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
+_STATUSES = {0} | {status for _, status, _ in EXIT_TABLE}
+_MUTATIONS = (
+    "missing", "empty", "non-numeric", "nan", "inf", "negative", "zero", "repeated", "unordered",
+    "unknown key", "no value", "unknown section", "duplicated section",
+)
+
+
+@st.composite
+def _mutated_goldens(draw) -> str:
+    """A golden config with one key's line mutated, or a stray line after it."""
+    lines = (GOLDEN / f"{draw(st.sampled_from(_GOLDEN_CASES))}.ini").read_text(encoding="utf-8").splitlines()
+    at = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    key, value = (part.strip() for part in lines[at].split("=", 1))
+    points = value.split(",")
+    header = next(line for line in reversed(lines[:at]) if line.startswith("["))
+    mutated = {
+        "missing": [],
+        "empty": [f"{key} ="],
+        "non-numeric": [f"{key} = x"],
+        "nan": [f"{key} = nan"],
+        "inf": [f"{key} = inf"],
+        "negative": [f"{key} = " + ",".join("-" + v for v in points)],
+        "zero": [f"{key} = 0"],
+        "repeated": [f"{key} = " + ",".join(points + points)],
+        "unordered": [f"{key} = " + ",".join(reversed(points))],
+        "unknown key": [lines[at], "bogus = 1"],
+        "no value": [lines[at], key],
+        "unknown section": [lines[at], "[bogus]"],
+        "duplicated section": [lines[at], header, lines[at]],
+    }[draw(st.sampled_from(_MUTATIONS))]
+    return "\n".join(lines[:at] + mutated + lines[at + 1 :]) + "\n"
+
+
+def _ends_cleanly(path: str, out: str, dry_run: bool) -> tuple[int, str]:
+    """``run``'s status and stderr, once checked: the status is listed, stderr
+    holds one line at most and no traceback, no warning is raised, and the
+    CSV and its sidecar both exist or neither does."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        status = run(path, dry_run=dry_run, out=out)
+    assert status in _STATUSES
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue() and not caught, (err.getvalue(), caught)
+    assert os.path.exists(out) == os.path.exists(out + ".meta.json") == (status == 0 and not dry_run)
+    assert status == 0 or err.getvalue()
+    return status, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_mutated_goldens())
+def test_mutated_golden_config_ends_cleanly(text):
+    # A config --dry-run accepts is run for real when it is small, and then
+    # must not end in a config error.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.ini"), os.path.join(tmp, "r.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if _ends_cleanly(path, out, dry_run=True)[0] != 0:
+            return
+        cfg = config_from_text(text)
+        if max(cfg.n_grid) <= 64 and cfg.trials <= 50:
+            assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")

@@ -128,8 +128,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r} (key experiment.kind)")
         if not self.n_grid or not self.p_grid:
             raise ConfigError("grids must be nonempty (section [grid])")
-        if self.trials < 1:
-            raise ConfigError("experiment.trials must be >= 1")
+        if not 1 <= self.trials < 2**32:  # trial_stream keys each trial by a 32-bit index
+            raise ConfigError(f"experiment.trials must lie in [1, 2^32), got {self.trials}")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be >= 1")
         if not 0 <= self.master_seed < 2**64:
@@ -464,13 +464,17 @@ EXPERIMENT_KINDS = tuple(_KINDS)
 def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list, extra: dict) -> None:
     """Write the CSV and its sidecar under temporary names beside
     ``cfg.out`` and rename both only once both are complete, so a failed
-    write leaves neither file."""
+    write or rename leaves neither file."""
     stage = f"{cfg.out}.{os.getpid()}.tmp"
     try:
         write_csv(stage, cfg.kind, header, rows)
         write_sidecar(stage, cfg, extra)
         os.replace(stage + ".meta.json", cfg.out + ".meta.json")
-        os.replace(stage, cfg.out)
+        try:
+            os.replace(stage, cfg.out)
+        except OSError:  # cfg.out names a directory, or nothing: take the sidecar back
+            os.remove(cfg.out + ".meta.json")
+            raise
     finally:
         for path in (stage, stage + ".meta.json"):
             with contextlib.suppress(FileNotFoundError):

@@ -1,13 +1,12 @@
 """The distance-check and quadratic experiments: column distances to the
 complementary spans, and the quadratic form of the inverse.
 
-Every eigenvalue here comes from the one kernel in ``spectra``, at any
-n.  The distance-check trial reduces its matrix once: its
-``_certified_spectrum`` gives s_min, the singular verdict (by
-``singular_extremes``, the package's one singular rule), the certified
-eigenvector and the null block, which ``all_column_distances`` takes to
-give every distance by one rule, singular or not.  The quadratic trial's
-one reduction, by ``_extreme_singular_values``, gives its operator norm,
+Every eigenvalue here comes from ``spectra._certified_extremes``, the
+package's one route to certified extreme values, at any n, and each trial
+reduces its matrix once.  The distance-check trial reads s_min (0 by the
+package's one singular rule), the certified eigenvector of s_min and the
+null block, which ``all_column_distances`` takes to give every distance by
+one rule, singular or not.  The quadratic trial reads its operator norm,
 its singular verdict and its solve A^-1 X; its singular realizations are
 excluded and counted, never folded into averages.  The LAPACK and BLAS
 routines are spectra's, so nothing here imports the scipy.linalg package.
@@ -28,13 +27,11 @@ from .model import EnsembleParams
 from .spectra import (
     C_OP,
     _as_dense,
-    _certified_spectrum,
-    _extreme_singular_values,
+    _certified_extremes,
     dgemm,
     dgetrf,
     dgetri,
     dgetri_lwork,
-    singular_extremes,
 )
 from .stats import determined_slope, wilson_interval
 from .structure import sparse_tail_distance
@@ -62,8 +59,8 @@ def _inverse(dense: np.ndarray) -> np.ndarray:
 
 def all_column_distances(A, null: np.ndarray) -> np.ndarray:
     """dist(A_j, H_j) for every j, given an orthonormal basis ``null`` of A's
-    numerical null space (n x k, k >= 0: ``_certified_spectrum(A, null=True)``'s
-    columns after the first two).
+    numerical null space (n x k, k >= 0: the columns of
+    ``_certified_extremes(A, null=True).vectors`` after the first two).
 
     One rule, singular or not: with N = ``null``, (A + N N^T)^-1 = A^+ + N N^T,
     whose j-th column has norm 1 / dist(A_j, H_j) when row j of N is zero;
@@ -99,8 +96,7 @@ def _distance_trial(
 ) -> DistanceExperimentRow:
     n, p = params.n, params.p
     A = sample_matrix(params, trial_stream(master_seed, c, t))
-    evals, _, vectors = _certified_spectrum(A, null=True)
-    smin, _ = singular_extremes(evals)
+    smin, _, _, vectors, _ = _certified_extremes(A, null=True)
     incomp = sparse_tail_distance(vectors[:, 0], M) > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
     dists = all_column_distances(A, vectors[:, 2:])
@@ -156,7 +152,7 @@ def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
     X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
     # One reduction gives the norm, the singular verdict and A^-1 X; the
     # sparse realization goes in whole, densified into spectra's one buffer.
-    _, top, y = _extreme_singular_values(A, X)
+    _, top, _, _, y = _certified_extremes(A, X)
     if y is None:
         return None
     return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= C_OP * math.sqrt(params.p * params.n)

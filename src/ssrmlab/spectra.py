@@ -1,30 +1,26 @@
 """Eigenvalues, extreme singular values, solves, and operator-norm experiments.
 
 Every eigenvalue in the package starts from one kernel, the LAPACK
-reduction T = Q^T A Q (dsytrd, ``_tridiagonal``), and takes one of two
-routes at every n, chosen by what the caller reads.
-``_certified_spectrum``: dsterf for every eigenvalue, plus the
-eigenvectors of the smallest and largest in magnitude, certified by
-their residuals; it serves ``full_symmetric_spectrum`` (and so every
-tail-sweep and scaling trial), ``spectral_summary`` and the
-distance-check trial, which alone also asks for the null block (the
-eigenvectors of every eigenvalue the singular rule calls zero, none for
-an invertible matrix).  ``_extreme_singular_values``: (s_min, s_max) by
-dstebz at single indices, a different eigenvalue algorithm; it serves
-``smallest_singular_value``, ``spectral_norm`` and the quadratic trial in
-``inverse_geometry``.  Given a right-hand side b it also solves A y = b
-from the same reduction, y = Q T^-1 Q^T b with T by dgtsv, unless A is
-singular: the quadratic trial's one solve.  Both routes turn eigenvalues
-into (s_min, s_max) with ``singular_extremes``.  No run checks one route
-against the other; only acceptance criterion 2 cross-checks, comparing
-``smallest_singular_value`` with numpy's eigvalsh.
+reduction T = Q^T A Q (dsytrd, ``_tridiagonal``), at every n.  One engine,
+``_certified_extremes``, serves every caller that reads (s_min, s_max):
+``smallest_singular_value``, ``spectral_norm``, ``spectral_summary`` and
+the distance-check and quadratic trials.  It counts the eigenvalues <= 0 by
+Sturm sequences, runs dstebz at the four indices where the extremes can
+lie and certifies the two it reports by their eigenvectors' residuals, so
+every extreme value the package reports carries a measured residual.  It
+also gives the null block when asked (the eigenvectors of every eigenvalue
+the singular rule, ``singular_extremes``, calls zero) and, given b, solves
+A y = b from the same reduction unless A is singular.
+``full_symmetric_spectrum`` alone returns every eigenvalue, by dsterf, with
+the same certificate on its two extremes; it serves the tail-sweep and
+scaling trials.
 
-Ownership: both routes take a ``SparseSymmetricMatrix`` or an array and
-never write to the caller's array.  ``_as_dense`` gives each call one
+Ownership: every call takes a ``SparseSymmetricMatrix`` or an array and
+never writes to the caller's array.  ``_as_dense`` gives each call one
 n x n buffer of its own (the densified matrix, or one Fortran-ordered
 copy of an array), and dsytrd reduces that buffer in place.  Every kind
 passes its sparse realization (norm-check also its Gaussian comparison),
-so a call holds one n x n array: the certified route saves the diagonal,
+so a call holds one n x n array: the certificate saves the diagonal,
 applies Q panel by panel to its vectors (``_apply_q``), restores the
 diagonal and forms A V from the untouched upper triangle.
 
@@ -127,8 +123,8 @@ def _as_dense(A) -> np.ndarray:
     if isinstance(A, SparseSymmetricMatrix):
         return A.to_dense().T
     dense = np.array(A, dtype=np.float64, order="F")
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ParameterError("expected a square matrix")
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or not dense.size:
+        raise ParameterError("expected a nonempty square matrix")
     if not np.isfinite(dense).all():
         raise ParameterError("matrix entries must be finite")
     return dense
@@ -204,58 +200,15 @@ def _tridiagonal_eigenvectors(diag: np.ndarray, off: np.ndarray, lo: int, hi: in
     return z[:, np.argsort(w[:m], kind="stable")]  # ascending, not by split block
 
 
-def _null_range(evals: np.ndarray) -> tuple[int, int]:
-    """[lo, hi): the ascending eigenvalues that the singular rule calls zero (every
-    one when s_max = 0); nonempty exactly when ``singular_extremes`` gives s_min = 0."""
-    cut = _SINGULAR_FLOOR * float(np.abs(evals).max(initial=0.0))
-    if cut == 0.0:
-        return 0, evals.size
-    return int(np.searchsorted(evals, -cut, "right")), int(np.searchsorted(evals, cut))
-
-
-def _certified_spectrum(A, null: bool = False) -> tuple[np.ndarray, float, np.ndarray]:
-    """(ascending eigenvalues, worst residual of the certified eigenpairs, their
-    unit eigenvectors as columns: smallest magnitude first, then largest, then,
-    given ``null``, those of ``_null_range`` from one dstein: the null block)."""
-    work = _as_dense(A)
-    n = work.shape[0]
-    if n <= 1:
-        return work.diagonal().copy(), 0.0, np.ones((n, 2 + int(null and not work.any())))
-    shift = _balance(work)
-    saved = work.diagonal().copy()
-    reflectors, diag, off, tau = _tridiagonal(work)
-    evals, info = dsterf(diag, off)
+def _count_at_most(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """The number of eigenvalues <= x (|x| within the Gershgorin bound) of the
+    tridiagonal (diag, off): one dstebz Sturm count over (-g, x], g above that
+    bound, whose absolute tolerance g stops it before it refines any interval."""
+    g = 2.0 * (float(np.abs(diag).max()) + 2.0 * float(np.abs(off).max(initial=0.0)))
+    found, _, _, _, info = dstebz(diag, off, 1, -g, x, 0, 0, g, "B")
     if info != 0:
-        raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
-    spectrum = _scale_back(evals, shift)
-    norm = float(max(-evals[0], evals[-1]))
-    picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
-    lo, hi = _null_range(spectrum) if null else (0, 0)
-    ranges = [(k, k + 1) for k in picks] + ([(lo, hi)] if hi > lo else [])
-    V = _apply_q(reflectors, tau, np.hstack([_tridiagonal_eigenvectors(diag, off, *r) for r in ranges]), "N")
-    lengths = np.linalg.norm(V, axis=0)
-    # A V from the upper triangle, which dsytrd left as it was, once the
-    # diagonal is back; on scipy's BLAS like dsytrd (numpy's own OpenBLAS
-    # pool contends with scipy's).
-    np.fill_diagonal(work, saved)
-    AV = dsymm(1.0, work, V)
-    worst = float((np.linalg.norm(AV - V * evals[np.r_[picks, lo:hi]], axis=0) / lengths).max())
-    if norm > 0 and not worst <= 1e-10 * norm * n:
-        raise NumericalError(f"eigenpair residual {worst:g} out of contract")
-    return spectrum, math.ldexp(worst, shift), V / lengths
-
-
-def full_symmetric_spectrum(A) -> np.ndarray:
-    """All eigenvalues, ascending, via the dense oracle.
-
-    dsytrd reduces the lower triangle to T = Q^T A Q and dsterf returns
-    every eigenvalue of T.  Before returning, the eigenvalues of smallest
-    and largest magnitude are certified: each gets an eigenvector z of T
-    by inverse iteration, v = Q z, and ||Av - lambda v|| / ||v|| must stay
-    within the contract 1e-10 * |A| * n.  By the residual theorem each of
-    the two then lies within its residual of an eigenvalue of A.
-    """
-    return _certified_spectrum(A)[0]
+        raise NumericalError(f"dstebz failed with info={info} counting eigenvalues <= {x:g}")
+    return int(found)
 
 
 def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
@@ -266,72 +219,117 @@ def _eigenvalue(diag: np.ndarray, off: np.ndarray, k: int) -> float:
     return float(w[0])
 
 
-def _nonpositive_count(diag: np.ndarray, off: np.ndarray) -> int:
-    """The number of eigenvalues <= 0 of the tridiagonal (diag, off), by one dstebz call.
+def _certify(work, saved, reflectors, tau, diag, off, ranges, values) -> tuple[float, np.ndarray]:
+    """(worst residual, unit eigenvectors v = Q z of A as columns) for the index
+    ranges of ``_tridiagonal_eigenvectors``; ||A v - lambda v|| / ||v||, lambda
+    the column's entry of ``values``, must stay within 1e-10 |A| n, |A| the
+    second column's |lambda|.  By the residual theorem each lambda then lies
+    within its residual of an eigenvalue of A.  A V comes from the upper
+    triangle, which dsytrd left as it was, with the saved diagonal put back,
+    on scipy's BLAS like dsytrd (numpy's own OpenBLAS pool contends with it)."""
+    V = _apply_q(reflectors, tau, np.hstack([_tridiagonal_eigenvectors(diag, off, *r) for r in ranges]), "N")
+    lengths = np.linalg.norm(V, axis=0)
+    np.fill_diagonal(work, saved)
+    AV = dsymm(1.0, work, V)
+    worst = float((np.linalg.norm(AV - V * values, axis=0) / lengths).max())
+    norm = abs(float(values[1]))
+    if norm > 0 and not worst <= 1e-10 * norm * work.shape[0]:
+        raise NumericalError(f"eigenpair residual {worst:g} out of contract")
+    return worst, V / lengths
 
-    dstebz counts the eigenvalues in (-g, 0] by Sturm sequences; g lies
-    above the Gershgorin bound, so the interval holds every eigenvalue
-    <= 0, and an absolute tolerance of g stops it before it refines any
-    interval.
-    """
-    g = 2.0 * (float(np.abs(diag).max()) + 2.0 * float(np.abs(off).max(initial=0.0)))
-    found, _, _, _, info = dstebz(diag, off, 1, -g, 0.0, 0, 0, g, "B")
-    if info != 0:
-        raise NumericalError(f"dstebz failed with info={info} counting eigenvalues <= 0")
-    return int(found)
 
-
-def _extreme_singular_values(A, b=None):
-    """(s_min, s_max) of a finite symmetric matrix; s_min is 0 when ``is_singular``.
-    Given a vector b, (s_min, s_max, y) with y = A^-1 b, or None when singular.
-
-    One dsytrd, then dstebz, run to its full accuracy, at indices 1 and n
-    for s_max and at nu and nu + 1 for s_min, nu the count of eigenvalues
-    <= 0.  Both values lie within the reduction's backward error, about
-    n eps |A|.  The solve reuses the reduction A = 2^shift Q T Q^T:
-    y = 2^-shift Q T^-1 Q^T b, T by dgtsv (LU with partial pivoting); an
-    exactly zero pivot raises NumericalError.
-    """
+def full_symmetric_spectrum(A) -> np.ndarray:
+    """All eigenvalues, ascending: dsytrd reduces the lower triangle to
+    T = Q^T A Q and dsterf returns every eigenvalue of T; the two of smallest
+    and largest magnitude are certified by ``_certify``."""
     work = _as_dense(A)
     n = work.shape[0]
-    if n <= 1 or not np.any(work):
+    if n <= 1:
+        return work.diagonal().copy()
+    shift = _balance(work)
+    saved = work.diagonal().copy()
+    reflectors, diag, off, tau = _tridiagonal(work)
+    evals, info = dsterf(diag, off)
+    if info != 0:
+        raise NumericalError(f"dsterf left {info} off-diagonal entries unconverged")
+    picks = [int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else n - 1]
+    _certify(work, saved, reflectors, tau, diag, off, [(k, k + 1) for k in picks], evals[picks])
+    return _scale_back(evals, shift)
+
+
+class _Extremes(NamedTuple):
+    """s_min (0 when ``is_singular``), s_max, the certified eigenpairs' worst residual, their unit
+    eigenvectors (the s_min pick, the s_max pick, the null block), and A^-1 b or None."""
+
+    s_min: float
+    s_max: float
+    residual: float
+    vectors: np.ndarray
+    y: np.ndarray | None
+
+
+def _certified_extremes(A, b=None, null: bool = False) -> _Extremes:
+    """The package's one route to (s_min, s_max), certified, with the solve and null block.
+
+    One dsytrd, then dstebz to its full accuracy at indices 1 and n for s_max
+    and at nu and nu + 1 for s_min, nu the count of eigenvalues <= 0: within
+    the reduction's backward error, about n eps |A|.  ``_certify`` checks both
+    picks.  Given ``null`` and a singular A, the null block holds the
+    eigenvectors of every eigenvalue in (-cut, cut), cut = the singular floor
+    times s_max, indexed by two Sturm counts and certified against 0, so the
+    residual bounds |A N|.  Given b, y = 2^-shift Q T^-1 Q^T b from the same
+    reduction A = 2^shift Q T Q^T, T by dgtsv (LU with partial pivoting); an
+    exactly zero pivot raises NumericalError."""
+    work = _as_dense(A)
+    n = work.shape[0]
+    if n <= 1 or not work.any():  # 1 x 1 or zero: the unit vectors are eigenvectors
         smin, smax = singular_extremes(work.diagonal())
+        vectors = np.eye(n)[:, [0, 0, *range(n if null and smax == 0.0 else 0)]]
         y = None if b is None or smin == 0.0 else np.asarray(b, dtype=np.float64) / work[0, 0]
-    else:
-        shift = _balance(work)
-        reflectors, diag, off, tau = _tridiagonal(work)
-        nu = _nonpositive_count(diag, off)
-        picks = [k for k in sorted({1, nu, nu + 1, n}) if 1 <= k <= n]
-        smin, smax = singular_extremes(np.array([_eigenvalue(diag, off, k) for k in picks]))
-        y = None
-        if b is not None and smin != 0.0:
-            rhs = _apply_q(reflectors, tau, np.array(b, dtype=np.float64).reshape(n, 1), "T")
-            _, _, _, x, info = dgtsv(off, diag, off, rhs)
-            if info != 0:
-                raise NumericalError(f"dgtsv met an exactly singular pivot (info={info})")
-            y = np.ldexp(_apply_q(reflectors, tau, x, "N")[:, 0], -shift)
-        smin, smax = _scale_back((smin, smax), shift).tolist()
-    return (smin, smax) if b is None else (smin, smax, y)
+        return _Extremes(smin, smax, 0.0, vectors, y)
+    shift = _balance(work)
+    saved = work.diagonal().copy()
+    reflectors, diag, off, tau = _tridiagonal(work)
+    nu = _count_at_most(diag, off, 0.0)
+    value = {k: _eigenvalue(diag, off, k) for k in {1, nu, nu + 1, n} if 1 <= k <= n}
+    small = min((k for k in (nu, nu + 1) if k in value), key=lambda k: abs(value[k]))
+    large = max((1, n), key=lambda k: abs(value[k]))
+    smin, smax = singular_extremes(np.array([value[small], value[large]]))
+    ranges, values = [(small - 1, small), (large - 1, large)], [value[small], value[large]]
+    if null and smin == 0.0:
+        cut = _SINGULAR_FLOOR * smax
+        lo, hi = _count_at_most(diag, off, -cut), _count_at_most(diag, off, math.nextafter(cut, 0.0))
+        ranges.append((lo, hi))
+        values += [0.0] * (hi - lo)
+    y = None
+    if b is not None and smin != 0.0:
+        rhs = _apply_q(reflectors, tau, np.array(b, dtype=np.float64).reshape(n, 1), "T")
+        _, _, _, x, info = dgtsv(off, diag, off, rhs)
+        if info != 0:
+            raise NumericalError(f"dgtsv met an exactly singular pivot (info={info})")
+        y = np.ldexp(_apply_q(reflectors, tau, x, "N")[:, 0], -shift)
+    worst, vectors = _certify(work, saved, reflectors, tau, diag, off, ranges, values)
+    smin, smax = _scale_back((smin, smax), shift).tolist()
+    return _Extremes(smin, smax, math.ldexp(worst, shift), vectors, y)
 
 
 def smallest_singular_value(A) -> float:
     """min |eigenvalue|, within about n eps |A|; 0 when singular."""
-    return _extreme_singular_values(A)[0]
+    return _certified_extremes(A).s_min
 
 
 def spectral_norm(A) -> float:
     """max |eigenvalue|, within about n eps |A|."""
-    return _extreme_singular_values(A)[1]
+    return _certified_extremes(A).s_max
 
 
 def spectral_summary(A) -> SpectralSummary:
-    """s_min, s_max and condition number from the certified spectrum.
+    """s_min, s_max and condition number from ``_certified_extremes``.
 
     ``residual`` is measured: the larger of ||Av - lambda v|| / ||v|| over
     the two reported eigenpairs.
     """
-    evals, residual, _ = _certified_spectrum(A)
-    smin, smax = singular_extremes(evals)
+    smin, smax, residual, _, _ = _certified_extremes(A)
     cond = smax / smin if smin > 0 else math.inf
     return SpectralSummary(smin, smax, cond, residual)
 
@@ -368,10 +366,10 @@ def _norm_bound_trial(
     # stored (i, j) and, off the diagonal, its (j, i); sigma* = 1 unless A = 0.
     max_count = int((np.bincount(A.row, minlength=n) + np.bincount(A.col[A.col != A.row], minlength=n)).max())
     omega = max_count <= cbar * p * n
-    # Gaussian comparison W on A's pattern: w_ij = w_ji is entry (i, j), i <= j, of
-    # one row-major n x n draw, kept whole so that the stream does not move; all
-    # of A's pattern, as views, unless standard_normal returned an exact 0.0.
-    g = trial_stream(master_seed, 1, t).generator().standard_normal(n * n)[A.row * n + A.col]
+    # Gaussian comparison W on A's pattern: one normal per stored (i, j), i <= j,
+    # in A's stored order; all of A's pattern, as views, unless standard_normal
+    # returned an exact 0.0.
+    g = trial_stream(master_seed, 1, t).generator().standard_normal(A.nnz_upper)
     keep = slice(None) if g.all() else g != 0.0
     wnorm = spectral_norm(SparseSymmetricMatrix(n, A.row[keep], A.col[keep], g[keep]))
     bound = bvh_bound(math.sqrt(max_count), float(A.nnz_upper > 0), n, eps)

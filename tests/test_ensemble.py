@@ -108,7 +108,7 @@ class TestSampleMatrix:
         c = sample_matrix(params, RngStream(8, 124)).to_dense()
         assert not np.array_equal(a, c)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1))
     def test_purity_property(self, seed, stream):
         params = EnsembleParams(8, 0.5, RAD)

@@ -562,6 +562,15 @@ class TestConfigRejected:
     def test_seed_out_of_range(self, tmp_path, capsys, seed):
         self._assert_rejected(tmp_path, capsys, CONFIG_TEXT.replace("seed = 7", f"seed = {seed}"), "experiment.seed")
 
+    @pytest.mark.parametrize("trials", ["0", "4294967296", "4294967297"])
+    def test_trials_out_of_range(self, tmp_path, capsys, trials):
+        # A dry run only: were the check missing, a real run of 2^32 trials
+        # would first build a task list of that length.
+        path = tmp_path / "cfg.ini"
+        path.write_text(CONFIG_TEXT.replace("trials = 16", f"trials = {trials}"))
+        assert run(str(path), dry_run=True) == 2
+        assert capsys.readouterr() == ("", f"config error: experiment.trials must lie in [1, 2^32), got {trials}\n")
+
     def test_seed_override_out_of_range(self, tmp_path, capsys):
         path = tmp_path / "cfg.ini"
         path.write_text(CONFIG_TEXT)
@@ -679,12 +688,12 @@ def _artifact_id(cfg: ExperimentConfig) -> str:
 
 
 class TestConfigHypothesis:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(_configs())
     def test_text_round_trip(self, cfg):
         assert config_from_text(_config_text(cfg)) == cfg
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(_configs(), _configs())
     def test_artifact_id_tells_configs_apart(self, a, b):
         # Configs that differ in any field but out and workers get different
@@ -702,7 +711,7 @@ class TestConfigHypothesis:
             if hashed(other) != hashed(a):
                 assert harness.artifact_version_string(other) != harness.artifact_version_string(a)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(st.text(), _config_texts()))
     def test_parses_or_raises_config_error(self, text):
         try:
@@ -864,7 +873,7 @@ def _ends_cleanly(path: str, out: str, dry_run: bool) -> tuple[int, str]:
     return status, err.getvalue()
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(_mutated_goldens())
 def test_mutated_golden_config_ends_cleanly(text):
     # A config --dry-run accepts is run for real when it is small, and then

@@ -14,7 +14,6 @@ from ssrmlab.inverse_geometry import (
     quadratic_smallball_experiment,
 )
 from ssrmlab.model import EnsembleParams, EntryDistribution
-from ssrmlab.spectra import singular_extremes
 
 RAD = EntryDistribution.rademacher()
 GAUSS = EntryDistribution.standard_gaussian()
@@ -22,8 +21,8 @@ LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two
 
 
 def _null(A) -> np.ndarray:
-    """A's null block, as the distance-check trial gets it from its certified spectrum."""
-    return spectra._certified_spectrum(A, null=True)[2][:, 2:]
+    """A's null block, as the distance-check trial gets it from spectra's certified extremes."""
+    return spectra._certified_extremes(A, null=True).vectors[:, 2:]
 
 
 class TestDistanceToComplementSpan:
@@ -265,7 +264,7 @@ class TestQuadraticSmallball:
         for t in range(30):
             got = inverse_geometry._quadratic_trial(11, params, 0, t)
             dense = sample_matrix(params, trial_stream(11, 0, t)).to_dense()
-            smin, top = spectra._extreme_singular_values(dense)
+            smin, top = spectra._certified_extremes(dense)[:2]
             assert (got is None) == (smin == 0.0)
             if got is None:
                 continue
@@ -330,7 +329,7 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
 )
 def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
     # One dsytrd per trial: all_column_distances takes the null block of the
-    # certified spectrum.  The singular realization (n=8, p=0.25,
+    # certified extremes.  The singular realization (n=8, p=0.25,
     # seed 1, trial 0) has a smallest |eigenvalue| of 2.2e-16, which the
     # singular rule reports as exactly 0.
     calls = []
@@ -343,7 +342,7 @@ def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
 
 def test_distance_trial_peak():
     # The sparse realization goes to both kernels: one n x n buffer for the
-    # certified spectrum, then for all_column_distances the densified matrix,
+    # certified extremes, then for all_column_distances the densified matrix,
     # updated by N N^T and inverted in place, and the column norms'
     # temporary.  The second realization (p = 0.01, trial 0) has nullity 8.
     n = 400
@@ -377,8 +376,7 @@ def test_distance_trial_matches_dense_input(t):
     # passed as the trial's C-ordered array: the same row bit for bit.
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
     dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
-    evals, _, vectors = inverse_geometry._certified_spectrum(dense, null=True)
-    smin, _ = singular_extremes(evals)
+    smin, _, _, vectors, _ = inverse_geometry._certified_extremes(dense, null=True)
     incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M) > rho
     rhs = float(np.sum(all_column_distances(dense, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)

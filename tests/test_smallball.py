@@ -65,7 +65,7 @@ class TestLevyScalar:
                 want = _levy_exact_oracle(values, probs, eps)
                 assert got == pytest.approx(want, abs=1e-12)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 10_000))
     def test_monotone_in_eps(self, seed):
         rng = np.random.default_rng(seed)

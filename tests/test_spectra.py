@@ -27,7 +27,7 @@ GAUSS = EntryDistribution.standard_gaussian()
 
 @pytest.fixture(scope="module")
 def matrix_2049() -> np.ndarray:
-    """A sparse rademacher matrix above n = 2048: both spectral routes hold at every n."""
+    """A sparse rademacher matrix above n = 2048: both spectral calls hold at every n."""
     return sample_matrix(EnsembleParams(2049, 0.01, RAD), RngStream(812, 0)).to_dense()
 
 
@@ -253,15 +253,16 @@ class TestNormBoundExperiment:
 
     @staticmethod
     def _dense_mask_reference(params, seed, cbar, eps, t, draw):
-        """The row and the W the trial used to build from the float mask, np.triu
-        symmetrization and mask profile (sigma from the largest row sum of
-        mask^2, sigma* the largest |mask|), given the n x n Gaussian draw.  The
-        masked product writes -0.0 where it masks out a negative draw; + 0.0
-        makes that +0.0, the zero a densified sparse W holds."""
+        """The row and W from the float mask and its profile (sigma from the
+        largest row sum of mask^2, sigma* the largest |mask|), given the
+        Gaussian draw: one value per mask entry (i, j), i <= j, in row-major
+        order, mirrored below the diagonal."""
         n, p = params.n, params.p
         dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
         mask = (dense != 0.0).astype(np.float64)
-        W = mask * (np.triu(draw) + np.triu(draw, k=1).T) + 0.0
+        W = np.zeros((n, n))
+        W[np.nonzero(np.triu(mask))] = draw
+        W += np.triu(W, k=1).T
         norm = spectral_norm(dense)
         bound = bvh_bound(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()), n, eps)
         omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
@@ -276,7 +277,8 @@ class TestNormBoundExperiment:
         real = spectra.spectral_norm
         monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(A) or real(A))
         for t in range(3):
-            draw = trial_stream(seed, 1, t).generator().standard_normal((n, n))
+            nnz = sample_matrix(params, trial_stream(seed, 0, t)).nnz_upper
+            draw = trial_stream(seed, 1, t).generator().standard_normal(nnz)
             want, W = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
             seen.clear()
             assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
@@ -287,7 +289,8 @@ class TestNormBoundExperiment:
         # which SparseSymmetricMatrix would reject, and W is unchanged.
         n, seed, cbar, eps, t = 60, 7, 2.0, 0.5, 0
         params = EnsembleParams(n, 0.3, GAUSS)
-        draw = trial_stream(seed, 1, t).generator().standard_normal(n * n)
+        nnz = sample_matrix(params, trial_stream(seed, 0, t)).nnz_upper
+        draw = trial_stream(seed, 1, t).generator().standard_normal(nnz)
         draw[::3] = 0.0
         real_stream = spectra.trial_stream
 
@@ -296,11 +299,11 @@ class TestNormBoundExperiment:
                 return self
 
             def standard_normal(self, size):
-                assert size == n * n
+                assert size == nnz
                 return draw.copy()
 
         monkeypatch.setattr(spectra, "trial_stream", lambda s, lane, i: ZeroedStream() if lane == 1 else real_stream(s, lane, i))
-        want, _ = self._dense_mask_reference(params, seed, cbar, eps, t, draw.reshape(n, n))
+        want, _ = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
         assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
 
 
@@ -325,6 +328,18 @@ class TestIsSingular:
         assert is_singular(0.0, 0.0)
 
 
+def _shift_smallest(monkeypatch, delta):
+    """Make ``_eigenvalue`` return the smallest-magnitude eigenvalue moved by delta."""
+    real = spectra._eigenvalue
+
+    def shifted(d, e, k):
+        nu = spectra._count_at_most(d, e, 0.0)
+        small = min((j for j in (nu, nu + 1) if 1 <= j <= d.size), key=lambda j: abs(real(d, e, j)))
+        return real(d, e, k) + (delta if k == small else 0.0)
+
+    monkeypatch.setattr(spectra, "_eigenvalue", shifted)
+
+
 class TestSpectralSummary:
     def test_dense_path(self):
         s = spectral_summary(np.eye(3))
@@ -342,14 +357,7 @@ class TestSpectralSummary:
         A = matrix_2049
         plain = spectral_summary(A)
         delta = 1e-9 * plain.s_max
-        real_dsterf = spectra.dsterf
-
-        def shifted(d, e):
-            w, info = real_dsterf(d, e)
-            w[np.argmin(np.abs(w))] += delta
-            return w, info
-
-        monkeypatch.setattr(spectra, "dsterf", shifted)
+        _shift_smallest(monkeypatch, delta)
         summary = spectral_summary(A)
         assert plain.residual <= 1e-10 * plain.s_max * A.shape[0]
         assert summary.residual == pytest.approx(delta, rel=1e-3)
@@ -364,14 +372,7 @@ class TestSpectralSummary:
         evals, vecs = np.linalg.eigh(A)
         k = int(np.argmin(np.abs(evals)))
         delta = 1e-9 * np.abs(evals).max()
-        real_dsterf = spectra.dsterf
-
-        def shifted(d, e):
-            w, info = real_dsterf(d, e)
-            w[np.argmin(np.abs(w))] += delta
-            return w, info
-
-        monkeypatch.setattr(spectra, "dsterf", shifted)
+        _shift_smallest(monkeypatch, delta)
         summary = spectral_summary(A)
         v = vecs[:, k]
         lam = evals[k] + delta
@@ -396,14 +397,14 @@ def _rotated_diagonal(values, seed):
 
 
 class TestExtremeSingularValues:
-    """The one extreme-value route, against numpy's eigvalsh as an independent oracle."""
+    """The one extreme-value engine, against numpy's eigvalsh as an independent oracle."""
 
     @staticmethod
     def _check(A):
         mags = np.abs(np.linalg.eigvalsh(A))
         smin, smax = float(mags.min()), float(mags.max())
         want = (0.0 if is_singular(smin, smax) else smin, smax)
-        got = spectra._extreme_singular_values(A)
+        got = spectra._certified_extremes(A)[:2]
         scale = max(smax, np.finfo(np.float64).tiny)
         assert abs(got[0] - want[0]) <= 1e-12 * scale and abs(got[1] - want[1]) <= 1e-12 * scale
         assert (got[0] == 0.0) == (want[0] == 0.0)
@@ -416,7 +417,7 @@ class TestExtremeSingularValues:
         smin, smax = self._check(A)
         assert 0.0 < smin <= smax
         _, diag, off, _ = spectra._tridiagonal(A)
-        assert spectra._nonpositive_count(diag, off) == int((np.linalg.eigvalsh(A) <= 0).sum())
+        assert spectra._count_at_most(diag, off, 0.0) == int((np.linalg.eigvalsh(A) <= 0).sum())
 
     def test_zero_matrix(self):
         assert self._check(np.zeros((5, 5))) == (0.0, 0.0)
@@ -457,19 +458,42 @@ class TestExtremeSingularValues:
 
     def test_public_wrappers_read_it(self):
         A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(809, 0)).to_dense()
-        assert (smallest_singular_value(A), spectral_norm(A)) == spectra._extreme_singular_values(A)
+        assert (smallest_singular_value(A), spectral_norm(A)) == spectra._certified_extremes(A)[:2]
+
+
+@pytest.mark.parametrize("dist", [RAD, GAUSS], ids=lambda d: d.kind)
+@pytest.mark.parametrize("n", [40, 120, 300])
+def test_engine_matches_full_spectrum(n, dist):
+    """The certified extremes against dsterf's full spectrum, singular draws included:
+    the same values within the engine's residual plus n eps |A|, the same
+    singular verdict, and a null block as wide as the spectrum's zeros."""
+    singular = 0
+    for p in (math.log(n) / n, math.sqrt(math.log(n) / n * 0.5), 0.5):
+        for t in range(4):
+            A = sample_matrix(EnsembleParams(n, p, dist), RngStream(830, t))
+            evals = full_symmetric_spectrum(A)
+            smin, smax = singular_extremes(evals)
+            got = spectra._certified_extremes(A, null=True)
+            tol = got.residual + n * np.finfo(np.float64).eps * smax
+            assert (got.s_min == 0.0) == (smin == 0.0)
+            assert abs(got.s_min - smin) <= tol and abs(got.s_max - smax) <= tol
+            zeros = int(np.sum(np.abs(evals) < spectra._SINGULAR_FLOOR * smax))
+            assert got.vectors.shape[1] - 2 == zeros
+            singular += smin == 0.0
+    if dist is RAD:
+        assert singular > 0  # p = log n / n gives singular rademacher draws
 
 
 LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
 
 
 class TestReductionSolve:
-    """A^-1 b from the extreme-value route's own reduction, against numpy's LU solve."""
+    """A^-1 b from the extreme-value engine's own reduction, against numpy's LU solve."""
 
     @staticmethod
     def _check(A, b):
-        smin, smax, y = spectra._extreme_singular_values(A, b)
-        assert (smin, smax) == spectra._extreme_singular_values(A)
+        smin, smax, _, _, y = spectra._certified_extremes(A, b)
+        assert (smin, smax) == spectra._certified_extremes(A)[:2]
         if smin == 0.0:
             assert y is None
             return False
@@ -499,30 +523,32 @@ class TestReductionSolve:
         A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(822, 0)).to_dense()
         b = np.random.default_rng(3).standard_normal(30)
         before = b.copy()
-        spectra._extreme_singular_values(A, b)
+        spectra._certified_extremes(A, b)
         assert np.array_equal(b, before)
 
     def test_exactly_singular_tridiagonal(self, monkeypatch):
         # Eigenvalues 0, 1 and 3; dsytrd leaves a tridiagonal matrix as it is.
         T = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
         b = np.ones(3)
-        assert spectra._extreme_singular_values(T, b) == (0.0, pytest.approx(3.0, rel=1e-14), None)
+        got = spectra._certified_extremes(T, b)
+        assert (got.s_min, got.s_max, got.y) == (0.0, pytest.approx(3.0, rel=1e-14), None)
         # With no singular floor the rule lets T through to the solve, where
         # dgtsv meets an exactly zero pivot, as dgesv would.
         monkeypatch.setattr(spectra, "_SINGULAR_FLOOR", 0.0)
         with pytest.raises(NumericalError, match="dgtsv"):
-            spectra._extreme_singular_values(T, b)
+            spectra._certified_extremes(T, b)
 
 
 class TestCertifiedEigenvectors:
     @pytest.mark.parametrize("t", range(3))
     def test_unit_and_within_contract(self, t):
         A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, t)).to_dense()
-        evals, worst, V = spectra._certified_spectrum(A)
-        picks = [int(np.argmin(np.abs(evals))), int(np.argmax(np.abs(evals)))]
-        norm = float(np.abs(evals).max())
+        smin, smax, worst, V, _ = spectra._certified_extremes(A)
+        norm = float(np.abs(np.linalg.eigvalsh(A)).max())
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
-        residuals = np.linalg.norm(A @ V - V * evals[picks], axis=0)
+        # The reported magnitudes, signed as the Rayleigh quotients are.
+        values = np.sign(np.einsum("ij,ij->j", V, A @ V)) * [smin, smax]
+        residuals = np.linalg.norm(A @ V - V * values, axis=0)
         assert residuals.max() <= 1e-10 * norm * A.shape[0]
         assert worst == pytest.approx(residuals.max(), rel=1e-6, abs=1e-15 * norm)
 
@@ -541,32 +567,32 @@ class TestCertifiedEigenvectors:
         monkeypatch.setattr(spectra, "_tridiagonal", tridiagonal)
         monkeypatch.setattr(spectra, "dsymm", lambda alpha, a, b, **kw: seen.append(a) or real_dsymm(alpha, a, b, **kw))
         A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, 0)).to_dense()
-        spectra._certified_spectrum(A)
+        spectra._certified_extremes(A)
         (work, reflectors), = reduced
         assert np.shares_memory(reflectors, work)
         assert len(seen) == 1 and seen[0] is work and work.flags.f_contiguous
         assert np.array_equal(np.triu(work), np.triu(A))
 
     def test_one_by_one(self):
-        evals, worst, V = spectra._certified_spectrum(np.array([[2.5]]))
-        assert evals.tolist() == [2.5] and worst == 0.0 and V.tolist() == [[1.0, 1.0]]
-        assert spectra._certified_spectrum(np.array([[0.0]]), null=True)[2].tolist() == [[1.0, 1.0, 1.0]]
+        smin, smax, worst, V, _ = spectra._certified_extremes(np.array([[-2.5]]))
+        assert (smin, smax, worst) == (2.5, 2.5, 0.0) and V.tolist() == [[1.0, 1.0]]
+        assert spectra._certified_extremes(np.array([[0.0]]), null=True).vectors.tolist() == [[1.0, 1.0, 1.0]]
 
     @pytest.mark.parametrize("p, nullity", [(0.3, 0), (0.03, 5)])
     def test_null_block_adds_columns_only(self, p, nullity):
-        # The eigenvalues are the same bytes with or without the null block,
-        # and so is everything else when the block is empty; the block is
-        # the singular rule's zeros.  Q applied to more columns may round
-        # the two picks differently in the last digit.
+        # (s_min, s_max) are the same with or without the null block, and so
+        # is everything else when the block is empty; the block is the
+        # singular rule's zeros, as counted in numpy's spectrum.  Q applied
+        # to more columns may round the two picks differently in the last digit.
         A = sample_matrix(EnsembleParams(100, p, RAD), RngStream(818, 0))
-        evals, worst, V = spectra._certified_spectrum(A)
-        evals_n, worst_n, V_n = spectra._certified_spectrum(A, null=True)
-        assert evals_n.tobytes() == evals.tobytes()
-        assert V_n.shape[1] - 2 == nullity == np.sum(np.abs(evals) < spectra._SINGULAR_FLOOR * np.abs(evals).max())
-        assert (singular_extremes(evals)[0] == 0.0) == (nullity > 0)
+        plain, with_null = spectra._certified_extremes(A), spectra._certified_extremes(A, null=True)
+        evals = np.linalg.eigvalsh(A.to_dense())
+        assert with_null[:2] == plain[:2]
+        assert with_null.vectors.shape[1] - 2 == nullity == np.sum(np.abs(evals) < spectra._SINGULAR_FLOOR * np.abs(evals).max())
+        assert (plain.s_min == 0.0) == (nullity > 0)
         if nullity == 0:
-            assert V_n.tobytes() == V.tobytes() and worst_n == worst
-        np.testing.assert_allclose(V_n[:, :2], V, rtol=0, atol=1e-14)
+            assert with_null.vectors.tobytes() == plain.vectors.tobytes() and with_null.residual == plain.residual
+        np.testing.assert_allclose(with_null.vectors[:, :2], plain.vectors, rtol=0, atol=1e-14)
 
 
 def _tridiagonals() -> dict:
@@ -590,7 +616,7 @@ class TestTridiagonalEigenvector:
         from scipy.linalg import eigh_tridiagonal  # the oracle only
 
         evals = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
-        # The two picks _certified_spectrum makes, plus the ends and the middle.
+        # The two picks full_symmetric_spectrum makes, plus the ends and the middle.
         picks = {int(np.argmin(np.abs(evals))), 0 if -evals[0] >= evals[-1] else len(diag) - 1}
         for k in sorted(picks | {0, len(diag) // 2, len(diag) - 1}):
             want = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))[1][:, 0]
@@ -666,8 +692,13 @@ class TestOneBufferPerCall:
 
     @pytest.mark.parametrize(
         "fn",
-        [full_symmetric_spectrum, spectral_summary, spectra._certified_spectrum, spectra._extreme_singular_values],
-        ids=lambda f: f.__name__,
+        [
+            full_symmetric_spectrum,
+            spectral_summary,
+            lambda A: spectra._certified_extremes(A, null=True),
+            lambda A: spectra._certified_extremes(A, np.ones(len(A))),
+        ],
+        ids=["full_symmetric_spectrum", "spectral_summary", "extremes-null", "extremes-rhs"],
     )
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("scale", [1.0, 1e-160])
@@ -681,10 +712,13 @@ class TestOneBufferPerCall:
 
     def test_norm_bound_trial_peak(self):
         # Both matrices reach spectral_norm sparse, so the trial holds one n x n
-        # array at a time (A densified, the flat Gaussian draw, W densified) next
-        # to O(nnz) coordinates: about 1.3 here, 1 + 2.5p at density p.
-        params = EnsembleParams(self.N, 0.1, RAD)
-        assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 2.0
+        # array at a time (A densified, then W densified) next to O(nnz) data:
+        # A's coordinates and values, 1.5p matrices, and W's values, 0.5p (one
+        # normal per stored entry); about 1.4 at p = 0.1 and 3.2 at p = 1.  An
+        # n x n Gaussian draw to gather W's values from took 3.5 at p = 1.
+        for p in (0.1, 1.0):
+            params = EnsembleParams(self.N, p, RAD)
+            assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 1.3 + 2.0 * p, p
 
     def test_tridiagonal_reduces_in_place(self):
         work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T
@@ -716,13 +750,13 @@ def test_both_routes_at_extreme_scales(scale):
         full_symmetric_spectrum,
         spectral_norm,
         smallest_singular_value,
-        lambda A: spectra._extreme_singular_values(A, np.ones(3)),
+        lambda A: spectra._certified_extremes(A, np.ones(3)),
     ],
     ids=["spectral_summary", "full_symmetric_spectrum", "spectral_norm", "smallest_singular_value", "with_rhs"],
 )
 def test_norm_overflow_is_a_numerical_error(call):
     # Every entry is finite, but the eigenvalue 2e308 of the leading 2 x 2
-    # block is not: both routes scale back through one overflow check.
+    # block is not: both spectral calls scale back through one overflow check.
     A = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -1e308]])
     with pytest.raises(NumericalError, match="the spectral norm overflows float64"):
         call(A)

@@ -466,7 +466,7 @@ class TestRegularizedLcd:
 
 
 class TestClassificationInvariance:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(seed=st.integers(0, 10_000))
     def test_permutation_and_sign_invariance(self, seed):
         rng = np.random.default_rng(seed)

@@ -22,13 +22,15 @@ imports numpy, ``ensemble`` and the modules it runs where it runs.
 Config schema: the [experiment], [ensemble] and [grid] keys of ``_KEYS``,
 which also holds each key's field, parser and default, plus [params] with
 the keys of the kind's record in ``_KINDS``.  Any other section or key is
-a ConfigError.  The sidecar's ``config`` block (``_config_block``) is the
-config's one written form, and the artifact id hashes it.  C_op of the
-event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a key.
-``ExperimentConfig`` checks every rule of the record, so a runner may
-assume: one (n, p) cell unless the kind sweeps the grid; every matrix cell
-in the ensemble, with p >= 1/n; one eps point or more, each >= 0, if the
-kind reads eps; and every [params] value, set or default, within its rule.
+a ConfigError.  ``ExperimentConfig`` holds parsed values only, with every
+[params] key of the kind (an unset one at its default); the sidecar's
+``config`` block (``_config_block``) is that dataclass written whole, and
+the artifact id hashes it, so configs that parse equal share one id.  C_op
+of the event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a
+key.  ``ExperimentConfig`` checks every rule of the record, so a runner
+may assume: one (n, p) cell unless the kind sweeps the grid; every matrix
+cell in the ensemble, with p >= 1/n; one eps point or more, each >= 0, if
+the kind reads eps; and every [params] value within its rule.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as ARTIFACT_VERSION
 from .errors import REPORTED, ConfigError, ParameterError, report
-from .model import EnsembleParams, EntryDistribution, format_distribution, parse_distribution
+from .model import EnsembleParams, EntryDistribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
     from collections.abc import Callable
@@ -78,7 +80,7 @@ def _integers(text: str) -> tuple[int, ...]:
 _KEYS = {
     ("experiment", "kind"): ("kind", str, None),
     ("experiment", "trials"): ("trials", int, "1"),
-    ("experiment", "seed"): ("master_seed", int, "0"),
+    ("experiment", "seed"): ("seed", int, "0"),
     ("experiment", "workers"): ("workers", int, "1"),
     ("experiment", "out"): ("out", str, "out.csv"),
     ("ensemble", "dist"): ("dist", parse_distribution, "rademacher"),
@@ -117,10 +119,10 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     p_grid: tuple[float, ...]
     trials: int
-    master_seed: int
+    seed: int
     workers: int
     out: str
-    extras: dict[str, str] = field(default_factory=dict)
+    params: dict[str, float] = field(default_factory=dict)  # every key of the kind, after __post_init__
 
     def __post_init__(self):
         kind = _KINDS.get(self.kind)
@@ -132,8 +134,8 @@ class ExperimentConfig:
             raise ConfigError(f"experiment.trials must lie in [1, 2^32), got {self.trials}")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"experiment.seed must lie in [0, 2^64), got {self.master_seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"experiment.seed must lie in [0, 2^64), got {self.seed}")
         if not kind.sweeps and self.cell_count() > 1:
             raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
         if kind.vectors:
@@ -150,11 +152,14 @@ class ExperimentConfig:
                         raise ConfigError(f"bad cell n={n}, p={p:g} (section [grid]): {exc}") from None
                     if p < 1.0 / n:
                         raise ConfigError(f"infeasible cell n={n}, p={p:g}: sparsity below 1/n leaves empty rows")
+        for key in self.params:
+            _param(self.kind, key)
         n = self.n_grid[0]
-        for key in dict.fromkeys([*self.extras, *kind.params]):
-            value, param = self.param(key), kind.params[key]
-            if not param.holds(value, n):
-                raise ConfigError(f"{self.kind} needs {param.rule.format(n=n)}, got params.{key} = {value:g}")
+        params = {key: self.params.get(key, param.default(n)) for key, param in kind.params.items()}
+        object.__setattr__(self, "params", params)
+        for key, param in kind.params.items():
+            if not param.holds(params[key], n):
+                raise ConfigError(f"{self.kind} needs {param.rule.format(n=n)}, got params.{key} = {params[key]:g}")
         if kind.reads_eps and not (self.eps_grid and min(self.eps_grid) >= 0):
             points = ",".join(f"{e:g}" for e in self.eps_grid) or "none"
             raise ConfigError(f"{self.kind} needs grid.eps of one point or more, each >= 0, got eps={points}")
@@ -162,15 +167,19 @@ class ExperimentConfig:
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
 
-    def param(self, key: str):
-        """[params] value ``key`` parsed for this kind, or its ``_KINDS`` default when unset."""
-        param = _KINDS[self.kind].params.get(key)
-        if param is None:
-            raise ConfigError(f"unknown config key params.{key} for kind {self.kind}")
-        try:
-            return param.parse(self.extras[key]) if key in self.extras else param.default(self.n_grid[0])
-        except ValueError:
-            raise ConfigError(f"bad value at params.{key}: {self.extras[key]!r}") from None
+
+def _param(kind: str, key: str) -> _Param:
+    params = _KINDS[kind].params
+    if key not in params:
+        raise ConfigError(f"unknown config key params.{key} for kind {kind}")
+    return params[key]
+
+
+def _parsed(section: str, key: str, parse: Callable[[str], object], raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value at {section}.{key}: {raw!r} ({exc})") from None
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -183,7 +192,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         raise ConfigError("unparseable config: " + " ".join(str(exc).split())) from exc
     for section in cp.sections():
         if section == "params":
-            continue  # checked against the kind by ExperimentConfig
+            continue  # parsed below, by the kind's own keys
         if not any(section == known for known, _ in _KEYS):
             raise ConfigError(f"unknown config section [{section}]")
         for key in cp[section]:
@@ -194,11 +203,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         raw = cp.get(section, key, fallback=default)
         if raw is None:
             raise ConfigError(f"missing config key {section}.{key}")
-        try:
-            values[name] = parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value at {section}.{key}: {raw!r} ({exc})") from None
-    return ExperimentConfig(**values, extras=dict(cp["params"]) if cp.has_section("params") else {})
+        values[name] = _parsed(section, key, parse, raw)
+    cfg = ExperimentConfig(**values)  # each [params] key at its default; the set ones replace them
+    raws = cp["params"] if cp.has_section("params") else {}
+    return replace(cfg, params={key: _parsed("params", key, _param(cfg.kind, key).parse, raw) for key, raw in raws.items()})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -229,7 +237,7 @@ def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> li
     from .ensemble import run_trials
 
     params = [EnsembleParams(n, p, cfg.dist) for n, p in cells]
-    return run_trials(partial(_extreme_values_for_trial, cfg.master_seed), params, cfg.trials, cfg.workers)
+    return run_trials(partial(_extreme_values_for_trial, cfg.seed), params, cfg.trials, cfg.workers)
 
 
 class TailRow(NamedTuple):
@@ -339,17 +347,7 @@ def write_csv(path: str, schema: str, header: list[str], rows: list) -> None:
 
 def _config_block(cfg: ExperimentConfig) -> dict:
     """The config as the sidecar writes it: every field but the output path."""
-    return {
-        "kind": cfg.kind,
-        "dist": format_distribution(cfg.dist),
-        "n_grid": list(cfg.n_grid),
-        "p_grid": list(cfg.p_grid),
-        "eps_grid": list(cfg.eps_grid),
-        "trials": cfg.trials,
-        "seed": cfg.master_seed,
-        "workers": cfg.workers,
-        "extras": dict(cfg.extras),
-    }
+    return {key: value for key, value in asdict(cfg).items() if key != "out"}
 
 
 def artifact_version_string(cfg: ExperimentConfig) -> str:
@@ -395,7 +393,7 @@ def _run_norm_check(cfg: ExperimentConfig) -> _Table:
 
     params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(NormBoundRow._fields), *norm_bound_experiment(
-        params, cfg.trials, cfg.master_seed, cfg.param("cbar"), cfg.param("bvh_eps"), cfg.workers
+        params, cfg.trials, cfg.seed, cfg.params["cbar"], cfg.params["bvh_eps"], cfg.workers
     )
 
 
@@ -404,7 +402,7 @@ def _run_distance_check(cfg: ExperimentConfig) -> _Table:
 
     params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(DistanceExperimentRow._fields), *invertibility_via_distance_experiment(
-        params, cfg.eps_grid[0], cfg.param("m"), cfg.param("rho"), cfg.trials, cfg.master_seed, cfg.workers
+        params, cfg.eps_grid[0], cfg.params["m"], cfg.params["rho"], cfg.trials, cfg.seed, cfg.workers
     )
 
 
@@ -418,7 +416,7 @@ def _run_smallball(cfg: ExperimentConfig) -> _Table:
     x = np.full(n, 1.0 / math.sqrt(n))
     d = lcd(x, 1.0)
     # One sample set serves the whole eps grid (monotone estimates).
-    sums = sparse_sum_samples(x, p, cfg.dist, cfg.trials, cfg.master_seed, cfg.workers)
+    sums = sparse_sum_samples(x, p, cfg.dist, cfg.trials, cfg.seed, cfg.workers)
     rows = []
     for eps in cfg.eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))
@@ -438,7 +436,7 @@ def _run_quadratic(cfg: ExperimentConfig) -> _Table:
 
     params = EnsembleParams(cfg.n_grid[0], cfg.p_grid[0], cfg.dist)
     return list(QuadraticRow._fields), *quadratic_smallball_experiment(
-        params, cfg.eps_grid, cfg.trials, cfg.master_seed, cfg.workers
+        params, cfg.eps_grid, cfg.trials, cfg.seed, cfg.workers
     )
 
 
@@ -500,7 +498,7 @@ def run(
     try:
         cfg = load_config(config_path)
         if seed is not None:
-            cfg = replace(cfg, master_seed=seed)
+            cfg = replace(cfg, seed=seed)
         if workers is not None:
             cfg = replace(cfg, workers=workers)
         if out is not None:

@@ -57,47 +57,32 @@ class EntryDistribution:
         """The positive atom of a two-point law."""
         return math.sqrt((1.0 - self.prob) / self.prob)
 
-    @classmethod
-    def rademacher(cls) -> "EntryDistribution":
-        return cls("rademacher")
 
-    @classmethod
-    def standard_gaussian(cls) -> "EntryDistribution":
-        return cls("standard-gaussian")
-
-    @classmethod
-    def uniform_symmetric(cls) -> "EntryDistribution":
-        return cls("uniform-symmetric")
-
-    @classmethod
-    def two_point(cls, prob: float) -> "EntryDistribution":
-        """Asymmetric two-point law: atom sqrt((1-prob)/prob) with mass prob."""
-        return cls("two-point-general", prob=prob)
+# The kind each name of a law without parameters stands for in configs and
+# on the CLI; a two-point law is written ``two-point:<prob>``.
+_ALIASES = {
+    "rademacher": "rademacher",
+    "sign": "rademacher",
+    "standard-gaussian": "standard-gaussian",
+    "gaussian": "standard-gaussian",
+    "normal": "standard-gaussian",
+    "uniform-symmetric": "uniform-symmetric",
+    "uniform": "uniform-symmetric",
+}
 
 
 def parse_distribution(text: str) -> EntryDistribution:
     """Parse a distribution name as used in configs and on the CLI."""
     text = text.strip()
-    if text in ("rademacher", "sign"):
-        return EntryDistribution.rademacher()
-    if text in ("standard-gaussian", "gaussian", "normal"):
-        return EntryDistribution.standard_gaussian()
-    if text in ("uniform-symmetric", "uniform"):
-        return EntryDistribution.uniform_symmetric()
+    if text in _ALIASES:
+        return EntryDistribution(_ALIASES[text])
     if text.startswith("two-point:"):
         try:
             prob = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ParameterError(f"bad two-point spec {text!r}") from exc
-        return EntryDistribution.two_point(prob)
+        return EntryDistribution("two-point-general", prob)
     raise ParameterError(f"unknown distribution {text!r}")
-
-
-def format_distribution(dist: EntryDistribution) -> str:
-    """The text that ``parse_distribution`` reads back as ``dist``."""
-    if dist.kind == "two-point-general":
-        return f"two-point:{dist.prob:.17g}"
-    return dist.kind
 
 
 @dataclass(frozen=True)

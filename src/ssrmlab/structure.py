@@ -282,6 +282,10 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
     dist(theta x, Z^n) = theta > L sqrt(log+(theta/L)).  1/||x||_inf is
     not a lower bound: past 1/(2||x||_inf) the largest coordinate rounds
     to +-1 and the distance can fall under the threshold.
+
+    Bound: theta_cap ||x||_inf must stay below 2^52.  Past it k + 1/2 is
+    not a float, so theta x_i keeps no fractional bit to measure a lattice
+    distance with, and breakpoints merge; such a cap is a ParameterError.
     """
     n = x.size
     if not 1.0 <= L < math.inf:
@@ -291,6 +295,9 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
         theta_cap = max(theta_cap, 2.0 * L)
     if not L < theta_cap < math.inf:
         raise ParameterError("theta_cap must be finite and exceed L")
+    top = theta_cap * float(np.abs(x).max())
+    if top >= 2.0**52:
+        raise ParameterError(f"theta_cap * max|x_i| must stay below 2^52 (float resolution), got {top:g}")
 
     a = float(x @ x)  # ~1 for unit input
     eps = np.finfo(np.float64).eps

@@ -29,8 +29,8 @@ from ssrmlab.smallball import levy_concentration_scalar
 from ssrmlab.spectra import norm_bound_experiment, smallest_singular_value
 from ssrmlab.structure import StructureConstants, lcd, spread_set
 
-RAD = EntryDistribution.rademacher()
-GAUSS = EntryDistribution.standard_gaussian()
+RAD = EntryDistribution("rademacher")
+GAUSS = EntryDistribution("standard-gaussian")
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -232,10 +232,9 @@ def _tail_config(**overrides):
         n_grid=(200,),
         p_grid=(0.3,),
         trials=2000,
-        master_seed=1008,
+        seed=1008,
         workers=1,
         out="unused.csv",
-        extras={},
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -243,7 +242,7 @@ def _tail_config(**overrides):
 
 def test_criterion_07_scaling_shape():
     t0 = time.monotonic()
-    cfg = _tail_config(kind="scaling", n_grid=(100, 200, 400), p_grid=(0.5,), trials=300, master_seed=1007)
+    cfg = _tail_config(kind="scaling", n_grid=(100, 200, 400), p_grid=(0.5,), trials=300, seed=1007)
     cells = scaling_consistency(cfg)
     ratios = [c.ratio_to_prev for c in cells if c.ratio_to_prev is not None]
     elapsed = time.monotonic() - t0

@@ -399,6 +399,22 @@ def test_lcd_returns_past_float_resolution(tmp_path, scale_l):
     assert float(np.linalg.norm(y - np.round(y))) < L * math.sqrt(math.log(theta / L))
 
 
+@pytest.mark.parametrize("flag", ["--scale-l", "--cap"])
+def test_lcd_rejects_a_cap_past_float_resolution(tmp_path, flag):
+    # Past theta_cap max|x_i| = 2^52 no breakpoint k + 1/2 is a float: the
+    # scan used to run on without end at L = 1e50.  A fresh process with a
+    # timeout, so that a scan that cannot end fails this test instead of
+    # hanging the suite.
+    path = tmp_path / "v.txt"
+    path.write_text("0.6 -0.8 0.1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ssrmlab.cli", "lcd", "--vector", str(path), flag, "1e50"],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: theta_cap * max|x_i| must stay below 2^52")
+
+
 def test_lcd_has_no_tol_flag(tmp_path, capsys):
     path = tmp_path / "v.txt"
     path.write_text("0.6 0.8\n")
@@ -613,11 +629,11 @@ def test_loader_fallback_gives_the_same_spectrum(tmp_path):
         "from ssrmlab.ensemble import RngStream, sample_matrix\n"
         "from ssrmlab.model import EnsembleParams, EntryDistribution\n"
         "from ssrmlab.spectra import full_symmetric_spectrum\n"
-        "A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution.rademacher()), RngStream(5, 0))\n"
+        "A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution('rademacher')), RngStream(5, 0))\n"
         "digest = hashlib.sha256(full_symmetric_spectrum(A).tobytes()).hexdigest()\n"
         "print(json.dumps({'scipy.linalg': 'scipy.linalg' in sys.modules, 'digest': digest}))"
     )
-    A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution.rademacher()), RngStream(5, 0))
+    A = sample_matrix(EnsembleParams(120, 0.2, EntryDistribution("rademacher")), RngStream(5, 0))
     digest = hashlib.sha256(spectra.full_symmetric_spectrum(A).tobytes()).hexdigest()
     assert json.loads(_python(code, tmp_path)) == {"scipy.linalg": True, "digest": digest}
 

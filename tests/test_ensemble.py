@@ -24,23 +24,23 @@ from ssrmlab.ensemble import (
 from ssrmlab.errors import ParameterError
 from ssrmlab.model import EnsembleParams, EntryDistribution, parse_distribution
 
-RAD = EntryDistribution.rademacher()
-GAUSS = EntryDistribution.standard_gaussian()
+RAD = EntryDistribution("rademacher")
+GAUSS = EntryDistribution("standard-gaussian")
 
 
 class TestEntryDistribution:
     def test_analytic_fourth_moments(self):
-        assert EntryDistribution.rademacher().fourth_moment == 1.0
-        assert EntryDistribution.standard_gaussian().fourth_moment == 3.0
-        assert EntryDistribution.uniform_symmetric().fourth_moment == pytest.approx(1.8, abs=1e-15)
+        assert EntryDistribution("rademacher").fourth_moment == 1.0
+        assert EntryDistribution("standard-gaussian").fourth_moment == 3.0
+        assert EntryDistribution("uniform-symmetric").fourth_moment == pytest.approx(1.8, abs=1e-15)
         # two-point with prob 0.2: (1-p)^2/p + p^2/(1-p)
-        tp = EntryDistribution.two_point(0.2)
+        tp = EntryDistribution("two-point-general", 0.2)
         assert tp.fourth_moment == pytest.approx(0.64 / 0.2 + 0.04 / 0.8, abs=1e-12)
 
     def test_two_point_atoms_have_mean_zero_unit_variance(self):
         # Atom a with mass prob, and b = -a prob / (1 - prob) with mass 1 - prob.
         for prob in (0.2, 0.5, 0.9):
-            tp = EntryDistribution.two_point(prob)
+            tp = EntryDistribution("two-point-general", prob)
             b = -tp.a * prob / (1.0 - prob)
             assert tp.a * prob + b * (1.0 - prob) == pytest.approx(0.0, abs=1e-12)
             assert tp.a**2 * prob + b**2 * (1.0 - prob) == pytest.approx(1.0, abs=1e-12)
@@ -57,10 +57,10 @@ class TestEntryDistribution:
     def test_two_point_infinite_moment_rejected(self):
         # prob = 1e-320 gives an infinite atom, which no matrix can hold.
         with pytest.raises(ParameterError, match="infinite"):
-            EntryDistribution.two_point(1e-320)
+            EntryDistribution("two-point-general", 1e-320)
         # A string is named as a bad prob, not a bare TypeError from "<".
         with pytest.raises(ParameterError, match="two-point prob"):
-            EntryDistribution.two_point("0.5")
+            EntryDistribution("two-point-general", "0.5")
 
     def test_parse(self):
         assert parse_distribution("gaussian").kind == "standard-gaussian"
@@ -70,7 +70,7 @@ class TestEntryDistribution:
 
     def test_sampled_moments_match(self):
         rng = RngStream(11, 0).generator()
-        for dist in (RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.3)):
+        for dist in (RAD, GAUSS, EntryDistribution("uniform-symmetric"), EntryDistribution("two-point-general", 0.3)):
             xs = sample_entries(dist, rng, 200_000)
             assert np.mean(xs) == pytest.approx(0.0, abs=0.02)
             assert np.var(xs) == pytest.approx(1.0, abs=0.03)
@@ -158,7 +158,7 @@ def _triu_reference(params: EnsembleParams, stream: RngStream) -> tuple:
     return iu[mask][keep], ju[mask][keep], vals[keep]
 
 
-LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+LAWS = [RAD, GAUSS, EntryDistribution("uniform-symmetric"), EntryDistribution("two-point-general", 0.2)]
 
 
 class TestSampleMatrixIndexing:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import configparser
 import contextlib
 import dataclasses
@@ -9,6 +10,7 @@ import string
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +33,10 @@ from ssrmlab.harness import (
     scaling_consistency,
     tail_sweep,
 )
-from ssrmlab.model import EnsembleParams, EntryDistribution, format_distribution
+from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.stats import wilson_interval
 
-RAD = EntryDistribution.rademacher()
+RAD = EntryDistribution("rademacher")
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -45,10 +47,9 @@ def _config(**overrides) -> ExperimentConfig:
         n_grid=(24,),
         p_grid=(0.5,),
         trials=16,
-        master_seed=7,
+        seed=7,
         workers=1,
         out="out.csv",
-        extras={},
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -80,17 +81,33 @@ def _kind_config(kind: str) -> str:
     return text
 
 
-def _config_text(cfg: ExperimentConfig) -> str:
-    """``cfg`` written as config text, key by key from ``harness._KEYS``."""
+def _padded(value: float) -> str:
+    """``repr(value)`` with trailing zeros in its mantissa: the same float, spelled otherwise."""
+    mantissa, e, exponent = repr(value).partition("e")
+    return mantissa + ("000" if "." in mantissa else ".000") + e + exponent
+
+
+# Spellings of one float that parse back to it.
+_SPELLINGS = {"repr": repr, ".17g": lambda value: format(value, ".17g"), "padded": _padded}
+
+
+def _config_text(cfg: ExperimentConfig, spell=repr, params=None) -> str:
+    """``cfg`` written as config text, key by key from ``harness._KEYS``, with
+    each float spelled by ``spell`` and the [params] keys ``params`` (all of them
+    by default)."""
+
+    def text(value) -> str:
+        return spell(value) if isinstance(value, float) else str(value)
+
     sections = {}
     for (section, key), (name, _, _) in harness._KEYS.items():
         value = getattr(cfg, name)
         if isinstance(value, tuple):
-            value = ",".join(map(repr, value))
+            value = ",".join(map(text, value))
         elif isinstance(value, EntryDistribution):
-            value = format_distribution(value)
+            value = value.kind if value.prob is None else f"two-point:{text(value.prob)}"
         sections.setdefault(section, {})[key] = value
-    sections["params"] = cfg.extras
+    sections["params"] = {key: text(value) for key, value in cfg.params.items() if params is None or key in params}
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
 
 
@@ -143,7 +160,7 @@ class TestWilson:
 
 class TestConfig:
     def test_round_trip_lossless(self):
-        cfg = _config(kind="distance-check", extras={"m": "12", "rho": "0.25"})
+        cfg = _config(kind="distance-check", params={"m": 12, "rho": 0.25})
         assert config_from_text(_config_text(cfg)) == cfg
 
     def test_parse_reference_text(self):
@@ -155,9 +172,19 @@ class TestConfig:
 
     def test_config_block_holds_every_field_but_out(self):
         # The artifact id hashes this block, so a field it lacked would drop
-        # out of the id unseen.
+        # out of the id unseen.  perfbench reads kind, seed and trials from it.
         names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"out"}
-        assert set(harness._config_block(_config())) == {"seed" if name == "master_seed" else name for name in names}
+        assert set(harness._config_block(_config())) == names >= {"kind", "seed", "trials"}
+
+    def test_params_hold_every_key_at_its_default(self):
+        # An unset [params] key holds its default, so the sidecar says which
+        # values ran; a key of another kind is rejected, through replace too.
+        cfg = config_from_text(_kind_config("distance-check"))
+        assert cfg.params == {"m": 12, "rho": 0.1}
+        assert harness._config_block(cfg)["params"] == {"m": 12, "rho": 0.1}
+        assert harness._config_block(cfg)["dist"] == {"kind": "rademacher", "prob": None}
+        with pytest.raises(ConfigError, match="unknown config key params.m for kind norm-check"):
+            dataclasses.replace(cfg, kind="norm-check")
 
     def test_missing_kind_named(self):
         with pytest.raises(ConfigError, match="experiment.kind"):
@@ -183,7 +210,7 @@ class TestTailSweep:
             tail_sweep(_config(n_grid=(10,), p_grid=(0.05,)))
 
     def test_eps_zero_continuous_never_singular(self):
-        cfg = _config(dist=EntryDistribution.standard_gaussian(), eps_grid=(0.0,), trials=20)
+        cfg = _config(dist=EntryDistribution("standard-gaussian"), eps_grid=(0.0,), trials=20)
         rows = tail_sweep(cfg)
         assert rows[0].p_hat == 0.0
 
@@ -419,7 +446,7 @@ class TestRun:
         text = "\n".join(line for line in _kind_config(kind).splitlines() if not line.startswith("eps ="))
         cfg = config_from_text(text)
         assert cfg.eps_grid == ()
-        assert harness._config_block(cfg)["eps_grid"] == []
+        assert harness._config_block(cfg)["eps_grid"] == ()
 
 
 class TestConfigRejected:
@@ -443,11 +470,13 @@ class TestConfigRejected:
 
     def test_cbar_not_a_number(self, tmp_path, capsys):
         text = _kind_config("norm-check") + "\n[params]\ncbar = two\n"
-        self._assert_rejected(tmp_path, capsys, text, "params.cbar")
+        needle = "config error: bad value at params.cbar: 'two' (could not convert string to float: 'two')\n"
+        self._assert_rejected(tmp_path, capsys, text, needle)
 
     def test_m_not_an_integer(self, tmp_path, capsys):
         text = _kind_config("distance-check") + "\n[params]\nm = 1.5\n"
-        self._assert_rejected(tmp_path, capsys, text, "params.m")
+        needle = "config error: bad value at params.m: '1.5' (invalid literal for int() with base 10: '1.5')\n"
+        self._assert_rejected(tmp_path, capsys, text, needle)
 
     def test_param_of_another_kind(self, tmp_path, capsys):
         text = _kind_config("distance-check") + "\n[params]\ncbar = 2.0\n"
@@ -478,7 +507,8 @@ class TestConfigRejected:
         self._assert_rejected(tmp_path, capsys, text, "config error: unknown config section [structure]")
 
     def test_non_finite_value(self, tmp_path, capsys):
-        self._assert_rejected(tmp_path, capsys, _kind_config("norm-check") + "\n[params]\ncbar = nan\n", "params.cbar")
+        text = _kind_config("norm-check") + "\n[params]\ncbar = nan\n"
+        self._assert_rejected(tmp_path, capsys, text, "config error: bad value at params.cbar: 'nan' ('nan' is not finite)\n")
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_cbar_not_positive(self, tmp_path, capsys, value):
@@ -617,23 +647,21 @@ def _configs(draw) -> ExperimentConfig:
     p_grid = tuple(draw(st.lists(_finite_floats(min_value=1.0 / min(n_grid), max_value=1.0), min_size=1, max_size=cells)))
     dist = draw(
         st.one_of(
-            st.sampled_from(
-                [EntryDistribution.rademacher(), EntryDistribution.standard_gaussian(), EntryDistribution.uniform_symmetric()]
-            ),
-            _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(EntryDistribution.two_point),
+            st.sampled_from(["rademacher", "standard-gaussian", "uniform-symmetric"]).map(EntryDistribution),
+            _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(lambda prob: EntryDistribution("two-point-general", prob)),
         )
     )
     eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=int(record.reads_eps), max_size=4)))
     if record.reads_eps:
         eps_grid = tuple(abs(e) for e in eps_grid)
     if kind == "norm-check":
-        extras = draw(st.dictionaries(st.just("cbar"), _finite_floats(min_value=0.0, exclude_min=True).map(repr)))
-        extras.update(draw(st.dictionaries(st.just("bvh_eps"), _finite_floats(min_value=0.0, max_value=0.5, exclude_min=True).map(repr))))
+        params = draw(st.dictionaries(st.just("cbar"), _finite_floats(min_value=0.0, exclude_min=True)))
+        params.update(draw(st.dictionaries(st.just("bvh_eps"), _finite_floats(min_value=0.0, max_value=0.5, exclude_min=True))))
     elif kind == "distance-check":
-        extras = draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True).map(repr)))
-        extras.update(draw(st.dictionaries(st.just("m"), st.integers(1, n_grid[0] - 1).map(str))))
+        params = draw(st.dictionaries(st.just("rho"), _finite_floats(min_value=0.0, exclude_min=True)))
+        params.update(draw(st.dictionaries(st.just("m"), st.integers(1, n_grid[0] - 1))))
     else:
-        extras = {}
+        params = {}
     return ExperimentConfig(
         kind=kind,
         dist=dist,
@@ -641,10 +669,10 @@ def _configs(draw) -> ExperimentConfig:
         n_grid=n_grid,
         p_grid=p_grid,
         trials=draw(st.integers(1, 10**9)),
-        master_seed=draw(st.integers(0, 2**64 - 1)),
+        seed=draw(st.integers(0, 2**64 - 1)),
         workers=draw(st.integers(1, 64)),
         out=draw(st.text(string.ascii_letters + string.digits + "._-/%", min_size=1)),
-        extras=extras,
+        params=params,
     )
 
 
@@ -710,6 +738,21 @@ class TestConfigHypothesis:
         for other in others:
             if hashed(other) != hashed(a):
                 assert harness.artifact_version_string(other) != harness.artifact_version_string(a)
+
+    @settings(max_examples=200)
+    @given(_configs(), st.sampled_from(sorted(_SPELLINGS)), st.data())
+    def test_equal_configs_share_one_id(self, cfg, spelling, data):
+        # The same config written with each float respelled, and with each
+        # [params] key at its default either written or left out, parses to
+        # the same values and so gets the same id; its sidecar holds every
+        # [params] key of the kind.
+        record = harness._KINDS[cfg.kind].params
+        written = [key for key, value in cfg.params.items() if value != record[key].default(cfg.n_grid[0]) or data.draw(st.booleans())]
+        texts = [_config_text(cfg), _config_text(cfg, _SPELLINGS[spelling], written)]
+        configs = [config_from_text(text) for text in texts]
+        assert configs == [cfg, cfg]
+        assert {harness.artifact_version_string(c) for c in configs} == {harness.artifact_version_string(cfg)}
+        assert set(harness._config_block(configs[1])["params"]) == set(record)
 
     @settings(max_examples=300)
     @given(st.one_of(st.text(), _config_texts()))
@@ -828,7 +871,7 @@ _GOLDEN_CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
 _STATUSES = {0} | {status for _, status, _ in EXIT_TABLE}
 _MUTATIONS = (
     "missing", "empty", "non-numeric", "nan", "inf", "negative", "zero", "repeated", "unordered",
-    "unknown key", "no value", "unknown section", "duplicated section",
+    "unknown key", "no value", "unknown section", "duplicated section", "huge",
 )
 
 
@@ -854,6 +897,7 @@ def _mutated_goldens(draw) -> str:
         "no value": [lines[at], key],
         "unknown section": [lines[at], "[bogus]"],
         "duplicated section": [lines[at], header, lines[at]],
+        "huge": [f"{key} = " + ",".join(str(10**30) for _ in points)],
     }[draw(st.sampled_from(_MUTATIONS))]
     return "\n".join(lines[:at] + mutated + lines[at + 1 :]) + "\n"
 
@@ -873,11 +917,21 @@ def _ends_cleanly(path: str, out: str, dry_run: bool) -> tuple[int, str]:
     return status, err.getvalue()
 
 
-@settings(max_examples=120)
+class _CountedPool(concurrent.futures.ProcessPoolExecutor):
+    """A process pool that records the size each run asks of it."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@settings(max_examples=140)
 @given(_mutated_goldens())
 def test_mutated_golden_config_ends_cleanly(text):
     # A config --dry-run accepts is run for real when it is small, and then
-    # must not end in a config error.
+    # must not end in a config error, nor start more processes than CPUs.
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.ini"), os.path.join(tmp, "r.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -886,4 +940,7 @@ def test_mutated_golden_config_ends_cleanly(text):
             return
         cfg = config_from_text(text)
         if max(cfg.n_grid) <= 64 and cfg.trials <= 50:
-            assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")
+            _CountedPool.sizes.clear()
+            with mock.patch("concurrent.futures.ProcessPoolExecutor", _CountedPool):
+                assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")
+            assert all(size <= len(os.sched_getaffinity(0)) for size in _CountedPool.sizes)

@@ -15,9 +15,9 @@ from ssrmlab.inverse_geometry import (
 )
 from ssrmlab.model import EnsembleParams, EntryDistribution
 
-RAD = EntryDistribution.rademacher()
-GAUSS = EntryDistribution.standard_gaussian()
-LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+RAD = EntryDistribution("rademacher")
+GAUSS = EntryDistribution("standard-gaussian")
+LAWS = [RAD, GAUSS, EntryDistribution("uniform-symmetric"), EntryDistribution("two-point-general", 0.2)]
 
 
 def _null(A) -> np.ndarray:

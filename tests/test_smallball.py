@@ -8,7 +8,7 @@ from ssrmlab.ensemble import RngStream
 from ssrmlab.model import EntryDistribution
 from ssrmlab.smallball import lcd_smallball_bound, levy_concentration_scalar
 
-RAD = EntryDistribution.rademacher()
+RAD = EntryDistribution("rademacher")
 
 
 def _levy_exact_oracle(values, probs, eps):

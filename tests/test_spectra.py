@@ -21,8 +21,8 @@ from ssrmlab.spectra import (
     spectral_summary,
 )
 
-RAD = EntryDistribution.rademacher()
-GAUSS = EntryDistribution.standard_gaussian()
+RAD = EntryDistribution("rademacher")
+GAUSS = EntryDistribution("standard-gaussian")
 
 
 @pytest.fixture(scope="module")
@@ -484,7 +484,7 @@ def test_engine_matches_full_spectrum(n, dist):
         assert singular > 0  # p = log n / n gives singular rademacher draws
 
 
-LAWS = [RAD, GAUSS, EntryDistribution.uniform_symmetric(), EntryDistribution.two_point(0.2)]
+LAWS = [RAD, GAUSS, EntryDistribution("uniform-symmetric"), EntryDistribution("two-point-general", 0.2)]
 
 
 class TestReductionSolve:

@@ -293,6 +293,8 @@ def scaling_consistency(cfg: ExperimentConfig) -> list[ScalingCell]:
     """
     import numpy as np
 
+    from .stats import median
+
     cells = [(n, p) for p in cfg.p_grid for n in cfg.n_grid]
     out = []
     prev_by_p: dict[float, float] = {}
@@ -301,9 +303,9 @@ def scaling_consistency(cfg: ExperimentConfig) -> list[ScalingCell]:
         smaxs = np.array([v[1] for v in vals])
         nonsing = smins > 0
         singular_count = int((~nonsing).sum())
-        med_smin = float(np.median(smins[nonsing]) * math.sqrt(n / p)) if nonsing.any() else math.nan
+        med_smin = median(smins[nonsing]) * math.sqrt(n / p) if nonsing.any() else math.nan
         conds = smaxs[nonsing] / smins[nonsing]
-        med_cond = float(np.median(conds) / n) if nonsing.any() else math.nan
+        med_cond = median(conds) / n if nonsing.any() else math.nan
         ratio = None
         if p in prev_by_p and prev_by_p[p] > 0 and not math.isnan(med_smin):
             ratio = med_smin / prev_by_p[p]

@@ -33,7 +33,7 @@ from .spectra import (
     dgetri,
     dgetri_lwork,
 )
-from .stats import determined_slope, wilson_interval
+from .stats import determined_slope, median, wilson_interval
 from .structure import sparse_tail_distance
 
 # Leverage |N_j|^2 above which column j lies in the span of the others.
@@ -191,6 +191,6 @@ def quadratic_smallball_experiment(
         slope = determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
         return None if slope is None else asdict(slope)
 
-    p_zero, p_med = curve(0.0), curve(float(np.median(qs_arr)))
+    p_zero, p_med = curve(0.0), curve(median(qs_arr))
     rows = [QuadraticRow(*row) for row in zip(eps_grid, p_zero, p_med)]
     return rows, {"excluded_singular": trials - len(kept), "slope_zero": fit(p_zero), "slope_median": fit(p_med)}

@@ -1,4 +1,4 @@
-"""Shared statistical helpers: Wilson intervals and log-log slope fits."""
+"""Shared statistical helpers: Wilson intervals, medians and log-log slope fits."""
 
 from __future__ import annotations
 
@@ -20,6 +20,14 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     center = (phat + z * z / (2.0 * trials)) / denom
     margin = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
     return max(0.0, center - margin), min(1.0, center + margin)
+
+
+def median(values: np.ndarray) -> float:
+    """The median of a nonempty sample, the very float ``np.median`` gives
+    (NaN if any value is), without its import of ``numpy.ma`` (about 19 ms)."""
+    s = np.sort(values)
+    k = s.size // 2
+    return math.nan if np.isnan(s[-1]) else float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
 
 
 @dataclass(frozen=True)

@@ -19,4 +19,4 @@ compiled LAPACK and BLAS modules.
 and ``harness.ARTIFACT_VERSION`` is bound to it.
 """
 
-__version__ = "0.9.1"
+__version__ = "0.10.0"

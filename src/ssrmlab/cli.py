@@ -74,16 +74,12 @@ def _constants_from_args(args) -> StructureConstants:
 
 
 def _cmd_generate(args) -> int:
-    from .ensemble import RngStream, dump_matrix, sample_matrix
+    from .ensemble import Purpose, dump_matrix, sample_matrix, trial_stream
     from .model import EnsembleParams, parse_distribution
 
-    dist = parse_distribution(args.dist)
-    params = EnsembleParams(n=args.n, p=args.p, dist=dist)
-    A = sample_matrix(params, RngStream(args.seed, args.stream))
-    if args.out:
-        dump_matrix(args.out, A, p=args.p, seed=args.seed, stream_id=args.stream)
-    else:
-        dump_matrix(sys.stdout, A, p=args.p, seed=args.seed, stream_id=args.stream)
+    params = EnsembleParams(n=args.n, p=args.p, dist=parse_distribution(args.dist))
+    A = sample_matrix(params, trial_stream(args.seed, Purpose.MATRIX, args.n, args.p, args.stream))
+    dump_matrix(args.out or sys.stdout, A, p=args.p, seed=args.seed, stream=args.stream)
     return 0
 
 
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-p", type=float, required=True)
     g.add_argument("--dist", default="rademacher")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--stream", type=int, default=0)
+    g.add_argument("--stream", type=int, default=0, help="trial index T: write the matrix trial T of cell (n, p) draws")
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_generate)
 

@@ -5,24 +5,24 @@ Matrices have entries a_ij = delta_ij * xi_ij on the upper triangle
 xi_ij is a centered unit-variance law with finite fourth moment.  The
 laws and the (n, p, law) parameters are defined in ``ssrmlab.model``.
 
-Randomness flows through Philox streams keyed by ``(seed, stream_id)``.
-Experiments draw from :func:`trial_stream`, id ``(lane << 32) | index``,
-at index t for trial t: lane c for the matrix of cell c (single-cell
-experiments are cell 0), lane 0 for smallball's vectors, and lane 1 for
-the auxiliary draw (norm-check's comparison matrix, quadratic's vector
-X).  Lane 1 is cell 1's matrix lane in a sweep, so only single-cell kinds
-may draw it.  No experiment draws lane 2; the test suite's lemma checks
-take their k-th of x_draws vectors there, at index t * x_draws + k.
-:func:`run_trials`, the one trial engine, keys every trial by its
-(cell, trial), so its records are the same at any worker count.
+Every draw is keyed by what it is (Salmon et al., SC 2011):
+:func:`trial_stream` keys trial t's draw of a :class:`Purpose` in cell
+(n, p) by (seed, h(purpose, n, p)), h a 64-bit hash, with t in the
+counter.  So it is the same in any grid that holds the cell, for every
+kind that draws it, and at any worker count of :func:`run_trials`, the
+one trial engine.  The entry law is not in the key: two laws at one seed
+share sparsity patterns.
 """
 
 from __future__ import annotations
 
+import contextlib
+import enum
 import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
@@ -51,36 +51,50 @@ def sample_entries(dist: EntryDistribution, rng: np.random.Generator, size) -> n
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based randomness handle.
-
-    A (seed, stream_id) pair keys a Philox generator, so the sample
-    sequence depends only on the pair, never on execution order or
-    thread count.
-    """
+    """Counter-based randomness handle: Philox keyed by (seed, stream_id), its
+    256-bit counter from [0, 0, 0, trial].  The draws depend only on the
+    triple; a trial draws fewer than 2^192 blocks, so trials never meet."""
 
     seed: int
     stream_id: int = 0
+    trial: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
+        for name in ("seed", "stream_id", "trial"):
             v = getattr(self, name)
             if not 0 <= int(v) < 1 << 64:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        key, counter = np.array([self.seed, self.stream_id], np.uint64), np.array([0, 0, 0, self.trial], np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def trial_stream(seed: int, lane: int, index: int) -> RngStream:
-    """The stream of draw ``index`` in ``lane``: id ``(lane << 32) | index``."""
-    if not 0 <= index < 1 << 32:
-        raise ParameterError(f"stream index {index} outside [0, 2**32)")
-    return RngStream(seed, (lane << 32) | index)
+class Purpose(enum.IntEnum):
+    """What a draw is for; with its cell's n and p it keys the draw."""
+
+    MATRIX = 0  # the ensemble matrix A, for every matrix kind
+    NORM_CHECK_W = 1  # norm-check's Gaussian comparison values on A's pattern
+    QUADRATIC_X = 2  # quadratic's vector X
+    SMALLBALL_X = 3  # smallball's sparse vector
+
+
+@lru_cache(maxsize=256)
+def _cell_key(purpose: Purpose, n: int, p: float) -> int:
+    """h(purpose, n, p): 64 bits of blake2b over the purpose and the exact n and p, once per cell."""
+    import hashlib
+
+    digest = hashlib.blake2b(f"{int(purpose)} {int(n)} {float(p).hex()}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def trial_stream(seed: int, purpose: Purpose, n: int, p: float, t: int) -> RngStream:
+    """The stream of trial t's ``purpose`` draw in cell (n, p): the package's one key."""
+    return RngStream(seed, _cell_key(purpose, n, p), t)
 
 
 def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1) -> list[list]:
-    """``kernel(cell, c, t)`` for every cell c and trial t; per cell, records in trial order.
+    """``kernel(cell, t)`` for every cell and trial t; per cell, records in trial order.
 
     With more than one worker and task, a pool of at most one process per
     task and per CPU this process may run on (``os.sched_getaffinity``)
@@ -89,7 +103,7 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
     (a module-level function or a partial of one).  The records do not
     depend on the worker count.
     """
-    tasks = [(cell, c, t) for c, cell in enumerate(cells) for t in range(trials)]
+    tasks = [(cell, t) for cell in cells for t in range(trials)]
     workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         records = [kernel(*task) for task in tasks]
@@ -97,10 +111,8 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
         # Imported here, so that the kinds and subcommands that never start a pool skip it.
         from concurrent.futures import ProcessPoolExecutor
 
-        # A worker's first draw loads numpy.random, which loads hashlib and
-        # with it OpenSSL.  Loaded before the fork, OpenSSL is shared, not
-        # loaded again in each worker: about 3 MB less resident per worker
-        # at n=500.  (numpy.random itself would cost the parent about 2 MB.)
+        # A worker's first draw loads hashlib and OpenSSL; loaded before the fork,
+        # they are shared: about 3 MB less resident per worker at n=500.
         import hashlib  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -195,19 +207,15 @@ _THREAD_RNG = threading.local()
 
 def _rekeyed_generator(stream: RngStream) -> np.random.Generator:
     """This thread's generator, reset to draw exactly what ``stream.generator()``
-    draws: Philox keyed by (seed, stream_id), counter 0, empty buffer.  The next
-    call re-keys it, so the caller must take all its draws first."""
+    draws: the stream's key and counter, empty buffer.  The next call re-keys
+    it, so the caller must take all its draws first."""
     rng = getattr(_THREAD_RNG, "rng", None)
     if rng is None:
         rng = _THREAD_RNG.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": np.array([stream.seed, stream.stream_id], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    # Tuples, not arrays: the setter reads them item by item, and a draw skips ~2 us of array building.
+    state = {"counter": (0, 0, 0, stream.trial), "key": (stream.seed, stream.stream_id)}
+    empty = {"buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": state, **empty}
     return rng
 
 
@@ -223,27 +231,13 @@ def sample_sparse_vector(
     return out
 
 
-def dump_matrix(
-    target: str | TextIO,
-    A: SparseSymmetricMatrix,
-    *,
-    p: float,
-    seed: int,
-    stream_id: int,
-) -> None:
-    """Write the coordinate text format: header ``n p seed stream`` then
-    one ``i j value`` line per stored upper-triangle entry."""
-
-    def _write(fh: TextIO) -> None:
-        fh.write(f"{A.n} {p:.17g} {seed} {stream_id}\n")
-        for i, j, v in zip(A.row, A.col, A.val):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(target)
+def dump_matrix(target: str | TextIO, A: SparseSymmetricMatrix, *, p: float, seed: int, stream: int) -> None:
+    """Write the coordinate text format: header ``n p seed stream`` then one
+    ``i j value`` line per stored upper-triangle entry; ``stream`` is the
+    trial index of a drawn matrix (``generate --stream``)."""
+    with open(target, "w", encoding="utf-8") if isinstance(target, (str, bytes)) else contextlib.nullcontext(target) as fh:
+        fh.write(f"{A.n} {p:.17g} {seed} {stream}\n")
+        fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(A.row, A.col, A.val))
 
 
 def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:

@@ -6,15 +6,17 @@ seed), for every experiment kind, as long as BLAS runs at one thread,
 which every CLI process ensures (see ``ssrmlab.cli``).  A library caller
 that loaded numpy first keeps its own thread count, and ``scaling`` and
 ``distance-check`` may then round differently in a last digit.  All
-trials run through ``ensemble.run_trials``: each draws only from the
-``trial_stream`` keyed by its (cell, trial) (see ``ssrmlab.ensemble`` for
-the lanes), records are folded in grid order, and float formatting is
-fixed, so the CSV is byte-identical at any worker count.  Tail-sweep and
-scaling trials read (s_min, s_max) from the certified spectrum
+trials run through ``ensemble.run_trials`` and draw from
+``ensemble.trial_stream``, so a cell's rows depend only on seed, law, n,
+p and trials: extending a grid leaves its rows unchanged, and
+``tail-sweep`` and ``scaling`` fold the same realizations.  Records are
+folded in grid order and float formatting is fixed, so the CSV is
+byte-identical at any worker count.  Tail-sweep and scaling trials read
+(s_min, s_max) from the certified spectrum
 (``spectra.full_symmetric_spectrum``), one reduction per trial at any n.
-Each such trial holds one n x n array (8 n^2 bytes): it hands spectra its
-sparse realization, which spectra densifies into a buffer of its own and
-reduces in place.
+Each such trial holds one n x n array (8 n^2 bytes): it hands spectra
+its sparse realization, which spectra densifies into a buffer of its own
+and reduces in place.
 
 Configs are parsed and checked without numpy: each kernel and runner
 imports numpy, ``ensemble`` and the modules it runs where it runs.
@@ -39,6 +41,7 @@ import contextlib
 import json
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
@@ -63,15 +66,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_finite(v) for v in text.split(",") if v.strip())
+def _integer(text: str) -> int:
+    """An exact decimal integer literal, for every integer key: a float would round seeds above 2^53."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"{text.strip()!r} is not a decimal integer")
+    return int(text)
 
 
-def _integers(text: str) -> tuple[int, ...]:
-    values = _floats(text)
-    if not all(v.is_integer() for v in values):
-        raise ValueError("integers only")
-    return tuple(int(v) for v in values)
+def _points(parse: Callable[[str], float]) -> Callable[[str], tuple]:
+    """The parser of a comma-separated grid of ``parse``'s values."""
+    return lambda text: tuple(parse(v) for v in text.split(",") if v.strip())
 
 
 # Every key of [experiment], [ensemble] and [grid]: (section, key) ->
@@ -79,14 +83,14 @@ def _integers(text: str) -> tuple[int, ...]:
 # [params] keys depend on the kind (``_KINDS``).
 _KEYS = {
     ("experiment", "kind"): ("kind", str, None),
-    ("experiment", "trials"): ("trials", int, "1"),
-    ("experiment", "seed"): ("seed", int, "0"),
-    ("experiment", "workers"): ("workers", int, "1"),
+    ("experiment", "trials"): ("trials", _integer, "1"),
+    ("experiment", "seed"): ("seed", _integer, "0"),
+    ("experiment", "workers"): ("workers", _integer, "1"),
     ("experiment", "out"): ("out", str, "out.csv"),
     ("ensemble", "dist"): ("dist", parse_distribution, "rademacher"),
-    ("grid", "n"): ("n_grid", _integers, ""),
-    ("grid", "p"): ("p_grid", _floats, ""),
-    ("grid", "eps"): ("eps_grid", _floats, ""),
+    ("grid", "n"): ("n_grid", _points(_integer), ""),
+    ("grid", "p"): ("p_grid", _points(_finite), ""),
+    ("grid", "eps"): ("eps_grid", _points(_finite), ""),
 }
 
 
@@ -130,7 +134,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r} (key experiment.kind)")
         if not self.n_grid or not self.p_grid:
             raise ConfigError("grids must be nonempty (section [grid])")
-        if not 1 <= self.trials < 2**32:  # trial_stream keys each trial by a 32-bit index
+        if not 1 <= self.trials < 2**32:  # run_trials lists every (cell, trial) task first
             raise ConfigError(f"experiment.trials must lie in [1, 2^32), got {self.trials}")
         if self.workers < 1:
             raise ConfigError("experiment.workers must be >= 1")
@@ -220,14 +224,15 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Trial kernels for ensemble.run_trials (module level so they pickle).
 
-def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, c: int, t: int) -> tuple[float, float]:
-    """(s_min, s_max) of the realization of trial t in cell c, from its certified spectrum."""
-    from .ensemble import sample_matrix, trial_stream
+def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, t: int) -> tuple[float, float]:
+    """(s_min, s_max) of trial t's realization in cell ``params``, from its certified spectrum."""
+    from .ensemble import Purpose, sample_matrix, trial_stream
     from .spectra import full_symmetric_spectrum, singular_extremes
 
     # The sparse realization goes in whole: spectra densifies it into the one
     # n x n buffer the trial holds and reduces that buffer in place.
-    return singular_extremes(full_symmetric_spectrum(sample_matrix(params, trial_stream(master_seed, c, t))))
+    A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, params.n, params.p, t))
+    return singular_extremes(full_symmetric_spectrum(A))
 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:
@@ -451,7 +456,7 @@ _KINDS = {
         "bvh_eps": _Param(_finite, lambda n: 0.5, lambda v, n: 0 < v <= 0.5, "params.bvh_eps in (0, 1/2]"),
     }),
     "distance-check": _Kind(_run_distance_check, reads_eps=True, params={
-        "m": _Param(int, lambda n: n // 2, lambda v, n: 1 <= v < n, "1 <= params.m < n = {n}"),
+        "m": _Param(_integer, lambda n: n // 2, lambda v, n: 1 <= v < n, "1 <= params.m < n = {n}"),
         "rho": _Param(_finite, lambda n: 0.1, lambda v, n: v > 0, "params.rho > 0"),
     }),
     "smallball": _Kind(_run_smallball, vectors=True, reads_eps=True),
@@ -499,12 +504,7 @@ def run(
     """
     try:
         cfg = load_config(config_path)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if workers is not None:
-            cfg = replace(cfg, workers=workers)
-        if out is not None:
-            cfg = replace(cfg, out=out)
+        cfg = replace(cfg, **{key: v for key, v in {"seed": seed, "workers": workers, "out": out}.items() if v is not None})
         if kind is not None and kind != cfg.kind:
             raise ConfigError(f"subcommand {kind} does not match experiment.kind = {cfg.kind} in {config_path!r}")
         if dry_run:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import run_trials, sample_matrix, sample_sparse_vector, trial_stream
+from .ensemble import Purpose, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
 from .model import EnsembleParams
 from .spectra import (
@@ -91,11 +91,9 @@ class DistanceExperimentRow(NamedTuple):
     rhs_value: float
 
 
-def _distance_trial(
-    master_seed: int, eps: float, M: int, rho: float, params: EnsembleParams, c: int, t: int
-) -> DistanceExperimentRow:
+def _distance_trial(master_seed: int, eps: float, M: int, rho: float, params: EnsembleParams, t: int) -> DistanceExperimentRow:
     n, p = params.n, params.p
-    A = sample_matrix(params, trial_stream(master_seed, c, t))
+    A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, n, p, t))
     smin, _, _, vectors, _ = _certified_extremes(A, null=True)
     incomp = sparse_tail_distance(vectors[:, 0], M) > rho
     lhs_event = (smin <= eps * math.sqrt(p / n)) and incomp
@@ -146,16 +144,17 @@ class QuadraticRow(NamedTuple):
     p_hat_median: float
 
 
-def _quadratic_trial(master_seed: int, params: EnsembleParams, c: int, t: int):
+def _quadratic_trial(master_seed: int, params: EnsembleParams, t: int):
     """(<A^-1 X, X>, sqrt(1 + |A^-1 X|^2), |A| <= C_OP sqrt(pn)), or None for a singular A."""
-    A = sample_matrix(params, trial_stream(master_seed, c, t))
-    X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(master_seed, 1, t))
+    n, p = params.n, params.p
+    A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, n, p, t))
+    X = sample_sparse_vector(n, p, params.dist, trial_stream(master_seed, Purpose.QUADRATIC_X, n, p, t))
     # One reduction gives the norm, the singular verdict and A^-1 X; the
     # sparse realization goes in whole, densified into spectra's one buffer.
     _, top, _, _, y = _certified_extremes(A, X)
     if y is None:
         return None
-    return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= C_OP * math.sqrt(params.p * params.n)
+    return float(y @ X), math.sqrt(1.0 + float(y @ y)), top <= C_OP * math.sqrt(p * n)
 
 
 def quadratic_smallball_experiment(

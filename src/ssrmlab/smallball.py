@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .ensemble import run_trials, sample_sparse_vector, trial_stream
+from .ensemble import Purpose, run_trials, sample_sparse_vector, trial_stream
 from .model import EntryDistribution
 
 
@@ -55,14 +55,14 @@ def levy_concentration_scalar(samples, eps: float) -> ConcentrationEstimate:
     return ConcentrationEstimate(best / n, dkw_halfwidth(n))
 
 
-def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, c: int, t: int) -> float:
-    return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, c, t)))
+def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np.ndarray, t: int) -> float:
+    return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, Purpose.SMALLBALL_X, x.size, p, t)))
 
 
 def sparse_sum_samples(
     x: np.ndarray, p: float, dist: EntryDistribution, trials: int, master_seed: int, workers: int = 1
 ) -> np.ndarray:
-    """<x, X> for trial t's sparse vector X (coordinates delta * xi) from ``trial_stream(master_seed, 0, t)``."""
+    """<x, X> for trial t's sparse vector X (coordinates delta * xi), drawn as ``Purpose.SMALLBALL_X``."""
     return np.array(run_trials(partial(_sparse_sum_trial, master_seed, p, dist), [x], trials, workers)[0])
 
 

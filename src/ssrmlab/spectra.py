@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
+from .ensemble import Purpose, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
 from .errors import NumericalError, ParameterError
 from .model import EnsembleParams
 
@@ -356,11 +356,9 @@ class NormBoundRow(NamedTuple):
     bvh_satisfied: bool
 
 
-def _norm_bound_trial(
-    master_seed: int, cbar: float, eps: float, params: EnsembleParams, c: int, t: int
-) -> NormBoundRow:
+def _norm_bound_trial(master_seed: int, cbar: float, eps: float, params: EnsembleParams, t: int) -> NormBoundRow:
     n, p = params.n, params.p
-    A = sample_matrix(params, trial_stream(master_seed, c, t))
+    A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, n, p, t))
     norm = spectral_norm(A)
     # The 0/1 mask's profile: sigma = sqrt(max row count), row i counting its
     # stored (i, j) and, off the diagonal, its (j, i); sigma* = 1 unless A = 0.
@@ -369,7 +367,7 @@ def _norm_bound_trial(
     # Gaussian comparison W on A's pattern: one normal per stored (i, j), i <= j,
     # in A's stored order; all of A's pattern, as views, unless standard_normal
     # returned an exact 0.0.
-    g = trial_stream(master_seed, 1, t).generator().standard_normal(A.nnz_upper)
+    g = trial_stream(master_seed, Purpose.NORM_CHECK_W, n, p, t).generator().standard_normal(A.nnz_upper)
     keep = slice(None) if g.all() else g != 0.0
     wnorm = spectral_norm(SparseSymmetricMatrix(n, A.row[keep], A.col[keep], g[keep]))
     bound = bvh_bound(math.sqrt(max_count), float(A.nnz_upper > 0), n, eps)

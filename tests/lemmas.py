@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ssrmlab.ensemble import sample_entries, sample_matrix, sample_sparse_vector, trial_stream
+from ssrmlab.ensemble import Purpose, sample_entries, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.smallball import ConcentrationEstimate, levy_concentration_scalar
 from ssrmlab.spectra import smallest_singular_value
 from ssrmlab.structure import lcd, spread_set
@@ -110,18 +110,18 @@ def inverse_image_experiment(params, matrices: int, x_draws: int, master_seed: i
 
     identity_mean averages |A^-1 X|^2 / (p |A^-1|_HS^2) over ``x_draws``
     fresh X for each nonsingular one of ``matrices`` matrices; its
-    population value is exactly 1.  Matrix t comes from
-    ``trial_stream(master_seed, 0, t)`` and its k-th X from lane 2, index
+    population value is exactly 1.  Matrix t is trial t's ``Purpose.MATRIX``
+    draw and its k-th X the ``Purpose.QUADRATIC_X`` draw of trial
     t * x_draws + k.
     """
     ratios, excluded = [], 0
     for t in range(matrices):
-        A = sample_matrix(params, trial_stream(master_seed, 0, t)).to_dense()
+        A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, params.n, params.p, t)).to_dense()
         if smallest_singular_value(A) == 0.0:
             excluded += 1
             continue
         inv = np.linalg.inv(A)
-        streams = [trial_stream(master_seed, 2, t * x_draws + k) for k in range(x_draws)]
+        streams = [trial_stream(master_seed, Purpose.QUADRATIC_X, params.n, params.p, t * x_draws + k) for k in range(x_draws)]
         Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
         ratios.append(np.linalg.norm(inv @ Xs, axis=0) ** 2 / (params.p * np.linalg.norm(inv) ** 2))
     return InverseImageReport(excluded, float(np.mean(np.concatenate(ratios))))

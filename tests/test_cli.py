@@ -14,11 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssrmlab
-from ssrmlab import harness, spectra
+from in_child import in_child
+from ssrmlab import harness, inverse_geometry, spectra
 from ssrmlab.cli import _constants_from_args, build_parser, main
-from ssrmlab.ensemble import RngStream, load_matrix, sample_matrix
+from ssrmlab.ensemble import Purpose, RngStream, load_matrix, sample_matrix, trial_stream
 from ssrmlab.errors import EXIT_TABLE
-from ssrmlab.model import EnsembleParams, EntryDistribution
+from ssrmlab.model import EnsembleParams, EntryDistribution, parse_distribution
 from ssrmlab.structure import StructureConstants
 
 CONFIG_TEXT = """
@@ -46,6 +47,26 @@ def test_generate_round_trip(tmp_path):
     assert header["n"] == 10 and header["p"] == 0.5 and header["seed"] == 4
     dense = A.to_dense()
     assert np.array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
+def test_generate_stream_is_a_trial_index(tmp_path, capsys, dist):
+    # generate --seed S --stream T writes the matrix that trial T of cell
+    # (n, p) draws in every kind; its spectra record is that matrix's
+    # certified extremes, which the dsterf spectrum of tail-sweep and
+    # scaling gives within the reduction's backward error, about n eps |A|.
+    params, seed, t = EnsembleParams(40, 0.3, parse_distribution(dist)), 5, 3
+    out = tmp_path / "m.txt"
+    assert main(["generate", "-n", "40", "-p", "0.3", "--dist", dist, "--seed", str(seed), "--stream", str(t), "--out", str(out)]) == 0
+    A, header = load_matrix(str(out))
+    assert header["stream"] == t
+    assert np.array_equal(A.to_dense(), sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 40, 0.3, t)).to_dense())
+    assert main(["spectra", "--matrix", str(out)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["s_min"] == inverse_geometry._distance_trial(seed, 0.1, 20, 0.1, params, t).s_min
+    smin, smax = harness._extreme_values_for_trial(seed, params, t)
+    band = 40 * np.finfo(np.float64).eps * smax
+    assert abs(record["s_min"] - smin) <= band and abs(record["s_max"] - smax) <= band
 
 
 def test_generate_stdout(capsys):
@@ -181,7 +202,12 @@ def test_non_finite_vector_rejected(tmp_path, capsys, command, token):
 
 def _vector_runs(text: str) -> list[tuple[int, str, str]]:
     """Exit status, stdout and stderr of ``lcd`` and then ``structure`` on a
-    vector file holding ``text``.  No fixtures, so hypothesis can call it."""
+    vector file holding ``text``, run in a child with a deadline.  No
+    fixtures, so hypothesis can call it."""
+    return in_child(_vector_runs_here, text)
+
+
+def _vector_runs_here(text: str) -> list[tuple[int, str, str]]:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "v.txt")
@@ -639,23 +665,28 @@ def test_loader_fallback_gives_the_same_spectrum(tmp_path):
     assert json.loads(_python(code, tmp_path)) == {"scipy.linalg": True, "digest": digest}
 
 
-# Property tests: hypothesis-drawn flag values and malformed input files, run
-# in process.  Every size stays small (n <= 64 wherever a matrix is sampled
+# Property tests: hypothesis-drawn flag values and malformed input files, each
+# run in a child with a deadline (``in_child``).  Every size stays small (n <= 64 wherever a matrix is sampled
 # or densified, trials = 2, at most 3 workers), so no example allocates more
 # than a few MB or starts more than a few processes.
 _STATUSES = {0} | {status for _, status, _ in EXIT_TABLE}
 
 
-def _ends_cleanly(argv: list[str], out: str | None = None) -> None:
-    """Run ``main(argv)`` and check that its status is listed in EXIT_TABLE (or
-    is 0), stderr holds one line at most and no traceback, and the CSV ``out``
-    and its sidecar both exist or neither does."""
+def _main_here(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s status and stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        status = main(argv)
+        return main(argv), err.getvalue()
+
+
+def _ends_cleanly(argv: list[str], out: str | None = None) -> None:
+    """Run ``main(argv)`` in a child with a deadline and check that its status
+    is listed in EXIT_TABLE (or is 0), stderr holds one line at most and no
+    traceback, and the CSV ``out`` and its sidecar both exist or neither does."""
+    status, err = in_child(_main_here, argv)
     assert status in _STATUSES
-    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
-    assert status == 0 or err.getvalue()
+    assert err.count("\n") <= 1 and "Traceback" not in err, err
+    assert status == 0 or err
     if out is not None:
         assert os.path.isfile(out) == os.path.isfile(out + ".meta.json")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lemmas import row_witness_sets
 from ssrmlab import ensemble
 from ssrmlab.ensemble import (
+    Purpose,
     RngStream,
     SparseSymmetricMatrix,
     dump_matrix,
@@ -209,10 +210,10 @@ class TestSampleSparseVector:
     def test_draws_equal_a_fresh_generator(self, law):
         # The sampler re-keys one generator per draw; each draw must equal
         # what a new generator on the same stream gives, whatever the
-        # previous draw (another length, law or lane) left in its state.
+        # previous draw (another length, law, key or trial) left in its state.
         for k in range(200):
             n, p = 1 + 37 * (k % 5), (0.1, 0.5, 1.0)[k % 3]
-            stream = trial_stream(9 + k % 4, k % 3, k)
+            stream = trial_stream(9 + k % 4, Purpose.SMALLBALL_X, n, p, k)
             rng = stream.generator()
             mask = rng.random(n) < p
             expected = np.zeros(n)
@@ -232,7 +233,7 @@ class TestSparseSymmetricMatrix:
     def test_unsorted_entries_accepted(self):
         A = sample_matrix(EnsembleParams(12, 0.5, GAUSS), RngStream(22, 0))
         buf = io.StringIO()
-        dump_matrix(buf, A, p=0.5, seed=22, stream_id=0)
+        dump_matrix(buf, A, p=0.5, seed=22, stream=0)
         head, *lines = buf.getvalue().splitlines()
         order = np.random.default_rng(0).permutation(len(lines))
         shuffled = "\n".join([head] + [lines[k] for k in order]) + "\n"
@@ -294,7 +295,7 @@ class TestSerialization:
     def test_round_trip(self):
         A = sample_matrix(EnsembleParams(12, 0.4, GAUSS), RngStream(21, 2))
         buf = io.StringIO()
-        dump_matrix(buf, A, p=0.4, seed=21, stream_id=2)
+        dump_matrix(buf, A, p=0.4, seed=21, stream=2)
         B, header = load_matrix(io.StringIO(buf.getvalue()))
         assert header == {"n": 12, "p": 0.4, "seed": 21, "stream": 2}
         assert np.array_equal(A.to_dense(), B.to_dense())
@@ -302,7 +303,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         A = sample_matrix(EnsembleParams(6, 0.5, RAD), RngStream(1, 0))
         path = tmp_path / "m.txt"
-        dump_matrix(str(path), A, p=0.5, seed=1, stream_id=0)
+        dump_matrix(str(path), A, p=0.5, seed=1, stream=0)
         B, _ = load_matrix(str(path))
         assert np.array_equal(A.to_dense(), B.to_dense())
 
@@ -318,34 +319,51 @@ class TestSerialization:
             SparseSymmetricMatrix(2, [0], [1], [float(value)])
 
 
-def _draw(seed: int, cell: str, c: int, t: int) -> tuple:
-    return cell, c, t, float(trial_stream(seed, c, t).generator().random())
+def _draw(seed: int, cell: str, t: int) -> tuple:
+    return cell, t, float(trial_stream(seed, Purpose.MATRIX, len(cell), 0.5, t).generator().random())
 
 
 class TestTrialStream:
-    def test_reproduces_legacy_ids(self):
-        seed, t, k, x_draws = 9, 5, 3, 7
-        for cell in (0, 1, 6):
-            assert trial_stream(seed, cell, t) == RngStream(seed, (cell << 32) | t)
-        assert trial_stream(seed, 1, t) == RngStream(seed, (1 << 32) + t)
-        assert trial_stream(seed, 2, t * x_draws + k) == RngStream(seed, (2 << 32) + t * x_draws + k)
-        assert trial_stream(seed, 0, t) == RngStream(seed, t)
-        assert trial_stream(seed, 0, 2**32 - 1).stream_id == 2**32 - 1
+    def test_key_and_counter(self):
+        # Philox keyed by (seed, h(purpose, n, p)), trial t in the counter's
+        # high word; at t = 0 the stream is the plain (seed, key) stream.
+        stream = trial_stream(9, Purpose.QUADRATIC_X, 40, 0.3, 5)
+        assert stream == RngStream(9, ensemble._cell_key(Purpose.QUADRATIC_X, 40, 0.3), 5)
+        state = stream.generator().bit_generator.state["state"]
+        assert state["counter"].tolist() == [0, 0, 0, 5]
+        assert state["key"].tolist() == [9, stream.stream_id]
+        plain = RngStream(9, stream.stream_id)
+        assert np.array_equal(
+            dataclasses.replace(stream, trial=0).generator().random(8), plain.generator().random(8)
+        )
+        assert not np.array_equal(stream.generator().random(8), plain.generator().random(8))
 
-    @pytest.mark.parametrize("index", [2**32, -1])
+    def test_key_is_the_exact_cell(self):
+        # numpy scalars key as the Python numbers they equal; p = 0.1 + 0.2
+        # is not p = 0.3.
+        key = ensemble._cell_key
+        assert key(Purpose.MATRIX, np.int64(30), np.float64(0.3)) == key(Purpose.MATRIX, 30, 0.3)
+        assert key(Purpose.MATRIX, 30, 1) == key(Purpose.MATRIX, 30, 1.0)
+        assert key(Purpose.MATRIX, 30, 0.1 + 0.2) != key(Purpose.MATRIX, 30, 0.3)
+
+    def test_no_two_draws_share_a_key(self):
+        ns = range(1, 201)
+        ps = [0.01 * k for k in range(1, 101)] + [1 / n for n in ns] + [math.log(n) / n for n in ns[1:]]
+        keys = {ensemble._cell_key(purpose, n, p) for purpose in Purpose for n in ns for p in set(ps)}
+        assert len(keys) == len(Purpose) * len(ns) * len(set(ps))
+
+    @pytest.mark.parametrize("index", [2**64, -1])
     def test_index_out_of_range_rejected(self, index):
-        with pytest.raises(ParameterError, match="index"):
-            trial_stream(1, 0, index)
+        with pytest.raises(ParameterError, match="trial"):
+            trial_stream(1, Purpose.MATRIX, 3, 0.5, index)
 
 
 class TestRunTrials:
-    CELLS = ("a", "b", "c")
+    CELLS = ("a", "bb", "ccc")  # three lengths n, so three keys
 
     def test_grid_order(self):
         out = run_trials(functools.partial(_draw, 4), self.CELLS, 5)
-        assert [[r[:3] for r in recs] for recs in out] == [
-            [(cell, c, t) for t in range(5)] for c, cell in enumerate(self.CELLS)
-        ]
+        assert [[r[:2] for r in recs] for recs in out] == [[(cell, t) for t in range(5)] for cell in self.CELLS]
 
     def test_workers_do_not_change_records(self):
         # 13 trials at 3 workers run in chunks of 2 tasks, some straddling two cells.

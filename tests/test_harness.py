@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import string
 import tempfile
 import warnings
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ssrmlab
+from in_child import in_child
 from ssrmlab import spectra
-from ssrmlab.ensemble import sample_matrix, trial_stream
+from ssrmlab.ensemble import Purpose, sample_matrix, trial_stream
 from ssrmlab.errors import EXIT_TABLE, ConfigError, ParameterError
 from ssrmlab import harness
 from ssrmlab.harness import (
@@ -37,6 +39,7 @@ from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.stats import wilson_interval
 
 RAD = EntryDistribution("rademacher")
+GAUSS = EntryDistribution("standard-gaussian")
 
 
 def _config(**overrides) -> ExperimentConfig:
@@ -291,9 +294,9 @@ class TestScaling:
         real = spectra._tridiagonal
         monkeypatch.setattr(spectra, "_tridiagonal", lambda dense: calls.append(dense.shape) or real(dense))
         params = EnsembleParams(2049, 0.01, RAD)
-        smin, smax = harness._extreme_values_for_trial(7, params, 0, 0)
+        smin, smax = harness._extreme_values_for_trial(7, params, 0)
         assert calls == [(2049, 2049)]
-        mags = np.abs(np.linalg.eigvalsh(sample_matrix(params, trial_stream(7, 0, 0)).to_dense()))
+        mags = np.abs(np.linalg.eigvalsh(sample_matrix(params, trial_stream(7, Purpose.MATRIX, 2049, 0.01, 0)).to_dense()))
         assert smin == pytest.approx(mags.min(), rel=1e-9) and smax == pytest.approx(mags.max(), rel=1e-12)
 
     def test_dense_regime_p_one(self):
@@ -301,6 +304,41 @@ class TestScaling:
         cfg = _config(kind="scaling", n_grid=(24, 48), p_grid=(1.0,), trials=20)
         ratio = scaling_consistency(cfg)[1].ratio_to_prev
         assert ratio is not None and 1 / 3 <= ratio <= 3
+
+
+class TestCellKeys:
+    """A cell's draws are keyed by what the cell is, not by where it sits in the grid."""
+
+    # The case that showed the old key by grid position: a Gaussian tail
+    # sweep at seed 3, p = 0.3, 20 trials, eps 0.5 and 2, whose n = 60 cell
+    # counted 8/20 and 20/20 in the grid n = 30,60 but 6/20 and 18/20 in n = 60.
+    MEASURED = dict(dist=GAUSS, seed=3, p_grid=(0.3,), trials=20)
+
+    def test_extending_a_sweep_keeps_its_rows(self):
+        rows = {grid: tail_sweep(_config(n_grid=grid, eps_grid=(0.5, 2.0), **self.MEASURED)) for grid in [(30, 60), (60,)]}
+        assert [row for row in rows[(30, 60)] if row.n == 60] == rows[(60,)]
+
+    def test_extending_a_scaling_grid_keeps_its_medians(self):
+        def medians(grid) -> dict:
+            # Every column but ratio_to_prev, which compares with the cell before.
+            return {cell.n: cell[:-1] for cell in scaling_consistency(_config(kind="scaling", n_grid=grid, eps_grid=(), **self.MEASURED))}
+
+        assert medians((30, 60))[60] == medians((60,))[60]
+
+    def test_sweep_kinds_fold_the_same_records(self, monkeypatch):
+        folded = {}
+        real = harness._extreme_values
+
+        def record(cfg, cells):
+            folded[cfg.kind] = dict(zip(cells, real(cfg, cells)))
+            return list(folded[cfg.kind].values())
+
+        monkeypatch.setattr(harness, "_extreme_values", record)
+        grid = dict(n_grid=(16, 24), p_grid=(0.3, 0.5), trials=6)
+        tail_sweep(_config(**grid))
+        scaling_consistency(_config(kind="scaling", eps_grid=(), **grid))
+        assert list(folded["tail-sweep"]) != list(folded["scaling"])  # n-major against p-major
+        assert folded["tail-sweep"] == folded["scaling"]
 
 
 class TestRun:
@@ -475,8 +513,22 @@ class TestConfigRejected:
 
     def test_m_not_an_integer(self, tmp_path, capsys):
         text = _kind_config("distance-check") + "\n[params]\nm = 1.5\n"
-        needle = "config error: bad value at params.m: '1.5' (invalid literal for int() with base 10: '1.5')\n"
+        needle = "config error: bad value at params.m: '1.5' ('1.5' is not a decimal integer)\n"
         self._assert_rejected(tmp_path, capsys, text, needle)
+
+    @pytest.mark.parametrize("key", ["experiment.trials", "experiment.seed", "experiment.workers", "grid.n", "params.m"])
+    @pytest.mark.parametrize("value", ["3", "3.0", "3.5", "1e3"])
+    def test_integer_keys_take_decimal_literals_only(self, tmp_path, capsys, key, value):
+        # One parser for every integer key: grid.n used to take 3.0 and
+        # the others to reject it with int()'s message.
+        name = key.split(".")[1]
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", _kind_config("distance-check") + "\n[params]\nm = 2\n", flags=re.M)
+        if value == "3":
+            cfg = config_from_text(text)
+            parsed = {"trials": cfg.trials, "seed": cfg.seed, "workers": cfg.workers, "n": cfg.n_grid[0], "m": cfg.params["m"]}
+            assert parsed[name] == 3
+        else:
+            self._assert_rejected(tmp_path, capsys, text, f"config error: bad value at {key}: '{value}' ('{value}' is not a decimal integer)\n")
 
     def test_param_of_another_kind(self, tmp_path, capsys):
         text = _kind_config("distance-check") + "\n[params]\ncbar = 2.0\n"
@@ -871,14 +923,19 @@ _GOLDEN_CASES = sorted(path.stem for path in GOLDEN.glob("*.ini"))
 _STATUSES = {0} | {status for _, status, _ in EXIT_TABLE}
 _MUTATIONS = (
     "missing", "empty", "non-numeric", "nan", "inf", "negative", "zero", "repeated", "unordered",
-    "unknown key", "no value", "unknown section", "duplicated section", "huge",
+    "unknown key", "no value", "unknown section", "duplicated section", "huge", "workers",
 )
 
 
 @st.composite
 def _mutated_goldens(draw) -> str:
-    """A golden config with one key's line mutated, or a stray line after it."""
-    lines = (GOLDEN / f"{draw(st.sampled_from(_GOLDEN_CASES))}.ini").read_text(encoding="utf-8").splitlines()
+    """A golden config with one key's line mutated, or a stray line after it;
+    or, as the "workers" mutation, run by a pool of two."""
+    text = (GOLDEN / f"{draw(st.sampled_from(_GOLDEN_CASES))}.ini").read_text(encoding="utf-8")
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "workers":  # no golden config sets workers, so only this one starts a pool
+        return text.replace("[experiment]\n", "[experiment]\nworkers = 2\n")
+    lines = text.splitlines()
     at = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
     key, value = (part.strip() for part in lines[at].split("=", 1))
     points = value.split(",")
@@ -898,7 +955,7 @@ def _mutated_goldens(draw) -> str:
         "unknown section": [lines[at], "[bogus]"],
         "duplicated section": [lines[at], header, lines[at]],
         "huge": [f"{key} = " + ",".join(str(10**30) for _ in points)],
-    }[draw(st.sampled_from(_MUTATIONS))]
+    }[mutation]
     return "\n".join(lines[:at] + mutated + lines[at + 1 :]) + "\n"
 
 
@@ -927,20 +984,35 @@ class _CountedPool(concurrent.futures.ProcessPoolExecutor):
         super().__init__(max_workers)
 
 
-@settings(max_examples=140)
-@given(_mutated_goldens())
-def test_mutated_golden_config_ends_cleanly(text):
-    # A config --dry-run accepts is run for real when it is small, and then
-    # must not end in a config error, nor start more processes than CPUs.
+def _mutated_run(text: str) -> list[int]:
+    """A config --dry-run accepts is run for real when it is small, and then
+    must not end in a config error, nor start more processes than CPUs; the
+    sizes of the pools it started."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.ini"), os.path.join(tmp, "r.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         if _ends_cleanly(path, out, dry_run=True)[0] != 0:
-            return
+            return []
         cfg = config_from_text(text)
-        if max(cfg.n_grid) <= 64 and cfg.trials <= 50:
-            _CountedPool.sizes.clear()
-            with mock.patch("concurrent.futures.ProcessPoolExecutor", _CountedPool):
-                assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")
-            assert all(size <= len(os.sched_getaffinity(0)) for size in _CountedPool.sizes)
+        if max(cfg.n_grid) > 64 or cfg.trials > 50:
+            return []
+        _CountedPool.sizes.clear()
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", _CountedPool):
+            assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")
+        assert all(size <= len(os.sched_getaffinity(0)) for size in _CountedPool.sizes)
+        return _CountedPool.sizes
+
+
+def test_mutated_golden_config_ends_cleanly():
+    # Each example runs in a child with a deadline; some must start a pool,
+    # or the CPU bound above checks nothing.
+    sizes = []
+
+    @settings(max_examples=140)
+    @given(_mutated_goldens())
+    def example(text):
+        sizes.extend(in_child(_mutated_run, text))
+
+    example()
+    assert sizes, "no example started a pool"

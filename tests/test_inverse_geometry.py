@@ -6,7 +6,7 @@ import pytest
 
 from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance
 from ssrmlab import inverse_geometry, spectra
-from ssrmlab.ensemble import RngStream, sample_matrix, sample_sparse_vector, trial_stream
+from ssrmlab.ensemble import Purpose, RngStream, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
@@ -124,7 +124,7 @@ def _hand_built() -> dict:
 
 def _singular_draws(n: int, p: float, trials: int) -> list:
     """The singular realizations among the first ``trials`` at seed 5."""
-    draws = [sample_matrix(EnsembleParams(n, p, RAD), trial_stream(5, 0, t)).to_dense() for t in range(trials)]
+    draws = [sample_matrix(EnsembleParams(n, p, RAD), trial_stream(5, Purpose.MATRIX, n, p, t)).to_dense() for t in range(trials)]
     return [A for A in draws if spectra.smallest_singular_value(A) == 0.0]
 
 
@@ -262,13 +262,13 @@ class TestQuadraticSmallball:
         params = EnsembleParams(200, 0.03, RAD)
         kept = 0
         for t in range(30):
-            got = inverse_geometry._quadratic_trial(11, params, 0, t)
-            dense = sample_matrix(params, trial_stream(11, 0, t)).to_dense()
+            got = inverse_geometry._quadratic_trial(11, params, t)
+            dense = sample_matrix(params, trial_stream(11, Purpose.MATRIX, 200, 0.03, t)).to_dense()
             smin, top = spectra._certified_extremes(dense)[:2]
             assert (got is None) == (smin == 0.0)
             if got is None:
                 continue
-            X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(11, 1, t))
+            X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(11, Purpose.QUADRATIC_X, 200, 0.03, t))
             _, _, y, info = spectra._flapack.dgesv(dense, X)
             assert info == 0
             q, normalizer, event = got
@@ -330,12 +330,12 @@ def test_distance_experiment_reads_all_column_distances_once_per_trial(monkeypat
 def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
     # One dsytrd per trial: all_column_distances takes the null block of the
     # certified extremes.  The singular realization (n=8, p=0.25,
-    # seed 1, trial 0) has a smallest |eigenvalue| of 2.2e-16, which the
+    # seed 1, trial 0) has a smallest |eigenvalue| of 5.6e-18, which the
     # singular rule reports as exactly 0.
     calls = []
     real = spectra._tridiagonal
     monkeypatch.setattr(spectra, "_tridiagonal", lambda work: calls.append(work.shape) or real(work))
-    row = inverse_geometry._distance_trial(1, 0.1, 2, 0.1, params, 0, t)
+    row = inverse_geometry._distance_trial(1, 0.1, 2, 0.1, params, t)
     assert calls == [(params.n, params.n)]
     assert (row.s_min == 0.0) == singular
 
@@ -349,7 +349,7 @@ def test_distance_trial_peak():
     for p, singular in ((0.1, False), (0.01, True)):
         tracemalloc.start()
         try:
-            row = inverse_geometry._distance_trial(1, 0.1, 40, 0.1, EnsembleParams(n, p, RAD), 0, 0)
+            row = inverse_geometry._distance_trial(1, 0.1, 40, 0.1, EnsembleParams(n, p, RAD), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -363,7 +363,7 @@ def test_quadratic_trial_peak():
     n = 400
     tracemalloc.start()
     try:
-        inverse_geometry._quadratic_trial(1, EnsembleParams(n, 0.1, RAD), 0, 0)
+        inverse_geometry._quadratic_trial(1, EnsembleParams(n, 0.1, RAD), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,12 +375,12 @@ def test_distance_trial_matches_dense_input(t):
     # Densified inside the kernels (Fortran-ordered, equal by symmetry) or
     # passed as the trial's C-ordered array: the same row bit for bit.
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
-    dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
+    dense = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 60, 0.2, t)).to_dense()
     smin, _, _, vectors, _ = inverse_geometry._certified_extremes(dense, null=True)
     incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M) > rho
     rhs = float(np.sum(all_column_distances(dense, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
-    assert inverse_geometry._distance_trial(seed, eps, M, rho, params, 0, t) == want
+    assert inverse_geometry._distance_trial(seed, eps, M, rho, params, t) == want
 
 
 @pytest.mark.parametrize("t", range(3))
@@ -389,8 +389,8 @@ def test_distance_trial_eigenvector_meets_certificate(monkeypatch, t):
     real = inverse_geometry.sparse_tail_distance
     monkeypatch.setattr(inverse_geometry, "sparse_tail_distance", lambda v, m: seen.append(v.copy()) or real(v, m))
     params = EnsembleParams(40, 0.3, RAD)
-    row = inverse_geometry._distance_trial(9, 0.1, 10, 0.1, params, 0, t)
-    A = sample_matrix(params, trial_stream(9, 0, t)).to_dense()
+    row = inverse_geometry._distance_trial(9, 0.1, 10, 0.1, params, t)
+    A = sample_matrix(params, trial_stream(9, Purpose.MATRIX, 40, 0.3, t)).to_dense()
     oracle = np.abs(np.linalg.eigvalsh(A))
     (v,) = seen
     lam = float(v @ A @ v)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssrmlab import spectra
-from ssrmlab.ensemble import RngStream, sample_matrix, trial_stream
+from ssrmlab.ensemble import Purpose, RngStream, sample_matrix, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import (
@@ -194,10 +194,11 @@ class TestSpectralNorm:
             assert spectral_norm(A) == pytest.approx(oracle, rel=1e-8)
 
     def test_meets_tol_on_norm_check_matrix(self):
-        # norm-check, seed 1, cell 0, trial 2 (n=500, p=0.1, rademacher).
-        # A power iteration on A^2 stopped 3.2e-6 short of |A| here, past
-        # the 1.4e-6 that a relative tolerance of 1e-7 allows.
-        A = sample_matrix(EnsembleParams(500, 0.1, RAD), trial_stream(1, 0, 2)).to_dense()
+        # Before v0.10.0, norm-check's seed 1, trial 2 (n=500, p=0.1,
+        # rademacher), stream id 2.  A power iteration on A^2 stopped 3.2e-6
+        # short of |A| here, past the 1.4e-6 that a relative tolerance of
+        # 1e-7 allows.
+        A = sample_matrix(EnsembleParams(500, 0.1, RAD), RngStream(1, 2)).to_dense()
         ref = float(np.abs(np.linalg.eigvalsh(A)).max())
         tol = 1e-7
         assert abs(spectral_norm(A) - ref) <= tol * max(1.0, ref)
@@ -258,7 +259,7 @@ class TestNormBoundExperiment:
         Gaussian draw: one value per mask entry (i, j), i <= j, in row-major
         order, mirrored below the diagonal."""
         n, p = params.n, params.p
-        dense = sample_matrix(params, trial_stream(seed, 0, t)).to_dense()
+        dense = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, p, t)).to_dense()
         mask = (dense != 0.0).astype(np.float64)
         W = np.zeros((n, n))
         W[np.nonzero(np.triu(mask))] = draw
@@ -277,11 +278,11 @@ class TestNormBoundExperiment:
         real = spectra.spectral_norm
         monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(A) or real(A))
         for t in range(3):
-            nnz = sample_matrix(params, trial_stream(seed, 0, t)).nnz_upper
-            draw = trial_stream(seed, 1, t).generator().standard_normal(nnz)
+            nnz = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, p, t)).nnz_upper
+            draw = trial_stream(seed, Purpose.NORM_CHECK_W, n, p, t).generator().standard_normal(nnz)
             want, W = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
             seen.clear()
-            assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
+            assert spectra._norm_bound_trial(seed, cbar, eps, params, t) == want
             assert seen[1].to_dense().tobytes() == W.tobytes()
 
     def test_zero_draws_are_not_stored(self, monkeypatch):
@@ -289,8 +290,8 @@ class TestNormBoundExperiment:
         # which SparseSymmetricMatrix would reject, and W is unchanged.
         n, seed, cbar, eps, t = 60, 7, 2.0, 0.5, 0
         params = EnsembleParams(n, 0.3, GAUSS)
-        nnz = sample_matrix(params, trial_stream(seed, 0, t)).nnz_upper
-        draw = trial_stream(seed, 1, t).generator().standard_normal(nnz)
+        nnz = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, 0.3, t)).nnz_upper
+        draw = trial_stream(seed, Purpose.NORM_CHECK_W, n, 0.3, t).generator().standard_normal(nnz)
         draw[::3] = 0.0
         real_stream = spectra.trial_stream
 
@@ -302,9 +303,11 @@ class TestNormBoundExperiment:
                 assert size == nnz
                 return draw.copy()
 
-        monkeypatch.setattr(spectra, "trial_stream", lambda s, lane, i: ZeroedStream() if lane == 1 else real_stream(s, lane, i))
+        monkeypatch.setattr(
+            spectra, "trial_stream", lambda s, purpose, *cell: ZeroedStream() if purpose == Purpose.NORM_CHECK_W else real_stream(s, purpose, *cell)
+        )
         want, _ = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
-        assert spectra._norm_bound_trial(seed, cbar, eps, params, 0, t) == want
+        assert spectra._norm_bound_trial(seed, cbar, eps, params, t) == want
 
 
 class TestSingularExtremes:
@@ -718,7 +721,7 @@ class TestOneBufferPerCall:
         # n x n Gaussian draw to gather W's values from took 3.5 at p = 1.
         for p in (0.1, 1.0):
             params = EnsembleParams(self.N, p, RAD)
-            assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0, 0) <= 1.3 + 2.0 * p, p
+            assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0) <= 1.3 + 2.0 * p, p
 
     def test_tridiagonal_reduces_in_place(self):
         work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T

@@ -78,6 +78,9 @@ def _cmd_generate(args) -> int:
     from .model import EnsembleParams, parse_distribution
 
     params = EnsembleParams(n=args.n, p=args.p, dist=parse_distribution(args.dist))
+    for flag, value in (("--seed", args.seed), ("--stream", args.stream)):
+        if not 0 <= value < 2**64:
+            raise ParameterError(f"{flag} must lie in [0, 2^64), got {value}")
     A = sample_matrix(params, trial_stream(args.seed, Purpose.MATRIX, args.n, args.p, args.stream))
     dump_matrix(args.out or sys.stdout, A, p=args.p, seed=args.seed, stream=args.stream)
     return 0

@@ -12,6 +12,10 @@ counter.  So it is the same in any grid that holds the cell, for every
 kind that draws it, and at any worker count of :func:`run_trials`, the
 one trial engine.  The entry law is not in the key: two laws at one seed
 share sparsity patterns.
+
+Input is checked where it enters: a config by ``ExperimentConfig``, a
+vector file by ``cli._read_unit_vector``, a matrix file by :func:`load_matrix`
+and ``generate``'s flags by ``cli``.  The package's own draws are not re-checked.
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ class RngStream:
     seed: int
     stream_id: int = 0
     trial: int = 0
-
-    def __post_init__(self):
-        for name in ("seed", "stream_id", "trial"):
-            v = getattr(self, name)
-            if not 0 <= int(v) < 1 << 64:
-                raise ParameterError(f"{name} must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
         key, counter = np.array([self.seed, self.stream_id], np.uint64), np.array([0, 0, 0, self.trial], np.uint64)
@@ -124,42 +122,14 @@ def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1)
 class SparseSymmetricMatrix:
     """Upper-triangle coordinate storage of an exactly symmetric matrix.
 
-    Only nonzero entries with i <= j are stored; a_ji mirrors a_ij.
-    Arrays are frozen after construction.
+    Only nonzero entries with i <= j are stored (the rules of :func:`check_matrix`,
+    which only :func:`load_matrix` applies); a_ji mirrors a_ij.
     """
 
     n: int
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
-
-    def __post_init__(self):
-        row = np.asarray(self.row, dtype=np.int64)
-        col = np.asarray(self.col, dtype=np.int64)
-        val = np.asarray(self.val, dtype=np.float64)
-        if not (row.shape == col.shape == val.shape) or row.ndim != 1:
-            raise ParameterError("row, col, val must be 1-d arrays of equal length")
-        if self.n < 1:
-            raise ParameterError("matrix dimension must be >= 1")
-        if row.size:
-            if row.min() < 0 or col.max() >= self.n:
-                raise ParameterError("entry index out of range")
-            if np.any(row > col):
-                raise ParameterError("entries must satisfy i <= j (upper triangle)")
-            if np.any(val == 0.0):
-                raise ParameterError("stored values must be nonzero")
-            if not np.isfinite(val).all():
-                raise ParameterError("stored values must be finite")
-            # Sampler output is in row-major order, so the O(nnz) strictly-
-            # increasing test settles it; other orders fall back to a sort.
-            # keys is built in place: one nnz-sized temporary, not two.
-            keys = row * self.n
-            keys += col
-            if not np.all(keys[1:] > keys[:-1]) and np.unique(keys).size != keys.size:
-                raise ParameterError("duplicate (i, j) entry")
-        for arr, name in ((row, "row"), (col, "col"), (val, "val")):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def nnz_upper(self) -> int:
@@ -240,9 +210,29 @@ def dump_matrix(target: str | TextIO, A: SparseSymmetricMatrix, *, p: float, see
         fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(A.row, A.col, A.val))
 
 
+def check_matrix(A: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
+    """``A``, or ParameterError naming the first storage rule it breaks: n >= 1,
+    indices in [0, n), i <= j, nonzero finite values, no (i, j) stored twice."""
+    n, row, col, val = A.n, A.row, A.col, A.val
+    if n < 1:
+        raise ParameterError("matrix dimension must be >= 1")
+    if row.size:
+        if row.min() < 0 or col.max() >= n:
+            raise ParameterError("entry index out of range")
+        if np.any(row > col):
+            raise ParameterError("entries must satisfy i <= j (upper triangle)")
+        if np.any(val == 0.0):
+            raise ParameterError("stored values must be nonzero")
+        if not np.isfinite(val).all():
+            raise ParameterError("stored values must be finite")
+        if not np.diff(np.sort(row * n + col)).all():  # np.sort, not np.unique, which loads numpy.ma
+            raise ParameterError("duplicate (i, j) entry")
+    return A
+
+
 def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:
     """Inverse of :func:`dump_matrix`; returns the matrix and header fields.
-    A malformed line raises ParameterError naming the source and the line."""
+    A malformed line, or a matrix that breaks :func:`check_matrix`'s rules, raises ParameterError."""
     if isinstance(source, (str, bytes)):
         name = source
         with open(source, "r", encoding="utf-8") as fh:
@@ -255,14 +245,14 @@ def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:
         raise ParameterError(f"empty matrix file {name!r}")
 
     def fields(k: int, parts: list[str], types: tuple, form: str) -> list:
-        try:  # a wrong field count is a ValueError from zip(strict=True)
+        try:  # a wrong field count is a ValueError from zip(strict=True), an index past int64 an OverflowError
             return [parse(tok) for parse, tok in zip(types, parts, strict=True)]
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParameterError(f"{name!r} line {k}: expected {form!r}, got {' '.join(parts)!r}") from None
 
     (k0, head), *entries = lines
     n, p, seed, stream = fields(k0, head, (int, float, int, int), "n p seed stream")
-    triples = [fields(k, parts, (int, int, float), "i j value") for k, parts in entries]
+    triples = [fields(k, parts, (np.int64, np.int64, float), "i j value") for k, parts in entries]
     rows, cols, vals = zip(*triples) if triples else ((), (), ())
     A = SparseSymmetricMatrix(n, np.array(rows, np.int64), np.array(cols, np.int64), np.array(vals, np.float64))
-    return A, {"n": n, "p": p, "seed": seed, "stream": stream}
+    return check_matrix(A), {"n": n, "p": p, "seed": seed, "stream": stream}

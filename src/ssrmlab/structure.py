@@ -29,6 +29,7 @@ from .errors import ParameterError
 # 1 << 16); at 1 << 12 the per-window overhead slows the scan.
 _LCD_WINDOW = 1 << 14
 
+_LCD_BUDGET = 10**10  # breakpoints ``lcd`` scans with no witness before it refuses: ~30 min for 400 entries
 _LCD_TOL = 1e-9  # ``lcd``'s bisection width, unless its ends are adjacent floats first
 
 
@@ -286,6 +287,7 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
     Bound: theta_cap ||x||_inf must stay below 2^52.  Past it k + 1/2 is
     not a float, so theta x_i keeps no fractional bit to measure a lattice
     distance with, and breakpoints merge; such a cap is a ParameterError.
+    So is a scan that passes _LCD_BUDGET breakpoints with no witness.
     """
     n = x.size
     if not 1.0 <= L < math.inf:
@@ -301,6 +303,7 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
 
     a = float(x @ x)  # ~1 for unit input
     eps = np.finfo(np.float64).eps
+    scanned = 0
     for lo, hi, b, c in _interval_windows(x, L, theta_cap):
         f_min = _interval_minima(a, L, lo, hi, b, c)[-1]
         # c is exact.  b carries fewer than n roundings of eps |b| past its
@@ -313,6 +316,9 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
             hit = _confirm(x, a, L, float(lo[j]), float(hi[j]))
             if hit is not None:
                 return hit
+        scanned += lo.size
+        if scanned > _LCD_BUDGET:
+            raise ParameterError(f"lcd passed {_LCD_BUDGET:.0e} breakpoints at theta = {float(hi[-1]):g} with no witness")
     return LcdResult(
         value=float(theta_cap),
         witness_theta=math.nan,

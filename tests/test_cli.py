@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ssrmlab
 from in_child import in_child
-from ssrmlab import harness, inverse_geometry, spectra
+from ssrmlab import harness, inverse_geometry, spectra, structure
 from ssrmlab.cli import _constants_from_args, build_parser, main
 from ssrmlab.ensemble import Purpose, RngStream, load_matrix, sample_matrix, trial_stream
 from ssrmlab.errors import EXIT_TABLE
@@ -67,6 +67,18 @@ def test_generate_stream_is_a_trial_index(tmp_path, capsys, dist):
     smin, smax = harness._extreme_values_for_trial(seed, params, t)
     band = 40 * np.finfo(np.float64).eps * smax
     assert abs(record["s_min"] - smin) <= band and abs(record["s_max"] - smax) <= band
+
+
+@pytest.mark.parametrize("flag", ["--seed=-1", "--seed=18446744073709551616", "--stream=-1", "--stream=18446744073709551616"])
+def test_generate_rejects_a_key_out_of_range(tmp_path, capsys, flag):
+    # The seed and the trial index key Philox, so each lies in [0, 2^64);
+    # generate checks its flags, and the stream it builds is not re-checked.
+    out = tmp_path / "m.txt"
+    assert main(["generate", "-n", "4", "-p", "0.5", flag, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    name, value = flag.split("=")
+    assert captured.out == "" and captured.err == f"error: {name} must lie in [0, 2^64), got {value}\n"
+    assert not out.exists()
 
 
 def test_generate_stdout(capsys):
@@ -439,6 +451,25 @@ def test_lcd_rejects_a_cap_past_float_resolution(tmp_path, flag):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: theta_cap * max|x_i| must stay below 2^52")
+
+
+def test_lcd_refuses_a_scan_past_its_budget(tmp_path, capsys, monkeypatch):
+    # A scan that passes the breakpoint budget with no witness ends in one
+    # error line naming the theta it reached; one that finds its witness
+    # within the budget returns.  The budget is cut to about two windows.
+    monkeypatch.setattr(structure, "_LCD_BUDGET", 2 * structure._LCD_WINDOW)
+    path = tmp_path / "v.txt"
+    # Capped at the default cap 10 n^1.5 = 8e4 with the full budget.
+    path.write_text(" ".join(map(repr, np.random.default_rng(3).standard_normal(400).tolist())))
+    assert main(["lcd", "--vector", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    head, theta = captured.err.split(" at theta = ")
+    assert head == f"error: lcd passed {2 * structure._LCD_WINDOW:.0e} breakpoints"
+    assert 1.0 < float(theta.split()[0]) < 8e4
+    path.write_text("0.6 0.8\n")
+    assert main(["lcd", "--vector", str(path)]) == 0
+    assert not json.loads(capsys.readouterr().out)["capped"]
 
 
 def test_lcd_has_no_tol_flag(tmp_path, capsys):

@@ -14,6 +14,7 @@ from ssrmlab.ensemble import (
     Purpose,
     RngStream,
     SparseSymmetricMatrix,
+    check_matrix,
     dump_matrix,
     load_matrix,
     run_trials,
@@ -194,6 +195,41 @@ class TestSampleMatrixIndexing:
         assert np.array_equal(A.row, row) and np.array_equal(A.col, col) and np.array_equal(A.val, val)
 
 
+def _keeps_the_rules(A: SparseSymmetricMatrix) -> None:
+    """Every rule ``load_matrix`` applies, and the field types a loaded matrix has."""
+    assert A.row.dtype == A.col.dtype == np.int64 and A.val.dtype == np.float64
+    assert A.row.ndim == 1 and A.row.shape == A.col.shape == A.val.shape
+    assert check_matrix(A) is A
+
+
+class TestDrawsKeepTheRules:
+    """The sampler's output is not checked as it is built; every draw keeps the rules."""
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("n", [2, 37])
+    @pytest.mark.parametrize("p", ["1/n", "0.3", "1"])
+    def test_sample_matrix(self, law, n, p):
+        p = {"1/n": 1.0 / n, "0.3": 0.3, "1": 1.0}[p]
+        for t in range(5):
+            _keeps_the_rules(sample_matrix(EnsembleParams(n, p, law), trial_stream(7, Purpose.MATRIX, n, p, t)))
+
+    @pytest.mark.parametrize("law", LAWS[1:3], ids=lambda d: d.kind)
+    def test_exact_zeros_dropped(self, monkeypatch, law):
+        # Continuous laws with exact zeros injected, as in test_exact_zero_values_dropped_in_step.
+        real = ensemble.sample_entries
+
+        def with_zeros(dist, rng, size):
+            vals = real(dist, rng, size)
+            vals[::3] = 0.0
+            return vals
+
+        monkeypatch.setattr(ensemble, "sample_entries", with_zeros)
+        for n, p in ((2, 1.0), (37, 0.3), (37, 1.0)):
+            A = sample_matrix(EnsembleParams(n, p, law), RngStream(7, n))
+            assert 0 < A.nnz_upper
+            _keeps_the_rules(A)
+
+
 class TestSampleSparseVector:
     def test_p_zero(self):
         assert not np.any(sample_sparse_vector(5, 0.0, RAD, RngStream(1, 1)))
@@ -222,13 +258,20 @@ class TestSampleSparseVector:
             sample_sparse_vector(5 + k % 2, 0.7, LAWS[k % 4], RngStream(k, 1))
 
 
+def _load_error(entries: str, n: int = 3) -> str:
+    """The message ``load_matrix`` gives for a matrix file of these entry lines."""
+    with pytest.raises(ParameterError) as exc:
+        load_matrix(io.StringIO(f"{n} 0.5 1 0\n{entries}"))
+    return str(exc.value)
+
+
 class TestSparseSymmetricMatrix:
+    """The storage rules, checked where a matrix enters: ``load_matrix``."""
+
     def test_duplicate_entry_rejected(self):
-        with pytest.raises(ParameterError, match="duplicate"):
-            SparseSymmetricMatrix(3, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
-        # Out of order, so the strictly-increasing shortcut does not apply.
-        with pytest.raises(ParameterError, match="duplicate"):
-            SparseSymmetricMatrix(3, np.array([1, 0, 1]), np.array([2, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        assert _load_error("0 1 1.0\n0 1 2.0\n") == "duplicate (i, j) entry"
+        # Out of order too.
+        assert _load_error("1 2 1.0\n0 0 2.0\n1 2 3.0\n") == "duplicate (i, j) entry"
 
     def test_unsorted_entries_accepted(self):
         A = sample_matrix(EnsembleParams(12, 0.5, GAUSS), RngStream(22, 0))
@@ -242,12 +285,21 @@ class TestSparseSymmetricMatrix:
         assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_lower_triangle_rejected(self):
-        with pytest.raises(ParameterError):
-            SparseSymmetricMatrix(3, np.array([2]), np.array([0]), np.array([1.0]))
+        assert _load_error("2 0 1.0\n") == "entries must satisfy i <= j (upper triangle)"
 
     def test_zero_value_rejected(self):
-        with pytest.raises(ParameterError):
-            SparseSymmetricMatrix(3, np.array([0]), np.array([1]), np.array([0.0]))
+        assert _load_error("0 1 0.0\n") == "stored values must be nonzero"
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_dimension_below_one_rejected(self, n):
+        assert _load_error("", n) == "matrix dimension must be >= 1"
+
+    @pytest.mark.parametrize("entry", ["0 3 1.0", "3 3 1.0", "-1 2 1.0"])
+    def test_index_outside_n_rejected(self, entry):
+        assert _load_error(entry + "\n") == "entry index out of range"
+
+    def test_index_past_int64_rejected(self):
+        assert _load_error("0 18446744073709551616 1.0\n").endswith("expected 'i j value', got '0 18446744073709551616 1.0'")
 
 
 class TestRowWitnessSets:
@@ -313,10 +365,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, value):
-        with pytest.raises(ParameterError, match="finite"):
-            load_matrix(io.StringIO(f"3 0.5 1 0\n0 0 1.0\n0 1 {value}\n2 2 2.0\n"))
-        with pytest.raises(ParameterError, match="finite"):
-            SparseSymmetricMatrix(2, [0], [1], [float(value)])
+        assert _load_error(f"0 0 1.0\n0 1 {value}\n2 2 2.0\n") == "stored values must be finite"
 
 
 def _draw(seed: int, cell: str, t: int) -> tuple:
@@ -351,11 +400,6 @@ class TestTrialStream:
         ps = [0.01 * k for k in range(1, 101)] + [1 / n for n in ns] + [math.log(n) / n for n in ns[1:]]
         keys = {ensemble._cell_key(purpose, n, p) for purpose in Purpose for n in ns for p in set(ps)}
         assert len(keys) == len(Purpose) * len(ns) * len(set(ps))
-
-    @pytest.mark.parametrize("index", [2**64, -1])
-    def test_index_out_of_range_rejected(self, index):
-        with pytest.raises(ParameterError, match="trial"):
-            trial_stream(1, Purpose.MATRIX, 3, 0.5, index)
 
 
 class TestRunTrials:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ssrmlab import spectra
-from ssrmlab.ensemble import Purpose, RngStream, sample_matrix, trial_stream
+from ssrmlab.ensemble import Purpose, RngStream, check_matrix, sample_matrix, trial_stream
 from ssrmlab.errors import NumericalError, ParameterError
 from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import (
@@ -284,10 +284,11 @@ class TestNormBoundExperiment:
             seen.clear()
             assert spectra._norm_bound_trial(seed, cbar, eps, params, t) == want
             assert seen[1].to_dense().tobytes() == W.tobytes()
+            assert check_matrix(seen[1]) is seen[1]  # W is built unchecked; it keeps the storage rules
 
     def test_zero_draws_are_not_stored(self, monkeypatch):
         # standard_normal can return 0.0; the trial drops it from W's pattern,
-        # which SparseSymmetricMatrix would reject, and W is unchanged.
+        # as the storage rules ask, and W is unchanged.
         n, seed, cbar, eps, t = 60, 7, 2.0, 0.5, 0
         params = EnsembleParams(n, 0.3, GAUSS)
         nnz = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, 0.3, t)).nnz_upper
@@ -306,8 +307,13 @@ class TestNormBoundExperiment:
         monkeypatch.setattr(
             spectra, "trial_stream", lambda s, purpose, *cell: ZeroedStream() if purpose == Purpose.NORM_CHECK_W else real_stream(s, purpose, *cell)
         )
+        seen = []
+        real_norm = spectra.spectral_norm
+        monkeypatch.setattr(spectra, "spectral_norm", lambda A: seen.append(A) or real_norm(A))
         want, _ = self._dense_mask_reference(params, seed, cbar, eps, t, draw)
+        seen.clear()
         assert spectra._norm_bound_trial(seed, cbar, eps, params, t) == want
+        assert seen[1].nnz_upper == nnz - len(draw[::3]) and check_matrix(seen[1]) is seen[1]
 
 
 class TestSingularExtremes:

@@ -8,9 +8,9 @@ emit single-line JSON records.
 Every CLI process runs BLAS at one thread, whatever the caller's
 environment says: numpy's and scipy's OpenBLAS read the thread count
 when they load, so it is set here, before any handler loads numpy,
-and pool workers inherit it.  Output bytes then do not depend on the
-thread count, no idle BLAS thread spins, and ``--workers`` is the only
-source of parallelism.
+and forked trial workers inherit it.  Output bytes then do not depend
+on the thread count, no idle BLAS thread spins, and ``--workers`` is
+the only source of parallelism.
 
 Each handler, and each kind's runner in ``harness``, imports the modules
 only it runs, numpy included, so no subcommand pays for another's

@@ -24,14 +24,17 @@ import contextlib
 import enum
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ParameterError
+from .model import MAX_N
 
 if TYPE_CHECKING:
     from .model import EnsembleParams, EntryDistribution
@@ -94,28 +97,99 @@ def trial_stream(seed: int, purpose: Purpose, n: int, p: float, t: int) -> RngSt
 def run_trials(kernel: Callable, cells: Sequence, trials: int, workers: int = 1) -> list[list]:
     """``kernel(cell, t)`` for every cell and trial t; per cell, records in trial order.
 
-    With more than one worker and task, a pool of at most one process per
-    task and per CPU this process may run on (``os.sched_getaffinity``)
-    runs the (cell, trial) tasks in grid order, in chunks of
-    ceil(trials / (4 workers)) consecutive tasks; the kernel must pickle
-    (a module-level function or a partial of one).  The records do not
-    depend on the worker count.
+    With more than one worker and task, at most one forked worker per task
+    and per CPU this process may run on (``os.sched_getaffinity``) runs
+    the (cell, trial) tasks in grid order, task i in worker i mod w; the
+    records must pickle.  The records do not depend on the worker count,
+    and a kernel's exception reaches the caller as at one worker: that of
+    the earliest failing task.  A worker that dies before sending its
+    records raises ChildProcessError.  Every worker is reaped before this
+    returns or raises.
     """
     tasks = [(cell, t) for cell in cells for t in range(trials)]
     workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers <= 1:
         records = [kernel(*task) for task in tasks]
     else:
-        # Imported here, so that the kinds and subcommands that never start a pool skip it.
-        from concurrent.futures import ProcessPoolExecutor
-
         # A worker's first draw loads hashlib and OpenSSL; loaded before the fork,
         # they are shared: about 3 MB less resident per worker at n=500.
         import hashlib  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(kernel, *zip(*tasks), chunksize=max(1, -(-trials // (4 * workers)))))
+        records = _run_forked(kernel, tasks, workers)
     return [records[c * trials : (c + 1) * trials] for c in range(len(cells))]
+
+
+def _run_share(kernel: Callable, tasks: list, first: int, step: int, parent: int) -> tuple[list, tuple | None]:
+    """A worker's share, ``tasks[first::step]`` in order: its records, and
+    (index, exception) of the task that raised, which ends the share, or None.
+    The worker leaves before its next task once ``parent`` is gone."""
+    records = []
+    for i in range(first, len(tasks), step):
+        if os.getppid() != parent:
+            os._exit(1)
+        try:
+            records.append(kernel(*tasks[i]))
+        except Exception as exc:
+            return records, (i, exc)
+    return records, None
+
+
+def _start_worker(job: Callable[[], object]) -> tuple[int, int]:
+    """Fork a worker that writes the pickle of ``job()`` to a pipe and exits;
+    its pid and the pipe's read end.  The worker leaves by ``os._exit``, with
+    status 0 only once the whole pickle is written, so it flushes none of
+    the parent's buffers and runs none of its exit handlers."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(job())
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _run_forked(kernel: Callable, tasks: list, workers: int) -> list:
+    """The records of ``tasks``, run by ``workers`` workers from :func:`_start_worker`,
+    task i by worker i mod ``workers``.  The parent reads every pipe to EOF and
+    reaps every worker; if it is interrupted or fails first, it kills and
+    reaps those it has not."""
+    parent, started, reaped, sent = os.getpid(), [], 0, []
+    try:
+        for k in range(workers):
+            started.append(_start_worker(partial(_run_share, kernel, tasks, k, workers, parent)))
+        for pid, read_end in started:
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if status != 0:
+                raise ChildProcessError(f"trial worker {pid} exited with status {status} before sending its records")
+            sent.append(pickle.loads(data))
+    finally:
+        for pid, _ in started[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, read_end in started:
+            os.close(read_end)
+    failures = [failure for _, failure in sent if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    records = [None] * len(tasks)
+    for k, (share, _) in enumerate(sent):
+        records[k::workers] = share
+    return records
 
 
 @dataclass(frozen=True)
@@ -211,11 +285,13 @@ def dump_matrix(target: str | TextIO, A: SparseSymmetricMatrix, *, p: float, see
 
 
 def check_matrix(A: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
-    """``A``, or ParameterError naming the first storage rule it breaks: n >= 1,
+    """``A``, or ParameterError naming the first storage rule it breaks: 1 <= n <= MAX_N,
     indices in [0, n), i <= j, nonzero finite values, no (i, j) stored twice."""
     n, row, col, val = A.n, A.row, A.col, A.val
     if n < 1:
         raise ParameterError("matrix dimension must be >= 1")
+    if n > MAX_N:
+        raise ParameterError(f"matrix dimension must be <= {MAX_N} (an n x n float64 array must be addressable), got {n}")
     if row.size:
         if row.min() < 0 or col.max() >= n:
             raise ParameterError("entry index out of range")

@@ -222,7 +222,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Trial kernels for ensemble.run_trials (module level so they pickle).
+# Trial kernels for ensemble.run_trials; their records must pickle, to come back from a forked worker.
 
 def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, t: int) -> tuple[float, float]:
     """(s_min, s_max) of trial t's realization in cell ``params``, from its certified spectrum."""
@@ -236,7 +236,7 @@ def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, t: int) 
 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:
-    # Imported before run_trials forks its pool, so the workers inherit
+    # Imported before run_trials forks its workers, so they inherit
     # spectra and scipy instead of each importing them again.
     from . import spectra  # noqa: F401
     from .ensemble import run_trials

@@ -9,9 +9,14 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
+
+# The largest n whose n x n float64 array (8 n^2 bytes) is addressable.
+# Past it numpy fails with ValueError or OverflowError, not MemoryError.
+MAX_N = math.isqrt(sys.maxsize // 8)
 
 _KINDS = ("rademacher", "standard-gaussian", "uniform-symmetric", "two-point-general")
 
@@ -100,6 +105,8 @@ class EnsembleParams:
             n = 0
         if n < 2:
             raise ParameterError(f"n must be an integer >= 2, got {self.n!r}")
+        if n > MAX_N:
+            raise ParameterError(f"n must be <= {MAX_N} (an n x n float64 array must be addressable), got {n}")
         # p == 0 is admitted (degenerate zero matrix); experiments reject p < 1/n.
         if not isinstance(self.p, numbers.Real) or not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"sparsity level p must lie in [0, 1], got {self.p!r}")

@@ -81,6 +81,39 @@ def test_generate_rejects_a_key_out_of_range(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+# Past n = 2^30 - 1 an n x n float64 array is not addressable, and numpy
+# fails with ValueError or OverflowError rather than MemoryError.
+_PAST_ADDRESS_SPACE = "must be <= 1073741823 (an n x n float64 array must be addressable), got "
+
+
+def test_generate_rejects_n_past_the_address_space(tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    assert main(["generate", "-n", "5000000000", "-p", "0.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: n {_PAST_ADDRESS_SPACE}5000000000\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["5000000000 0.5 0 0\n", f"{10**20} 0.5 0 0\n", f"{10**20} 0.5 0 0\n0 1 1.0\n"], ids=["5e9", "1e20", "1e20-entry"]
+)
+def test_spectra_rejects_n_past_the_address_space(tmp_path, capsys, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert main(["spectra", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: matrix dimension {_PAST_ADDRESS_SPACE}{text.split()[0]}\n"
+
+
+def test_spectra_n_too_large_to_allocate_is_a_memory_error(tmp_path, capsys):
+    # Below the bound, an n x n array that cannot be allocated stays a memory error.
+    path = tmp_path / "m.txt"
+    path.write_text("1000000000 0.5 0 0\n")
+    assert main(["spectra", "--matrix", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("memory error: ") and captured.err.count("\n") == 1
+
+
 def test_generate_stdout(capsys):
     assert main(["generate", "-n", "4", "-p", "1.0", "--dist", "rademacher"]) == 0
     first = capsys.readouterr().out.splitlines()[0].split()
@@ -149,8 +182,9 @@ def test_tail_sweep_dry_run(tmp_path, capsys):
         ("smallball", "smallball", ("eps = 0.01,0.1", "eps = 0.01,0.1\n[params]\nc_op = 3.0"), "params.c_op for kind smallball"),
         ("distance-check", "distance-check", ("eps = 0.01,0.1", "eps = 0.01,0.1\n[params]\neps = 0.1"), "params.eps"),
         ("tail-sweep", "scaling", ("", ""), "subcommand tail-sweep does not match experiment.kind = scaling"),
+        ("tail-sweep", "tail-sweep", ("n = 16", "n = 5000000000"), f"n {_PAST_ADDRESS_SPACE}5000000000"),
     ],
-    ids=["ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch"],
+    ids=["ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch", "n-past-address-space"],
 )
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
 def test_config_key_rejected(tmp_path, capsys, command, kind, edit, needle, dry_run):
@@ -490,18 +524,21 @@ def _python(code: str, cwd) -> str:
 
 
 # Modules a CLI process loads only when its subcommand needs them: name in
-# the result -> module name.
+# the result -> module name.  No run, pooled or not, loads the last two:
+# run_trials forks its own workers, and the process pool's modules would
+# add about 1.9 MB to every pooled parent and each worker it forks.
 _WATCHED = {
     "numpy": "numpy",
     "numpy.ma": "numpy.ma",  # np.median's NaN check loads it (about 19 ms); stats.median does not
     "scipy": "scipy",
     "scipy.linalg": "scipy.linalg",
     "spectra": "ssrmlab.spectra",
-    "pool": "concurrent.futures.process",
     "structure": "ssrmlab.structure",
     "stats": "ssrmlab.stats",
     "configparser": "configparser",
     "hashlib": "hashlib",
+    "pool": "concurrent.futures.process",
+    "multiprocessing": "multiprocessing",
 }
 
 
@@ -531,7 +568,7 @@ def test_cli_import_skips_scipy_spatial(tmp_path):
 
 
 def test_cli_import_skips_process_pool(tmp_path):
-    # Only run_trials with more than one worker imports the pool.
+    # Nothing in the package imports the process pool; see _WATCHED.
     assert _python("import sys, ssrmlab.cli; print('concurrent.futures.process' in sys.modules)", tmp_path) == "False"
 
 
@@ -589,7 +626,7 @@ def _kind_config(tmp_path, kind: str) -> str:
         (["smallball", "--config", "smallball.ini", "--workers", "1"], ["numpy", "structure", "configparser", "hashlib"]),
         (
             ["smallball", "--config", "smallball.ini", "--workers", "2"],
-            ["numpy", "structure", "configparser", "hashlib", "pool"],
+            ["numpy", "structure", "configparser", "hashlib"],
         ),
     ],
     ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
@@ -608,10 +645,10 @@ def test_dry_run_skips_scipy(tmp_path, kind):
 
 
 def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
-    # The pool workers inherit spectra from the parent instead of each
+    # The forked workers inherit spectra from the parent instead of each
     # loading the LAPACK modules again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", "pool", "stats", "configparser", "hashlib")
+    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", "stats", "configparser", "hashlib")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import io
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from ssrmlab.ensemble import (
     trial_stream,
 )
 from ssrmlab.errors import ParameterError
-from ssrmlab.model import EnsembleParams, EntryDistribution, parse_distribution
+from ssrmlab.model import MAX_N, EnsembleParams, EntryDistribution, parse_distribution
 
 RAD = EntryDistribution("rademacher")
 GAUSS = EntryDistribution("standard-gaussian")
@@ -138,6 +140,13 @@ class TestSampleMatrix:
             EnsembleParams(5, -0.1, RAD)
         with pytest.raises(ParameterError, match="sparsity level p"):
             EnsembleParams(5, "0.5", RAD)
+
+    def test_n_is_bounded_by_the_address_space(self):
+        # 8 n^2 bytes must be addressable: 2^30 - 1 is the last such n.
+        assert MAX_N == 2**30 - 1
+        assert EnsembleParams(MAX_N, 0.5, RAD).n == MAX_N
+        with pytest.raises(ParameterError, match=f"^n must be <= {MAX_N} .*, got {MAX_N + 1}$"):
+            EnsembleParams(MAX_N + 1, 0.5, RAD)
 
     @pytest.mark.parametrize("n", [5.0, "5", None, True])
     def test_n_must_be_an_integer(self, n):
@@ -409,17 +418,19 @@ class TestRunTrials:
         out = run_trials(functools.partial(_draw, 4), self.CELLS, 5)
         assert [[r[:2] for r in recs] for recs in out] == [[(cell, t) for t in range(5)] for cell in self.CELLS]
 
-    def test_workers_do_not_change_records(self):
-        # 13 trials at 3 workers run in chunks of 2 tasks, some straddling two cells.
+    def test_workers_do_not_change_records(self, monkeypatch):
+        # 39 tasks at 3 workers: each worker takes every third task, across all three cells.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
         kernel = functools.partial(_draw, 4)
         assert run_trials(kernel, self.CELLS, 13, 3) == run_trials(kernel, self.CELLS, 13, 1)
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_zero_trials(self, workers):
         assert run_trials(functools.partial(_draw, 4), self.CELLS, 0, workers) == [[], [], []]
 
     def test_single_task_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
+        monkeypatch.setattr(ensemble, "_start_worker", None)
         kernel = functools.partial(_draw, 4)
         assert run_trials(kernel, ["a"], 1, 3) == run_trials(kernel, ["a"], 1)
 
@@ -427,26 +438,87 @@ class TestRunTrials:
         "workers,trials,cpus,used", [(10_000, 400, 3, 3), (2, 400, 3, 2), (10_000, 2, 8, 6), (10_000, 1, 5, 3)]
     )
     def test_pool_size_is_capped(self, monkeypatch, workers, trials, cpus, used):
-        # The pool gets at most one process per task and per CPU this process
-        # may run on.  A recorder stands in for the pool and maps in-process,
-        # so no process starts whatever the requested count.
-        sizes = []
+        # At most one worker per task and per CPU this process may run on.
+        # The seam counts the workers started and refuses any past ``used``,
+        # so a broken cap fails without starting more processes.
+        sizes, start = [0], ensemble._start_worker
 
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted(job):
+            sizes[0] += 1
+            if sizes[0] > used:
+                raise AssertionError(f"worker {sizes[0]} started, cap {used}")
+            return start(job)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(ensemble, "_start_worker", counted)
         monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
         kernel = functools.partial(_draw, 1)
         assert run_trials(kernel, self.CELLS, trials, workers) == run_trials(kernel, self.CELLS, trials)
         assert sizes == [used]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_earliest_failure_is_raised(self, monkeypatch, workers):
+        # Tasks 4 and 2 fail, in the shares of workers 1 and 2 at three
+        # workers; worker 1 is read first, yet task 2's error is raised.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(ParameterError, match="^task 2$"):
+            run_trials(_fail_at_2_and_4, ["a"], 9, workers)
+        _assert_no_child_left()
+
+    def test_dead_worker_raises_child_process_error(self, monkeypatch):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ChildProcessError):
+            run_trials(_exit_at_3, ["a"], 6, 2)
+        _assert_no_child_left()
+
+    def test_interrupted_parent_kills_its_workers(self, monkeypatch):
+        # The second start is interrupted while the first worker sleeps in
+        # its kernel; run_trials kills and reaps it before re-raising.
+        starts, start = [], ensemble._start_worker
+
+        def interrupted(job):
+            starts.append(job)
+            if len(starts) == 2:
+                raise KeyboardInterrupt
+            return start(job)
+
+        monkeypatch.setattr(ensemble, "_start_worker", interrupted)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        began = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_trials(_sleep, ["a"], 2, 2)
+        assert time.monotonic() - began < 30
+        _assert_no_child_left()
+
+    def test_worker_stops_once_its_parent_is_gone(self):
+        # A worker whose recorded parent is not its parent runs no further
+        # task: the kernel would exit with status 3, the check exits with 1.
+        job = functools.partial(ensemble._run_share, _exit_at_3, [("a", 3)], 0, 1, -1)
+        pid, read_end = ensemble._start_worker(job)
+        with open(read_end, "rb") as pipe:
+            assert pipe.read() == b""
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+        _assert_no_child_left()
+
+
+def _assert_no_child_left() -> None:
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_at_2_and_4(cell: str, t: int) -> int:
+    if t in (2, 4):
+        raise ParameterError(f"task {t}")
+    return t
+
+
+def _exit_at_3(cell: str, t: int) -> int:
+    if t == 3:
+        os._exit(3)
+    return t
+
+
+def _sleep(cell: str, t: int) -> int:
+    time.sleep(60)
+    return t

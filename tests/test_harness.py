@@ -1,4 +1,3 @@
-import concurrent.futures
 import configparser
 import contextlib
 import dataclasses
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 import ssrmlab
 from in_child import in_child
-from ssrmlab import spectra
+from ssrmlab import ensemble, spectra
 from ssrmlab.ensemble import Purpose, sample_matrix, trial_stream
 from ssrmlab.errors import EXIT_TABLE, ConfigError, ParameterError
 from ssrmlab import harness
@@ -395,6 +394,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("memory error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    def test_dead_worker_is_an_io_error(self, tmp_path, capsys, monkeypatch):
+        # A worker that dies before sending its records ends the run in one
+        # io error line, with no output written and no worker left behind.
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(harness, "_extreme_values_for_trial", lambda seed, params, t: os._exit(3))
+        out = tmp_path / "r.csv"
+        path = self._write_config(tmp_path, CONFIG_TEXT.replace("out.csv", str(out)))
+        assert run(path, workers=2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: trial worker ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
     def test_worker_count_does_not_change_csv(self, tmp_path, kind):
@@ -930,10 +943,10 @@ _MUTATIONS = (
 @st.composite
 def _mutated_goldens(draw) -> str:
     """A golden config with one key's line mutated, or a stray line after it;
-    or, as the "workers" mutation, run by a pool of two."""
+    or, as the "workers" mutation, run by two workers."""
     text = (GOLDEN / f"{draw(st.sampled_from(_GOLDEN_CASES))}.ini").read_text(encoding="utf-8")
     mutation = draw(st.sampled_from(_MUTATIONS))
-    if mutation == "workers":  # no golden config sets workers, so only this one starts a pool
+    if mutation == "workers":  # no golden config sets workers, so only this one starts workers
         return text.replace("[experiment]\n", "[experiment]\nworkers = 2\n")
     lines = text.splitlines()
     at = draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
@@ -974,20 +987,10 @@ def _ends_cleanly(path: str, out: str, dry_run: bool) -> tuple[int, str]:
     return status, err.getvalue()
 
 
-class _CountedPool(concurrent.futures.ProcessPoolExecutor):
-    """A process pool that records the size each run asks of it."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers)
-
-
 def _mutated_run(text: str) -> list[int]:
     """A config --dry-run accepts is run for real when it is small, and then
-    must not end in a config error, nor start more processes than CPUs; the
-    sizes of the pools it started."""
+    must not end in a config error, nor start more workers than CPUs; the
+    number of workers it started, if any."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.ini"), os.path.join(tmp, "r.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -997,15 +1000,20 @@ def _mutated_run(text: str) -> list[int]:
         cfg = config_from_text(text)
         if max(cfg.n_grid) > 64 or cfg.trials > 50:
             return []
-        _CountedPool.sizes.clear()
-        with mock.patch("concurrent.futures.ProcessPoolExecutor", _CountedPool):
+        started, start = [], ensemble._start_worker
+
+        def counted(job):
+            started.append(job)
+            return start(job)
+
+        with mock.patch.object(ensemble, "_start_worker", counted):
             assert not _ends_cleanly(path, out, dry_run=False)[1].startswith("config error:")
-        assert all(size <= len(os.sched_getaffinity(0)) for size in _CountedPool.sizes)
-        return _CountedPool.sizes
+        assert len(started) <= len(os.sched_getaffinity(0))
+        return [len(started)] if started else []
 
 
 def test_mutated_golden_config_ends_cleanly():
-    # Each example runs in a child with a deadline; some must start a pool,
+    # Each example runs in a child with a deadline; some must start workers,
     # or the CPU bound above checks nothing.
     sizes = []
 
@@ -1015,4 +1023,4 @@ def test_mutated_golden_config_ends_cleanly():
         sizes.extend(in_child(_mutated_run, text))
 
     example()
-    assert sizes, "no example started a pool"
+    assert sizes, "no example started workers"

@@ -31,8 +31,9 @@ the artifact id hashes it, so configs that parse equal share one id.  C_op
 of the event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a
 key.  ``ExperimentConfig`` checks every rule of the record, so a runner
 may assume: one (n, p) cell unless the kind sweeps the grid; every matrix
-cell in the ensemble, with p >= 1/n; one eps point or more, each >= 0, if
-the kind reads eps; and every [params] value within its rule.
+cell in the ensemble, with p >= 1/n; a vector kind's n in [1, MAX_N] and p
+in (0, 1]; one eps point or more, each >= 0, if the kind reads eps; and
+every [params] value within its rule.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as ARTIFACT_VERSION
 from .errors import REPORTED, ConfigError, ParameterError, report
-from .model import EnsembleParams, EntryDistribution, parse_distribution
+from .model import MAX_N, EnsembleParams, EntryDistribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
     from collections.abc import Callable
@@ -143,8 +144,8 @@ class ExperimentConfig:
         if not kind.sweeps and self.cell_count() > 1:
             raise ConfigError(f"{self.kind} runs one (n, p) cell: grid.n and grid.p must hold one value each")
         if kind.vectors:
-            if self.n_grid[0] < 1:
-                raise ConfigError(f"{self.kind} needs grid.n >= 1, got {self.n_grid[0]}")
+            if not 1 <= self.n_grid[0] <= MAX_N:
+                raise ConfigError(f"{self.kind} needs grid.n >= 1 and <= {MAX_N}, got {self.n_grid[0]}")
             if not 0.0 < self.p_grid[0] <= 1.0:
                 raise ConfigError(f"{self.kind} needs grid.p in (0, 1], got {self.p_grid[0]:g}")
         else:
@@ -237,7 +238,12 @@ def _extreme_values_for_trial(master_seed: int, params: EnsembleParams, t: int) 
 
 def _extreme_values(cfg: ExperimentConfig, cells: list[tuple[int, float]]) -> list[list[tuple[float, float]]]:
     # Imported before run_trials forks its workers, so they inherit
-    # spectra and scipy instead of each importing them again.
+    # spectra, scipy and numpy.random (whose first draw loads 16 modules)
+    # instead of each importing them again.  The other pooled kinds leave
+    # numpy.random to their workers: at n = 500 their parent is the
+    # largest process, and it would grow by about 1.7 MB.
+    import numpy.random  # noqa: F401
+
     from . import spectra  # noqa: F401
     from .ensemble import run_trials
 

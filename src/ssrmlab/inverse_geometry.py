@@ -76,7 +76,9 @@ def all_column_distances(A, null: np.ndarray) -> np.ndarray:
     """
     dense = _as_dense(A)
     dense = dgemm(1.0, null, null, beta=1.0, c=dense, trans_b=1, overwrite_c=1)
-    dists = 1.0 / np.linalg.norm(_inverse(dense), axis=0)
+    inv = _inverse(dense)
+    # The column norms, squared in the inverse's own buffer: no n x n temporary.
+    dists = 1.0 / np.sqrt(np.add.reduce(np.square(inv, out=inv), axis=0))
     dists[np.einsum("ij,ij->i", null, null) > _LEVERAGE_FLOOR] = 0.0
     return dists
 

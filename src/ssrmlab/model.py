@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-# The largest n whose n x n float64 array (8 n^2 bytes) is addressable.
-# Past it numpy fails with ValueError or OverflowError, not MemoryError.
+# The largest n whose n x n float64 array (8 n^2 bytes) is addressable;
+# it bounds a vector kind's length too.  Past it numpy fails with
+# ValueError or OverflowError, not MemoryError.
 MAX_N = math.isqrt(sys.maxsize // 8)
 
 _KINDS = ("rademacher", "standard-gaussian", "uniform-symmetric", "two-point-general")

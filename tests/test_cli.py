@@ -183,8 +183,12 @@ def test_tail_sweep_dry_run(tmp_path, capsys):
         ("distance-check", "distance-check", ("eps = 0.01,0.1", "eps = 0.01,0.1\n[params]\neps = 0.1"), "params.eps"),
         ("tail-sweep", "scaling", ("", ""), "subcommand tail-sweep does not match experiment.kind = scaling"),
         ("tail-sweep", "tail-sweep", ("n = 16", "n = 5000000000"), f"n {_PAST_ADDRESS_SPACE}5000000000"),
+        ("smallball", "smallball", ("n = 16", f"n = {10**20}"), f"smallball needs grid.n >= 1 and <= 1073741823, got {10**20}"),
     ],
-    ids=["ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch", "n-past-address-space"],
+    ids=[
+        "ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch", "n-past-address-space",
+        "vector-n-past-address-space",
+    ],
 )
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
 def test_config_key_rejected(tmp_path, capsys, command, kind, edit, needle, dry_run):
@@ -529,6 +533,7 @@ def _python(code: str, cwd) -> str:
 # add about 1.9 MB to every pooled parent and each worker it forks.
 _WATCHED = {
     "numpy": "numpy",
+    "numpy.random": "numpy.random",  # a first draw loads 16 modules; see _extreme_values
     "numpy.ma": "numpy.ma",  # np.median's NaN check loads it (about 19 ms); stats.median does not
     "scipy": "scipy",
     "scipy.linalg": "scipy.linalg",
@@ -542,11 +547,16 @@ _WATCHED = {
 }
 
 
+# So that --workers 2 forks two workers on any box.
+_TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}"
+
+
 def _loaded_after_cli(argv: list[str], cwd) -> dict:
     """Exit status of ``ssrmlab ARGV`` in a fresh process and which of the watched modules it loaded."""
     code = (
         "import json, sys\n"
         "from ssrmlab.cli import main\n"
+        f"{_TWO_CPUS}\n"
         "try:\n"
         f"    status = main({argv!r})\n"
         "except SystemExit as exc:  # argparse's exit after --help\n"
@@ -622,9 +632,12 @@ def _kind_config(tmp_path, kind: str) -> str:
         # sidecar hash or statistics.
         (["lcd", "--vector", "v.txt"], ["numpy", "structure"]),
         (["structure", "--vector", "v.txt"], ["numpy", "structure"]),
-        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["numpy", "hashlib"]),  # numpy.random loads hashlib
-        (["smallball", "--config", "smallball.ini", "--workers", "1"], ["numpy", "structure", "configparser", "hashlib"]),
+        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["numpy", "numpy.random", "hashlib"]),  # it loads hashlib
         (
+            ["smallball", "--config", "smallball.ini", "--workers", "1"],
+            ["numpy", "numpy.random", "structure", "configparser", "hashlib"],
+        ),
+        (  # only the workers draw
             ["smallball", "--config", "smallball.ini", "--workers", "2"],
             ["numpy", "structure", "configparser", "hashlib"],
         ),
@@ -645,23 +658,58 @@ def test_dry_run_skips_scipy(tmp_path, kind):
 
 
 def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
-    # The forked workers inherit spectra from the parent instead of each
-    # loading the LAPACK modules again.
+    # The forked workers inherit spectra and numpy.random from the parent
+    # instead of each loading the LAPACK and random modules again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
-    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", "stats", "configparser", "hashlib")
+    assert _loaded_after_cli(argv, tmp_path) == _only(
+        "numpy", "numpy.random", "spectra", "stats", "configparser", "hashlib"
+    )
+
+
+def test_pooled_sweep_workers_load_no_module(tmp_path):
+    # Each worker of a pooled tail-sweep or scaling run writes down the
+    # modules its job loaded.  The parent loaded them all before forking,
+    # the 16 of numpy.random's first draw included, so each list is empty.
+    runs = [[kind, "--config", _kind_config(tmp_path, kind), "--workers", "2"] for kind in ("tail-sweep", "scaling")]
+    code = (
+        "import json, os, sys\n"
+        "from ssrmlab import ensemble\n"
+        "from ssrmlab.cli import main\n"
+        f"{_TWO_CPUS}\n"
+        "start, pids = ensemble._start_worker, []\n"
+        "def recording(job):\n"
+        "    def run():\n"
+        "        before = set(sys.modules)\n"
+        "        result = job()\n"
+        "        with open(f'worker-{os.getpid()}.json', 'w') as out:\n"
+        "            json.dump(sorted(set(sys.modules) - before), out)\n"
+        "        return result\n"
+        "    worker = start(run)\n"
+        "    pids.append(worker[0])\n"
+        "    return worker\n"
+        "ensemble._start_worker = recording\n"
+        f"status = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([status, [json.load(open(f'worker-{pid}.json')) for pid in pids]]))"
+    )
+    status, loaded = json.loads(_python(code, tmp_path))
+    assert status == [0, 0]
+    assert loaded == [[], [], [], []]
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["tail-sweep", "--workers", "1"], ["stats", "configparser", "hashlib"]),
-        (["scaling"], ["stats", "configparser", "hashlib"]),
-        (["norm-check"], ["configparser", "hashlib"]),
-        (["distance-check"], ["structure", "stats", "configparser", "hashlib"]),
-        (["quadratic"], ["structure", "stats", "configparser", "hashlib"]),
+        (["tail-sweep", "--workers", "1"], ["numpy.random", "stats", "configparser", "hashlib"]),
+        (["scaling"], ["numpy.random", "stats", "configparser", "hashlib"]),
+        (["norm-check"], ["numpy.random", "configparser", "hashlib"]),
+        (["distance-check"], ["numpy.random", "structure", "stats", "configparser", "hashlib"]),
+        (["quadratic"], ["numpy.random", "structure", "stats", "configparser", "hashlib"]),
+        # Only the matrix sweeps load numpy.random before the fork: at
+        # n = 500 the pooled parent of the other kinds is the largest process.
+        (["quadratic", "--workers", "2"], ["structure", "stats", "configparser", "hashlib"]),
         (["spectra", "--matrix", "m.txt"], []),
     ],
-    ids=["tail-sweep-w1", "scaling", "norm-check", "distance-check", "quadratic", "spectra"],
+    ids=["tail-sweep-w1", "scaling", "norm-check", "distance-check", "quadratic", "quadratic-w2", "spectra"],
 )
 def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv, loaded):
     # The kernels load scipy's two compiled LAPACK/BLAS modules, not the

@@ -343,8 +343,9 @@ def test_distance_trial_reduces_once(monkeypatch, params, t, singular):
 def test_distance_trial_peak():
     # The sparse realization goes to both kernels: one n x n buffer for the
     # certified extremes, then for all_column_distances the densified matrix,
-    # updated by N N^T and inverted in place, and the column norms'
-    # temporary.  The second realization (p = 0.01, trial 0) has nullity 8.
+    # updated by N N^T, inverted in place and its columns squared in place,
+    # so no second n x n array.  The second realization (p = 0.01, trial 0)
+    # has nullity 8.
     n = 400
     for p, singular in ((0.1, False), (0.01, True)):
         tracemalloc.start()
@@ -354,7 +355,7 @@ def test_distance_trial_peak():
         finally:
             tracemalloc.stop()
         assert (row.s_min == 0.0) == singular
-        assert peak <= 2.5 * 8 * n * n
+        assert peak <= 1.5 * 8 * n * n
 
 
 def test_quadratic_trial_peak():

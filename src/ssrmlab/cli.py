@@ -20,10 +20,9 @@ imports, and ``--help``, a ``--dry-run`` or a config error loads no numpy.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
@@ -59,7 +58,8 @@ def _read_unit_vector(path: str) -> np.ndarray:
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
+    """Print a record: its result type's fields, plus n and the inputs it echoes."""
+    print(harness.json_text(record))
 
 
 # structure's flag for each StructureConstants field that classify_vector reads.
@@ -90,17 +90,8 @@ def _cmd_spectra(args) -> int:
     from .ensemble import load_matrix
     from .spectra import spectral_summary  # loads scipy; imported here so other subcommands skip it
 
-    A, header = load_matrix(args.matrix)
-    summary = spectral_summary(A)
-    _emit(
-        {
-            "n": header["n"],
-            "s_min": summary.s_min,
-            "s_max": summary.s_max,
-            "condition_number": "inf" if math.isinf(summary.condition_number) else summary.condition_number,
-            "residual": summary.residual,
-        }
-    )
+    A, _ = load_matrix(args.matrix)
+    _emit({"n": A.n, **asdict(spectral_summary(A))})
     return 0
 
 
@@ -108,17 +99,7 @@ def _cmd_lcd(args) -> int:
     from .structure import lcd
 
     x = _read_unit_vector(args.vector)
-    res = lcd(x, args.scale_l, theta_cap=args.cap)
-    _emit(
-        {
-            "n": int(x.size),
-            "L": args.scale_l,
-            "value": res.value,
-            "witness_theta": None if math.isnan(res.witness_theta) else res.witness_theta,
-            "witness_dist": None if math.isnan(res.witness_dist) else res.witness_dist,
-            "capped": res.capped,
-        }
-    )
+    _emit({"n": x.size, "L": args.scale_l, **asdict(lcd(x, args.scale_l, theta_cap=args.cap))})
     return 0
 
 
@@ -127,18 +108,7 @@ def _cmd_structure(args) -> int:
 
     x = _read_unit_vector(args.vector)
     consts = _constants_from_args(args)
-    report = classify_vector(x, consts, alpha=args.alpha)
-    _emit(
-        {
-            "n": int(x.size),
-            "m": report.m,
-            "dist_to_sparse": report.dist_to_sparse,
-            "comp_member": report.comp_member,
-            "dom_member": report.dom_member,
-            "spread_set": list(report.spread_set) if report.spread_set is not None else None,
-            "constants": {"c_s": consts.c_s, "c_d": consts.c_d, "c_oo": consts.c_oo},
-        }
-    )
+    _emit({"n": x.size, **asdict(classify_vector(x, consts, alpha=args.alpha)), "constants": asdict(consts)})
     return 0
 
 
@@ -158,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample one matrix to coordinate text format")
-    g.add_argument("-n", type=int, required=True)
+    g.add_argument("-n", type=harness._integer, required=True)
     g.add_argument("-p", type=float, required=True)
     g.add_argument("--dist", default="rademacher")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--stream", type=int, default=0, help="trial index T: write the matrix trial T of cell (n, p) draws")
+    g.add_argument("--seed", type=harness._integer, default=0)
+    g.add_argument("--stream", type=harness._integer, default=0, help="trial index T: write the matrix trial T of cell (n, p) draws")
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_generate)
 
@@ -186,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in harness.EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment from a config")
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--seed", type=harness._integer, default=None)
+        p.add_argument("--workers", type=harness._integer, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--dry-run", action="store_true")
         p.set_defaults(func=_cmd_run)

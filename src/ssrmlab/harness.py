@@ -370,8 +370,25 @@ def artifact_version_string(cfg: ExperimentConfig) -> str:
     import hashlib
 
     block = {key: value for key, value in _config_block(cfg).items() if key != "workers"}
-    digest = hashlib.sha1(json.dumps(block, sort_keys=True).encode()).hexdigest()[:12]
+    digest = hashlib.sha1(json_text(block).encode()).hexdigest()[:12]
     return f"{ARTIFACT_NAME}-{ARTIFACT_VERSION}+cfg.{digest}"
+
+
+def _json_safe(value):
+    """``value`` with each NaN as None and each infinity as "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _json_safe(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def json_text(value, indent: int | None = None) -> str:
+    """The package's one JSON writer, for sidecars, the artifact id and the
+    CLI's records: strict JSON (RFC 8259 has no NaN or Infinity), keys sorted."""
+    return json.dumps(_json_safe(value), sort_keys=True, allow_nan=False, indent=indent)
 
 
 def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = None) -> None:
@@ -379,8 +396,7 @@ def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = Non
     if extra:
         meta["results"] = extra
     with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(meta, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

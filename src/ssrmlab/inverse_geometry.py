@@ -33,7 +33,7 @@ from .spectra import (
     dgetri,
     dgetri_lwork,
 )
-from .stats import determined_slope, median, wilson_interval
+from .stats import Z95, determined_slope, median, wilson_interval
 from .structure import sparse_tail_distance
 
 # Leverage |N_j|^2 above which column j lies in the span of the others.
@@ -128,7 +128,7 @@ def invertibility_via_distance_experiment(
     lhs_ci = wilson_interval(lhs_hits, trials)
     rhs_arr = np.asarray([r.rhs_value for r in rows])
     rhs_hat = float(rhs_arr.mean())
-    rhs_halfwidth = 1.96 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
+    rhs_halfwidth = Z95 * float(rhs_arr.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.inf
     return rows, {
         "lhs_hat": lhs_hits / trials,
         "lhs_ci": list(lhs_ci),

@@ -81,6 +81,29 @@ def test_generate_rejects_a_key_out_of_range(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "-p", "0.5", "-n", "1_0"],
+        ["generate", "-n", "4", "-p", "0.5", "--seed", "١٢"],
+        ["generate", "-n", "4", "-p", "0.5", "--stream", "1_0"],
+        ["tail-sweep", "--config", "c.ini", "--seed", "1_0"],
+        ["scaling", "--config", "c.ini", "--workers", "٢"],
+    ],
+    ids=["n-underscore", "seed-arabic-indic", "stream-underscore", "run-seed-underscore", "run-workers-arabic-indic"],
+)
+def test_integer_flag_takes_the_config_grammar(tmp_path, capsys, argv):
+    # An integer flag parses as an integer config key does, an exact decimal
+    # literal: int() would also take 1_0 and non-ASCII digits.
+    out = tmp_path / "m.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"invalid _integer value: {argv[-1]!r}" in captured.err
+    assert not out.exists()
+
+
 # Past n = 2^30 - 1 an n x n float64 array is not addressable, and numpy
 # fails with ValueError or OverflowError rather than MemoryError.
 _PAST_ADDRESS_SPACE = "must be <= 1073741823 (an n x n float64 array must be addressable), got "

@@ -181,9 +181,10 @@ def test_every_knob_is_read():
     assert not unread, f"fields no result reads: {', '.join(unread)}"
 
 
-# Classes that ``harness`` writes whole into a sidecar with
-# ``dataclasses.asdict``: each field is read there, by no attribute name.
-_ASDICT_CLASSES = ("SlopeFit",)
+# Classes written whole with ``dataclasses.asdict``, by ``harness`` into a
+# sidecar or by ``cli`` into a record: each field is read there, by no
+# attribute name.
+_ASDICT_CLASSES = ("SlopeFit", "SpectralSummary", "StructureReport", "LcdResult")
 
 
 def _is_dataclass(node) -> bool:

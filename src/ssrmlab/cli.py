@@ -20,6 +20,7 @@ imports, and ``--help``, a ``--dry-run`` or a config error loads no numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import asdict
@@ -90,7 +91,7 @@ def _cmd_spectra(args) -> int:
     from .ensemble import load_matrix
     from .spectra import spectral_summary  # loads scipy; imported here so other subcommands skip it
 
-    A, _ = load_matrix(args.matrix)
+    A = load_matrix(args.matrix)
     _emit({"n": A.n, **asdict(spectral_summary(A))})
     return 0
 
@@ -118,6 +119,14 @@ def _cmd_run(args) -> int:
     )
 
 
+def _integer_flag(text: str) -> int:
+    """An integer flag parses as an integer config key does, and argparse prints that parser's message."""
+    try:
+        return harness._integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssrmlab",
@@ -128,11 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample one matrix to coordinate text format")
-    g.add_argument("-n", type=harness._integer, required=True)
+    g.add_argument("-n", type=_integer_flag, required=True)
     g.add_argument("-p", type=float, required=True)
     g.add_argument("--dist", default="rademacher")
-    g.add_argument("--seed", type=harness._integer, default=0)
-    g.add_argument("--stream", type=harness._integer, default=0, help="trial index T: write the matrix trial T of cell (n, p) draws")
+    g.add_argument("--seed", type=_integer_flag, default=0)
+    g.add_argument("--stream", type=_integer_flag, default=0, help="trial index T: write the matrix trial T of cell (n, p) draws")
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_generate)
 
@@ -156,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in harness.EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment from a config")
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=harness._integer, default=None)
-        p.add_argument("--workers", type=harness._integer, default=None)
+        p.add_argument("--seed", type=_integer_flag, default=None)
+        p.add_argument("--workers", type=_integer_flag, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--dry-run", action="store_true")
         p.set_defaults(func=_cmd_run)
@@ -174,5 +183,31 @@ def main(argv=None) -> int:
         return report(exc)
 
 
+def entry() -> int:
+    """The program, for ``python -m ssrmlab.cli`` and the ``ssrmlab`` script:
+    :func:`main` on ``sys.argv``, then stdout flushed, then ``gc.freeze()``.
+
+    A failed flush (a reader that closed the pipe) is one ``io error:`` line
+    and status 1; fd 1 then points at ``os.devnull``, so that the flush at
+    exit does not fail again.  Freezing moves every live object to the
+    permanent generation, so finalization's full collections have nothing
+    to traverse (README, "Process lifecycle").  :func:`main` freezes nothing.
+    """
+    try:
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse's exit after --help or a usage error
+            status = exc.code
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            try:
+                sys.stdout.flush()
+            except OSError as exc:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                status = report(exc)
+        return status
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -306,8 +306,8 @@ def check_matrix(A: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
     return A
 
 
-def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:
-    """Inverse of :func:`dump_matrix`; returns the matrix and header fields.
+def load_matrix(source: str | TextIO) -> SparseSymmetricMatrix:
+    """Inverse of :func:`dump_matrix`; the header's p, seed and stream are checked, not returned.
     A malformed line, or a matrix that breaks :func:`check_matrix`'s rules, raises ParameterError."""
     if isinstance(source, (str, bytes)):
         name = source
@@ -327,8 +327,8 @@ def load_matrix(source: str | TextIO) -> tuple[SparseSymmetricMatrix, dict]:
             raise ParameterError(f"{name!r} line {k}: expected {form!r}, got {' '.join(parts)!r}") from None
 
     (k0, head), *entries = lines
-    n, p, seed, stream = fields(k0, head, (int, float, int, int), "n p seed stream")
+    n, _p, _seed, _stream = fields(k0, head, (int, float, int, int), "n p seed stream")
     triples = [fields(k, parts, (np.int64, np.int64, float), "i j value") for k, parts in entries]
     rows, cols, vals = zip(*triples) if triples else ((), (), ())
     A = SparseSymmetricMatrix(n, np.array(rows, np.int64), np.array(cols, np.int64), np.array(vals, np.float64))
-    return check_matrix(A), {"n": n, "p": p, "seed": seed, "stream": stream}
+    return check_matrix(A)

@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import ssrmlab
 from in_child import in_child
-from ssrmlab import harness, inverse_geometry, spectra, structure
+from ssrmlab import cli, harness, inverse_geometry, spectra, structure
 from ssrmlab.cli import _constants_from_args, build_parser, main
 from ssrmlab.ensemble import Purpose, RngStream, load_matrix, sample_matrix, trial_stream
 from ssrmlab.errors import EXIT_TABLE
@@ -43,8 +45,9 @@ eps = 0.01,0.1
 def test_generate_round_trip(tmp_path):
     out = tmp_path / "m.txt"
     assert main(["generate", "-n", "10", "-p", "0.5", "--seed", "4", "--out", str(out)]) == 0
-    A, header = load_matrix(str(out))
-    assert header["n"] == 10 and header["p"] == 0.5 and header["seed"] == 4
+    A = load_matrix(str(out))
+    n, p, seed, _ = out.read_text().splitlines()[0].split()
+    assert int(n) == 10 and float(p) == 0.5 and int(seed) == 4
     dense = A.to_dense()
     assert np.array_equal(dense, dense.T)
 
@@ -58,8 +61,8 @@ def test_generate_stream_is_a_trial_index(tmp_path, capsys, dist):
     params, seed, t = EnsembleParams(40, 0.3, parse_distribution(dist)), 5, 3
     out = tmp_path / "m.txt"
     assert main(["generate", "-n", "40", "-p", "0.3", "--dist", dist, "--seed", str(seed), "--stream", str(t), "--out", str(out)]) == 0
-    A, header = load_matrix(str(out))
-    assert header["stream"] == t
+    A = load_matrix(str(out))
+    assert int(out.read_text().splitlines()[0].split()[3]) == t
     assert np.array_equal(A.to_dense(), sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 40, 0.3, t)).to_dense())
     assert main(["spectra", "--matrix", str(out)]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -100,7 +103,7 @@ def test_integer_flag_takes_the_config_grammar(tmp_path, capsys, argv):
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and f"invalid _integer value: {argv[-1]!r}" in captured.err
+    assert captured.out == "" and f"{argv[-1]!r} is not a decimal integer" in captured.err
     assert not out.exists()
 
 
@@ -540,6 +543,78 @@ def test_lcd_has_no_tol_flag(tmp_path, capsys):
         main(["lcd", "--vector", str(path), "--tol", "1e-6"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
+    # Only the program entry freezes the heap at its exit; main, which tests
+    # and library callers run in their own process, leaves it as it was.
+    assert main(["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--dry-run"]) == 0
+    with pytest.raises(SystemExit):
+        main(["tail-sweep"])
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv, status", [(["--dry-run"], 0), (["--bogus"], 2)], ids=["dry-run", "usage-error"])
+def test_entry_freezes_the_heap_and_keeps_the_status(tmp_path, argv, status):
+    # The module's __main__ block, as python -m runs it; an atexit handler
+    # reads the freeze count once the entry has returned.
+    argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), *argv]
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+        f"sys.argv = ['ssrmlab', *{argv!r}]\n"
+        "runpy.run_module('ssrmlab.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == status
+    label, count = proc.stderr.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("command", ["lcd", "structure"])
+def test_closed_stdout_is_one_io_error(tmp_path, command):
+    # The child's stdout is a pipe whose reader has already gone, and with
+    # PYTHONUNBUFFERED unset the record waits in stdout's buffer until the
+    # entry flushes it.  One line and status 1, not the interpreter's
+    # "Exception ignored" pair and status 120.
+    path = tmp_path / "v.txt"
+    path.write_text("0.6 0.8\n")
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssrmlab.cli", command, "--vector", str(path)],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and proc.stderr == "io error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_fd_1_is_no_error(tmp_path):
+    # A process started with fd 1 closed has sys.stdout None, and print
+    # writes nothing: the entry has no stdout to flush, and the run succeeds.
+    config = _kind_config(tmp_path, "tail-sweep")
+    proc = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m ssrmlab.cli tail-sweep --config {shlex.quote(config)} --dry-run >&-",
+        shell=True, env=_child_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_script_runs_the_main_block_entry():
+    # The ssrmlab script and python -m ssrmlab.cli run one function.  A text
+    # match, since tomllib is not in Python 3.10.
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, encoding="utf-8") as fh:
+        scripts = [line for line in fh if line.startswith("ssrmlab = ")]
+    assert scripts == ['ssrmlab = "ssrmlab.cli:entry"\n']
+    with open(cli.__file__, encoding="utf-8") as fh:
+        assert fh.read().endswith('if __name__ == "__main__":\n    raise SystemExit(entry())\n')
 
 
 def _python(code: str, cwd) -> str:

@@ -289,7 +289,7 @@ class TestSparseSymmetricMatrix:
         head, *lines = buf.getvalue().splitlines()
         order = np.random.default_rng(0).permutation(len(lines))
         shuffled = "\n".join([head] + [lines[k] for k in order]) + "\n"
-        B, _ = load_matrix(io.StringIO(shuffled))
+        B = load_matrix(io.StringIO(shuffled))
         assert not np.all(np.diff(B.row * B.n + B.col) > 0)
         assert np.array_equal(A.to_dense(), B.to_dense())
 
@@ -357,15 +357,16 @@ class TestSerialization:
         A = sample_matrix(EnsembleParams(12, 0.4, GAUSS), RngStream(21, 2))
         buf = io.StringIO()
         dump_matrix(buf, A, p=0.4, seed=21, stream=2)
-        B, header = load_matrix(io.StringIO(buf.getvalue()))
-        assert header == {"n": 12, "p": 0.4, "seed": 21, "stream": 2}
+        B = load_matrix(io.StringIO(buf.getvalue()))
+        n, p, seed, stream = buf.getvalue().splitlines()[0].split()
+        assert (int(n), float(p), int(seed), int(stream)) == (12, 0.4, 21, 2)
         assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_file_round_trip(self, tmp_path):
         A = sample_matrix(EnsembleParams(6, 0.5, RAD), RngStream(1, 0))
         path = tmp_path / "m.txt"
         dump_matrix(str(path), A, p=0.5, seed=1, stream=0)
-        B, _ = load_matrix(str(path))
+        B = load_matrix(str(path))
         assert np.array_equal(A.to_dense(), B.to_dense())
 
     def test_bad_header(self):

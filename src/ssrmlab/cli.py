@@ -20,6 +20,7 @@ imports, and ``--help``, a ``--dry-run`` or a config error loads no numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -83,7 +84,18 @@ def _cmd_generate(args) -> int:
         if not 0 <= value < 2**64:
             raise ParameterError(f"{flag} must lie in [0, 2^64), got {value}")
     A = sample_matrix(params, trial_stream(args.seed, Purpose.MATRIX, args.n, args.p, args.stream))
-    dump_matrix(args.out or sys.stdout, A, p=args.p, seed=args.seed, stream=args.stream)
+    if args.out is None:
+        dump_matrix(sys.stdout, A, p=args.p, seed=args.seed, stream=args.stream)
+        return 0
+    # Staged and renamed once complete, as harness writes a CSV: a failed write leaves --out as it was.
+    stage = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(stage, "w", encoding="utf-8") as fh:
+            dump_matrix(fh, A, p=args.p, seed=args.seed, stream=args.stream)
+        os.replace(stage, args.out)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(stage)
     return 0
 
 

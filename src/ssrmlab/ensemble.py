@@ -20,7 +20,6 @@ and ``generate``'s flags by ``cli``.  The package's own draws are not re-checked
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import os
@@ -210,7 +209,8 @@ class SparseSymmetricMatrix:
         return int(self.row.size)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.n))
+        """A new Fortran-ordered n x n array: LAPACK's layout, so ``spectra`` reduces it in place."""
+        dense = np.zeros((self.n, self.n), order="F")
         dense[self.row, self.col] = self.val
         dense[self.col, self.row] = self.val
         return dense
@@ -275,13 +275,12 @@ def sample_sparse_vector(
     return out
 
 
-def dump_matrix(target: str | TextIO, A: SparseSymmetricMatrix, *, p: float, seed: int, stream: int) -> None:
-    """Write the coordinate text format: header ``n p seed stream`` then one
+def dump_matrix(fh: TextIO, A: SparseSymmetricMatrix, *, p: float, seed: int, stream: int) -> None:
+    """Write the coordinate text format to ``fh``: header ``n p seed stream`` then one
     ``i j value`` line per stored upper-triangle entry; ``stream`` is the
     trial index of a drawn matrix (``generate --stream``)."""
-    with open(target, "w", encoding="utf-8") if isinstance(target, (str, bytes)) else contextlib.nullcontext(target) as fh:
-        fh.write(f"{A.n} {p:.17g} {seed} {stream}\n")
-        fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(A.row, A.col, A.val))
+    fh.write(f"{A.n} {p:.17g} {seed} {stream}\n")
+    fh.writelines(f"{i} {j} {v:.17g}\n" for i, j, v in zip(A.row, A.col, A.val))
 
 
 def check_matrix(A: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
@@ -306,16 +305,11 @@ def check_matrix(A: SparseSymmetricMatrix) -> SparseSymmetricMatrix:
     return A
 
 
-def load_matrix(source: str | TextIO) -> SparseSymmetricMatrix:
-    """Inverse of :func:`dump_matrix`; the header's p, seed and stream are checked, not returned.
-    A malformed line, or a matrix that breaks :func:`check_matrix`'s rules, raises ParameterError."""
-    if isinstance(source, (str, bytes)):
-        name = source
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        name = getattr(source, "name", "<stream>")
-        text = source.read()
+def load_matrix(name: str) -> SparseSymmetricMatrix:
+    """Inverse of :func:`dump_matrix`, read from the file ``name``; the header's p, seed and stream are
+    checked, not returned.  A malformed line, or a matrix that breaks :func:`check_matrix`'s rules, raises ParameterError."""
+    with open(name, "r", encoding="utf-8") as fh:
+        text = fh.read()
     lines = [(k, ln.split()) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParameterError(f"empty matrix file {name!r}")

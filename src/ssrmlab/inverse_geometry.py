@@ -21,12 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import Purpose, run_trials, sample_matrix, sample_sparse_vector, trial_stream
+from .ensemble import Purpose, SparseSymmetricMatrix, run_trials, sample_matrix, sample_sparse_vector, trial_stream
 from .errors import NumericalError, ParameterError
 from .model import EnsembleParams
 from .spectra import (
     C_OP,
-    _as_dense,
     _certified_extremes,
     dgemm,
     dgetrf,
@@ -57,7 +56,7 @@ def _inverse(dense: np.ndarray) -> np.ndarray:
     return inv
 
 
-def all_column_distances(A, null: np.ndarray) -> np.ndarray:
+def all_column_distances(A: SparseSymmetricMatrix, null: np.ndarray) -> np.ndarray:
     """dist(A_j, H_j) for every j, given an orthonormal basis ``null`` of A's
     numerical null space (n x k, k >= 0: the columns of
     ``_certified_extremes(A, null=True).vectors`` after the first two).
@@ -72,11 +71,9 @@ def all_column_distances(A, null: np.ndarray) -> np.ndarray:
     about (n eps |A| / gap)^2 for the null block's spectral gap, which adds
     to |A^+ e_j|^2 no more than that.  (Singular draws at n = 60 to 200,
     p = log n / n and 1.5 / n, had leverages above 2e-8 or below 1e-20.)
-    A + N N^T (dgemm) is inverted in this call's own copy of A.
+    A + N N^T (dgemm) is formed and inverted in the buffer A densifies into.
     """
-    dense = _as_dense(A)
-    dense = dgemm(1.0, null, null, beta=1.0, c=dense, trans_b=1, overwrite_c=1)
-    inv = _inverse(dense)
+    inv = _inverse(dgemm(1.0, null, null, beta=1.0, c=A.to_dense(), trans_b=1, overwrite_c=1))
     # The column norms, squared in the inverse's own buffer: no n x n temporary.
     dists = 1.0 / np.sqrt(np.add.reduce(np.square(inv, out=inv), axis=0))
     dists[np.einsum("ij,ij->i", null, null) > _LEVERAGE_FLOOR] = 0.0

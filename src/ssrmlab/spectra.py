@@ -15,14 +15,13 @@ A y = b from the same reduction unless A is singular.
 the same certificate on its two extremes; it serves the tail-sweep and
 scaling trials.
 
-Ownership: every call takes a ``SparseSymmetricMatrix`` or an array and
-never writes to the caller's array.  ``_as_dense`` gives each call one
-n x n buffer of its own (the densified matrix, or one Fortran-ordered
-copy of an array), and dsytrd reduces that buffer in place.  Every kind
-passes its sparse realization (norm-check also its Gaussian comparison),
-so a call holds one n x n array: the certificate saves the diagonal,
-applies Q panel by panel to its vectors (``_apply_q``), restores the
-diagonal and forms A V from the untouched upper triangle.
+Ownership: every call takes a ``SparseSymmetricMatrix``, a kind's sparse
+realization (norm-check's also its Gaussian comparison) or a checked
+matrix file, and densifies it once, by ``to_dense``, into the
+Fortran-ordered buffer that dsytrd reduces in place.  So a call holds one
+n x n array and never writes to the caller's: the certificate saves the
+diagonal, applies Q panel by panel to its vectors (``_apply_q``),
+restores the diagonal and forms A V from the untouched upper triangle.
 
 Every LAPACK and BLAS routine in the package is bound here, from scipy's
 two compiled modules ``scipy.linalg._flapack`` and ``_fblas``, which
@@ -47,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ensemble import Purpose, SparseSymmetricMatrix, run_trials, sample_matrix, trial_stream
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .model import EnsembleParams
 
 
@@ -111,23 +110,6 @@ def singular_extremes(evals: np.ndarray) -> tuple[float, float]:
     mags = np.abs(evals)
     smin, smax = float(mags.min(initial=math.inf)), float(mags.max(initial=0.0))
     return (0.0 if is_singular(smin, smax) else smin), smax
-
-
-def _as_dense(A) -> np.ndarray:
-    """A finite square float64 matrix in a fresh Fortran-ordered buffer the caller owns.
-
-    A ``SparseSymmetricMatrix`` is densified straight into it (the
-    transpose of ``to_dense``'s array, equal by symmetry); an array is
-    copied once, the copy dsytrd would otherwise make itself.
-    """
-    if isinstance(A, SparseSymmetricMatrix):
-        return A.to_dense().T
-    dense = np.array(A, dtype=np.float64, order="F")
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or not dense.size:
-        raise ParameterError("expected a nonempty square matrix")
-    if not np.isfinite(dense).all():
-        raise ParameterError("matrix entries must be finite")
-    return dense
 
 
 @dataclass(frozen=True)
@@ -238,11 +220,11 @@ def _certify(work, saved, reflectors, tau, diag, off, ranges, values) -> tuple[f
     return worst, V / lengths
 
 
-def full_symmetric_spectrum(A) -> np.ndarray:
+def full_symmetric_spectrum(A: SparseSymmetricMatrix) -> np.ndarray:
     """All eigenvalues, ascending: dsytrd reduces the lower triangle to
     T = Q^T A Q and dsterf returns every eigenvalue of T; the two of smallest
     and largest magnitude are certified by ``_certify``."""
-    work = _as_dense(A)
+    work = A.to_dense()
     n = work.shape[0]
     if n <= 1:
         return work.diagonal().copy()
@@ -268,7 +250,7 @@ class _Extremes(NamedTuple):
     y: np.ndarray | None
 
 
-def _certified_extremes(A, b=None, null: bool = False) -> _Extremes:
+def _certified_extremes(A: SparseSymmetricMatrix, b=None, null: bool = False) -> _Extremes:
     """The package's one route to (s_min, s_max), certified, with the solve and null block.
 
     One dsytrd, then dstebz to its full accuracy at indices 1 and n for s_max
@@ -280,7 +262,7 @@ def _certified_extremes(A, b=None, null: bool = False) -> _Extremes:
     residual bounds |A N|.  Given b, y = 2^-shift Q T^-1 Q^T b from the same
     reduction A = 2^shift Q T Q^T, T by dgtsv (LU with partial pivoting); an
     exactly zero pivot raises NumericalError."""
-    work = _as_dense(A)
+    work = A.to_dense()
     n = work.shape[0]
     if n <= 1 or not work.any():  # 1 x 1 or zero: the unit vectors are eigenvectors
         smin, smax = singular_extremes(work.diagonal())
@@ -313,17 +295,17 @@ def _certified_extremes(A, b=None, null: bool = False) -> _Extremes:
     return _Extremes(smin, smax, math.ldexp(worst, shift), vectors, y)
 
 
-def smallest_singular_value(A) -> float:
+def smallest_singular_value(A: SparseSymmetricMatrix) -> float:
     """min |eigenvalue|, within about n eps |A|; 0 when singular."""
     return _certified_extremes(A).s_min
 
 
-def spectral_norm(A) -> float:
+def spectral_norm(A: SparseSymmetricMatrix) -> float:
     """max |eigenvalue|, within about n eps |A|."""
     return _certified_extremes(A).s_max
 
 
-def spectral_summary(A) -> SpectralSummary:
+def spectral_summary(A: SparseSymmetricMatrix) -> SpectralSummary:
     """s_min, s_max and condition number from ``_certified_extremes``.
 
     ``residual`` is measured: the larger of ||Av - lambda v|| / ||v|| over

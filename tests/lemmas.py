@@ -6,7 +6,9 @@ identity or inequality of the paper's argument, not a table that a grid
 sweeps.  They are built from ssrmlab's public functions and numpy, take
 their arguments unchecked (only tests call them), and return named
 tuples.  A singular verdict is the package's one rule,
-``smallest_singular_value(A) == 0.0``.  ``distance_to_complement_span``,
+``smallest_singular_value(A) == 0.0``.  ``sparse_of`` gives a test's
+symmetric array the one matrix type that spectra takes.
+``distance_to_complement_span``,
 one pivoted QR (``scipy.linalg.qr``) per column, is criterion 1's
 geometric side and the reference that ``all_column_distances`` is tested
 against.
@@ -20,10 +22,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ssrmlab.ensemble import Purpose, sample_entries, sample_matrix, sample_sparse_vector, trial_stream
+from ssrmlab.ensemble import Purpose, SparseSymmetricMatrix, sample_entries, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.smallball import ConcentrationEstimate, levy_concentration_scalar
 from ssrmlab.spectra import smallest_singular_value
 from ssrmlab.structure import lcd, spread_set
+
+
+def sparse_of(dense) -> SparseSymmetricMatrix:
+    """The matrix of an exactly symmetric array: its upper triangle's nonzeros, row by row."""
+    dense = np.asarray(dense, dtype=np.float64)
+    assert dense.ndim == 2 and np.array_equal(dense, dense.T), "not an exactly symmetric matrix"
+    row, col = np.nonzero(np.triu(dense))
+    return SparseSymmetricMatrix(dense.shape[0], row, col, dense[row, col])
+
+
+def stored_in_order(A: SparseSymmetricMatrix, order: str, scale: float = 1.0) -> SparseSymmetricMatrix:
+    """``scale * A`` in new arrays, its entries stored row by row ("C") or column by column ("F")."""
+    perm = np.lexsort((A.col, A.row)) if order == "C" else np.lexsort((A.row, A.col))
+    return SparseSymmetricMatrix(A.n, A.row[perm], A.col[perm], scale * A.val[perm])
 
 
 def distance_to_complement_span(A, j: int) -> float:
@@ -59,7 +75,7 @@ def quadratic_form_distance(A) -> DistanceRecord:
     A = np.asarray(A, dtype=np.float64)
     geometric = distance_to_complement_span(A, 0)
     B, X = A[1:, 1:], A[1:, 0]
-    if smallest_singular_value(B) == 0.0:
+    if smallest_singular_value(sparse_of(B)) == 0.0:
         return DistanceRecord(geometric, None, True)
     y = np.linalg.solve(B, X)
     return DistanceRecord(geometric, abs(float(y @ X) - float(A[0, 0])) / math.sqrt(1.0 + float(y @ y)), False)
@@ -116,11 +132,11 @@ def inverse_image_experiment(params, matrices: int, x_draws: int, master_seed: i
     """
     ratios, excluded = [], 0
     for t in range(matrices):
-        A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, params.n, params.p, t)).to_dense()
+        A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, params.n, params.p, t))
         if smallest_singular_value(A) == 0.0:
             excluded += 1
             continue
-        inv = np.linalg.inv(A)
+        inv = np.linalg.inv(A.to_dense())
         streams = [trial_stream(master_seed, Purpose.QUADRATIC_X, params.n, params.p, t * x_draws + k) for k in range(x_draws)]
         Xs = np.column_stack([sample_sparse_vector(params.n, params.p, params.dist, s) for s in streams])
         ratios.append(np.linalg.norm(inv @ Xs, axis=0) ** 2 / (params.p * np.linalg.norm(inv) ** 2))

@@ -71,8 +71,8 @@ def test_criterion_02_spectral_oracle_equivalence():
     worst = 0.0
     for t in range(100):
         n = int(rng.integers(4, 65))
-        A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(1002, t)).to_dense()
-        oracle = float(np.abs(np.linalg.eigvalsh(A)).min())
+        A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(1002, t))
+        oracle = float(np.abs(np.linalg.eigvalsh(A.to_dense())).min())
         got = smallest_singular_value(A)
         rel = abs(got - oracle) / max(oracle, 1e-300)
         worst = max(worst, rel)

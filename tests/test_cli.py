@@ -595,6 +595,36 @@ def test_closed_stdout_is_one_io_error(tmp_path, command):
     assert proc.returncode == 1 and proc.stderr == "io error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "tail-sweep"])
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-earlier"])
+def test_write_past_the_file_size_limit_leaves_no_output(tmp_path, command, earlier):
+    # The child may write at most 4096 bytes to a file (RLIMIT_FSIZE), with
+    # SIGXFSZ ignored, so the longer write fails with EFBIG midway.  The
+    # matrix file has 200 x 200 entries at p = 0.5; the CSV has 150 rows.
+    out = tmp_path / "out.txt"
+    if command == "generate":
+        argv, outputs = ["generate", "-n", "200", "-p", "0.5", "--out", str(out)], [out]
+    else:
+        eps = ",".join(f"{k / 1000:g}" for k in range(1, 151))
+        config = tmp_path / "c.ini"
+        config.write_text(CONFIG_TEXT.replace("trials = 8", "trials = 2").replace("eps = 0.01,0.1", f"eps = {eps}").format(out=out))
+        argv, outputs = ["tail-sweep", "--config", str(config)], [out, tmp_path / "out.txt.meta.json"]
+    for path in outputs if earlier else ():
+        path.write_text(f"earlier {path.name}\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code = (
+        "import resource, runpy, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+        f"sys.argv = ['ssrmlab', *{argv!r}]\n"
+        "runpy.run_module('ssrmlab.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("io error: ") and "File too large" in proc.stderr and proc.stderr.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_closed_fd_1_is_no_error(tmp_path):
     # A process started with fd 1 closed has sys.stdout None, and print
     # writes nothing: the entry has no stdout to flush, and the run succeeds.
@@ -847,8 +877,10 @@ def test_singular_column_distances_skip_scipy_linalg(tmp_path):
         "import sys\n"
         "import numpy as np\n"
         "from ssrmlab.inverse_geometry import all_column_distances\n"
+        "from ssrmlab.ensemble import SparseSymmetricMatrix\n"
         "from ssrmlab.spectra import _certified_extremes\n"
-        "A = np.ones((4, 4))\n"
+        "row, col = np.triu_indices(4)\n"
+        "A = SparseSymmetricMatrix(4, row, col, np.ones(row.size))  # the all-ones matrix\n"
         "all_column_distances(A, _certified_extremes(A, null=True).vectors[:, 2:])\n"
         "print('scipy.linalg' in sys.modules)"
     )

@@ -3,6 +3,7 @@ import functools
 import io
 import math
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -267,10 +268,18 @@ class TestSampleSparseVector:
             sample_sparse_vector(5 + k % 2, 0.7, LAWS[k % 4], RngStream(k, 1))
 
 
+def _matrix_file(directory, text: str) -> str:
+    """The path of a new file ``m.txt`` in ``directory`` that holds ``text``."""
+    path = os.path.join(directory, "m.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _load_error(entries: str, n: int = 3) -> str:
     """The message ``load_matrix`` gives for a matrix file of these entry lines."""
-    with pytest.raises(ParameterError) as exc:
-        load_matrix(io.StringIO(f"{n} 0.5 1 0\n{entries}"))
+    with tempfile.TemporaryDirectory() as directory, pytest.raises(ParameterError) as exc:
+        load_matrix(_matrix_file(directory, f"{n} 0.5 1 0\n{entries}"))
     return str(exc.value)
 
 
@@ -282,14 +291,14 @@ class TestSparseSymmetricMatrix:
         # Out of order too.
         assert _load_error("1 2 1.0\n0 0 2.0\n1 2 3.0\n") == "duplicate (i, j) entry"
 
-    def test_unsorted_entries_accepted(self):
+    def test_unsorted_entries_accepted(self, tmp_path):
         A = sample_matrix(EnsembleParams(12, 0.5, GAUSS), RngStream(22, 0))
         buf = io.StringIO()
         dump_matrix(buf, A, p=0.5, seed=22, stream=0)
         head, *lines = buf.getvalue().splitlines()
         order = np.random.default_rng(0).permutation(len(lines))
         shuffled = "\n".join([head] + [lines[k] for k in order]) + "\n"
-        B = load_matrix(io.StringIO(shuffled))
+        B = load_matrix(_matrix_file(tmp_path, shuffled))
         assert not np.all(np.diff(B.row * B.n + B.col) > 0)
         assert np.array_equal(A.to_dense(), B.to_dense())
 
@@ -353,11 +362,11 @@ class TestRowWitnessSets:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         A = sample_matrix(EnsembleParams(12, 0.4, GAUSS), RngStream(21, 2))
         buf = io.StringIO()
         dump_matrix(buf, A, p=0.4, seed=21, stream=2)
-        B = load_matrix(io.StringIO(buf.getvalue()))
+        B = load_matrix(_matrix_file(tmp_path, buf.getvalue()))
         n, p, seed, stream = buf.getvalue().splitlines()[0].split()
         assert (int(n), float(p), int(seed), int(stream)) == (12, 0.4, 21, 2)
         assert np.array_equal(A.to_dense(), B.to_dense())
@@ -365,13 +374,14 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         A = sample_matrix(EnsembleParams(6, 0.5, RAD), RngStream(1, 0))
         path = tmp_path / "m.txt"
-        dump_matrix(str(path), A, p=0.5, seed=1, stream=0)
+        with open(path, "w", encoding="utf-8") as fh:
+            dump_matrix(fh, A, p=0.5, seed=1, stream=0)
         B = load_matrix(str(path))
         assert np.array_equal(A.to_dense(), B.to_dense())
 
-    def test_bad_header(self):
+    def test_bad_header(self, tmp_path):
         with pytest.raises(ParameterError):
-            load_matrix(io.StringIO("3 0.5\n"))
+            load_matrix(_matrix_file(tmp_path, "3 0.5\n"))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, value):

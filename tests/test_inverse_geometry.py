@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance
+from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance, sparse_of, stored_in_order
 from ssrmlab import inverse_geometry, spectra
-from ssrmlab.ensemble import Purpose, RngStream, sample_matrix, sample_sparse_vector, trial_stream
+from ssrmlab.ensemble import Purpose, RngStream, SparseSymmetricMatrix, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError
 from ssrmlab.inverse_geometry import (
     all_column_distances,
@@ -20,7 +20,7 @@ GAUSS = EntryDistribution("standard-gaussian")
 LAWS = [RAD, GAUSS, EntryDistribution("uniform-symmetric"), EntryDistribution("two-point-general", 0.2)]
 
 
-def _null(A) -> np.ndarray:
+def _null(A: SparseSymmetricMatrix) -> np.ndarray:
     """A's null block, as the distance-check trial gets it from spectra's certified extremes."""
     return spectra._certified_extremes(A, null=True).vectors[:, 2:]
 
@@ -87,16 +87,15 @@ class TestQuadraticFormDistance:
 
 class TestAllColumnDistances:
     def test_matches_projection_oracle(self):
-        A = sample_matrix(EnsembleParams(12, 0.7, GAUSS), RngStream(42, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(12, 0.7, GAUSS), RngStream(42, 0))
         fast = all_column_distances(A, _null(A))
-        slow = [distance_to_complement_span(A, j) for j in range(12)]
+        slow = [distance_to_complement_span(A.to_dense(), j) for j in range(12)]
         assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
 
     def test_singular_fallback(self):
         # The null block is e_1, e_2: columns 1 and 2 read exactly 0, and
         # column 0 reads 1 / |(A + N N^T)^-1 e_0| = 1.
-        A = np.zeros((3, 3))
-        A[0, 0] = 1.0
+        A = sparse_of(np.diag([1.0, 0.0, 0.0]))
         assert all_column_distances(A, _null(A)).tolist() == [1.0, 0.0, 0.0]
 
 
@@ -124,8 +123,8 @@ def _hand_built() -> dict:
 
 def _singular_draws(n: int, p: float, trials: int) -> list:
     """The singular realizations among the first ``trials`` at seed 5."""
-    draws = [sample_matrix(EnsembleParams(n, p, RAD), trial_stream(5, Purpose.MATRIX, n, p, t)).to_dense() for t in range(trials)]
-    return [A for A in draws if spectra.smallest_singular_value(A) == 0.0]
+    draws = [sample_matrix(EnsembleParams(n, p, RAD), trial_stream(5, Purpose.MATRIX, n, p, t)) for t in range(trials)]
+    return [A.to_dense() for A in draws if spectra.smallest_singular_value(A) == 0.0]
 
 
 @pytest.mark.parametrize(
@@ -144,13 +143,13 @@ def test_singular_distances_match_scipy_qr(matrices):
     assert matrices
     for A in matrices:
         n = A.shape[0]
-        N = _null(A)
+        N = _null(sparse_of(A))
         assert N.shape[1] > 0
         assert np.abs(N.T @ N - np.eye(N.shape[1])).max() <= 1e-10
         norm = np.abs(np.linalg.eigvalsh(A)).max()
         assert np.linalg.norm(A @ N, axis=0).max() <= 1e-10 * norm * n
         want = np.array([distance_to_complement_span(A, j) for j in range(n)])
-        got = all_column_distances(A, N)
+        got = all_column_distances(sparse_of(A), N)
         in_span = want <= 1e-12 * np.linalg.norm(A, axis=0).max()
         assert np.array_equal(got == 0.0, in_span)
         np.testing.assert_allclose(got[~in_span], want[~in_span], rtol=1e-12, atol=0)
@@ -177,10 +176,10 @@ class TestInverse:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_all_column_distances_leaves_caller_array(self, order):
-        A = np.array(sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(46, 0)).to_dense(), order=order)
-        before = A.copy(order="K")
+        A = stored_in_order(sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(46, 0)), order)
+        before = [field.tobytes() for field in (A.row, A.col, A.val)]
         all_column_distances(A, _null(A))
-        assert A.tobytes(order="A") == before.tobytes(order="A")
+        assert [field.tobytes() for field in (A.row, A.col, A.val)] == before
 
 
 class TestInverseImageExperiment:
@@ -263,13 +262,13 @@ class TestQuadraticSmallball:
         kept = 0
         for t in range(30):
             got = inverse_geometry._quadratic_trial(11, params, t)
-            dense = sample_matrix(params, trial_stream(11, Purpose.MATRIX, 200, 0.03, t)).to_dense()
-            smin, top = spectra._certified_extremes(dense)[:2]
+            A = sample_matrix(params, trial_stream(11, Purpose.MATRIX, 200, 0.03, t))
+            smin, top = spectra._certified_extremes(A)[:2]
             assert (got is None) == (smin == 0.0)
             if got is None:
                 continue
             X = sample_sparse_vector(params.n, params.p, params.dist, trial_stream(11, Purpose.QUADRATIC_X, 200, 0.03, t))
-            _, _, y, info = spectra._flapack.dgesv(dense, X)
+            _, _, y, info = spectra._flapack.dgesv(A.to_dense(), X)
             assert info == 0
             q, normalizer, event = got
             assert q == pytest.approx(float(y @ X), rel=1e-9)
@@ -288,12 +287,13 @@ class TestQuadraticSmallball:
 
 
 _PARAMS = EnsembleParams(16, 0.5, GAUSS)
-_A = sample_matrix(_PARAMS, RngStream(31, 0)).to_dense()
+_A = sample_matrix(_PARAMS, RngStream(31, 0))
+_ONES = sparse_of(np.ones((4, 4)))
 
 # Every public entry point, on inputs that reach its spectral checks.
 _ENTRY_POINTS = {
     "all_column_distances": lambda: all_column_distances(_A, _null(_A)),
-    "all_column_distances_singular": lambda: all_column_distances(np.ones((4, 4)), _null(np.ones((4, 4)))),
+    "all_column_distances_singular": lambda: all_column_distances(_ONES, _null(_ONES)),
     "invertibility_via_distance_experiment": lambda: invertibility_via_distance_experiment(
         _PARAMS, 0.1, 4, 0.1, 3, master_seed=1
     ),
@@ -373,13 +373,13 @@ def test_quadratic_trial_peak():
 
 @pytest.mark.parametrize("t", range(3))
 def test_distance_trial_matches_dense_input(t):
-    # Densified inside the kernels (Fortran-ordered, equal by symmetry) or
-    # passed as the trial's C-ordered array: the same row bit for bit.
+    # The trial's realization, or the same matrix rebuilt from its dense
+    # array: the same row bit for bit.
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
-    dense = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 60, 0.2, t)).to_dense()
-    smin, _, _, vectors, _ = inverse_geometry._certified_extremes(dense, null=True)
+    A = sparse_of(sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 60, 0.2, t)).to_dense())
+    smin, _, _, vectors, _ = inverse_geometry._certified_extremes(A, null=True)
     incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M) > rho
-    rhs = float(np.sum(all_column_distances(dense, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
+    rhs = float(np.sum(all_column_distances(A, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
     assert inverse_geometry._distance_trial(seed, eps, M, rho, params, t) == want
 

@@ -255,11 +255,11 @@ def test_each_kind_is_named_once():
     assert sorted(named) == sorted(keys), f"kind names outside the _KINDS keys: {sorted(set(named) - set(keys)) or named}"
 
 
-def test_only_as_dense_densifies():
-    # Every kernel hands spectra its sparse realization, and spectra._as_dense
-    # alone densifies it, into the one buffer dsytrd reduces: no kernel holds
-    # an n x n array of its own beside it.  Each .to_dense() call in src/ is
-    # named by its innermost enclosing def.
+def test_only_the_reducing_routes_densify():
+    # Every kernel hands spectra its sparse realization, and only the three
+    # routes that reduce or invert a matrix densify it, each into the one
+    # buffer LAPACK works on: no kernel holds an n x n array of its own beside
+    # it.  Each .to_dense() call in src/ is named by its innermost enclosing def.
     owners = []
     for path in sorted((_ROOT / "src" / "ssrmlab").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -269,4 +269,5 @@ def test_only_as_dense_densifies():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "to_dense"
         ]
-    assert owners == ["spectra._as_dense"], f".to_dense() called from {owners}"
+    want = ["inverse_geometry.all_column_distances", "spectra.full_symmetric_spectrum", "spectra._certified_extremes"]
+    assert owners == want, f".to_dense() called from {owners}"

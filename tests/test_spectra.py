@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lemmas import sparse_of, stored_in_order
 from ssrmlab import spectra
-from ssrmlab.ensemble import Purpose, RngStream, check_matrix, sample_matrix, trial_stream
-from ssrmlab.errors import NumericalError, ParameterError
+from ssrmlab.ensemble import Purpose, RngStream, SparseSymmetricMatrix, check_matrix, sample_matrix, trial_stream
+from ssrmlab.errors import NumericalError
 from ssrmlab.model import EnsembleParams, EntryDistribution
 from ssrmlab.spectra import (
     C_OP,
@@ -26,9 +27,9 @@ GAUSS = EntryDistribution("standard-gaussian")
 
 
 @pytest.fixture(scope="module")
-def matrix_2049() -> np.ndarray:
+def matrix_2049() -> SparseSymmetricMatrix:
     """A sparse rademacher matrix above n = 2048: both spectral calls hold at every n."""
-    return sample_matrix(EnsembleParams(2049, 0.01, RAD), RngStream(812, 0)).to_dense()
+    return sample_matrix(EnsembleParams(2049, 0.01, RAD), RngStream(812, 0))
 
 
 def _charpoly_roots(A):
@@ -46,29 +47,23 @@ def _charpoly_roots(A):
 
 class TestFullSymmetricSpectrum:
     def test_identity(self):
-        assert np.allclose(full_symmetric_spectrum(np.eye(3)), [1, 1, 1], atol=1e-14)
+        assert np.allclose(full_symmetric_spectrum(sparse_of(np.eye(3))), [1, 1, 1], atol=1e-14)
 
     def test_exchange_matrix(self):
-        ev = full_symmetric_spectrum(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ev = full_symmetric_spectrum(sparse_of([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(ev, [-1.0, 1.0], atol=1e-14)
 
     def test_matches_charpoly_oracle(self):
         for t in range(5):
-            A = sample_matrix(EnsembleParams(8, 0.6, GAUSS), RngStream(100, t)).to_dense()
-            assert np.allclose(full_symmetric_spectrum(A), _charpoly_roots(A), atol=1e-8)
+            A = sample_matrix(EnsembleParams(8, 0.6, GAUSS), RngStream(100, t))
+            assert np.allclose(full_symmetric_spectrum(A), _charpoly_roots(A.to_dense()), atol=1e-8)
 
     def test_returns_above_2048(self, matrix_2049):
         A = matrix_2049
-        ref = np.linalg.eigvalsh(A)
+        ref = np.linalg.eigvalsh(A.to_dense())
         ev = full_symmetric_spectrum(A)
         assert ev.shape == (2049,)
         assert np.abs(ev - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_non_finite_rejected(self):
-        A = np.eye(3)
-        A[0, 1] = A[1, 0] = np.nan
-        with pytest.raises(ParameterError, match="finite"):
-            full_symmetric_spectrum(A)
 
     def test_sorted_ascending(self):
         A = sample_matrix(EnsembleParams(20, 0.5, RAD), RngStream(1, 1))
@@ -79,7 +74,7 @@ class TestFullSymmetricSpectrum:
     def test_matches_eigvalsh(self, n):
         A = sample_matrix(EnsembleParams(max(n, 2), 0.5, GAUSS), RngStream(110, n)).to_dense()[:n, :n]
         ref = np.linalg.eigvalsh(A)
-        ev = full_symmetric_spectrum(A)
+        ev = full_symmetric_spectrum(sparse_of(A))
         assert ev.dtype == np.float64 and ev.shape == (n,)
         assert np.abs(ev - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -93,7 +88,7 @@ class TestFullSymmetricSpectrum:
         ids=["zero", "identity", "rank-one"],
     )
     def test_structured_matrices(self, A, expected):
-        assert np.allclose(full_symmetric_spectrum(A), expected, rtol=0, atol=1e-13 * max(1.0, expected.max()))
+        assert np.allclose(full_symmetric_spectrum(sparse_of(A)), expected, rtol=0, atol=1e-13 * max(1.0, expected.max()))
 
     @pytest.mark.parametrize("which", ["smallest", "largest"])
     def test_certificate_rejects_shifted_eigenvalue(self, monkeypatch, which):
@@ -117,30 +112,30 @@ class TestFullSymmetricSpectrum:
 
 class TestSmallestSingularValue:
     def test_identity(self):
-        assert smallest_singular_value(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
+        assert smallest_singular_value(sparse_of(np.eye(4))) == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_one(self):
-        assert smallest_singular_value(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0.0
+        assert smallest_singular_value(sparse_of([[1.0, 1.0], [1.0, 1.0]])) == 0.0
 
     def test_golden_ratio_case(self):
         # Eigenvalues of [[0,1],[1,1]] are (1 +- sqrt(5)) / 2.
         expected = (math.sqrt(5) - 1) / 2
-        got = smallest_singular_value(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        got = smallest_singular_value(sparse_of([[0.0, 1.0], [1.0, 1.0]]))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_agrees_with_dense_oracle(self):
         for t in range(25):
             n = 8 + (t * 7) % 57
-            A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(200, t)).to_dense()
+            A = sample_matrix(EnsembleParams(n, 0.6, GAUSS), RngStream(200, t))
             oracle = float(np.abs(full_symmetric_spectrum(A)).min())
             got = smallest_singular_value(A)
             assert got == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
     def test_scaling_equivariance(self):
-        A = sample_matrix(EnsembleParams(16, 0.7, GAUSS), RngStream(201, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(16, 0.7, GAUSS), RngStream(201, 0))
         s = smallest_singular_value(A)
         for c in (-2.0, 0.5):
-            assert smallest_singular_value(c * A) == pytest.approx(abs(c) * s, rel=1e-12)
+            assert smallest_singular_value(sparse_of(c * A.to_dense())) == pytest.approx(abs(c) * s, rel=1e-12)
 
     @pytest.mark.parametrize(
         "A",
@@ -148,7 +143,7 @@ class TestSmallestSingularValue:
         ids=["zero", "rank-one", "scaled-rank-one"],
     )
     def test_singular_inputs_return_zero(self, A):
-        assert smallest_singular_value(A) == 0.0
+        assert smallest_singular_value(sparse_of(A)) == 0.0
 
     @pytest.mark.parametrize("factor,singular", [(0.5, True), (2.0, False)])
     def test_is_singular_floor(self, factor, singular):
@@ -158,7 +153,7 @@ class TestSmallestSingularValue:
         Q, _ = np.linalg.qr(np.random.default_rng(202).standard_normal((3, 3)))
         A = (Q * [-3.0, factor * floor, 7.0]) @ Q.T
         A = 0.5 * (A + A.T)
-        got = smallest_singular_value(A)
+        got = smallest_singular_value(sparse_of(A))
         if singular:
             assert got == 0.0
         else:
@@ -167,10 +162,10 @@ class TestSmallestSingularValue:
 
 class TestSpectralNorm:
     def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert spectral_norm(sparse_of(np.zeros((4, 4)))) == 0.0
 
     def test_rank_one_all_ones(self):
-        assert spectral_norm(np.array([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(2.0, rel=1e-9)
+        assert spectral_norm(sparse_of([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(2.0, rel=1e-9)
 
     def test_wigner_edge(self):
         # Semicircle edge: |A| / sqrt(n) near 2 for dense rademacher.
@@ -183,13 +178,13 @@ class TestSpectralNorm:
     def test_dominates_entries(self):
         A = sample_matrix(EnsembleParams(30, 0.5, GAUSS), RngStream(301, 0))
         dense = A.to_dense()
-        nrm = spectral_norm(dense)
+        nrm = spectral_norm(A)
         assert nrm >= np.abs(np.diag(dense)).max() - 1e-9
         assert nrm >= np.abs(dense).max() - 1e-9
 
     def test_agrees_with_dense_oracle(self):
         for t in range(10):
-            A = sample_matrix(EnsembleParams(32, 0.5, GAUSS), RngStream(302, t)).to_dense()
+            A = sample_matrix(EnsembleParams(32, 0.5, GAUSS), RngStream(302, t))
             oracle = float(np.abs(full_symmetric_spectrum(A)).max())
             assert spectral_norm(A) == pytest.approx(oracle, rel=1e-8)
 
@@ -198,8 +193,8 @@ class TestSpectralNorm:
         # rademacher), stream id 2.  A power iteration on A^2 stopped 3.2e-6
         # short of |A| here, past the 1.4e-6 that a relative tolerance of
         # 1e-7 allows.
-        A = sample_matrix(EnsembleParams(500, 0.1, RAD), RngStream(1, 2)).to_dense()
-        ref = float(np.abs(np.linalg.eigvalsh(A)).max())
+        A = sample_matrix(EnsembleParams(500, 0.1, RAD), RngStream(1, 2))
+        ref = float(np.abs(np.linalg.eigvalsh(A.to_dense())).max())
         tol = 1e-7
         assert abs(spectral_norm(A) - ref) <= tol * max(1.0, ref)
 
@@ -259,15 +254,15 @@ class TestNormBoundExperiment:
         Gaussian draw: one value per mask entry (i, j), i <= j, in row-major
         order, mirrored below the diagonal."""
         n, p = params.n, params.p
-        dense = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, p, t)).to_dense()
-        mask = (dense != 0.0).astype(np.float64)
+        A = sample_matrix(params, trial_stream(seed, Purpose.MATRIX, n, p, t))
+        mask = (A.to_dense() != 0.0).astype(np.float64)
         W = np.zeros((n, n))
         W[np.nonzero(np.triu(mask))] = draw
         W += np.triu(W, k=1).T
-        norm = spectral_norm(dense)
+        norm = spectral_norm(A)
         bound = bvh_bound(float(np.sqrt((mask**2).sum(axis=1).max())), float(np.abs(mask).max()), n, eps)
         omega = bool(mask.sum(axis=1).max() <= cbar * p * n)
-        return spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, spectral_norm(W) <= bound), W
+        return spectra.NormBoundRow(t, norm, norm / math.sqrt(p * n), omega, bound, spectral_norm(sparse_of(W)) <= bound), W
 
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5])
     def test_trial_matches_dense_mask_reference(self, monkeypatch, p):
@@ -351,11 +346,11 @@ def _shift_smallest(monkeypatch, delta):
 
 class TestSpectralSummary:
     def test_dense_path(self):
-        s = spectral_summary(np.eye(3))
+        s = spectral_summary(sparse_of(np.eye(3)))
         assert s.s_min == 1.0 and s.s_max == 1.0 and s.condition_number == 1.0
 
     def test_singular_condition_number(self):
-        s = spectral_summary(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        s = spectral_summary(sparse_of([[1.0, 1.0], [1.0, 1.0]]))
         assert s.s_min == 0.0
         assert math.isinf(s.condition_number)
 
@@ -368,7 +363,7 @@ class TestSpectralSummary:
         delta = 1e-9 * plain.s_max
         _shift_smallest(monkeypatch, delta)
         summary = spectral_summary(A)
-        assert plain.residual <= 1e-10 * plain.s_max * A.shape[0]
+        assert plain.residual <= 1e-10 * plain.s_max * A.n
         assert summary.residual == pytest.approx(delta, rel=1e-3)
         assert summary.s_max == plain.s_max
         assert not hasattr(summary, "method")
@@ -382,7 +377,7 @@ class TestSpectralSummary:
         k = int(np.argmin(np.abs(evals)))
         delta = 1e-9 * np.abs(evals).max()
         _shift_smallest(monkeypatch, delta)
-        summary = spectral_summary(A)
+        summary = spectral_summary(sparse_of(A))
         v = vecs[:, k]
         lam = evals[k] + delta
         expected = np.linalg.norm(A @ v - lam * v) / np.linalg.norm(v)
@@ -393,7 +388,7 @@ class TestSpectralSummary:
         calls = []
         real = spectra._tridiagonal
         monkeypatch.setattr(spectra, "_tridiagonal", lambda dense: calls.append(dense.shape) or real(dense))
-        A = sample_matrix(EnsembleParams(24, 0.6, GAUSS), RngStream(305, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(24, 0.6, GAUSS), RngStream(305, 0))
         spectral_summary(A)
         assert calls == [(24, 24)]
 
@@ -413,7 +408,7 @@ class TestExtremeSingularValues:
         mags = np.abs(np.linalg.eigvalsh(A))
         smin, smax = float(mags.min()), float(mags.max())
         want = (0.0 if is_singular(smin, smax) else smin, smax)
-        got = spectra._certified_extremes(A)[:2]
+        got = spectra._certified_extremes(sparse_of(A))[:2]
         scale = max(smax, np.finfo(np.float64).tiny)
         assert abs(got[0] - want[0]) <= 1e-12 * scale and abs(got[1] - want[1]) <= 1e-12 * scale
         assert (got[0] == 0.0) == (want[0] == 0.0)
@@ -422,11 +417,11 @@ class TestExtremeSingularValues:
     @pytest.mark.parametrize("t", range(10))
     @pytest.mark.parametrize("params", [EnsembleParams(60, 0.3, GAUSS), EnsembleParams(200, 0.05, RAD)])
     def test_random_matrices(self, params, t):
-        A = sample_matrix(params, RngStream(808, t)).to_dense()
-        smin, smax = self._check(A)
+        A = sample_matrix(params, RngStream(808, t))
+        smin, smax = self._check(A.to_dense())
         assert 0.0 < smin <= smax
-        _, diag, off, _ = spectra._tridiagonal(A)
-        assert spectra._count_at_most(diag, off, 0.0) == int((np.linalg.eigvalsh(A) <= 0).sum())
+        _, diag, off, _ = spectra._tridiagonal(A.to_dense())
+        assert spectra._count_at_most(diag, off, 0.0) == int((np.linalg.eigvalsh(A.to_dense()) <= 0).sum())
 
     def test_zero_matrix(self):
         assert self._check(np.zeros((5, 5))) == (0.0, 0.0)
@@ -466,7 +461,7 @@ class TestExtremeSingularValues:
         self._check(A)
 
     def test_public_wrappers_read_it(self):
-        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(809, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(809, 0))
         assert (smallest_singular_value(A), spectral_norm(A)) == spectra._certified_extremes(A)[:2]
 
 
@@ -501,8 +496,8 @@ class TestReductionSolve:
 
     @staticmethod
     def _check(A, b):
-        smin, smax, _, _, y = spectra._certified_extremes(A, b)
-        assert (smin, smax) == spectra._certified_extremes(A)[:2]
+        smin, smax, _, _, y = spectra._certified_extremes(sparse_of(A), b)
+        assert (smin, smax) == spectra._certified_extremes(sparse_of(A))[:2]
         if smin == 0.0:
             assert y is None
             return False
@@ -529,7 +524,7 @@ class TestReductionSolve:
         assert self._check(A, np.random.default_rng(2).standard_normal(40))
 
     def test_caller_vector_unchanged(self):
-        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(822, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(822, 0))
         b = np.random.default_rng(3).standard_normal(30)
         before = b.copy()
         spectra._certified_extremes(A, b)
@@ -539,20 +534,20 @@ class TestReductionSolve:
         # Eigenvalues 0, 1 and 3; dsytrd leaves a tridiagonal matrix as it is.
         T = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
         b = np.ones(3)
-        got = spectra._certified_extremes(T, b)
+        got = spectra._certified_extremes(sparse_of(T), b)
         assert (got.s_min, got.s_max, got.y) == (0.0, pytest.approx(3.0, rel=1e-14), None)
         # With no singular floor the rule lets T through to the solve, where
         # dgtsv meets an exactly zero pivot, as dgesv would.
         monkeypatch.setattr(spectra, "_SINGULAR_FLOOR", 0.0)
         with pytest.raises(NumericalError, match="dgtsv"):
-            spectra._certified_extremes(T, b)
+            spectra._certified_extremes(sparse_of(T), b)
 
 
 class TestCertifiedEigenvectors:
     @pytest.mark.parametrize("t", range(3))
     def test_unit_and_within_contract(self, t):
         A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, t)).to_dense()
-        smin, smax, worst, V, _ = spectra._certified_extremes(A)
+        smin, smax, worst, V, _ = spectra._certified_extremes(sparse_of(A))
         norm = float(np.abs(np.linalg.eigvalsh(A)).max())
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, rtol=0, atol=1e-14)
         # The reported magnitudes, signed as the Rayleigh quotients are.
@@ -575,17 +570,17 @@ class TestCertifiedEigenvectors:
 
         monkeypatch.setattr(spectra, "_tridiagonal", tridiagonal)
         monkeypatch.setattr(spectra, "dsymm", lambda alpha, a, b, **kw: seen.append(a) or real_dsymm(alpha, a, b, **kw))
-        A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, 0)).to_dense()
+        A = sample_matrix(EnsembleParams(50, 0.3, RAD), RngStream(810, 0))
         spectra._certified_extremes(A)
         (work, reflectors), = reduced
         assert np.shares_memory(reflectors, work)
         assert len(seen) == 1 and seen[0] is work and work.flags.f_contiguous
-        assert np.array_equal(np.triu(work), np.triu(A))
+        assert np.array_equal(np.triu(work), np.triu(A.to_dense()))
 
     def test_one_by_one(self):
-        smin, smax, worst, V, _ = spectra._certified_extremes(np.array([[-2.5]]))
+        smin, smax, worst, V, _ = spectra._certified_extremes(sparse_of([[-2.5]]))
         assert (smin, smax, worst) == (2.5, 2.5, 0.0) and V.tolist() == [[1.0, 1.0]]
-        assert spectra._certified_extremes(np.array([[0.0]]), null=True).vectors.tolist() == [[1.0, 1.0, 1.0]]
+        assert spectra._certified_extremes(sparse_of([[0.0]]), null=True).vectors.tolist() == [[1.0, 1.0, 1.0]]
 
     @pytest.mark.parametrize("p, nullity", [(0.3, 0), (0.03, 5)])
     def test_null_block_adds_columns_only(self, p, nullity):
@@ -674,7 +669,7 @@ def _peak_in_matrices(n, fn, *args):
 
 
 class TestOneBufferPerCall:
-    """Each spectral call holds one n x n buffer of its own and never writes to the caller's."""
+    """Each spectral call densifies its matrix into one n x n buffer of its own and never writes to the caller's."""
 
     N = 400
 
@@ -686,11 +681,6 @@ class TestOneBufferPerCall:
     def test_sparse_input_peak(self, realization, fn):
         # One n x n buffer, plus O(n) work arrays and one reflector panel.
         assert _peak_in_matrices(self.N, fn, realization) <= 1.5
-
-    def test_array_input_peak(self, realization):
-        # The caller's array is not counted, only the one copy dsytrd reduces.
-        dense = realization.to_dense()
-        assert _peak_in_matrices(self.N, full_symmetric_spectrum, dense) <= 1.5
 
     @pytest.mark.parametrize("p", [0.05, 0.3])
     def test_sample_matrix_peak(self, p):
@@ -705,19 +695,28 @@ class TestOneBufferPerCall:
             full_symmetric_spectrum,
             spectral_summary,
             lambda A: spectra._certified_extremes(A, null=True),
-            lambda A: spectra._certified_extremes(A, np.ones(len(A))),
+            lambda A: spectra._certified_extremes(A, np.ones(A.n)),
         ],
         ids=["full_symmetric_spectrum", "spectral_summary", "extremes-null", "extremes-rhs"],
     )
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("scale", [1.0, 1e-160])
     def test_caller_array_unchanged(self, fn, order, scale):
-        # Fortran order is the layout dsytrd could overwrite without a copy;
-        # 1e-160 takes the in-place power-of-two scaling.
-        A = np.array(scale * sample_matrix(EnsembleParams(60, 0.3, GAUSS), RngStream(815, 0)).to_dense(), order=order)
-        before = A.copy(order="K")
+        # The caller's row, col and val, stored row by row ("C", as sample_matrix
+        # draws them) or column by column ("F"); 1e-160 takes _balance's in-place
+        # power-of-two scaling of the densified buffer.
+        A = stored_in_order(sample_matrix(EnsembleParams(60, 0.3, GAUSS), RngStream(815, 0)), order, scale)
+        before = [field.tobytes() for field in (A.row, A.col, A.val)]
         fn(A)
-        assert A.tobytes(order="A") == before.tobytes(order="A") and A.flags.f_contiguous == (order == "F")
+        assert [field.tobytes() for field in (A.row, A.col, A.val)] == before
+
+    def test_to_dense_is_the_fortran_buffer(self, realization):
+        # The layout dsytrd reduces in place: symmetric, every stored (i, j) at (i, j) and (j, i).
+        dense = realization.to_dense()
+        assert dense.flags.f_contiguous and np.array_equal(dense, dense.T)
+        rows, cols = realization.row, realization.col
+        assert np.array_equal(dense[rows, cols], realization.val) and np.array_equal(dense[cols, rows], realization.val)
+        assert np.count_nonzero(dense) == 2 * realization.nnz_upper - np.count_nonzero(rows == cols)
 
     def test_norm_bound_trial_peak(self):
         # Both matrices reach spectral_norm sparse, so the trial holds one n x n
@@ -730,7 +729,7 @@ class TestOneBufferPerCall:
             assert _peak_in_matrices(self.N, spectra._norm_bound_trial, 1, 2.0, 0.5, params, 0) <= 1.3 + 2.0 * p, p
 
     def test_tridiagonal_reduces_in_place(self):
-        work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense().T
+        work = sample_matrix(EnsembleParams(30, 0.4, GAUSS), RngStream(816, 0)).to_dense()
         upper = np.triu(work, 1)
         reflectors, diag, _, _ = spectra._tridiagonal(work)
         assert np.shares_memory(reflectors, work) and np.array_equal(work.diagonal(), diag)
@@ -746,8 +745,8 @@ def test_both_routes_at_extreme_scales(scale):
     oracle = np.linalg.eigvalsh(A)
     norm = float(np.abs(oracle).max())
     TestExtremeSingularValues._check(A)
-    assert np.abs(full_symmetric_spectrum(A) - oracle).max() <= 1e-12 * norm
-    summary = spectral_summary(A)
+    assert np.abs(full_symmetric_spectrum(sparse_of(A)) - oracle).max() <= 1e-12 * norm
+    summary = spectral_summary(sparse_of(A))
     assert summary.s_min == pytest.approx(float(np.abs(oracle).min()), rel=1e-9)
     assert summary.residual <= 1e-10 * norm * A.shape[0]
 
@@ -766,6 +765,6 @@ def test_both_routes_at_extreme_scales(scale):
 def test_norm_overflow_is_a_numerical_error(call):
     # Every entry is finite, but the eigenvalue 2e308 of the leading 2 x 2
     # block is not: both spectral calls scale back through one overflow check.
-    A = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -1e308]])
+    A = sparse_of([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, -1e308]])
     with pytest.raises(NumericalError, match="the spectral norm overflows float64"):
         call(A)

@@ -24,7 +24,6 @@ import contextlib
 import gc
 import os
 import sys
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
@@ -104,7 +103,7 @@ def _cmd_spectra(args) -> int:
     from .spectra import spectral_summary  # loads scipy; imported here so other subcommands skip it
 
     A = load_matrix(args.matrix)
-    _emit({"n": A.n, **asdict(spectral_summary(A))})
+    _emit({"n": A.n, **spectral_summary(A)._asdict()})
     return 0
 
 
@@ -112,7 +111,7 @@ def _cmd_lcd(args) -> int:
     from .structure import lcd
 
     x = _read_unit_vector(args.vector)
-    _emit({"n": x.size, "L": args.scale_l, **asdict(lcd(x, args.scale_l, theta_cap=args.cap))})
+    _emit({"n": x.size, "L": args.scale_l, **lcd(x, args.scale_l, theta_cap=args.cap)._asdict()})
     return 0
 
 
@@ -121,7 +120,7 @@ def _cmd_structure(args) -> int:
 
     x = _read_unit_vector(args.vector)
     consts = _constants_from_args(args)
-    _emit({"n": x.size, **asdict(classify_vector(x, consts, alpha=args.alpha)), "constants": asdict(consts)})
+    _emit({"n": x.size, **classify_vector(x, consts, alpha=args.alpha)._asdict(), "constants": consts})
     return 0
 
 

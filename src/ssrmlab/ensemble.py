@@ -26,9 +26,8 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -55,8 +54,7 @@ def sample_entries(dist: EntryDistribution, rng: np.random.Generator, size) -> n
     return np.where(hit, dist.a, b)
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """Counter-based randomness handle: Philox keyed by (seed, stream_id), its
     256-bit counter from [0, 0, 0, trial].  The draws depend only on the
     triple; a trial draws fewer than 2^192 blocks, so trials never meet."""
@@ -191,8 +189,7 @@ def _run_forked(kernel: Callable, tasks: list, workers: int) -> list:
     return records
 
 
-@dataclass(frozen=True)
-class SparseSymmetricMatrix:
+class SparseSymmetricMatrix(NamedTuple):
     """Upper-triangle coordinate storage of an exactly symmetric matrix.
 
     Only nonzero entries with i <= j are stored (the rules of :func:`check_matrix`,

@@ -26,7 +26,7 @@ which also holds each key's field, parser and default, plus [params] with
 the keys of the kind's record in ``_KINDS``.  Any other section or key is
 a ConfigError.  ``ExperimentConfig`` holds parsed values only, with every
 [params] key of the kind (an unset one at its default); the sidecar's
-``config`` block (``_config_block``) is that dataclass written whole, and
+``config`` block (``_config_block``) is that record written whole, and
 the artifact id hashes it, so configs that parse equal share one id.  C_op
 of the event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a
 key.  ``ExperimentConfig`` checks every rule of the record, so a runner
@@ -39,12 +39,11 @@ every [params] value within its rule.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__ as ARTIFACT_VERSION
@@ -52,7 +51,7 @@ from .errors import REPORTED, ConfigError, ParameterError, report
 from .model import MAX_N, EnsembleParams, EntryDistribution, parse_distribution
 
 if TYPE_CHECKING:  # for annotations; the code imports each where it runs, so lcd and structure skip them
-    from collections.abc import Callable
+    from collections.abc import Callable, Mapping
 
     from .stats import SlopeFit
 
@@ -95,8 +94,7 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class _Param:
+class _Param(NamedTuple):
     """A [params] key's parser, default and rule; n is the first grid.n point."""
 
     parse: Callable[[str], float]
@@ -105,19 +103,17 @@ class _Param:
     rule: str  # ``holds`` as the config error states it; ``{n}`` is n
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """An experiment kind; ``ExperimentConfig`` checks every rule here before its runner runs."""
 
     runner: Callable[[ExperimentConfig], _Table]
     sweeps: bool = False  # every (n, p) cell of the grid, else one
     vectors: bool = False  # samples vectors, not matrices
     reads_eps: bool = False  # grid.eps: one point or more, each >= 0, any order
-    params: dict[str, _Param] = field(default_factory=dict)
+    params: Mapping[str, _Param] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ExperimentConfigFields(NamedTuple):
     kind: str
     dist: EntryDistribution
     eps_grid: tuple[float, ...]
@@ -127,9 +123,14 @@ class ExperimentConfig:
     seed: int
     workers: int
     out: str
-    params: dict[str, float] = field(default_factory=dict)  # every key of the kind, after __post_init__
+    params: Mapping[str, float] = MappingProxyType({})  # the keys set; once checked, a new dict of every key of the kind
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ExperimentConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         kind = _KINDS.get(self.kind)
         if kind is None:
             raise ConfigError(f"unknown experiment kind {self.kind!r} (key experiment.kind)")
@@ -161,13 +162,13 @@ class ExperimentConfig:
             _param(self.kind, key)
         n = self.n_grid[0]
         params = {key: self.params.get(key, param.default(n)) for key, param in kind.params.items()}
-        object.__setattr__(self, "params", params)
         for key, param in kind.params.items():
             if not param.holds(params[key], n):
                 raise ConfigError(f"{self.kind} needs {param.rule.format(n=n)}, got params.{key} = {params[key]:g}")
         if kind.reads_eps and not (self.eps_grid and min(self.eps_grid) >= 0):
             points = ",".join(f"{e:g}" for e in self.eps_grid) or "none"
             raise ConfigError(f"{self.kind} needs grid.eps of one point or more, each >= 0, got eps={points}")
+        return self._replace(params=params)  # _replace builds the tuple without calling __new__ again
 
     def cell_count(self) -> int:
         return len(self.n_grid) * len(self.p_grid)
@@ -209,9 +210,10 @@ def config_from_text(text: str) -> ExperimentConfig:
         if raw is None:
             raise ConfigError(f"missing config key {section}.{key}")
         values[name] = _parsed(section, key, parse, raw)
-    cfg = ExperimentConfig(**values)  # each [params] key at its default; the set ones replace them
+    cfg = ExperimentConfig(**values)  # checked with each [params] key at its default, then with the set ones
     raws = cp["params"] if cp.has_section("params") else {}
-    return replace(cfg, params={key: _parsed("params", key, _param(cfg.kind, key).parse, raw) for key, raw in raws.items()})
+    params = {key: _parsed("params", key, _param(cfg.kind, key).parse, raw) for key, raw in raws.items()}
+    return ExperimentConfig(**values, params=params)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -359,8 +361,8 @@ def write_csv(path: str, schema: str, header: list[str], rows: list) -> None:
 
 
 def _config_block(cfg: ExperimentConfig) -> dict:
-    """The config as the sidecar writes it: every field but the output path."""
-    return {key: value for key, value in asdict(cfg).items() if key != "out"}
+    """The config as the sidecar writes it: every field but the output path, ``dist`` as an object."""
+    return {key: value for key, value in {**cfg._asdict(), "dist": cfg.dist._asdict()}.items() if key != "out"}
 
 
 def artifact_version_string(cfg: ExperimentConfig) -> str:
@@ -375,9 +377,12 @@ def artifact_version_string(cfg: ExperimentConfig) -> str:
 
 
 def _json_safe(value):
-    """``value`` with each NaN as None and each infinity as "inf" or "-inf"."""
+    """``value`` with each named tuple as a dict of its fields, each NaN as
+    None and each infinity as "inf" or "-inf"."""
     if isinstance(value, float) and not math.isfinite(value):
         return None if math.isnan(value) else "inf" if value > 0 else "-inf"
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _json_safe(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -387,7 +392,10 @@ def _json_safe(value):
 
 def json_text(value, indent: int | None = None) -> str:
     """The package's one JSON writer, for sidecars, the artifact id and the
-    CLI's records: strict JSON (RFC 8259 has no NaN or Infinity), keys sorted."""
+    CLI's records: strict JSON (RFC 8259 has no NaN or Infinity), keys sorted.
+    ``json`` is imported here, so that a dry run loads none."""
+    import json
+
     return json.dumps(_json_safe(value), sort_keys=True, allow_nan=False, indent=indent)
 
 
@@ -410,7 +418,7 @@ _Table = tuple[list[str], list, dict]
 def _run_tail_sweep(cfg: ExperimentConfig) -> _Table:
     rows = tail_sweep(cfg)
     fit = exponent_fit(rows)
-    return list(TailRow._fields), rows, {"exponent_fit": None if fit is None else asdict(fit)}
+    return list(TailRow._fields), rows, {"exponent_fit": fit}
 
 
 def _run_scaling(cfg: ExperimentConfig) -> _Table:
@@ -436,27 +444,10 @@ def _run_distance_check(cfg: ExperimentConfig) -> _Table:
 
 
 def _run_smallball(cfg: ExperimentConfig) -> _Table:
-    import numpy as np
+    from .smallball import smallball_experiment
 
-    from .smallball import lcd_smallball_bound, levy_concentration_scalar, sparse_sum_samples
-    from .structure import lcd
-
-    n, p = cfg.n_grid[0], cfg.p_grid[0]
-    x = np.full(n, 1.0 / math.sqrt(n))
-    d = lcd(x, 1.0)
-    # One sample set serves the whole eps grid (monotone estimates).
-    sums = sparse_sum_samples(x, p, cfg.dist, cfg.trials, cfg.seed, cfg.workers)
-    rows = []
-    for eps in cfg.eps_grid:
-        est = levy_concentration_scalar(sums, eps * math.sqrt(p))
-        rows.append([eps, est.value, est.ci_halfwidth, lcd_smallball_bound(p, eps, d.value)])
-    # Each bracket eps + 1/(sqrt(p) D) is > 0: D is finite and p > 0.
-    c_hat = max(row[1] / row[3] for row in rows)
-    rows = [row + [row[1] <= c_hat * row[3] + 1e-12] for row in rows]
-    return (
-        ["eps", "estimate", "ci", "bound_bracket", "pass"],
-        rows,
-        {"fitted_constant": c_hat, "lcd_value": d.value, "lcd_capped": d.capped},
+    return ["eps", "estimate", "ci", "bound_bracket", "pass"], *smallball_experiment(
+        cfg.n_grid[0], cfg.p_grid[0], cfg.dist, cfg.eps_grid, cfg.trials, cfg.seed, cfg.workers
     )
 
 
@@ -526,7 +517,8 @@ def run(
     """
     try:
         cfg = load_config(config_path)
-        cfg = replace(cfg, **{key: v for key, v in {"seed": seed, "workers": workers, "out": out}.items() if v is not None})
+        overrides = {key: v for key, v in {"seed": seed, "workers": workers, "out": out}.items() if v is not None}
+        cfg = ExperimentConfig(**{**cfg._asdict(), **overrides})  # not _replace, which skips the checks
         if kind is not None and kind != cfg.kind:
             raise ConfigError(f"subcommand {kind} does not match experiment.kind = {cfg.kind} in {config_path!r}")
         if dry_run:

@@ -15,7 +15,6 @@ routines are spectra's, so nothing here imports the scipy.linalg package.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from functools import partial
 from typing import NamedTuple
 
@@ -32,8 +31,7 @@ from .spectra import (
     dgetri,
     dgetri_lwork,
 )
-from .stats import Z95, determined_slope, median, wilson_interval
-from .structure import sparse_tail_distance
+from .stats import Z95, SlopeFit, determined_slope, median, wilson_interval
 
 # Leverage |N_j|^2 above which column j lies in the span of the others.
 _LEVERAGE_FLOOR = np.finfo(np.float64).eps
@@ -91,6 +89,8 @@ class DistanceExperimentRow(NamedTuple):
 
 
 def _distance_trial(master_seed: int, eps: float, M: int, rho: float, params: EnsembleParams, t: int) -> DistanceExperimentRow:
+    from .structure import sparse_tail_distance
+
     n, p = params.n, params.p
     A = sample_matrix(params, trial_stream(master_seed, Purpose.MATRIX, n, p, t))
     smin, _, _, vectors, _ = _certified_extremes(A, null=True)
@@ -102,13 +102,7 @@ def _distance_trial(master_seed: int, eps: float, M: int, rho: float, params: En
 
 
 def invertibility_via_distance_experiment(
-    params: EnsembleParams,
-    eps: float,
-    M: int,
-    rho: float,
-    trials: int,
-    master_seed: int = 0,
-    workers: int = 1,
+    params: EnsembleParams, eps: float, M: int, rho: float, trials: int, master_seed: int = 0, workers: int = 1
 ) -> tuple[list[DistanceExperimentRow], dict]:
     """Monte Carlo check of the invertibility-via-distance inequality.
 
@@ -120,6 +114,8 @@ def invertibility_via_distance_experiment(
     eps >= 0, rho > 0, trials >= 1 and 1 <= M < n (all checked by
     ``harness``).
     """
+    from . import structure  # noqa: F401  (before run_trials forks, so workers inherit it; quadratic never loads it)
+
     rows = run_trials(partial(_distance_trial, master_seed, eps, M, rho), [params], trials, workers)[0]
     lhs_hits = sum(r.lhs_event for r in rows)
     lhs_ci = wilson_interval(lhs_hits, trials)
@@ -157,11 +153,7 @@ def _quadratic_trial(master_seed: int, params: EnsembleParams, t: int):
 
 
 def quadratic_smallball_experiment(
-    params: EnsembleParams,
-    eps_grid,
-    trials: int,
-    master_seed: int = 0,
-    workers: int = 1,
+    params: EnsembleParams, eps_grid, trials: int, master_seed: int = 0, workers: int = 1
 ) -> tuple[list[QuadraticRow], dict]:
     """Tail curve of the self-normalized quadratic form of the inverse.
 
@@ -185,9 +177,8 @@ def quadratic_smallball_experiment(
         stat = np.abs(qs_arr - center) / dens_arr
         return [float(np.mean((stat <= e * sqrt_p) & eops_arr)) for e in eps_grid]
 
-    def fit(phats) -> dict | None:
-        slope = determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
-        return None if slope is None else asdict(slope)
+    def fit(phats) -> SlopeFit | None:
+        return determined_slope([(e, q) for e, q in zip(eps_grid, phats) if q > 0 and e > 0])
 
     p_zero, p_med = curve(0.0), curve(median(qs_arr))
     rows = [QuadraticRow(*row) for row in zip(eps_grid, p_zero, p_med)]

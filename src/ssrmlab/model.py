@@ -1,7 +1,10 @@
 """The ensemble's parameters: the law of one entry, and (n, p, law).
 
 Pure Python, so that configs are parsed and checked without numpy;
-``ensemble.sample_entries`` draws from a law.
+``ensemble.sample_entries`` draws from a law.  Each checked record, here
+and in ``structure`` and ``harness``, is a NamedTuple of its fields (which
+admits no ``__new__`` of its own) and a subclass whose ``__new__`` checks
+them; ``_replace`` skips the checks.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -22,8 +25,12 @@ MAX_N = math.isqrt(sys.maxsize // 8)
 _KINDS = ("rademacher", "standard-gaussian", "uniform-symmetric", "two-point-general")
 
 
-@dataclass(frozen=True)
-class EntryDistribution:
+class _EntryDistributionFields(NamedTuple):
+    kind: str
+    prob: float | None = None
+
+
+class EntryDistribution(_EntryDistributionFields):
     """Law of a single entry xi: mean 0, variance 1, finite fourth moment.
 
     ``(kind, prob)`` fixes the law.  Only two-point laws take ``prob``,
@@ -31,20 +38,20 @@ class EntryDistribution:
     mean zero, and ``a`` by unit variance.
     """
 
-    kind: str
-    prob: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown entry distribution kind {self.kind!r}")
         if self.kind != "two-point-general":
             if self.prob is not None:
                 raise ParameterError(f"{self.kind} takes no atom parameters")
-            return
-        if not isinstance(self.prob, numbers.Real) or not 0.0 < self.prob < 1.0:
+        elif not isinstance(self.prob, numbers.Real) or not 0.0 < self.prob < 1.0:
             raise ParameterError("two-point prob must lie in (0, 1)")
-        if not math.isfinite(self.fourth_moment):
+        elif not math.isfinite(self.fourth_moment):
             raise ParameterError(f"two-point prob {self.prob!r} gives an infinite fourth moment")
+        return self
 
     @property
     def fourth_moment(self) -> float:
@@ -91,15 +98,19 @@ def parse_distribution(text: str) -> EntryDistribution:
     raise ParameterError(f"unknown distribution {text!r}")
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Dimension, sparsity level and entry law: exactly what ``sample_matrix`` reads."""
-
+class _EnsembleParamsFields(NamedTuple):
     n: int
     p: float
     dist: EntryDistribution
 
-    def __post_init__(self):
+
+class EnsembleParams(_EnsembleParamsFields):
+    """Dimension, sparsity level and entry law: exactly what ``sample_matrix`` reads."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         try:  # admits int and numpy integers, not floats or strings
             n = operator.index(self.n)
         except TypeError:
@@ -111,3 +122,4 @@ class EnsembleParams:
         # p == 0 is admitted (degenerate zero matrix); experiments reject p < 1/n.
         if not isinstance(self.p, numbers.Real) or not 0.0 <= self.p <= 1.0:
             raise ParameterError(f"sparsity level p must lie in [0, 1], got {self.p!r}")
+        return self

@@ -1,5 +1,6 @@
 """The Levy concentration estimator for scalar samples and the LCD small-ball
-bracket: the two sides that the ``smallball`` kind compares.
+bracket: the two sides that the ``smallball`` kind compares, and the
+comparison itself (``smallball_experiment``).
 
 Window convention: the supremum is taken over open windows
 (u - eps, u + eps) for eps > 0 and over single points at eps = 0.  For
@@ -12,13 +13,14 @@ concentration function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .ensemble import Purpose, run_trials, sample_sparse_vector, trial_stream
 from .model import EntryDistribution
+from .structure import lcd
 
 
 def dkw_halfwidth(n: int) -> float:
@@ -30,8 +32,7 @@ def dkw_halfwidth(n: int) -> float:
     return 2.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
-@dataclass(frozen=True)
-class ConcentrationEstimate:
+class ConcentrationEstimate(NamedTuple):
     value: float
     ci_halfwidth: float
 
@@ -74,3 +75,24 @@ def lcd_smallball_bound(p: float, eps: float, lcd_value: float) -> float:
     eps >= 0 (``harness``'s smallball record) and a finite D > 0 (an ``lcd`` value).
     """
     return eps + 1.0 / (math.sqrt(p) * lcd_value)
+
+
+def smallball_experiment(
+    n: int, p: float, dist: EntryDistribution, eps_grid, trials: int, master_seed: int = 0, workers: int = 1
+) -> tuple[list[list], dict]:
+    """The smallball kind's rows at x = (1, ..., 1) / sqrt(n), per eps: the estimated concentration
+    of <x, X> at eps sqrt(p), its CI, the bracket at D = LCD(x) and whether the estimate is within
+    the fitted constant times the bracket; and the sidecar's summary.  Needs n >= 1, 0 < p <= 1,
+    eps points >= 0 and trials >= 1 (checked by ``harness``)."""
+    x = np.full(n, 1.0 / math.sqrt(n))
+    d = lcd(x, 1.0)
+    # One sample set serves the whole eps grid (monotone estimates).
+    sums = sparse_sum_samples(x, p, dist, trials, master_seed, workers)
+    rows = []
+    for eps in eps_grid:
+        est = levy_concentration_scalar(sums, eps * math.sqrt(p))
+        rows.append([eps, est.value, est.ci_halfwidth, lcd_smallball_bound(p, eps, d.value)])
+    # Each bracket eps + 1/(sqrt(p) D) is > 0: D is finite and p > 0.
+    c_hat = max(row[1] / row[3] for row in rows)
+    rows = [row + [row[1] <= c_hat * row[3] + 1e-12] for row in rows]
+    return rows, {"fitted_constant": c_hat, "lcd_value": d.value, "lcd_capped": d.capped}

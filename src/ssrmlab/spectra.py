@@ -37,7 +37,6 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
@@ -112,8 +111,7 @@ def singular_extremes(evals: np.ndarray) -> tuple[float, float]:
     return (0.0 if is_singular(smin, smax) else smin), smax
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     s_min: float
     s_max: float
     condition_number: float

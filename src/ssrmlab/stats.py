@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ def median(values: np.ndarray) -> float:
     return math.nan if np.isnan(s[-1]) else float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     slope: float
     ci_halfwidth: float
     intercept: float

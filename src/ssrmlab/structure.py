@@ -18,7 +18,7 @@ normalize themselves.  ``classify_vector`` checks the budget rule
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,27 +33,30 @@ _LCD_BUDGET = 10**10  # breakpoints ``lcd`` scans with no witness before it refu
 _LCD_TOL = 1e-9  # ``lcd``'s bisection width, unless its ends are adjacent floats first
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class _StructureConstantsFields(NamedTuple):
+    c_s: float = 0.1
+    c_d: float = 0.1
+    c_oo: float = 0.025
+
+
+class StructureConstants(_StructureConstantsFields):
     """The constants of ``classify_vector`` and ``spread_set``.
 
     Defaults satisfy the convention (1/4) c_s c_d^2 <= c_oo <= 1/4.
     """
 
-    c_s: float = 0.1
-    c_d: float = 0.1
-    c_oo: float = 0.025
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.c_s < 1.0:
             raise ParameterError("c_s must lie in (0, 1)")
         if not 0.0 < self.c_d < 1.0:
             raise ParameterError("c_d must lie in (0, 1)")
         lo = 0.25 * self.c_s * self.c_d**2
         if not lo <= self.c_oo <= 0.25:
-            raise ParameterError(
-                f"c_oo must lie in [{lo:g}, 0.25], got {self.c_oo!r}"
-            )
+            raise ParameterError(f"c_oo must lie in [{lo:g}, 0.25], got {self.c_oo!r}")
+        return self
 
     def sparsity_budget(self, n: int) -> int:
         """Integer sparsity budget m for Comp(c_s n, c_d) at dimension n."""
@@ -63,8 +66,7 @@ class StructureConstants:
         return int(math.ceil(self.c_oo * n))
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     m: int
     dist_to_sparse: float
     comp_member: bool
@@ -72,8 +74,7 @@ class StructureReport:
     spread_set: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class LcdResult:
+class LcdResult(NamedTuple):
     value: float
     witness_theta: float
     witness_dist: float
@@ -200,12 +201,8 @@ def _confirm(x: np.ndarray, a: float, L: float, left: float, right: float) -> Lc
     witness = root + 0.5 * _LCD_TOL
     if not (witness < right and f_scalar(witness) < 0.0):
         witness = root if f_scalar(root) < 0.0 else neg
-    return LcdResult(
-        value=float(root),
-        witness_theta=float(witness),
-        witness_dist=_lattice_dist(float(witness), x),
-        capped=False,
-    )
+    witness = float(witness)
+    return LcdResult(value=float(root), witness_theta=witness, witness_dist=_lattice_dist(witness, x), capped=False)
 
 
 def _interval_windows(x: np.ndarray, L: float, theta_cap: float):
@@ -319,12 +316,7 @@ def lcd(x, L: float, theta_cap: float | None = None) -> LcdResult:
         scanned += lo.size
         if scanned > _LCD_BUDGET:
             raise ParameterError(f"lcd passed {_LCD_BUDGET:.0e} breakpoints at theta = {float(hi[-1]):g} with no witness")
-    return LcdResult(
-        value=float(theta_cap),
-        witness_theta=math.nan,
-        witness_dist=math.nan,
-        capped=True,
-    )
+    return LcdResult(value=float(theta_cap), witness_theta=math.nan, witness_dist=math.nan, capped=True)
 
 
 def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> StructureReport:
@@ -335,10 +327,7 @@ def classify_vector(x, consts: StructureConstants, alpha: float = 0.5) -> Struct
         raise ParameterError("structure needs a vector of 2 entries or more")
     dist = sparse_tail_distance(x, m)
     spread = spread_set(x, consts)
+    spread = None if spread is None else tuple(int(i) for i in spread)
     return StructureReport(
-        m=m,
-        dist_to_sparse=dist,
-        comp_member=dist <= consts.c_d,
-        dom_member=is_dominated(x, m, alpha),
-        spread_set=tuple(int(i) for i in spread) if spread is not None else None,
+        m=m, dist_to_sparse=dist, comp_member=dist <= consts.c_d, dom_member=is_dominated(x, m, alpha), spread_set=spread
     )

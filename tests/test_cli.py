@@ -672,6 +672,9 @@ _WATCHED = {
     "hashlib": "hashlib",
     "pool": "concurrent.futures.process",
     "multiprocessing": "multiprocessing",
+    "dataclasses": "dataclasses",  # about 7 ms with inspect; every record is a NamedTuple
+    "inspect": "inspect",  # numpy imports it, so every run that loads numpy lists it
+    "json": "json",  # harness.json_text imports it, for a record or a sidecar
 }
 
 
@@ -682,14 +685,16 @@ _TWO_CPUS = "import os; os.sched_getaffinity = lambda pid: {0, 1}"
 def _loaded_after_cli(argv: list[str], cwd) -> dict:
     """Exit status of ``ssrmlab ARGV`` in a fresh process and which of the watched modules it loaded."""
     code = (
-        "import json, sys\n"
+        "import sys\n"
         "from ssrmlab.cli import main\n"
         f"{_TWO_CPUS}\n"
         "try:\n"
         f"    status = main({argv!r})\n"
         "except SystemExit as exc:  # argparse's exit after --help\n"
         "    status = exc.code\n"
-        f"print(json.dumps({{'status': status, **{{k: m in sys.modules for k, m in {_WATCHED!r}.items()}}}}))"
+        f"loaded = {{k: m in sys.modules for k, m in {_WATCHED!r}.items()}}\n"
+        "import json  # only now: json is watched\n"
+        "print(json.dumps({'status': status, **loaded}))"
     )
     return json.loads(_python(code, cwd))
 
@@ -758,16 +763,16 @@ def _kind_config(tmp_path, kind: str) -> str:
     [
         # lcd and structure load structure itself, but no config parser,
         # sidecar hash or statistics.
-        (["lcd", "--vector", "v.txt"], ["numpy", "structure"]),
-        (["structure", "--vector", "v.txt"], ["numpy", "structure"]),
-        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["numpy", "numpy.random", "hashlib"]),  # it loads hashlib
+        (["lcd", "--vector", "v.txt"], ["numpy", "inspect", "structure", "json"]),
+        (["structure", "--vector", "v.txt"], ["numpy", "inspect", "structure", "json"]),
+        (["generate", "-n", "20", "-p", "0.5", "--out", "m.txt"], ["numpy", "inspect", "numpy.random", "hashlib"]),  # it loads hashlib
         (
             ["smallball", "--config", "smallball.ini", "--workers", "1"],
-            ["numpy", "numpy.random", "structure", "configparser", "hashlib"],
+            ["numpy", "inspect", "numpy.random", "structure", "configparser", "hashlib", "json"],
         ),
         (  # only the workers draw
             ["smallball", "--config", "smallball.ini", "--workers", "2"],
-            ["numpy", "structure", "configparser", "hashlib"],
+            ["numpy", "inspect", "structure", "configparser", "hashlib", "json"],
         ),
     ],
     ids=["lcd", "structure", "generate", "smallball-w1", "smallball-w2"],
@@ -780,7 +785,8 @@ def test_subcommand_skips_scipy(tmp_path, argv, loaded):
 
 @pytest.mark.parametrize("kind", ["tail-sweep", "scaling", "norm-check", "distance-check", "smallball", "quadratic"])
 def test_dry_run_skips_scipy(tmp_path, kind):
-    # A dry run parses the config and loads no kernel, structure and numpy included.
+    # A dry run parses the config and loads no kernel, structure and numpy
+    # included, nor dataclasses, inspect or json.
     argv = [kind, "--config", _kind_config(tmp_path, kind), "--dry-run"]
     assert _loaded_after_cli(argv, tmp_path) == _only("configparser")
 
@@ -790,7 +796,7 @@ def test_pooled_sweep_loads_spectra_before_forking(tmp_path):
     # instead of each loading the LAPACK and random modules again.
     argv = ["tail-sweep", "--config", _kind_config(tmp_path, "tail-sweep"), "--workers", "2"]
     assert _loaded_after_cli(argv, tmp_path) == _only(
-        "numpy", "numpy.random", "spectra", "stats", "configparser", "hashlib"
+        "numpy", "inspect", "numpy.random", "spectra", "stats", "configparser", "hashlib", "json"
     )
 
 
@@ -824,6 +830,38 @@ def test_pooled_sweep_workers_load_no_module(tmp_path):
     assert loaded == [[], [], [], []]
 
 
+def test_quadratic_loads_no_structure(tmp_path):
+    # quadratic shares inverse_geometry with distance-check, whose trial alone
+    # reads structure: a pooled quadratic run loads it nowhere, and a pooled
+    # distance-check run loads it in the parent, before its workers fork.
+    runs = [[kind, "--config", _kind_config(tmp_path, kind), "--workers", "2"] for kind in ("quadratic", "distance-check")]
+    code = (
+        "import json, os, sys\n"
+        "from ssrmlab import ensemble\n"
+        "from ssrmlab.cli import main\n"
+        f"{_TWO_CPUS}\n"
+        "start, seen = ensemble._start_worker, []\n"
+        "def recording(job):\n"
+        "    def run():\n"
+        "        before = 'ssrmlab.structure' in sys.modules\n"
+        "        result = job()\n"
+        "        with open(f'worker-{os.getpid()}.json', 'w') as out:\n"
+        "            json.dump([before, 'ssrmlab.structure' in sys.modules], out)\n"
+        "        return result\n"
+        "    worker = start(run)\n"
+        "    seen.append(worker[0])\n"
+        "    return worker\n"
+        "ensemble._start_worker = recording\n"
+        "report = []\n"
+        f"for argv in {runs!r}:\n"
+        "    report.append([main(argv), 'ssrmlab.structure' in sys.modules])\n"
+        "print(json.dumps([report, [json.load(open(f'worker-{pid}.json')) for pid in seen]]))"
+    )
+    report, workers = json.loads(_python(code, tmp_path))
+    assert report == [[0, False], [0, True]]
+    assert workers == [[False, False]] * 2 + [[True, True]] * 2
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -831,10 +869,10 @@ def test_pooled_sweep_workers_load_no_module(tmp_path):
         (["scaling"], ["numpy.random", "stats", "configparser", "hashlib"]),
         (["norm-check"], ["numpy.random", "configparser", "hashlib"]),
         (["distance-check"], ["numpy.random", "structure", "stats", "configparser", "hashlib"]),
-        (["quadratic"], ["numpy.random", "structure", "stats", "configparser", "hashlib"]),
+        (["quadratic"], ["numpy.random", "stats", "configparser", "hashlib"]),
         # Only the matrix sweeps load numpy.random before the fork: at
         # n = 500 the pooled parent of the other kinds is the largest process.
-        (["quadratic", "--workers", "2"], ["structure", "stats", "configparser", "hashlib"]),
+        (["quadratic", "--workers", "2"], ["stats", "configparser", "hashlib"]),
         (["spectra", "--matrix", "m.txt"], []),
     ],
     ids=["tail-sweep-w1", "scaling", "norm-check", "distance-check", "quadratic", "quadratic-w2", "spectra"],
@@ -847,7 +885,7 @@ def test_lapack_subcommand_skips_scipy_linalg(tmp_path, argv, loaded):
         assert main(["generate", "-n", "20", "-p", "0.5", "--seed", "1", "--out", str(tmp_path / "m.txt")]) == 0
     else:
         argv = [argv[0], "--config", _kind_config(tmp_path, argv[0]), *argv[1:]]
-    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "spectra", *loaded)
+    assert _loaded_after_cli(argv, tmp_path) == _only("numpy", "inspect", "spectra", "json", *loaded)
 
 
 def test_scipy_linalg_reuses_the_loaded_modules(tmp_path):

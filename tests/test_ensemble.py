@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import math
@@ -57,7 +56,7 @@ class TestEntryDistribution:
             EntryDistribution(kind, prob=prob)
 
     def test_fields_are_kind_and_prob(self):
-        assert [f.name for f in dataclasses.fields(EntryDistribution)] == ["kind", "prob"]
+        assert EntryDistribution._fields == ("kind", "prob")
 
     def test_two_point_infinite_moment_rejected(self):
         # prob = 1e-320 gives an infinite atom, which no matrix can hold.
@@ -402,9 +401,7 @@ class TestTrialStream:
         assert state["counter"].tolist() == [0, 0, 0, 5]
         assert state["key"].tolist() == [9, stream.stream_id]
         plain = RngStream(9, stream.stream_id)
-        assert np.array_equal(
-            dataclasses.replace(stream, trial=0).generator().random(8), plain.generator().random(8)
-        )
+        assert np.array_equal(RngStream(stream.seed, stream.stream_id, 0).generator().random(8), plain.generator().random(8))
         assert not np.array_equal(stream.generator().random(8), plain.generator().random(8))
 
     def test_key_is_the_exact_cell(self):

@@ -1,6 +1,5 @@
 import configparser
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -57,6 +56,11 @@ def _config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def _replaced(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
+    """``cfg`` with ``changes``, built anew and so checked, unlike ``cfg._replace``."""
+    return ExperimentConfig(**{**cfg._asdict(), **changes})
+
+
 CONFIG_TEXT = """
 [experiment]
 kind = tail-sweep
@@ -104,10 +108,10 @@ def _config_text(cfg: ExperimentConfig, spell=repr, params=None) -> str:
     sections = {}
     for (section, key), (name, _, _) in harness._KEYS.items():
         value = getattr(cfg, name)
-        if isinstance(value, tuple):
-            value = ",".join(map(text, value))
-        elif isinstance(value, EntryDistribution):
+        if name == "dist":  # by name: a law is a tuple too
             value = value.kind if value.prob is None else f"two-point:{text(value.prob)}"
+        elif isinstance(value, tuple):
+            value = ",".join(map(text, value))
         sections.setdefault(section, {})[key] = value
     sections["params"] = {key: text(value) for key, value in cfg.params.items() if params is None or key in params}
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
@@ -175,7 +179,7 @@ class TestConfig:
     def test_config_block_holds_every_field_but_out(self):
         # The artifact id hashes this block, so a field it lacked would drop
         # out of the id unseen.  perfbench reads kind, seed and trials from it.
-        names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"out"}
+        names = set(ExperimentConfig._fields) - {"out"}
         assert set(harness._config_block(_config())) == names >= {"kind", "seed", "trials"}
 
     def test_params_hold_every_key_at_its_default(self):
@@ -186,7 +190,7 @@ class TestConfig:
         assert harness._config_block(cfg)["params"] == {"m": 12, "rho": 0.1}
         assert harness._config_block(cfg)["dist"] == {"kind": "rademacher", "prob": None}
         with pytest.raises(ConfigError, match="unknown config key params.m for kind norm-check"):
-            dataclasses.replace(cfg, kind="norm-check")
+            _replaced(cfg, kind="norm-check")
 
     def test_missing_kind_named(self):
         with pytest.raises(ConfigError, match="experiment.kind"):
@@ -394,6 +398,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("memory error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.ini"]
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [({"workers": 0}, "experiment.workers must be >= 1"), ({"seed": 2**64}, "experiment.seed must lie in [0, 2^64)")],
+    )
+    def test_overrides_are_checked(self, tmp_path, capsys, override, message):
+        # run() builds the config anew with its --seed, --workers and --out,
+        # so a flag is checked as the config key it overrides is.
+        out = tmp_path / "r.csv"
+        path = self._write_config(tmp_path, CONFIG_TEXT.replace("out.csv", str(out)))
+        for dry_run in (True, False):
+            assert run(path, dry_run=dry_run, **override) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_dead_worker_is_an_io_error(self, tmp_path, capsys, monkeypatch):
         # A worker that dies before sending its records ends the run in one
@@ -792,13 +811,13 @@ class TestConfigHypothesis:
         # Configs that differ in any field but out and workers get different
         # ids: a against b, and against a with one field of b's.
         def hashed(cfg):
-            return dataclasses.replace(cfg, out="", workers=1)
+            return _replaced(cfg, out="", workers=1)
 
-        fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("out", "workers")]
+        fields = [name for name in ExperimentConfig._fields if name not in ("out", "workers")]
         others = [b]
         for name in fields:
             with contextlib.suppress(ConfigError):
-                others.append(dataclasses.replace(a, **{name: getattr(b, name)}))
+                others.append(_replaced(a, **{name: getattr(b, name)}))
         assert harness.artifact_version_string(a) == _artifact_id(a)
         for other in others:
             if hashed(other) != hashed(a):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lemmas import distance_to_complement_span, inverse_image_experiment, quadratic_form_distance, sparse_of, stored_in_order
-from ssrmlab import inverse_geometry, spectra
+from ssrmlab import inverse_geometry, spectra, structure
 from ssrmlab.ensemble import Purpose, RngStream, SparseSymmetricMatrix, sample_matrix, sample_sparse_vector, trial_stream
 from ssrmlab.errors import NumericalError
 from ssrmlab.inverse_geometry import (
@@ -244,8 +244,8 @@ class TestQuadraticSmallball:
         )
         assert summary["slope_zero"] is not None and summary["slope_median"] is not None
         for fit in (summary["slope_zero"], summary["slope_median"]):
-            assert fit["slope"] > 0
-            assert math.isfinite(fit["ci_halfwidth"])
+            assert fit.slope > 0
+            assert math.isfinite(fit.ci_halfwidth)
 
     def test_one_eps_value_no_fit(self):
         # Four positive points at one eps: no slope, and no error.
@@ -378,7 +378,7 @@ def test_distance_trial_matches_dense_input(t):
     params, seed, eps, M, rho = EnsembleParams(60, 0.2, RAD), 4, 0.3, 10, 0.1
     A = sparse_of(sample_matrix(params, trial_stream(seed, Purpose.MATRIX, 60, 0.2, t)).to_dense())
     smin, _, _, vectors, _ = inverse_geometry._certified_extremes(A, null=True)
-    incomp = inverse_geometry.sparse_tail_distance(vectors[:, 0], M) > rho
+    incomp = structure.sparse_tail_distance(vectors[:, 0], M) > rho
     rhs = float(np.sum(all_column_distances(A, vectors[:, 2:]) <= math.sqrt(params.p) * eps)) / M
     want = inverse_geometry.DistanceExperimentRow(t, smin, incomp, smin <= eps * math.sqrt(0.2 / 60) and incomp, rhs)
     assert inverse_geometry._distance_trial(seed, eps, M, rho, params, t) == want
@@ -387,8 +387,8 @@ def test_distance_trial_matches_dense_input(t):
 @pytest.mark.parametrize("t", range(3))
 def test_distance_trial_eigenvector_meets_certificate(monkeypatch, t):
     seen = []
-    real = inverse_geometry.sparse_tail_distance
-    monkeypatch.setattr(inverse_geometry, "sparse_tail_distance", lambda v, m: seen.append(v.copy()) or real(v, m))
+    real = structure.sparse_tail_distance
+    monkeypatch.setattr(structure, "sparse_tail_distance", lambda v, m: seen.append(v.copy()) or real(v, m))
     params = EnsembleParams(40, 0.3, RAD)
     row = inverse_geometry._distance_trial(9, 0.1, 10, 0.1, params, t)
     A = sample_matrix(params, trial_stream(9, Purpose.MATRIX, 40, 0.3, t)).to_dense()

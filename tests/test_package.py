@@ -158,57 +158,80 @@ def test_every_keyword_default_is_passed():
 _KNOB_CLASSES = ("StructureConstants", "EntryDistribution", "EnsembleParams", "ExperimentConfig", "RngStream")
 
 
+def _bases(cls) -> list[str]:
+    return [ast.unparse(base) for base in cls.bases]
+
+
+def _records(trees) -> list:
+    """Every record class in src/, a NamedTuple by its base, as (the name its
+    callers use, its fields, the ids of the nodes of its constructor checks).
+    The fields of a checked record are a NamedTuple base's, and the checks
+    are the ``__new__`` of the subclass that extends it and takes its name."""
+    classes = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    records = []
+    for cls in classes:
+        if "NamedTuple" not in _bases(cls):
+            continue
+        name, checks = cls.name, set()
+        for sub in classes:
+            if cls.name in _bases(sub):
+                name = sub.name
+                checks |= {id(node) for f in sub.body if isinstance(f, ast.FunctionDef) and f.name == "__new__" for node in ast.walk(f)}
+        records.append((name, [f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)], checks))
+    return records
+
+
 def test_every_knob_is_read():
-    # A field that nothing reads outside its own class's __post_init__ can be
-    # set, and checked, but cannot change any result.  Reads are matched by
-    # attribute name only, whatever the receiver: a field counts as read when
-    # any object's attribute of that name is loaded anywhere in src/, so a
-    # common name (n, p, kind) can hide an unread field.  This catches only a
-    # field whose name no code loads at all.
+    # A field that nothing reads outside its own class's constructor checks
+    # can be set, and checked, but cannot change any result.  Reads are
+    # matched by attribute name only, whatever the receiver: a field counts
+    # as read when any object's attribute of that name is loaded anywhere in
+    # src/, so a common name (n, p, kind) can hide an unread field.  This
+    # catches only a field whose name no code loads at all.
     trees = _src_trees()
-    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef) and node.name in _KNOB_CLASSES}
-    assert sorted(classes) == sorted(_KNOB_CLASSES)
+    knobs = [record for record in _records(trees) if record[0] in _KNOB_CLASSES]
+    assert sorted(name for name, _, _ in knobs) == sorted(_KNOB_CLASSES)
     unread = []
-    for name, cls in classes.items():
-        checks = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for node in ast.walk(f)}
+    for name, fields, checks in knobs:
         reads = {
             node.attr
             for tree in trees
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in checks
         }
-        unread += [f"{name}.{f.target.id}" for f in cls.body if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+        unread += [f"{name}.{field}" for field in fields if field not in reads]
     assert not unread, f"fields no result reads: {', '.join(unread)}"
 
 
-# Classes written whole with ``dataclasses.asdict``, by ``harness`` into a
-# sidecar or by ``cli`` into a record: each field is read there, by no
-# attribute name.
-_ASDICT_CLASSES = ("SlopeFit", "SpectralSummary", "StructureReport", "LcdResult")
+# Records written whole, by ``harness`` into a CSV row or a sidecar (as
+# ``json_text`` writes a named tuple) or by ``cli`` into a record
+# (``_asdict``): each field is read there, by no attribute name.
+_ASDICT_CLASSES = (
+    "SlopeFit", "SpectralSummary", "StructureReport", "LcdResult",
+    "TailRow", "ScalingCell", "NormBoundRow", "DistanceExperimentRow", "QuadraticRow",
+)
 
-
-def _is_dataclass(node) -> bool:
-    return isinstance(node, ast.ClassDef) and any("dataclass" in _identifiers(decorator) for decorator in node.decorator_list)
+# Records read by unpacking, by position: ``spectra._certified_extremes``'s result.
+_UNPACKED_CLASSES = ("_Extremes",)
 
 
 def test_every_result_field_is_read():
-    # A dataclass field that nothing loads, outside its own class's
-    # __post_init__, is carried by every result and read by no CLI kind,
+    # A record field that nothing loads, outside its record's constructor
+    # checks, is carried by every result and read by no CLI kind,
     # benchmark workload or CLI test.  Reads are matched by
     # attribute name only, whatever the receiver, in src/ and in the code
     # that uses the package as a user would.
     trees = _src_trees()
     nodes = (node for tree in trees + _user_trees() for node in ast.walk(tree))
     loads = [node for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
-    classes = [node for tree in trees for node in tree.body if _is_dataclass(node)]
-    assert set(_ASDICT_CLASSES) <= {cls.name for cls in classes}
+    records = _records(trees)
+    assert set(_ASDICT_CLASSES) | set(_UNPACKED_CLASSES) <= {name for name, _, _ in records}
     unread = []
-    for cls in classes:
-        if cls.name in _ASDICT_CLASSES:
+    for name, fields, checks in records:
+        if name in _ASDICT_CLASSES or name in _UNPACKED_CLASSES:
             continue
-        checks = {id(node) for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for node in ast.walk(f)}
         reads = {node.attr for node in loads if id(node) not in checks}
-        unread += [f"{cls.name}.{f.target.id}" for f in cls.body if isinstance(f, ast.AnnAssign) and f.target.id not in reads]
+        unread += [f"{name}.{field}" for field in fields if field not in reads]
     assert not unread, f"fields nothing reads: {', '.join(unread)}"
 
 

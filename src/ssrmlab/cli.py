@@ -20,7 +20,6 @@ imports, and ``--help``, a ``--dry-run`` or a config error loads no numpy.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import os
 import sys
@@ -86,15 +85,8 @@ def _cmd_generate(args) -> int:
     if args.out is None:
         dump_matrix(sys.stdout, A, p=args.p, seed=args.seed, stream=args.stream)
         return 0
-    # Staged and renamed once complete, as harness writes a CSV: a failed write leaves --out as it was.
-    stage = f"{args.out}.{os.getpid()}.tmp"
-    try:
-        with open(stage, "w", encoding="utf-8") as fh:
-            dump_matrix(fh, A, p=args.p, seed=args.seed, stream=args.stream)
-        os.replace(stage, args.out)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(stage)
+    with harness.staged(args.out) as (stage,), open(stage, "w", encoding="utf-8") as fh:
+        dump_matrix(fh, A, p=args.p, seed=args.seed, stream=args.stream)
     return 0
 
 

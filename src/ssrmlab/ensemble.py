@@ -318,7 +318,10 @@ def load_matrix(name: str) -> SparseSymmetricMatrix:
             raise ParameterError(f"{name!r} line {k}: expected {form!r}, got {' '.join(parts)!r}") from None
 
     (k0, head), *entries = lines
-    n, _p, _seed, _stream = fields(k0, head, (int, float, int, int), "n p seed stream")
+    n, p, seed, stream = fields(k0, head, (int, float, int, int), "n p seed stream")
+    if not (0.0 <= p <= 1.0 and 0 <= seed < 2**64 and 0 <= stream < 2**64):  # what generate writes
+        got = " ".join(head)
+        raise ParameterError(f"{name!r} line {k0}: header needs p in [0, 1], seed and stream in [0, 2^64), got {got!r}")
     triples = [fields(k, parts, (np.int64, np.int64, float), "i j value") for k, parts in entries]
     rows, cols, vals = zip(*triples) if triples else ((), (), ())
     A = SparseSymmetricMatrix(n, np.array(rows, np.int64), np.array(cols, np.int64), np.array(vals, np.float64))

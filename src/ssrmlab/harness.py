@@ -30,10 +30,10 @@ a ConfigError.  ``ExperimentConfig`` holds parsed values only, with every
 the artifact id hashes it, so configs that parse equal share one id.  C_op
 of the event |A| <= C_op sqrt(pn) is the constant ``spectra.C_OP``, not a
 key.  ``ExperimentConfig`` checks every rule of the record, so a runner
-may assume: one (n, p) cell unless the kind sweeps the grid; every matrix
-cell in the ensemble, with p >= 1/n; a vector kind's n in [1, MAX_N] and p
-in (0, 1]; one eps point or more, each >= 0, if the kind reads eps; and
-every [params] value within its rule.
+may assume: grid points distinct; one (n, p) cell unless the kind sweeps
+the grid; every matrix cell in the ensemble, with p >= 1/n; a vector
+kind's n in [1, MAX_N] and p in (0, 1]; one eps point or more, each >= 0,
+if the kind reads eps; and every [params] value within its rule.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ class ExperimentConfig(_ExperimentConfigFields):
             raise ConfigError(f"unknown experiment kind {self.kind!r} (key experiment.kind)")
         if not self.n_grid or not self.p_grid:
             raise ConfigError("grids must be nonempty (section [grid])")
+        for key, grid in (("n", self.n_grid), ("p", self.p_grid), ("eps", self.eps_grid)):
+            for k, point in enumerate(grid):
+                if point in grid[:k]:  # it would write its cells twice, and a fit would count them twice
+                    raise ConfigError(f"grid.{key} repeats the point {point}")
         if not 1 <= self.trials < 2**32:  # run_trials lists every (cell, trial) task first
             raise ConfigError(f"experiment.trials must lie in [1, 2^32), got {self.trials}")
         if self.workers < 1:
@@ -399,12 +403,34 @@ def json_text(value, indent: int | None = None) -> str:
     return json.dumps(_json_safe(value), sort_keys=True, allow_nan=False, indent=indent)
 
 
-def write_sidecar(csv_path: str, cfg: ExperimentConfig, extra: dict | None = None) -> None:
+def write_sidecar(path: str, cfg: ExperimentConfig, extra: dict | None = None) -> None:
     meta = {"artifact": artifact_version_string(cfg), "schema_version": SCHEMA_VERSION, "config": _config_block(cfg)}
     if extra:
         meta["results"] = extra
-    with open(csv_path + ".meta.json", "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text(meta, indent=2) + "\n")
+
+
+@contextlib.contextmanager
+def staged(*paths: str):
+    """Yield a temporary name beside each of ``paths`` (``<path>.<pid>.tmp``);
+    once the block ends, rename each over its path, in the order given.  A
+    failed write leaves every path as it was, a failed rename removes the
+    paths renamed before it, and no temporary outlives the block."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
+        for k, (temp, path) in enumerate(zip(temps, paths)):
+            try:
+                os.replace(temp, path)
+            except OSError:  # path names a directory, or nothing: take the earlier renames back
+                for done in paths[:k]:
+                    os.remove(done)
+                raise
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 # ---------------------------------------------------------------------------
@@ -479,26 +505,6 @@ _KINDS = {
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def _write_outputs(cfg: ExperimentConfig, header: list[str], rows: list, extra: dict) -> None:
-    """Write the CSV and its sidecar under temporary names beside
-    ``cfg.out`` and rename both only once both are complete, so a failed
-    write or rename leaves neither file."""
-    stage = f"{cfg.out}.{os.getpid()}.tmp"
-    try:
-        write_csv(stage, cfg.kind, header, rows)
-        write_sidecar(stage, cfg, extra)
-        os.replace(stage + ".meta.json", cfg.out + ".meta.json")
-        try:
-            os.replace(stage, cfg.out)
-        except OSError:  # cfg.out names a directory, or nothing: take the sidecar back
-            os.remove(cfg.out + ".meta.json")
-            raise
-    finally:
-        for path in (stage, stage + ".meta.json"):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-
-
 def run(
     config_path: str,
     dry_run: bool = False,
@@ -527,7 +533,10 @@ def run(
                 f"trials/cell={cfg.trials} eps points={len(cfg.eps_grid)} -> {cfg.out}"
             )
             return 0
-        _write_outputs(cfg, *_KINDS[cfg.kind].runner(cfg))
+        header, rows, extra = _KINDS[cfg.kind].runner(cfg)
+        with staged(cfg.out + ".meta.json", cfg.out) as (meta, csv):  # the CSV's failed rename takes the sidecar back
+            write_csv(csv, cfg.kind, header, rows)
+            write_sidecar(meta, cfg, extra)
     except REPORTED as exc:
         return report(exc)
     return 0

@@ -60,13 +60,6 @@ def _sparse_sum_trial(master_seed: int, p: float, dist: EntryDistribution, x: np
     return float(x @ sample_sparse_vector(x.size, p, dist, trial_stream(master_seed, Purpose.SMALLBALL_X, x.size, p, t)))
 
 
-def sparse_sum_samples(
-    x: np.ndarray, p: float, dist: EntryDistribution, trials: int, master_seed: int, workers: int = 1
-) -> np.ndarray:
-    """<x, X> for trial t's sparse vector X (coordinates delta * xi), drawn as ``Purpose.SMALLBALL_X``."""
-    return np.array(run_trials(partial(_sparse_sum_trial, master_seed, p, dist), [x], trials, workers)[0])
-
-
 def lcd_smallball_bound(p: float, eps: float, lcd_value: float) -> float:
     """LCD small-ball bracket eps + 1 / (sqrt(p) D), with D = ``lcd_value``.
 
@@ -86,8 +79,8 @@ def smallball_experiment(
     eps points >= 0 and trials >= 1 (checked by ``harness``)."""
     x = np.full(n, 1.0 / math.sqrt(n))
     d = lcd(x, 1.0)
-    # One sample set serves the whole eps grid (monotone estimates).
-    sums = sparse_sum_samples(x, p, dist, trials, master_seed, workers)
+    # One sample set of <x, X_t> serves the whole eps grid (monotone estimates).
+    sums = np.array(run_trials(partial(_sparse_sum_trial, master_seed, p, dist), [x], trials, workers)[0])
     rows = []
     for eps in eps_grid:
         est = levy_concentration_scalar(sums, eps * math.sqrt(p))

@@ -210,10 +210,15 @@ def test_tail_sweep_dry_run(tmp_path, capsys):
         ("tail-sweep", "scaling", ("", ""), "subcommand tail-sweep does not match experiment.kind = scaling"),
         ("tail-sweep", "tail-sweep", ("n = 16", "n = 5000000000"), f"n {_PAST_ADDRESS_SPACE}5000000000"),
         ("smallball", "smallball", ("n = 16", f"n = {10**20}"), f"smallball needs grid.n >= 1 and <= 1073741823, got {10**20}"),
+        # A repeated grid point would write its cells twice and count them twice in a fit.
+        ("scaling", "scaling", ("n = 16", "n = 16,32,32"), "grid.n repeats the point 32"),
+        ("tail-sweep", "tail-sweep", ("p = 0.5", "p = 0.5,0.3,0.50"), "grid.p repeats the point 0.5"),
+        ("tail-sweep", "tail-sweep", ("eps = 0.01,0.1", "eps = 0.01,0.01,0.1,0.1"), "grid.eps repeats the point 0.01"),
+        ("smallball", "smallball", ("eps = 0.01,0.1", "eps = 0,0.1,-0"), "grid.eps repeats the point -0.0"),
     ],
     ids=[
         "ensemble-c_op", "smallball-c_op", "distance-check-eps", "kind-mismatch", "n-past-address-space",
-        "vector-n-past-address-space",
+        "vector-n-past-address-space", "repeated-n", "repeated-p", "repeated-eps", "repeated-zero-eps",
     ],
 )
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
@@ -593,6 +598,28 @@ def test_closed_stdout_is_one_io_error(tmp_path, command):
     finally:
         os.close(write)
     assert proc.returncode == 1 and proc.stderr == "io error: [Errno 32] Broken pipe\n"
+
+
+def test_generate_out_names_a_directory(tmp_path, capsys):
+    # The rename over a directory fails: one io error line, no temporary
+    # left beside it, and the directory as it was.
+    out = tmp_path / "m"
+    out.mkdir()
+    (out / "inside.txt").write_text("kept\n")
+    assert main(["generate", "-n", "4", "-p", "0.5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("io error: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m"]
+    assert [p.name for p in out.iterdir()] == ["inside.txt"] and (out / "inside.txt").read_text() == "kept\n"
+
+
+def test_spectra_rejects_a_header_generate_cannot_write(tmp_path, capsys):
+    # The header's ranges themselves are checked in test_ensemble.py.
+    path = tmp_path / "m.txt"
+    path.write_text("3 nan -5 -7\n0 0 1.0\n1 1 1.0\n2 2 1.0\n")
+    assert main(["spectra", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {str(path)!r} line 1: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["generate", "tail-sweep"])

@@ -382,6 +382,21 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             load_matrix(_matrix_file(tmp_path, "3 0.5\n"))
 
+    @pytest.mark.parametrize(
+        "header",
+        ["3 nan -5 -7", "3 -0.1 0 0", "3 1.5 0 0", "3 inf 0 0", "3 0.5 -1 0", f"3 0.5 {2**64} 0", "3 0.5 0 -1", f"3 0.5 0 {2**64}"],
+    )
+    def test_header_out_of_range(self, tmp_path, header):
+        # The header holds what generate can write: p in [0, 1], seed and stream in [0, 2^64).
+        path = _matrix_file(tmp_path, f"{header}\n0 0 1.0\n")
+        with pytest.raises(ParameterError) as exc:
+            load_matrix(path)
+        assert str(exc.value).startswith(f"{path!r} line 1: header needs p in [0, 1]")
+
+    @pytest.mark.parametrize("header", ["3 0 0 0", "3 -0 0 0", f"3 1 {2**64 - 1} {2**64 - 1}"])
+    def test_header_at_its_bounds(self, tmp_path, header):
+        assert load_matrix(_matrix_file(tmp_path, f"{header}\n0 0 1.0\n")).n == 3
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, value):
         assert _load_error(f"0 0 1.0\n0 1 {value}\n2 2 2.0\n") == "stored values must be finite"

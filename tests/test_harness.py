@@ -727,15 +727,15 @@ def _configs(draw) -> ExperimentConfig:
     kind = draw(st.sampled_from(EXPERIMENT_KINDS))
     record = harness._KINDS[kind]
     cells = 3 if record.sweeps else 1
-    n_grid = tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=cells)))
-    p_grid = tuple(draw(st.lists(_finite_floats(min_value=1.0 / min(n_grid), max_value=1.0), min_size=1, max_size=cells)))
+    n_grid = tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=cells, unique=True)))
+    p_grid = tuple(draw(st.lists(_finite_floats(min_value=1.0 / min(n_grid), max_value=1.0), min_size=1, max_size=cells, unique=True)))
     dist = draw(
         st.one_of(
             st.sampled_from(["rademacher", "standard-gaussian", "uniform-symmetric"]).map(EntryDistribution),
             _finite_floats(min_value=1e-6, max_value=1.0 - 1e-6).map(lambda prob: EntryDistribution("two-point-general", prob)),
         )
     )
-    eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=int(record.reads_eps), max_size=4)))
+    eps_grid = tuple(draw(st.lists(_finite_floats(), min_size=int(record.reads_eps), max_size=4, unique_by=abs)))  # distinct after the abs below
     if record.reads_eps:
         eps_grid = tuple(abs(e) for e in eps_grid)
     if kind == "norm-check":
